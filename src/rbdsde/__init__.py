@@ -34,7 +34,6 @@ from .oracles import (
 )
 from .paths import NoisePaths, ObstacleGrid, generate_paths, obstacle_on_grid
 from .reflect_one import (
-    PenalizationTrace,
     implicit_penalty_step,
     penetration_statistic,
     skorohod_residual,
@@ -44,7 +43,7 @@ from .reflect_one import (
     solve_reflected,
 )
 from .reflect_two import (
-    DoublePenalizationTrace,
+    PenalizationTrace,
     double_skorohod_residuals,
     implicit_double_step,
     solve_double,
@@ -53,7 +52,6 @@ from .reflect_two import (
 __all__ = [
     "CoefficientSpec",
     "Dimensions",
-    "DoublePenalizationTrace",
     "FixedRule",
     "HittingRule",
     "NoisePaths",

@@ -50,6 +50,23 @@ def _noise_matrix(spec, t, w, y, z, l: int) -> np.ndarray:
     return out
 
 
+def coefficient_steps(sol: SolutionEnsemble, s: Scenario, p: NoisePaths, lag: int) -> np.ndarray:
+    """F dt + G . dB_j for each path and step j, with the driver F and the
+    noise coefficient G re-evaluated along the solution at grid index
+    j + lag (0 or 1); Z after the last step is taken as zero.  Returns M x N."""
+    m, n = s.mc_paths, s.grid.steps
+    times = s.grid.times
+    steps = np.empty((m, n))
+    for j in range(n):
+        k = j + lag
+        y, w = sol.Y[:, k], p.W_state[:, k, :]
+        z = sol.Z[:, k, :] if k < n else np.zeros((m, s.dims.d))
+        f = s.driver.evaluate(times[k], w, y, z)
+        g = _noise_matrix(s.noise_coeff, times[k], w, y, z, s.dims.l)
+        steps[:, j] = f * s.grid.dt + np.einsum("ml,ml->m", g, p.dB[:, j, :])
+    return steps
+
+
 def solve_backward(
     s: Scenario,
     p: NoisePaths,
@@ -104,10 +121,6 @@ def solve_backward(
             extras = extra_columns(i)
             if extras:
                 basis = np.column_stack([basis, *extras])
-                if basis.shape[1] > m:
-                    raise ValueError(
-                        f"underdetermined basis: {basis.shape[1]} columns but only {m} samples"
-                    )
                 step_labels = labels + tuple(f"obs{k}" for k in range(len(extras)))
         basis_size = basis.shape[1]
 

@@ -17,7 +17,7 @@ import csv
 import datetime
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,14 +34,19 @@ from .model import (
     TimeGrid,
     validate_scenario,
 )
-from .oracles import dp_stopping_value
-from .paths import generate_paths, obstacle_on_grid
+from .oracles import dp_stopping_value, lattice_scope_problem
+from .paths import NoisePaths, ObstacleGrid, generate_paths, obstacle_on_grid
 from .reflect_one import skorohod_residual, solve_reflected
 from .reflect_two import double_skorohod_residuals, solve_double
 
 
 class ConfigError(ValueError):
-    """Malformed configuration; the message carries the config path."""
+    """Malformed configuration or a scenario that fails validation; the
+    message carries the config path, ``messages`` one entry per failure."""
+
+    def __init__(self, *messages: str):
+        super().__init__("; ".join(messages))
+        self.messages = messages
 
 
 def _fmt(x: float) -> str:
@@ -242,58 +247,45 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _validation_failure(out_dir: Path, messages: list[str]) -> int:
-    for msg in messages:
-        print(f"validation: {msg}", file=sys.stderr)
-    _write_json(out_dir / "summary.json", {"status": "validation_failed", "errors": messages})
-    return 2
+def _prepare(spec: RunSpec, paths: NoisePaths | None = None) -> tuple[NoisePaths, ObstacleGrid]:
+    """Validate the scenario, draw its paths unless shared ones are given,
+    and check the per-path conditions that validation had to defer."""
+    report = validate_scenario(spec.scenario)
+    if not report.ok:
+        raise ConfigError(*report.violations)
+    if paths is None:
+        paths = generate_paths(spec.scenario)
+    grids = obstacle_on_grid(spec.scenario, paths)
+    flags = grids.flag_messages()
+    if flags:
+        raise ConfigError(*flags)
+    return paths, grids
 
 
 def _solve_for_config(spec: RunSpec, paths):
     """Dispatch on the barrier structure; returns (ensemble, trace or None)."""
     sc = spec.scenario
     if sc.obstacles.has_lower and sc.obstacles.has_upper:
-        sol, trace = solve_double(sc, paths, spec.regression, spec.picard_iters,
-                                  sched_m=spec.schedule, sched_n=spec.schedule)
-        return sol, trace
+        return solve_double(sc, paths, spec.regression, spec.picard_iters,
+                            sched_m=spec.schedule, sched_n=spec.schedule)
     if sc.obstacles.has_lower:
-        sol, trace = solve_reflected(sc, paths, spec.regression, spec.picard_iters,
-                                     schedule=spec.schedule)
-        return sol, trace
+        return solve_reflected(sc, paths, spec.regression, spec.picard_iters,
+                               schedule=spec.schedule)
     return solve_bdsde(sc, paths, spec.regression, spec.picard_iters), None
 
 
-def _deferred_flag_messages(grids) -> list[str]:
-    msgs = []
-    if grids.lower_terminal_bad is not None and np.any(grids.lower_terminal_bad):
-        msgs.append(f"S_T <= xi violated on {int(np.count_nonzero(grids.lower_terminal_bad))} paths")
-    if grids.upper_terminal_bad is not None and np.any(grids.upper_terminal_bad):
-        msgs.append(f"xi <= U_T violated on {int(np.count_nonzero(grids.upper_terminal_bad))} paths")
-    if grids.ordering_bad is not None and np.any(grids.ordering_bad):
-        msgs.append("L<U violated at sampled interior points")
-    return msgs
+# summary.json keeps the short keys of one-barrier ladders
+_ONE_BARRIER_KEYS = {"level_lower": "level", "penetration_lower": "penetration",
+                     "mean_k_plus_T": "mean_k_T"}
 
 
 def _trace_rows(trace) -> list[dict]:
     rows = []
-    if trace is None:
-        return rows
-    for stat in trace.levels:
-        if hasattr(stat, "penetration"):
-            rows.append({
-                "level": stat.level,
-                "penetration": stat.penetration,
-                "mean_k_T": stat.mean_k_T,
-            })
-        else:
-            rows.append({
-                "level_lower": stat.level_lower,
-                "level_upper": stat.level_upper,
-                "penetration_lower": stat.penetration_lower,
-                "penetration_upper": stat.penetration_upper,
-                "mean_k_plus_T": stat.mean_k_plus_T,
-                "mean_k_minus_T": stat.mean_k_minus_T,
-            })
+    for stat in trace.levels if trace is not None else ():
+        row = asdict(stat)
+        if stat.level_upper is None:
+            row = {short: row[key] for key, short in _ONE_BARRIER_KEYS.items()}
+        rows.append(row)
     return rows
 
 
@@ -323,25 +315,21 @@ def _write_timeseries(path: Path, sc: Scenario, sol, grids) -> None:
             writer.writerow(row)
 
 
-def cmd_run(config_path: str, out_dir: str) -> int:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        spec = load_config(config_path)
-    except (ConfigError, ValueError) as exc:
-        return _validation_failure(out, [str(exc)])
+def _skorohod_verdict(residuals: np.ndarray, k: np.ndarray, dt: float) -> dict:
+    """Mean |flat-off-the-barrier residual| against 5 dt times the mean K_T."""
+    mean_res = float(np.abs(residuals).mean())
+    tol = 5.0 * dt * float(k[:, -1].mean())
+    return {
+        "mean_abs_residual": mean_res,
+        "tolerance": tol,
+        "passed": bool(mean_res <= max(tol, 1e-12)),
+    }
 
+
+def cmd_run(config_path: str, out: Path) -> int:
+    spec = load_config(config_path)
     sc = spec.scenario
-    report = validate_scenario(sc)
-    if not report.ok:
-        return _validation_failure(out, list(report.violations))
-
-    paths = generate_paths(sc)
-    grids = obstacle_on_grid(sc, paths)
-    deferred = _deferred_flag_messages(grids)
-    if deferred:
-        return _validation_failure(out, deferred)
-
+    paths, grids = _prepare(spec)
     sol, trace = _solve_for_config(spec, paths)
     converged = trace.converged if trace is not None else True
 
@@ -354,14 +342,8 @@ def cmd_run(config_path: str, out_dir: str) -> int:
         ),
     }
     if grids.lower is not None:
-        mean_k = float(sol.K_plus[:, -1].mean())
-        tol_skor = 5.0 * sc.grid.dt * mean_k
-        mean_res = float(np.abs(skorohod_residual(sol, grids.lower)).mean())
-        verdicts["skorohod"] = {
-            "mean_abs_residual": mean_res,
-            "tolerance": tol_skor,
-            "passed": bool(mean_res <= max(tol_skor, 1e-12)),
-        }
+        verdicts["skorohod"] = _skorohod_verdict(skorohod_residual(sol, grids.lower),
+                                                 sol.K_plus, sc.grid.dt)
         se = diagnostics.regression_se(sol)
         domination = float(np.mean(sol.Y < grids.lower - 3.0 * se))
         verdicts["obstacle_domination"] = {
@@ -369,15 +351,8 @@ def cmd_run(config_path: str, out_dir: str) -> int:
             "passed": bool(domination <= 0.01),
         }
     if grids.upper is not None:
-        mean_k_minus = float(sol.K_minus[:, -1].mean())
-        tol_upper = 5.0 * sc.grid.dt * mean_k_minus
         _, upper_res = double_skorohod_residuals(sol, grids.lower, grids.upper)
-        mean_upper = float(np.abs(upper_res).mean())
-        verdicts["skorohod_upper"] = {
-            "mean_abs_residual": mean_upper,
-            "tolerance": tol_upper,
-            "passed": bool(mean_upper <= max(tol_upper, 1e-12)),
-        }
+        verdicts["skorohod_upper"] = _skorohod_verdict(upper_res, sol.K_minus, sc.grid.dt)
 
     summary = {
         "status": "ok" if converged else "not_converged",
@@ -402,31 +377,18 @@ def cmd_run(config_path: str, out_dir: str) -> int:
     return 0 if converged else 3
 
 
-def cmd_compare(config_a: str, config_b: str, out_dir: str) -> int:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        spec_a = load_config(config_a)
-        spec_b = load_config(config_b)
-    except (ConfigError, ValueError) as exc:
-        print(f"validation: {exc}", file=sys.stderr)
-        return 2
-
+def cmd_compare(config_a: str, config_b: str, out: Path) -> int:
+    spec_a = load_config(config_a)
+    spec_b = load_config(config_b)
     a, b = spec_a.scenario, spec_b.scenario
     same_frame = (
         a.seed == b.seed and a.mc_paths == b.mc_paths
         and a.grid == b.grid and a.dims == b.dims
     )
     if not same_frame:
-        print("validation: configs must share (seed, paths, steps, dims)", file=sys.stderr)
-        return 2
-    for sc in (a, b):
-        report = validate_scenario(sc)
-        if not report.ok:
-            print("validation: " + "; ".join(report.violations), file=sys.stderr)
-            return 2
-
-    paths = generate_paths(a)
+        raise ConfigError("configs must share (seed, paths, steps, dims)")
+    paths, _ = _prepare(spec_a)
+    _prepare(spec_b, paths)
     sol_a, _ = _solve_for_config(spec_a, paths)
     sol_b, _ = _solve_for_config(spec_b, paths)
 
@@ -449,34 +411,20 @@ def cmd_compare(config_a: str, config_b: str, out_dir: str) -> int:
     return 0 if overall else 1
 
 
-def cmd_convergence(config_path: str, out_dir: str, grid_refinement: bool = False) -> int:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        spec = load_config(config_path)
-    except (ConfigError, ValueError) as exc:
-        print(f"validation: {exc}", file=sys.stderr)
-        return 2
+def cmd_convergence(config_path: str, out: Path, grid_refinement: bool = False) -> int:
+    spec = load_config(config_path)
     sc = spec.scenario
     if not sc.obstacles.has_lower:
-        print("validation: convergence study needs an obstacle", file=sys.stderr)
-        return 2
-    report = validate_scenario(sc)
-    if not report.ok:
-        print("validation: " + "; ".join(report.violations), file=sys.stderr)
-        return 2
+        raise ConfigError("convergence study needs an obstacle")
+    paths, _ = _prepare(spec)
 
     rows: list[list[str]] = []
-    paths = generate_paths(sc)
     sol, trace = _solve_for_config(spec, paths)
-    for entry in _trace_rows(trace):
-        if "level" in entry:
-            rows.append(["penalty", _fmt(entry["level"]), _fmt(entry["penetration"]), "",
-                         "", _fmt(entry["mean_k_T"]), "", ""])
-        else:
-            rows.append(["penalty", _fmt(entry["level_lower"]), _fmt(entry["penetration_lower"]),
-                         _fmt(entry["penetration_upper"]), "",
-                         _fmt(entry["mean_k_plus_T"]), _fmt(entry["mean_k_minus_T"]), ""])
+    for stat in trace.levels:
+        two = stat.level_upper is not None
+        rows.append(["penalty", _fmt(stat.level_lower), _fmt(stat.penetration_lower),
+                     _fmt(stat.penetration_upper) if two else "", "",
+                     _fmt(stat.mean_k_plus_T), _fmt(stat.mean_k_minus_T) if two else "", ""])
     rows[-1][4] = _fmt(sol.Y[:, 0].mean())
 
     if grid_refinement:
@@ -500,30 +448,18 @@ def cmd_convergence(config_path: str, out_dir: str, grid_refinement: bool = Fals
                          "Y0_mean", "K_plus_T_mean", "K_minus_T_mean", "median_max_step"])
         writer.writerows(rows)
 
-    converged = trace.converged if trace is not None else True
-    return 0 if converged else 3
+    return 0 if trace.converged else 3
 
 
-def cmd_oracle_check(config_path: str, out_dir: str) -> int:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        spec = load_config(config_path)
-    except (ConfigError, ValueError) as exc:
-        print(f"validation: {exc}", file=sys.stderr)
-        return 2
+def cmd_oracle_check(config_path: str, out: Path) -> int:
+    spec = load_config(config_path)
     sc = spec.scenario
-    if sc.noise_coeff.kind != "zero" or sc.dims.d != 1 or sc.obstacles.has_upper:
-        print("oracle unsupported: the lattice oracle needs g = 0, d = 1 and at "
-              "most a lower obstacle", file=sys.stderr)
+    problem = lattice_scope_problem(sc)
+    if problem is not None:
+        print(f"oracle unsupported: {problem}", file=sys.stderr)
         _write_json(out / "oracle.json", {"status": "unsupported"})
         return 4
-    report = validate_scenario(sc)
-    if not report.ok:
-        print("validation: " + "; ".join(report.violations), file=sys.stderr)
-        return 2
-
-    paths = generate_paths(sc)
+    paths, _ = _prepare(spec)
     sol, trace = _solve_for_config(spec, paths)
     solver_value = float(sol.Y[:, 0].mean())
     dp_value = dp_stopping_value(sc, lattice_steps=2000)
@@ -566,13 +502,23 @@ def main(argv: list[str] | None = None) -> int:
     p_orc.add_argument("--out", default=".")
 
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args.config, args.out)
-    if args.command == "compare":
-        return cmd_compare(args.config_a, args.config_b, args.out)
-    if args.command == "convergence":
-        return cmd_convergence(args.config, args.out, args.grid_refinement)
-    return cmd_oracle_check(args.config, args.out)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    try:
+        if args.command == "run":
+            return cmd_run(args.config, out)
+        if args.command == "compare":
+            return cmd_compare(args.config_a, args.config_b, out)
+        if args.command == "convergence":
+            return cmd_convergence(args.config, out, args.grid_refinement)
+        return cmd_oracle_check(args.config, out)
+    except ValueError as exc:
+        messages = list(getattr(exc, "messages", [str(exc)]))
+        for msg in messages:
+            print(f"validation: {msg}", file=sys.stderr)
+        if args.command == "run":
+            _write_json(out / "summary.json", {"status": "validation_failed", "errors": messages})
+        return 2
 
 
 def entrypoint() -> None:

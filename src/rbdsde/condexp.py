@@ -63,6 +63,15 @@ def _monomial_exponents(d: int, max_degree: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _monomial(w: np.ndarray, exponents: tuple[int, ...]) -> np.ndarray:
+    """The column prod_k w[:, k] ** e_k over the M x d state ``w``."""
+    col = np.ones(w.shape[0])
+    for k, e in enumerate(exponents):
+        if e:
+            col = col * w[:, k] ** e
+    return col
+
+
 def _product_degree_cap(degree_w: int) -> int:
     # The cross-product block pairs dB columns with non-constant monomials.
     # At degree_w = 1 the single linear monomial still enters the products
@@ -108,13 +117,7 @@ def build_basis(cfg: RegressionConfig, w_state: np.ndarray, dB_i: np.ndarray | N
         raise ValueError("w_state must be M x d")
     m, d = w_state.shape
 
-    columns = []
-    for exps in _monomial_exponents(d, cfg.degree_w):
-        col = np.ones(m)
-        for k, e in enumerate(exps):
-            if e:
-                col = col * w_state[:, k] ** e
-        columns.append(col)
+    columns = [_monomial(w_state, exps) for exps in _monomial_exponents(d, cfg.degree_w)]
 
     if cfg.include_dB:
         if dB_i is None:
@@ -129,10 +132,7 @@ def build_basis(cfg: RegressionConfig, w_state: np.ndarray, dB_i: np.ndarray | N
         for exps in _monomial_exponents(d, cap):
             if sum(exps) == 0:
                 continue
-            mono = np.ones(m)
-            for k, e in enumerate(exps):
-                if e:
-                    mono = mono * w_state[:, k] ** e
+            mono = _monomial(w_state, exps)
             for c in range(l):
                 columns.append(mono * db[:, c])
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bdsde_solver import _noise_matrix
+from .bdsde_solver import coefficient_steps
 from .model import Scenario, SolutionEnsemble
 from .paths import NoisePaths, obstacle_on_grid
 
@@ -25,25 +25,27 @@ from .paths import NoisePaths, obstacle_on_grid
 STOPPING_PUT_DP_VALUE = 0.3989
 
 
-def _driver_supported(s: Scenario) -> bool:
-    if s.driver.kind in ("zero", "constant"):
-        return True
-    if s.driver.kind == "linear":
-        return all(v == 0.0 for v in s.driver.param("a_z"))
-    return False
+def lattice_scope_problem(s: Scenario) -> str | None:
+    """Why the lattice oracle cannot value ``s``, or None when it can."""
+    if s.noise_coeff.kind != "zero":
+        return "the lattice oracle needs g = 0"
+    if s.dims.d != 1:
+        return "the lattice oracle needs d = 1"
+    linear_in_y = s.driver.kind in ("zero", "constant") or (
+        s.driver.kind == "linear" and all(v == 0.0 for v in s.driver.param("a_z")))
+    if not linear_in_y:
+        return "the driver must be at most linear in y"
+    if s.obstacles.has_upper:
+        return "the lattice oracle handles a lower obstacle only"
+    return None
 
 
 def dp_stopping_value(s: Scenario, lattice_steps: int = 2000) -> float:
     """Value at (t=0, W_0=0) by backward induction over all stopping
     strategies on a recombining binomial lattice for W."""
-    if s.noise_coeff.kind != "zero":
-        raise ValueError("unsupported scenario: lattice oracle needs g = 0")
-    if s.dims.d != 1:
-        raise ValueError("unsupported scenario: lattice oracle needs d = 1")
-    if not _driver_supported(s):
-        raise ValueError("unsupported scenario: driver must be at most linear in y")
-    if s.obstacles.has_upper:
-        raise ValueError("unsupported scenario: lattice oracle handles a lower obstacle only")
+    problem = lattice_scope_problem(s)
+    if problem is not None:
+        raise ValueError(f"unsupported scenario: {problem}")
     if lattice_steps < 1:
         raise ValueError("lattice_steps must be >= 1")
 
@@ -107,12 +109,9 @@ def stopping_rule_value(
     ensemble: accumulated drift (and backward-noise) up to the stopping index
     plus the obstacle there, or the terminal value if never stopped."""
     m, n = s.mc_paths, s.grid.steps
-    d, l = s.dims.d, s.dims.l
     grids = obstacle_on_grid(s, p)
     if grids.lower is None:
         raise ValueError("configuration error: stopping rules need a lower obstacle")
-    times = s.grid.times
-    dt = s.grid.dt
 
     if isinstance(rule, FixedRule):
         if not 0 <= rule.index <= n:
@@ -125,20 +124,11 @@ def stopping_rule_value(
 
     payoff = np.where(nu == n, grids.xi, np.take_along_axis(grids.lower, nu[:, None], axis=1)[:, 0])
 
+    steps = coefficient_steps(sol, s, p, lag=0)
     running = np.zeros(m)
-    value = payoff.astype(float)
     for i in range(n):
-        active = i < nu
-        if not np.any(active):
-            break
-        y_i = sol.Y[:, i]
-        z_i = sol.Z[:, i, :]
-        w_i = p.W_state[:, i, :]
-        f_i = s.driver.evaluate(times[i], w_i, y_i, z_i)
-        g_i = _noise_matrix(s.noise_coeff, times[i], w_i, y_i, z_i, l)
-        step = f_i * dt + np.einsum("ml,ml->m", g_i, p.dB[:, i, :])
-        running = running + np.where(active, step, 0.0)
-    value = value + running
+        running = running + np.where(i < nu, steps[:, i], 0.0)
+    value = payoff.astype(float) + running
 
     mean = float(value.mean())
     se = float(value.std(ddof=1) / math.sqrt(m))

@@ -104,10 +104,24 @@ class ObstacleGrid:
 
     @property
     def any_flag(self) -> bool:
-        for flag in (self.lower_terminal_bad, self.upper_terminal_bad, self.ordering_bad):
-            if flag is not None and bool(np.any(flag)):
-                return True
-        return False
+        return bool(self.flag_messages())
+
+    def flag_messages(self) -> list[str]:
+        """One message per deferred per-path condition that fails."""
+        msgs = []
+        for flag, condition in ((self.lower_terminal_bad, "S_T <= xi"),
+                                (self.upper_terminal_bad, "xi <= U_T")):
+            if flag is not None and np.any(flag):
+                msgs.append(f"{condition} violated on {int(np.count_nonzero(flag))} paths")
+        if self.ordering_bad is not None and np.any(self.ordering_bad):
+            msgs.append("barrier crossing: L >= U at sampled interior points")
+        return msgs
+
+    def check_flags(self) -> None:
+        """Raise ValueError naming every failed per-path condition."""
+        msgs = self.flag_messages()
+        if msgs:
+            raise ValueError("; ".join(msgs))
 
 
 def _eval_on_grid(spec, times: np.ndarray, w_state: np.ndarray) -> np.ndarray:

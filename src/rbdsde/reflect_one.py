@@ -5,41 +5,26 @@ The penalty is handled implicitly inside each backward step: the candidate
 value a (continuation plus drift) is corrected by solving the scalar
 piecewise-linear equation y = a + n*dt*(s - y)^+ in closed form.  This keeps
 arbitrarily large penalty rates usable; an explicit penalty in the driver
-would be stiff beyond n*dt ~ 1.
+would be stiff beyond n*dt ~ 1.  The step, the level solve and the ladder are
+the two-barrier ones of ``reflect_two`` with the upper barrier at +inf.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .bdsde_solver import _noise_matrix, solve_backward
-from .condexp import RegressionConfig, _monomial_exponents
-from .model import CoefficientSpec, PenaltySchedule, Scenario, SolutionEnsemble
-from .paths import NoisePaths, obstacle_on_grid
-
-# Obstacle-shape columns appended to the regression design of reflected
-# solvers: the obstacle value times the W monomials up to this degree.  With
-# the kink of the barrier available in the span, the fit only has to capture
-# the smooth time value on top of it; a pure polynomial basis misfits the
-# barrier shape and the misfit is rectified into spurious reflection pushes
-# at every step.  Constant-like barriers are skipped (already in the span).
-OBSTACLE_BASIS_DEGREE = 2
-
-
-def _obstacle_columns(spec: CoefficientSpec | None, grid_values: np.ndarray,
-                      w_state: np.ndarray, i: int, degree: int) -> list[np.ndarray]:
-    if spec is None or spec.kind in ("zero", "constant"):
-        return []
-    obs = grid_values[:, i]
-    cols = []
-    for exps in _monomial_exponents(w_state.shape[2], degree):
-        mono = np.ones(w_state.shape[0])
-        for k, e in enumerate(exps):
-            if e:
-                mono = mono * w_state[:, i, k] ** e
-        cols.append(obs * mono)
-    return cols
+from .bdsde_solver import coefficient_steps
+from .condexp import RegressionConfig
+from .model import PenaltySchedule, Scenario, SolutionEnsemble
+from .paths import NoisePaths, ObstacleGrid, obstacle_on_grid
+from .reflect_two import (
+    PenalizationTrace,
+    _penetration,
+    _run_ladder,
+    _solve_level,
+    implicit_double_step,
+)
 
 
 def implicit_penalty_step(a, s_val, n_dt):
@@ -48,26 +33,19 @@ def implicit_penalty_step(a, s_val, n_dt):
     Scalars or broadcasting arrays.  dK = n_dt*(s_val - y)^+ = y - a, zero on
     the unconstrained branch a >= s_val.
     """
-    if np.any(np.asarray(n_dt) < 0):
-        raise ValueError("n_dt must be >= 0")
-    a = np.asarray(a, dtype=float)
-    below = a < s_val
-    y = np.where(below, (a + n_dt * s_val) / (1.0 + n_dt), a)
-    dk = np.where(below, y - a, 0.0)
-    if y.ndim == 0:
-        return float(y), float(dk)
+    y, dk, _ = implicit_double_step(a, s_val, np.inf, n_dt, 0.0)
     return y, dk
 
 
-def _require_lower(s: Scenario) -> None:
+def _lower_grid(s: Scenario, p: NoisePaths) -> ObstacleGrid:
+    """The obstacle grid without any upper barrier, which the one-barrier
+    solvers ignore; raises if the lower barrier or its conditions fail."""
     if not s.obstacles.has_lower:
         raise ValueError("configuration error: scenario has no lower obstacle")
-
-
-def _check_path_flags(grids) -> None:
-    if grids.lower_terminal_bad is not None and np.any(grids.lower_terminal_bad):
-        bad = int(np.count_nonzero(grids.lower_terminal_bad))
-        raise ValueError(f"S_T <= xi violated on {bad} paths")
+    grids = replace(obstacle_on_grid(s, p), upper=None, upper_terminal_bad=None,
+                    ordering_bad=None)
+    grids.check_flags()
+    return grids
 
 
 def solve_penalized(
@@ -79,24 +57,8 @@ def solve_penalized(
 ) -> SolutionEnsemble:
     """One backward sweep at a fixed penalty rate ``level``; the per-step
     correction uses n_dt = level * dt."""
-    _require_lower(s)
-    cfg = cfg or RegressionConfig()
-    grids = obstacle_on_grid(s, p)
-    _check_path_flags(grids)
-    n_dt = level * s.grid.dt
-
-    def reflector(i, a):
-        y, dk = implicit_penalty_step(a, grids.lower[:, i], n_dt)
-        return y, dk, np.zeros_like(dk)
-
-    def extra_columns(i):
-        return _obstacle_columns(s.obstacles.lower, grids.lower, p.W_state, i,
-                                 OBSTACLE_BASIS_DEGREE)
-
-    return solve_backward(
-        s, p, cfg, picard_iters, reflector, scheme="penalized",
-        grids=grids, penalty_lower=level, extra_columns=extra_columns,
-    )
+    return _solve_level(s, p, cfg or RegressionConfig(), picard_iters, _lower_grid(s, p),
+                        "penalized", m_level=level)
 
 
 def solve_projected(
@@ -106,44 +68,14 @@ def solve_projected(
     picard_iters: int = 2,
 ) -> SolutionEnsemble:
     """Infinite-penalty limit: per step Y_i = max(a, S_i), dK = (S_i - a)^+."""
-    _require_lower(s)
-    cfg = cfg or RegressionConfig()
-    grids = obstacle_on_grid(s, p)
-    _check_path_flags(grids)
-
-    def reflector(i, a):
-        s_i = grids.lower[:, i]
-        y = np.maximum(a, s_i)
-        return y, np.maximum(s_i - a, 0.0), np.zeros_like(a)
-
-    def extra_columns(i):
-        return _obstacle_columns(s.obstacles.lower, grids.lower, p.W_state, i,
-                                 OBSTACLE_BASIS_DEGREE)
-
-    return solve_backward(
-        s, p, cfg, picard_iters, reflector, scheme="projected", grids=grids,
-        extra_columns=extra_columns,
-    )
+    return _solve_level(s, p, cfg or RegressionConfig(), picard_iters, _lower_grid(s, p),
+                        "projected")
 
 
 def penetration_statistic(sol: SolutionEnsemble, lower: np.ndarray) -> float:
     """Mean over paths of sup_i ((Y - S)^-)^2, the obstacle-violation measure
     driven to zero by the schedule."""
-    shortfall = np.maximum(lower - sol.Y, 0.0)
-    return float(np.mean(np.max(shortfall, axis=1) ** 2))
-
-
-@dataclass(frozen=True)
-class PenaltyLevelStat:
-    level: float
-    penetration: float
-    mean_k_T: float
-
-
-@dataclass(frozen=True)
-class PenalizationTrace:
-    levels: tuple[PenaltyLevelStat, ...]
-    converged: bool
+    return _penetration(lower - sol.Y)
 
 
 def solve_reflected(
@@ -155,26 +87,10 @@ def solve_reflected(
 ) -> tuple[SolutionEnsemble, PenalizationTrace]:
     """Run the penalty ladder until the penetration statistic reaches the
     schedule tolerance; never aborts on exhaustion, it flags instead."""
-    _require_lower(s)
-    cfg = cfg or RegressionConfig()
+    grids = _lower_grid(s, p)
     schedule = schedule or PenaltySchedule.geometric(s.grid.dt)
-    grids = obstacle_on_grid(s, p)
-    _check_path_flags(grids)
-
-    stats: list[PenaltyLevelStat] = []
-    sol = None
-    converged = False
-    for level in schedule.active_levels():
-        sol = solve_penalized(s, p, cfg, picard_iters, level=level)
-        pen = penetration_statistic(sol, grids.lower)
-        stats.append(PenaltyLevelStat(level=level, penetration=pen,
-                                      mean_k_T=float(sol.K_plus[:, -1].mean())))
-        if pen <= schedule.penetration_tol:
-            converged = True
-            break
-
-    sol = replace(sol, meta=replace(sol.meta, converged=converged))
-    return sol, PenalizationTrace(levels=tuple(stats), converged=converged)
+    return _run_ladder(s, p, cfg or RegressionConfig(), picard_iters, grids, "penalized",
+                       schedule, schedule)
 
 
 def skorohod_residual(sol: SolutionEnsemble, obstacle: np.ndarray) -> np.ndarray:
@@ -193,25 +109,10 @@ def skorohod_sup_formula(sol: SolutionEnsemble, s: Scenario, p: NoisePaths) -> n
     and returns max_{v>=u} (x_v - S_v)^- for each path and grid index.
     """
     m, n = s.mc_paths, s.grid.steps
-    d, l = s.dims.d, s.dims.l
-    grids = obstacle_on_grid(s, p)
-    if grids.lower is None:
-        raise ValueError("configuration error: scenario has no lower obstacle")
-    times = s.grid.times
+    grids = _lower_grid(s, p)
 
     # step_j = F_{j+1} dt + G_{j+1} . dB_j - Z_j . dW_j, pathwise
-    steps = np.zeros((m, n))
-    for j in range(n):
-        y_next = sol.Y[:, j + 1]
-        z_next = sol.Z[:, j + 1, :] if j + 1 < n else np.zeros((m, d))
-        w_next = p.W_state[:, j + 1, :]
-        f_next = s.driver.evaluate(times[j + 1], w_next, y_next, z_next)
-        g_next = _noise_matrix(s.noise_coeff, times[j + 1], w_next, y_next, z_next, l)
-        steps[:, j] = (
-            f_next * s.grid.dt
-            + np.einsum("ml,ml->m", g_next, p.dB[:, j, :])
-            - np.einsum("md,md->m", sol.Z[:, j, :], p.dW[:, j, :])
-        )
+    steps = coefficient_steps(sol, s, p, lag=1) - np.einsum("mnd,mnd->mn", sol.Z, p.dW)
 
     tails = np.zeros((m, n + 1))
     tails[:, :n] = np.cumsum(steps[:, ::-1], axis=1)[:, ::-1]

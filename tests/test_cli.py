@@ -225,3 +225,34 @@ class TestOracleCheckCommand:
         cfg_path = _write(tmp_path, "c.json", cfg)
         assert main(["oracle-check", cfg_path, "--out", str(tmp_path / "o")]) == 4
         assert "oracle unsupported" in capsys.readouterr().err
+
+
+# Lower barrier exp(W) over a constant terminal of 7.4: the static probe
+# passes, but S_T > xi on the paths where W_T > log 7.4.
+_PER_PATH_FAILURE = {
+    "paths": 2000,
+    "steps": 10,
+    "terminal": {"kind": "constant", "params": {"value": 7.4}},
+    "obstacle": {"lower": {"kind": "exponential", "params": {"scale": 1.0}}, "upper": "absent"},
+}
+
+
+@pytest.mark.parametrize("command, overrides, code, written, stderr", [
+    ("compare", _PER_PATH_FAILURE, 2, None, "S_T <= xi violated"),
+    ("convergence", _PER_PATH_FAILURE, 2, None, "S_T <= xi violated"),
+    ("oracle-check", _PER_PATH_FAILURE, 2, None, "S_T <= xi violated"),
+    ("run", {"paths": 3, "regression": {"degree_w": 1, "include_dB": True, "ridge": 1e-10}}, 2,
+     ("summary.json", {"status": "validation_failed"}), "underdetermined basis"),
+    ("oracle-check", {"driver": {"kind": "exponential", "params": {"scale": 1.0}}}, 4,
+     ("oracle.json", {"status": "unsupported"}), "oracle unsupported"),
+])
+def test_failures_exit_with_contract_code(tmp_path, capsys, command, overrides, code, written, stderr):
+    cfg_path = _write(tmp_path, "c.json", _base_config(**overrides))
+    configs = [cfg_path, cfg_path] if command == "compare" else [cfg_path]
+    out = tmp_path / "o"
+    assert main([command, *configs, "--out", str(out)]) == code
+    assert stderr in capsys.readouterr().err
+    if written is not None:
+        name, expected = written
+        payload = json.loads((out / name).read_text())
+        assert {key: payload[key] for key in expected} == expected

@@ -148,14 +148,14 @@ class TestSolveReflected:
         p = generate_paths(sc)
         sol, trace = solve_reflected(sc, p)
         assert len(trace.levels) == 1
-        assert trace.levels[0].penetration == 0.0
+        assert trace.levels[0].penetration_lower == 0.0
         assert trace.converged
 
     def test_penetration_strictly_decreasing(self, binding_problem, fast_cfg):
         sc, p = binding_problem
         sched = PenaltySchedule.geometric(sc.grid.dt, penetration_tol=1e-9)
         sol, trace = solve_reflected(sc, p, fast_cfg, schedule=sched)
-        pens = [s.penetration for s in trace.levels]
+        pens = [s.penetration_lower for s in trace.levels]
         assert len(pens) >= 3
         assert all(b < a for a, b in zip(pens, pens[1:]))
 

@@ -3,6 +3,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rbdsde import (
     CoefficientSpec,
@@ -67,6 +70,60 @@ class TestImplicitDoubleStep:
         assert np.all(dkp * dkm == 0.0)
         oracle = [_bisect_double(*args) for args in zip(a[:15], l[:15], u[:15], m_dt[:15], n_dt[:15])]
         assert np.allclose(y[:15], oracle, atol=1e-8)
+
+
+_N = 16
+_values = hnp.arrays(np.float64, _N, elements=st.floats(-10, 10))
+_gaps = hnp.arrays(np.float64, _N, elements=st.floats(1e-6, 10))
+_rates = hnp.arrays(np.float64, _N, elements=st.floats(0, 1e3))
+_rate = st.one_of(st.floats(0, 1e3), _rates)
+
+
+class TestImplicitStepProperties:
+    """The step against reference formulas written out here: the closed
+    one-sided penalty solution and the projection."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=_values, l=_values, m_dt=_rate)
+    def test_absent_upper_is_the_one_sided_penalty(self, a, l, m_dt):
+        y, dkp, dkm = implicit_double_step(a, l, np.inf, m_dt, 1.0)
+        below = a < l
+        assert np.array_equal(y, np.where(below, (a + m_dt * l) / (1 + m_dt), a))
+        assert np.array_equal(dkp, np.where(below, y - a, 0.0))
+        assert np.all(dkm == 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=_values, l=_values, n_dt=_rate)
+    def test_infinite_rate_is_the_projection(self, a, l, n_dt):
+        y, dkp, dkm = implicit_double_step(a, l, np.inf, np.inf, n_dt)
+        assert np.array_equal(y, np.maximum(a, l))
+        assert np.array_equal(dkp, np.maximum(l - a, 0.0))
+        assert np.all(dkm == 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=_values, l=_values, gap=_gaps)
+    def test_two_infinite_rates_clip_to_the_corridor(self, a, l, gap):
+        y, dkp, dkm = implicit_double_step(a, l, l + gap, np.inf, np.inf)
+        assert np.array_equal(y, np.minimum(np.maximum(a, l), l + gap))
+        assert np.array_equal(dkp - dkm, y - a)
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=_values, l=_values, gap=_gaps, m_dt=_rates, infinite=hnp.arrays(bool, _N))
+    def test_per_entry_infinite_rates_project_those_entries(self, a, l, gap, m_dt, infinite):
+        rates = np.where(infinite, np.inf, m_dt)
+        y, _, _ = implicit_double_step(a, l, l + gap, rates, 1.0)
+        finite_y, _, _ = implicit_double_step(a, l, l + gap, m_dt, 1.0)
+        projected = np.where(a < l, l, finite_y)
+        assert np.array_equal(y, np.where(infinite, projected, finite_y))
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=_values, l=_values, gap=_gaps, m_dt=_rate, n_dt=_rate)
+    def test_fixed_point_and_exclusive_pushes(self, a, l, gap, m_dt, n_dt):
+        u = l + gap
+        y, dkp, dkm = implicit_double_step(a, l, u, m_dt, n_dt)
+        resid = a + m_dt * np.maximum(l - y, 0.0) - n_dt * np.maximum(y - u, 0.0) - y
+        assert np.max(np.abs(resid)) <= 1e-10
+        assert np.all(dkp * dkm == 0.0)
 
 
 class TestSolveDouble:
