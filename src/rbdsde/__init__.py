@@ -2,7 +2,7 @@
 equations with zero, one, or two reflecting barriers, plus the executable
 structural checks that come with them."""
 
-from .bdsde_solver import solve_bdsde
+from .bdsde_solver import implicit_double_step, solve_bdsde
 from .condexp import RegressionConfig, RegressionFit, basis_labels, build_basis, condexp_fit_eval
 from .diagnostics import (
     apriori_statistic,
@@ -45,7 +45,6 @@ from .reflect_one import (
 from .reflect_two import (
     PenalizationTrace,
     double_skorohod_residuals,
-    implicit_double_step,
     solve_double,
 )
 

@@ -1,4 +1,4 @@
-"""Backward time-stepping solver for the unreflected equation.
+"""The backward sweep behind every solver, reflected or not.
 
 One step of the recursion, from t_{i+1} down to t_i, evaluates the driver F
 and noise coefficient G at the (i+1)-layer, then projects
@@ -7,7 +7,9 @@ and noise coefficient G at the (i+1)-layer, then projects
     gradient      Z_i = E_hat_i[ (Y_{i+1} + G_{i+1} . dB_i) dW_i ] / dt
 
 onto the regression basis, and finally refines the drift contribution by a
-short Picard iteration: Y_i = C_i + f(t_i, W_i, Y_i, Z_i) dt.
+short Picard iteration: Y_i = C_i + f(t_i, W_i, Y_i, Z_i) dt.  The step
+ends with the implicit penalty correction on the barriers, which is the
+identity when there are none.
 
 Both projections are computed with martingale control variates: the gradient
 target is centred by a rough continuation fit, and the continuation target
@@ -26,19 +28,99 @@ step and lose it at the rate sqrt(dt/T).
 """
 from __future__ import annotations
 
-from typing import Callable
+from dataclasses import replace
 
 import numpy as np
 
-from .condexp import RegressionConfig, basis_labels, build_basis, condexp_fit_eval
-from .model import Scenario, SolutionEnsemble, SolveMeta
+from .condexp import (
+    RegressionConfig,
+    _monomial,
+    _monomial_exponents,
+    basis_labels,
+    build_basis,
+    condexp_fit_eval,
+)
+from .model import CoefficientSpec, ObstacleSpec, Scenario, SolutionEnsemble, SolveMeta
 from .paths import NoisePaths, ObstacleGrid, obstacle_on_grid
 
-# reflector(i, a) -> (y, dK_plus_step, dK_minus_step), all (M,)
-Reflector = Callable[[int, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
+# Obstacle-shape columns appended to the regression design of reflected
+# solvers: the obstacle value times the W monomials up to this degree.  With
+# the kink of the barrier available in the span, the fit only has to capture
+# the smooth time value on top of it; a pure polynomial basis misfits the
+# barrier shape and the misfit is rectified into spurious reflection pushes
+# at every step.  Constant-like barriers are skipped (already in the span).
+OBSTACLE_BASIS_DEGREE = 2
 
-# extra_columns(i) -> list of (M,) design columns appended to the basis
-ExtraColumns = Callable[[int], list[np.ndarray]]
+
+class NonFiniteError(ValueError, RuntimeError):
+    """The recursion overflowed to inf or nan.  A ValueError, so the CLI
+    reports it with exit code 2; a RuntimeError for library callers."""
+
+
+def _obstacle_columns(spec: CoefficientSpec | None, values: np.ndarray | None,
+                      w_now: np.ndarray, i: int) -> list[np.ndarray]:
+    if values is None or spec.kind in ("zero", "constant"):
+        return []
+    return [values[:, i] * _monomial(w_now, exps)
+            for exps in _monomial_exponents(w_now.shape[1], OBSTACLE_BASIS_DEGREE)]
+
+
+def _toward(a, barrier, rate, hit):
+    """``a`` with each entry in ``hit`` replaced by the solution of
+    y = a + rate*(barrier - y): the rate-weighted mean of a and the barrier,
+    or the barrier itself at an infinite rate."""
+    infinite = np.isinf(rate)
+    if np.all(infinite):
+        return np.where(hit, barrier, a)
+    if np.any(infinite):  # per-entry rates, some of them infinite
+        return np.where(infinite, _toward(a, barrier, np.inf, hit),
+                        _toward(a, barrier, np.where(infinite, 0.0, rate), hit))
+    return np.where(hit, (a + rate * barrier) / (1.0 + rate), a)
+
+
+def implicit_double_step(a, l_val, u_val, m_dt, n_dt):
+    """Solve y = a + m_dt*(l_val - y)^+ - n_dt*(y - u_val)^+; returns
+    (y, dK_plus, dK_minus).  At most one side is ever active, so the product
+    dK_plus * dK_minus vanishes identically.
+
+    An absent barrier is the scalar -inf (lower) or +inf (upper); no
+    arithmetic is done for its side.  A rate of +inf projects onto its
+    barrier.
+    """
+    a = np.asarray(a, dtype=float)
+    l_arr = np.asarray(l_val, dtype=float)
+    u_arr = np.asarray(u_val, dtype=float)
+    has_lower = not (l_arr.ndim == 0 and l_arr == -np.inf)
+    has_upper = not (u_arr.ndim == 0 and u_arr == np.inf)
+    # an absent side cannot cross; skipping the test spares a strided grid pass
+    if has_lower and has_upper and np.any(l_arr >= u_arr):
+        raise ValueError("barrier crossing: l_val >= u_val")
+    if np.any(np.asarray(m_dt) < 0) or np.any(np.asarray(n_dt) < 0):
+        raise ValueError("penalty rates must be >= 0")
+
+    # Each push is a difference of consecutive values, exactly zero where its
+    # side did not act.  The sides are disjoint: y still equals a where a > u.
+    y = a
+    dk_plus = dk_minus = np.zeros_like(a)
+    if has_lower:
+        y = _toward(a, l_arr, m_dt, a < l_arr)
+        dk_plus = y - a
+    if has_upper:
+        pushed = _toward(y, u_arr, n_dt, a > u_arr)
+        dk_minus = y - pushed
+        y = pushed
+    if y.ndim == 0:
+        return float(y), float(dk_plus), float(dk_minus)
+    return y, dk_plus, dk_minus
+
+
+def _checked_grid(s: Scenario, p: NoisePaths, obstacles: ObstacleSpec) -> ObstacleGrid:
+    """The obstacle grid of ``obstacles`` (the scenario's barriers, or a part
+    of them that a solver reflects on) along the paths; raises if a per-path
+    condition fails."""
+    grids = obstacle_on_grid(replace(s, obstacles=obstacles), p)
+    grids.check_flags()
+    return grids
 
 
 def _noise_matrix(spec, t, w, y, z, l: int) -> np.ndarray:
@@ -72,16 +154,15 @@ def solve_backward(
     p: NoisePaths,
     cfg: RegressionConfig,
     picard_iters: int,
-    reflector: Reflector | None,
-    scheme: str,
-    grids: ObstacleGrid | None = None,
-    penalty_lower: float | None = None,
-    penalty_upper: float | None = None,
-    extra_columns: ExtraColumns | None = None,
+    grids: ObstacleGrid,
+    m_level: float | None = None,
+    n_level: float | None = None,
 ) -> SolutionEnsemble:
-    """Shared backward recursion; the reflector hook injects the per-step
-    obstacle treatment (identity for the plain equation) and extra_columns
-    lets reflected solvers enrich the design matrix with obstacle shapes."""
+    """One backward sweep reflecting on the barriers present in ``grids`` at
+    the lower (m) and upper (n) penalty levels per unit time; a level of None
+    is the infinite rate, the projection.  With no barrier in ``grids`` the
+    sweep solves the unreflected equation.  Non-constant barriers add their
+    obstacle-shape columns to the design."""
     m, n = s.mc_paths, s.grid.steps
     d, l = s.dims.d, s.dims.l
     if p.dW.shape != (m, n, d) or p.dB.shape != (m, n, l):
@@ -89,13 +170,14 @@ def solve_backward(
 
     dt = s.grid.dt
     times = s.grid.times
-    if grids is None:
-        grids = obstacle_on_grid(s, p)
+    m_dt = np.inf if m_level is None else m_level * dt
+    n_dt = np.inf if n_level is None else n_level * dt
 
     y_all = np.empty((m, n + 1))
     z_all = np.zeros((m, n, d))
-    dk_plus = np.zeros((m, n))
-    dk_minus = np.zeros((m, n))
+    # the pushes of step i go to column i + 1 and are summed into K in place
+    k_plus = np.zeros((m, n + 1))
+    k_minus = np.zeros((m, n + 1))
     residual_rms = np.zeros((n, 2 + d))
 
     y_all[:, n] = grids.xi
@@ -116,12 +198,12 @@ def solve_backward(
         w_now = p.W_state[:, i, :]
         remaining_db = b_terminal - p.B_state[:, i, :]
         basis = build_basis(cfg, w_now, remaining_db)
+        extras = (_obstacle_columns(s.obstacles.lower, grids.lower, w_now, i)
+                  + _obstacle_columns(s.obstacles.upper, grids.upper, w_now, i))
         step_labels = labels
-        if extra_columns is not None:
-            extras = extra_columns(i)
-            if extras:
-                basis = np.column_stack([basis, *extras])
-                step_labels = labels + tuple(f"obs{k}" for k in range(len(extras)))
+        if extras:
+            basis = np.column_stack([basis, *extras])
+            step_labels = labels + tuple(f"obs{k}" for k in range(len(extras)))
         basis_size = basis.shape[1]
 
         # Stage 1: rough continuation fit, reused as a centring control for
@@ -150,20 +232,28 @@ def solve_backward(
         for _ in range(picard_iters):
             y_val = continuation + s.driver.evaluate(times[i], w_now, y_val, z_all[:, i, :]) * dt
 
-        if reflector is not None:
-            y_val, step_plus, step_minus = reflector(i, y_val)
-            dk_plus[:, i] = step_plus
-            dk_minus[:, i] = step_minus
+        lower = -np.inf if grids.lower is None else grids.lower[:, i]
+        upper = np.inf if grids.upper is None else grids.upper[:, i]
+        y_val, dk_plus, dk_minus = implicit_double_step(y_val, lower, upper, m_dt, n_dt)
+        # an absent side pushes nothing; skipping its strided column write saves a pass
+        if grids.lower is not None:
+            k_plus[:, i + 1] = dk_plus
+        if grids.upper is not None:
+            k_minus[:, i + 1] = dk_minus
         y_all[:, i] = y_val
 
         if not np.all(np.isfinite(y_val)):
-            raise RuntimeError(f"solver produced non-finite values at step {i}")
+            raise NonFiniteError(f"solver produced non-finite values at step {i}")
 
-    k_plus = np.zeros((m, n + 1))
-    k_minus = np.zeros((m, n + 1))
-    np.cumsum(dk_plus, axis=1, out=k_plus[:, 1:])
-    np.cumsum(dk_minus, axis=1, out=k_minus[:, 1:])
+    np.cumsum(k_plus, axis=1, out=k_plus)
+    np.cumsum(k_minus, axis=1, out=k_minus)
 
+    if grids.lower is None and grids.upper is None:
+        scheme = "plain"
+    elif grids.upper is not None:
+        scheme = "double"
+    else:
+        scheme = "projected" if m_level is None else "penalized"
     meta = SolveMeta(
         scheme=scheme,
         seed=p.seed,
@@ -172,10 +262,11 @@ def solve_backward(
         picard_iters=picard_iters,
         regression=cfg,
         residual_rms=residual_rms,
-        penalty_lower=penalty_lower,
-        penalty_upper=penalty_upper,
+        penalty_lower=m_level,
+        penalty_upper=n_level,
     )
-    return SolutionEnsemble(Y=y_all, Z=z_all, K_plus=k_plus, K_minus=k_minus, meta=meta)
+    return SolutionEnsemble(Y=y_all, Z=z_all, K_plus=k_plus, K_minus=k_minus, meta=meta,
+                            obstacle_grid=grids)
 
 
 def solve_bdsde(
@@ -186,5 +277,5 @@ def solve_bdsde(
 ) -> SolutionEnsemble:
     """Solve the unreflected terminal-value equation; obstacles, if any, are
     ignored and both reflection processes come back identically zero."""
-    cfg = cfg or RegressionConfig()
-    return solve_backward(s, p, cfg, picard_iters, reflector=None, scheme="plain")
+    return solve_backward(s, p, cfg or RegressionConfig(), picard_iters,
+                          _checked_grid(s, p, ObstacleSpec()))

@@ -7,8 +7,10 @@ digits; rerunning a command with the same config and seed reproduces the
 files byte for byte, except for one timestamp field inside summary metadata.
 
 Exit codes: 0 success / comparison pass, 1 comparison or oracle mismatch,
-2 validation or config failure, 3 schedule exhausted without convergence,
-4 oracle unsupported for the given scenario.
+2 validation or config failure (including a per-path barrier condition that
+fails on the drawn paths, and a solver that overflows to non-finite values),
+3 schedule exhausted without convergence, 4 oracle unsupported for the given
+scenario.
 """
 from __future__ import annotations
 
@@ -27,6 +29,7 @@ from .bdsde_solver import solve_bdsde
 from .condexp import RegressionConfig
 from .model import (
     CoefficientSpec,
+    ConfigError,
     Dimensions,
     ObstacleSpec,
     PenaltySchedule,
@@ -35,18 +38,9 @@ from .model import (
     validate_scenario,
 )
 from .oracles import dp_stopping_value, lattice_scope_problem
-from .paths import NoisePaths, ObstacleGrid, generate_paths, obstacle_on_grid
+from .paths import NoisePaths, generate_paths
 from .reflect_one import skorohod_residual, solve_reflected
 from .reflect_two import double_skorohod_residuals, solve_double
-
-
-class ConfigError(ValueError):
-    """Malformed configuration or a scenario that fails validation; the
-    message carries the config path, ``messages`` one entry per failure."""
-
-    def __init__(self, *messages: str):
-        super().__init__("; ".join(messages))
-        self.messages = messages
 
 
 def _fmt(x: float) -> str:
@@ -247,19 +241,13 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _prepare(spec: RunSpec, paths: NoisePaths | None = None) -> tuple[NoisePaths, ObstacleGrid]:
-    """Validate the scenario, draw its paths unless shared ones are given,
-    and check the per-path conditions that validation had to defer."""
+def _prepare(spec: RunSpec, paths: NoisePaths | None = None) -> NoisePaths:
+    """Validate the scenario and draw its paths unless shared ones are given.
+    The solvers check the per-path conditions that validation had to defer."""
     report = validate_scenario(spec.scenario)
     if not report.ok:
         raise ConfigError(*report.violations)
-    if paths is None:
-        paths = generate_paths(spec.scenario)
-    grids = obstacle_on_grid(spec.scenario, paths)
-    flags = grids.flag_messages()
-    if flags:
-        raise ConfigError(*flags)
-    return paths, grids
+    return paths if paths is not None else generate_paths(spec.scenario)
 
 
 def _solve_for_config(spec: RunSpec, paths):
@@ -289,7 +277,8 @@ def _trace_rows(trace) -> list[dict]:
     return rows
 
 
-def _write_timeseries(path: Path, sc: Scenario, sol, grids) -> None:
+def _write_timeseries(path: Path, sc: Scenario, sol) -> None:
+    lower = sol.obstacle_grid.lower
     times = sc.grid.times
     m, n = sc.mc_paths, sc.grid.steps
     header = ["t", "Y_mean", "Y_se"]
@@ -307,8 +296,8 @@ def _write_timeseries(path: Path, sc: Scenario, sol, grids) -> None:
             else:
                 row += [""] * sc.dims.d
             row += [_fmt(sol.K_plus[:, i].mean()), _fmt(sol.K_minus[:, i].mean())]
-            if grids.lower is not None:
-                pen_i = np.mean(np.maximum(grids.lower[:, i] - y_i, 0.0) ** 2)
+            if lower is not None:
+                pen_i = np.mean(np.maximum(lower[:, i] - y_i, 0.0) ** 2)
             else:
                 pen_i = 0.0
             row.append(_fmt(pen_i))
@@ -329,8 +318,8 @@ def _skorohod_verdict(residuals: np.ndarray, k: np.ndarray, dt: float) -> dict:
 def cmd_run(config_path: str, out: Path) -> int:
     spec = load_config(config_path)
     sc = spec.scenario
-    paths, grids = _prepare(spec)
-    sol, trace = _solve_for_config(spec, paths)
+    sol, trace = _solve_for_config(spec, _prepare(spec))
+    grids = sol.obstacle_grid
     converged = trace.converged if trace is not None else True
 
     y0 = sol.Y[:, 0]
@@ -342,17 +331,18 @@ def cmd_run(config_path: str, out: Path) -> int:
         ),
     }
     if grids.lower is not None:
-        verdicts["skorohod"] = _skorohod_verdict(skorohod_residual(sol, grids.lower),
-                                                 sol.K_plus, sc.grid.dt)
+        if grids.upper is not None:
+            lower_res, upper_res = double_skorohod_residuals(sol, grids.lower, grids.upper)
+            verdicts["skorohod_upper"] = _skorohod_verdict(upper_res, sol.K_minus, sc.grid.dt)
+        else:
+            lower_res = skorohod_residual(sol, grids.lower)
+        verdicts["skorohod"] = _skorohod_verdict(lower_res, sol.K_plus, sc.grid.dt)
         se = diagnostics.regression_se(sol)
         domination = float(np.mean(sol.Y < grids.lower - 3.0 * se))
         verdicts["obstacle_domination"] = {
             "violation_fraction": domination,
             "passed": bool(domination <= 0.01),
         }
-    if grids.upper is not None:
-        _, upper_res = double_skorohod_residuals(sol, grids.lower, grids.upper)
-        verdicts["skorohod_upper"] = _skorohod_verdict(upper_res, sol.K_minus, sc.grid.dt)
 
     summary = {
         "status": "ok" if converged else "not_converged",
@@ -373,7 +363,7 @@ def cmd_run(config_path: str, out: Path) -> int:
         },
     }
     _write_json(out / "summary.json", summary)
-    _write_timeseries(out / "timeseries.csv", sc, sol, grids)
+    _write_timeseries(out / "timeseries.csv", sc, sol)
     return 0 if converged else 3
 
 
@@ -387,7 +377,7 @@ def cmd_compare(config_a: str, config_b: str, out: Path) -> int:
     )
     if not same_frame:
         raise ConfigError("configs must share (seed, paths, steps, dims)")
-    paths, _ = _prepare(spec_a)
+    paths = _prepare(spec_a)
     _prepare(spec_b, paths)
     sol_a, _ = _solve_for_config(spec_a, paths)
     sol_b, _ = _solve_for_config(spec_b, paths)
@@ -416,7 +406,7 @@ def cmd_convergence(config_path: str, out: Path, grid_refinement: bool = False) 
     sc = spec.scenario
     if not sc.obstacles.has_lower:
         raise ConfigError("convergence study needs an obstacle")
-    paths, _ = _prepare(spec)
+    paths = _prepare(spec)
 
     rows: list[list[str]] = []
     sol, trace = _solve_for_config(spec, paths)
@@ -459,8 +449,7 @@ def cmd_oracle_check(config_path: str, out: Path) -> int:
         print(f"oracle unsupported: {problem}", file=sys.stderr)
         _write_json(out / "oracle.json", {"status": "unsupported"})
         return 4
-    paths, _ = _prepare(spec)
-    sol, trace = _solve_for_config(spec, paths)
+    sol, trace = _solve_for_config(spec, _prepare(spec))
     solver_value = float(sol.Y[:, 0].mean())
     dp_value = dp_stopping_value(sc, lattice_steps=2000)
     rel_gap = abs(solver_value - dp_value) / max(abs(dp_value), 1e-12)

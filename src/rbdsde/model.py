@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .condexp import RegressionConfig
+
+if TYPE_CHECKING:
+    from .paths import ObstacleGrid
 
 # Coefficient kinds loadable from CLI configs.  "hook" is library-only.
 CATALOG_KINDS = (
@@ -31,6 +34,16 @@ CATALOG_KINDS = (
 # obstacles and terminal values must come from this subset, except "linear"
 # which qualifies when its y and z loadings vanish.
 STATE_ONLY_KINDS = ("zero", "constant", "payoff_put", "payoff_neg_part", "exponential", "clamp")
+
+
+class ConfigError(ValueError):
+    """Malformed configuration, or a scenario that fails validation or a
+    per-path condition on its drawn paths; ``messages`` holds one entry per
+    failure, a config error's with its path into the file."""
+
+    def __init__(self, *messages: str):
+        super().__init__("; ".join(messages))
+        self.messages = messages
 
 
 @dataclass(frozen=True)
@@ -277,13 +290,15 @@ class SolveMeta:
 @dataclass(frozen=True, eq=False)
 class SolutionEnsemble:
     """Per-path solution arrays: Y is M x (N+1), Z is M x N x d, and the two
-    reflection processes are M x (N+1), nondecreasing from zero."""
+    reflection processes are M x (N+1), nondecreasing from zero.  A solver
+    also returns the terminal values and barriers it solved against."""
 
     Y: np.ndarray
     Z: np.ndarray
     K_plus: np.ndarray
     K_minus: np.ndarray
     meta: SolveMeta
+    obstacle_grid: ObstacleGrid | None = None
 
     def __post_init__(self):
         m, n_plus_1 = self.Y.shape

@@ -8,24 +8,29 @@ the solver's measurability conventions, not by reversed simulation.
 """
 from __future__ import annotations
 
+import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Scenario
+from .model import ConfigError, Scenario
+
+log = logging.getLogger(__name__)
 
 # Fixed block size: sub-stream assignment must not depend on worker count.
 _BLOCK = 4096
 
 
 def worker_count() -> int:
-    """Parallelism cap from RBDSDE_THREADS (default 1)."""
+    """Parallelism cap from RBDSDE_THREADS (default 1); a value that is not
+    an integer is logged and read as 1."""
     raw = os.environ.get("RBDSDE_THREADS", "1")
     try:
         return max(1, int(raw))
     except ValueError:
+        log.warning("RBDSDE_THREADS=%r is not an integer; using 1 worker", raw)
         return 1
 
 
@@ -118,10 +123,10 @@ class ObstacleGrid:
         return msgs
 
     def check_flags(self) -> None:
-        """Raise ValueError naming every failed per-path condition."""
+        """Raise ConfigError naming every failed per-path condition."""
         msgs = self.flag_messages()
         if msgs:
-            raise ValueError("; ".join(msgs))
+            raise ConfigError(*msgs)
 
 
 def _eval_on_grid(spec, times: np.ndarray, w_state: np.ndarray) -> np.ndarray:

@@ -5,26 +5,19 @@ The penalty is handled implicitly inside each backward step: the candidate
 value a (continuation plus drift) is corrected by solving the scalar
 piecewise-linear equation y = a + n*dt*(s - y)^+ in closed form.  This keeps
 arbitrarily large penalty rates usable; an explicit penalty in the driver
-would be stiff beyond n*dt ~ 1.  The step, the level solve and the ladder are
-the two-barrier ones of ``reflect_two`` with the upper barrier at +inf.
+would be stiff beyond n*dt ~ 1.  The step and the sweep are those of
+``bdsde_solver`` and the ladder that of ``reflect_two``, with the upper
+barrier at +inf.
 """
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
-from .bdsde_solver import coefficient_steps
+from .bdsde_solver import _checked_grid, coefficient_steps, implicit_double_step, solve_backward
 from .condexp import RegressionConfig
-from .model import PenaltySchedule, Scenario, SolutionEnsemble
-from .paths import NoisePaths, ObstacleGrid, obstacle_on_grid
-from .reflect_two import (
-    PenalizationTrace,
-    _penetration,
-    _run_ladder,
-    _solve_level,
-    implicit_double_step,
-)
+from .model import ObstacleSpec, PenaltySchedule, Scenario, SolutionEnsemble
+from .paths import NoisePaths, ObstacleGrid
+from .reflect_two import PenalizationTrace, _flat_off_barrier, _penetration, _run_ladder
 
 
 def implicit_penalty_step(a, s_val, n_dt):
@@ -42,10 +35,7 @@ def _lower_grid(s: Scenario, p: NoisePaths) -> ObstacleGrid:
     solvers ignore; raises if the lower barrier or its conditions fail."""
     if not s.obstacles.has_lower:
         raise ValueError("configuration error: scenario has no lower obstacle")
-    grids = replace(obstacle_on_grid(s, p), upper=None, upper_terminal_bad=None,
-                    ordering_bad=None)
-    grids.check_flags()
-    return grids
+    return _checked_grid(s, p, ObstacleSpec(lower=s.obstacles.lower))
 
 
 def solve_penalized(
@@ -57,8 +47,8 @@ def solve_penalized(
 ) -> SolutionEnsemble:
     """One backward sweep at a fixed penalty rate ``level``; the per-step
     correction uses n_dt = level * dt."""
-    return _solve_level(s, p, cfg or RegressionConfig(), picard_iters, _lower_grid(s, p),
-                        "penalized", m_level=level)
+    return solve_backward(s, p, cfg or RegressionConfig(), picard_iters, _lower_grid(s, p),
+                          m_level=level)
 
 
 def solve_projected(
@@ -68,8 +58,7 @@ def solve_projected(
     picard_iters: int = 2,
 ) -> SolutionEnsemble:
     """Infinite-penalty limit: per step Y_i = max(a, S_i), dK = (S_i - a)^+."""
-    return _solve_level(s, p, cfg or RegressionConfig(), picard_iters, _lower_grid(s, p),
-                        "projected")
+    return solve_backward(s, p, cfg or RegressionConfig(), picard_iters, _lower_grid(s, p))
 
 
 def penetration_statistic(sol: SolutionEnsemble, lower: np.ndarray) -> float:
@@ -87,18 +76,15 @@ def solve_reflected(
 ) -> tuple[SolutionEnsemble, PenalizationTrace]:
     """Run the penalty ladder until the penetration statistic reaches the
     schedule tolerance; never aborts on exhaustion, it flags instead."""
-    grids = _lower_grid(s, p)
     schedule = schedule or PenaltySchedule.geometric(s.grid.dt)
-    return _run_ladder(s, p, cfg or RegressionConfig(), picard_iters, grids, "penalized",
+    return _run_ladder(s, p, cfg or RegressionConfig(), picard_iters, _lower_grid(s, p),
                        schedule, schedule)
 
 
 def skorohod_residual(sol: SolutionEnsemble, obstacle: np.ndarray) -> np.ndarray:
     """Per-path sum of (Y_i - S_i) * (K_{i+1} - K_i): the flat-off-the-barrier
     condition, zero up to the penalty slack once converged."""
-    gap = sol.Y[:, :-1] - obstacle[:, :-1]
-    dk = np.diff(sol.K_plus, axis=1)
-    return np.sum(gap * dk, axis=1)
+    return _flat_off_barrier(sol.Y, obstacle, sol.K_plus)
 
 
 def skorohod_sup_formula(sol: SolutionEnsemble, s: Scenario, p: NoisePaths) -> np.ndarray:

@@ -1,8 +1,14 @@
 """CLI config loading, commands, exit codes, output determinism."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rbdsde
+from rbdsde import paths as paths_module
 from rbdsde.cli import ConfigError, load_config, main
 
 
@@ -111,6 +117,39 @@ class TestRunCommand:
         assert main(["run", cfg_path, "--out", str(out)]) == 3
         summary = json.loads((out / "summary.json").read_text())
         assert summary["converged"] is False
+
+    def test_two_barrier_run_evaluates_each_barrier_once(self, tmp_path, monkeypatch):
+        cfg = _base_config(paths=2000, steps=10, obstacle={
+            "lower": {"kind": "constant", "params": {"value": -10.0}},
+            "upper": {"kind": "constant", "params": {"value": 10.0}}})
+        evaluated = []
+        original = paths_module._eval_on_grid
+
+        def counting(spec, times, w_state):
+            evaluated.append(spec.param("value"))
+            return original(spec, times, w_state)
+
+        monkeypatch.setattr(paths_module, "_eval_on_grid", counting)
+        assert main(["run", _write(tmp_path, "c.json", cfg), "--out", str(tmp_path / "o")]) == 0
+        assert sorted(evaluated) == [-10.0, 10.0]
+
+    def test_non_finite_solution_exits_2_without_traceback(self, tmp_path):
+        # Run in a subprocess: the overflow warnings are errors under pytest.
+        cfg = _base_config(paths=500, steps=10, driver={"kind": "linear", "params": {"a_y": 1e200}},
+                           obstacle={"lower": "absent", "upper": "absent"})
+        out = tmp_path / "o"
+        src = str(Path(rbdsde.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rbdsde.cli", "run", _write(tmp_path, "c.json", cfg), "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "validation: solver produced non-finite values at step 9" in proc.stderr
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary == {"status": "validation_failed",
+                           "errors": ["solver produced non-finite values at step 9"]}
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg_path = _write(tmp_path, "c.json", _base_config())

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rbdsde import RegressionConfig, basis_labels, build_basis, condexp_fit_eval
 
@@ -44,6 +46,26 @@ class TestBuildBasis:
         cfg = RegressionConfig(degree_w=3, include_dB=True)
         basis = build_basis(cfg, w, db)
         assert len(basis_labels(cfg, 2, 2)) == basis.shape[1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(d=st.integers(1, 3), l=st.integers(1, 3), degree=st.integers(0, 5),
+           include_db=st.booleans())
+    def test_each_label_names_its_column(self, d, l, degree, include_db):
+        # 200 samples exceed the widest basis here (161 columns at d=l=3, degree 5)
+        w, db = _design(m=200, d=d, l=l, seed=d + 3 * l + 9 * degree)
+        cfg = RegressionConfig(degree_w=degree, include_dB=include_db)
+        basis = build_basis(cfg, w, db)
+        labels = basis_labels(cfg, d, l)
+        assert len(labels) == basis.shape[1] == len(set(labels))
+        for j, label in enumerate(labels):
+            expected = np.ones(200)
+            for factor in label.split("*"):
+                if factor.startswith("db"):
+                    expected = expected * db[:, int(factor[2:])]
+                elif factor != "1":
+                    k, _, e = factor[1:].partition("^")
+                    expected = expected * w[:, int(k)] ** int(e or 1)
+            np.testing.assert_allclose(basis[:, j], expected, rtol=1e-12, err_msg=label)
 
     def test_underdetermined_raises(self):
         w, db = _design(m=4)

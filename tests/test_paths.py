@@ -1,16 +1,34 @@
 """Noise-path generation and obstacle grids."""
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
 
 from rbdsde import CoefficientSpec, ObstacleSpec, generate_paths, obstacle_on_grid
+from rbdsde.paths import worker_count
 from rbdsde.scenarios import constant_scenario, stopping_put_scenario, two_barrier_scenario
 
 
 def _tiny_scenario(**kw):
     sc = constant_scenario(paths=kw.pop("paths", 2), steps=kw.pop("steps", 1), seed=kw.pop("seed", 42))
     return dataclasses.replace(sc, **kw) if kw else sc
+
+
+class TestWorkerCount:
+
+    def test_integer_setting_is_used_silently(self, monkeypatch, caplog):
+        monkeypatch.setenv("RBDSDE_THREADS", "3")
+        with caplog.at_level(logging.WARNING, logger="rbdsde.paths"):
+            assert worker_count() == 3
+        assert not caplog.records
+
+    def test_non_integer_setting_warns_and_uses_one(self, monkeypatch, caplog):
+        monkeypatch.setenv("RBDSDE_THREADS", "four")
+        with caplog.at_level(logging.WARNING, logger="rbdsde.paths"):
+            assert worker_count() == 1
+        assert [r.levelno for r in caplog.records] == [logging.WARNING]
+        assert "'four'" in caplog.records[0].getMessage()
 
 
 class TestGeneratePaths:
