@@ -32,37 +32,14 @@ from dataclasses import replace
 
 import numpy as np
 
-from .condexp import (
-    RegressionConfig,
-    _monomial,
-    _monomial_exponents,
-    basis_labels,
-    build_basis,
-    condexp_fit_eval,
-)
-from .model import CoefficientSpec, ObstacleSpec, Scenario, SolutionEnsemble, SolveMeta
+from .condexp import RegressionConfig, build_basis, condexp_fit_eval
+from .model import ObstacleSpec, Scenario, SolutionEnsemble, SolveMeta
 from .paths import NoisePaths, ObstacleGrid, obstacle_on_grid
-
-# Obstacle-shape columns appended to the regression design of reflected
-# solvers: the obstacle value times the W monomials up to this degree.  With
-# the kink of the barrier available in the span, the fit only has to capture
-# the smooth time value on top of it; a pure polynomial basis misfits the
-# barrier shape and the misfit is rectified into spurious reflection pushes
-# at every step.  Constant-like barriers are skipped (already in the span).
-OBSTACLE_BASIS_DEGREE = 2
 
 
 class NonFiniteError(ValueError, RuntimeError):
     """The recursion overflowed to inf or nan.  A ValueError, so the CLI
     reports it with exit code 2; a RuntimeError for library callers."""
-
-
-def _obstacle_columns(spec: CoefficientSpec | None, values: np.ndarray | None,
-                      w_now: np.ndarray, i: int) -> list[np.ndarray]:
-    if values is None or spec.kind in ("zero", "constant"):
-        return []
-    return [values[:, i] * _monomial(w_now, exps)
-            for exps in _monomial_exponents(w_now.shape[1], OBSTACLE_BASIS_DEGREE)]
 
 
 def _toward(a, barrier, rate, hit):
@@ -162,7 +139,7 @@ def solve_backward(
     the lower (m) and upper (n) penalty levels per unit time; a level of None
     is the infinite rate, the projection.  With no barrier in ``grids`` the
     sweep solves the unreflected equation.  Non-constant barriers add their
-    obstacle-shape columns to the design."""
+    shape columns to the design."""
     m, n = s.mc_paths, s.grid.steps
     d, l = s.dims.d, s.dims.l
     if p.dW.shape != (m, n, d) or p.dB.shape != (m, n, l):
@@ -181,9 +158,11 @@ def solve_backward(
     residual_rms = np.zeros((n, 2 + d))
 
     y_all[:, n] = grids.xi
-    labels = basis_labels(cfg, d, l)
     b_terminal = p.B_state[:, n, :]
 
+    shaped = [values for spec, values in ((s.obstacles.lower, grids.lower),
+                                          (s.obstacles.upper, grids.upper))
+              if values is not None and spec.kind not in ("zero", "constant")]
     basis_size = None
     for i in range(n - 1, -1, -1):
         t_next = times[i + 1]
@@ -197,32 +176,26 @@ def solve_backward(
 
         w_now = p.W_state[:, i, :]
         remaining_db = b_terminal - p.B_state[:, i, :]
-        basis = build_basis(cfg, w_now, remaining_db)
-        extras = (_obstacle_columns(s.obstacles.lower, grids.lower, w_now, i)
-                  + _obstacle_columns(s.obstacles.upper, grids.upper, w_now, i))
-        step_labels = labels
-        if extras:
-            basis = np.column_stack([basis, *extras])
-            step_labels = labels + tuple(f"obs{k}" for k in range(len(extras)))
+        basis = build_basis(cfg, w_now, remaining_db, [values[:, i] for values in shaped])
         basis_size = basis.shape[1]
 
         # Stage 1: rough continuation fit, reused as a centring control for
         # the gradient targets and to seed the drift refinement.
         rough, rough_fit = condexp_fit_eval(
             np.column_stack([continuation_target, f_next]),
-            basis, ridge=cfg.ridge, labels=step_labels,
+            basis, ridge=cfg.ridge,
         )
 
         # Stage 2: Z from the centred increments; centring removes the
         # conditional mean, which otherwise dominates the target variance.
         z_targets = (continuation_target - rough[:, 0])[:, None] * p.dW[:, i, :]
-        z_fitted, z_fit = condexp_fit_eval(z_targets, basis, ridge=cfg.ridge, labels=step_labels)
+        z_fitted, z_fit = condexp_fit_eval(z_targets, basis, ridge=cfg.ridge)
         z_all[:, i, :] = z_fitted / dt
 
         # Stage 3: final continuation with the martingale part Z.dW taken
         # out of the target (zero conditional mean, most of the variance).
         controlled = continuation_target - np.einsum("md,md->m", z_all[:, i, :], p.dW[:, i, :])
-        continuation, cont_fit = condexp_fit_eval(controlled, basis, ridge=cfg.ridge, labels=step_labels)
+        continuation, cont_fit = condexp_fit_eval(controlled, basis, ridge=cfg.ridge)
 
         residual_rms[i, 0] = cont_fit.residual_norm[0] / np.sqrt(m)
         residual_rms[i, 1] = rough_fit.residual_norm[1] / np.sqrt(m)

@@ -38,7 +38,7 @@ from .model import (
     validate_scenario,
 )
 from .oracles import dp_stopping_value, lattice_scope_problem
-from .paths import NoisePaths, generate_paths
+from .paths import NoisePaths, generate_paths, obstacle_on_grid
 from .reflect_one import skorohod_residual, solve_reflected
 from .reflect_two import double_skorohod_residuals, solve_double
 
@@ -62,7 +62,13 @@ _COEFF_PARAM_KEYS = {
 }
 
 
+# what a failed numeric conversion raises; int(inf) and 4.0**1000 overflow
+_CONVERSION_ERRORS = (TypeError, ValueError, OverflowError)
+
+
 def _require_keys(node: dict, allowed: set[str], required: set[str], where: str) -> None:
+    if not isinstance(node, dict):
+        raise ConfigError(f"{where}: expected an object")
     for key in node:
         if key not in allowed:
             raise ConfigError(f"{where}: unknown key {key!r}")
@@ -81,8 +87,6 @@ def _load_coeff(node, where: str, lip_const=None, alpha=None) -> CoefficientSpec
     if kind not in _COEFF_PARAM_KEYS:
         raise ConfigError(f"{where}: unknown kind {kind!r}")
     params = node.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError(f"{where}.params: expected an object")
     _require_keys(params, _COEFF_PARAM_KEYS[kind], set(), f"{where}.params")
 
     try:
@@ -107,7 +111,7 @@ def _load_coeff(node, where: str, lip_const=None, alpha=None) -> CoefficientSpec
             spec = CoefficientSpec.clamp(params["lo"], params["hi"])
     except KeyError as exc:
         raise ConfigError(f"{where}.params: missing {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
+    except _CONVERSION_ERRORS as exc:
         raise ConfigError(f"{where}.params: {exc}") from exc
 
     updates = {}
@@ -188,7 +192,7 @@ def load_config(path: str | Path) -> RunSpec:
         )
     except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:
+    except _CONVERSION_ERRORS as exc:
         raise ConfigError(f"config: {exc}") from exc
 
     penalty_node = tree["penalty"]
@@ -210,7 +214,7 @@ def load_config(path: str | Path) -> RunSpec:
             )
     except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:
+    except _CONVERSION_ERRORS as exc:
         raise ConfigError(f"config.penalty: {exc}") from exc
 
     reg_node = tree["regression"]
@@ -226,7 +230,7 @@ def load_config(path: str | Path) -> RunSpec:
             raise ValueError("picard_iters must be >= 0")
     except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:
+    except _CONVERSION_ERRORS as exc:
         raise ConfigError(f"config: {exc}") from exc
 
     return RunSpec(scenario=scenario, regression=regression, schedule=schedule,
@@ -379,6 +383,9 @@ def cmd_compare(config_a: str, config_b: str, out: Path) -> int:
         raise ConfigError("configs must share (seed, paths, steps, dims)")
     paths = _prepare(spec_a)
     _prepare(spec_b, paths)
+    # the solvers check their own per-path conditions; checking b's now
+    # spares the solve of a when b fails them
+    obstacle_on_grid(b, paths).check_flags()
     sol_a, _ = _solve_for_config(spec_a, paths)
     sol_b, _ = _solve_for_config(spec_b, paths)
 

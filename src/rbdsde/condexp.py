@@ -5,7 +5,9 @@ together with increments of the backward Brownian motion B that are already
 known at t (B is observed from the terminal side, so its increments over
 [t, T] are legitimate conditioning variables).  Targets are projected onto a
 polynomial basis in W augmented, optionally, with the backward-increment
-columns and their products with the W monomials.
+columns and their products with the W monomials, and with barrier-shape
+columns for non-constant barriers.  One term list fixes the column order
+for both the design and its labels.
 """
 from __future__ import annotations
 
@@ -34,13 +36,17 @@ class RegressionFit:
     """Coefficients and fit quality of one least-squares projection."""
 
     coefficients: np.ndarray      # (B,) or (B, k) for stacked targets
-    basis: tuple[str, ...]        # one label per design-matrix column
     residual_norm: np.ndarray     # l2 residual per target column
     ridge: float = 0.0            # regulariser the fit was computed with
 
-    def __post_init__(self):
-        if self.coefficients.shape[0] != len(self.basis):
-            raise ValueError("coefficient count must equal basis size")
+
+# Barrier-shape columns close the design of a step with a non-constant
+# barrier: the barrier value times the W monomials up to this degree.  With
+# the kink of the barrier available in the span, the fit only has to capture
+# the smooth time value on top of it; a pure polynomial basis misfits the
+# barrier shape and the misfit is rectified into spurious reflection pushes
+# at every step.  Constant-like barriers are already in the span.
+OBSTACLE_BASIS_DEGREE = 2
 
 
 def _monomial_exponents(d: int, max_degree: int) -> list[tuple[int, ...]]:
@@ -63,62 +69,52 @@ def _monomial_exponents(d: int, max_degree: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _monomial(w: np.ndarray, exponents: tuple[int, ...]) -> np.ndarray:
-    """The column prod_k w[:, k] ** e_k over the M x d state ``w``."""
-    col = np.ones(w.shape[0])
-    for k, e in enumerate(exponents):
-        if e:
-            col = col * w[:, k] ** e
-    return col
-
-
-def _product_degree_cap(degree_w: int) -> int:
-    # The cross-product block pairs dB columns with non-constant monomials.
-    # At degree_w = 1 the single linear monomial still enters the products
-    # (the enumerated four-column contract {1, w, dB, w*dB}).
-    if degree_w == 0:
-        return 0
-    return max(1, degree_w - 1)
-
-
-def basis_labels(cfg: RegressionConfig, d: int, l: int) -> tuple[str, ...]:
-    """Column labels matching :func:`build_basis` output order."""
-
-    def mono_label(exponents: tuple[int, ...]) -> str:
-        parts = []
-        for k, e in enumerate(exponents):
-            if e == 1:
-                parts.append(f"w{k}")
-            elif e > 1:
-                parts.append(f"w{k}^{e}")
-        return "*".join(parts) if parts else "1"
-
-    labels = [mono_label(e) for e in _monomial_exponents(d, cfg.degree_w)]
+def _terms(cfg: RegressionConfig, d: int, l: int, n_barriers: int):
+    """The design's columns in order, each a W exponent tuple times an
+    optional factor, ``"db<c>"`` (a backward-increment component) or
+    ``"bar<k>"`` (a barrier).  The W monomials come first (constant first),
+    then, with ``include_dB``, the dB components and their products with the
+    non-constant low-order monomials, then each barrier times the monomials
+    up to OBSTACLE_BASIS_DEGREE."""
+    terms = [(e, None) for e in _monomial_exponents(d, cfg.degree_w)]
     if cfg.include_dB:
-        labels += [f"db{c}" for c in range(l)]
-        cap = _product_degree_cap(cfg.degree_w)
-        for exps in _monomial_exponents(d, cap):
-            if sum(exps) == 0:
-                continue
-            for c in range(l):
-                labels.append(f"{mono_label(exps)}*db{c}")
-    return tuple(labels)
+        # At degree_w = 1 the single linear monomial still enters the
+        # products (the enumerated four-column contract {1, w, dB, w*dB}).
+        cap = max(1, cfg.degree_w - 1) if cfg.degree_w else 0
+        terms += [((0,) * d, f"db{c}") for c in range(l)]
+        terms += [(e, f"db{c}") for e in _monomial_exponents(d, cap)[1:] for c in range(l)]
+    terms += [(e, f"bar{k}") for k in range(n_barriers)
+              for e in _monomial_exponents(d, OBSTACLE_BASIS_DEGREE)]
+    return terms
 
 
-def build_basis(cfg: RegressionConfig, w_state: np.ndarray, dB_i: np.ndarray | None) -> np.ndarray:
-    """Assemble the M x B design matrix for one time step.
+def basis_labels(cfg: RegressionConfig, d: int, l: int, barriers: int = 0) -> tuple[str, ...]:
+    """Column labels matching :func:`build_basis` output order, for
+    ``barriers`` barrier-shape blocks."""
 
-    Columns are the W monomials up to ``degree_w`` (constant first), then,
-    when ``include_dB`` is set, the backward-increment components and their
-    products with the non-constant low-order monomials.
+    def label(exponents: tuple[int, ...], factor: str | None) -> str:
+        parts = [f"w{k}" if e == 1 else f"w{k}^{e}" for k, e in enumerate(exponents) if e]
+        return "*".join(parts + [factor] if factor else parts) or "1"
+
+    return tuple(label(*term) for term in _terms(cfg, d, l, barriers))
+
+
+def build_basis(cfg: RegressionConfig, w_state: np.ndarray, dB_i: np.ndarray | None,
+                barriers=()) -> np.ndarray:
+    """Assemble the M x B design matrix for one time step, in the column
+    order of :func:`basis_labels`.  ``barriers`` holds the step's
+    non-constant barrier values, one M vector each.
+
+    Each monomial is computed once, as a lower monomial times one W
+    component, and reused by the dB and barrier products.
     """
     w_state = np.asarray(w_state, dtype=float)
     if w_state.ndim != 2:
         raise ValueError("w_state must be M x d")
     m, d = w_state.shape
 
-    columns = [_monomial(w_state, exps) for exps in _monomial_exponents(d, cfg.degree_w)]
-
+    factors = {}
+    l = 0
     if cfg.include_dB:
         if dB_i is None:
             raise ValueError("include_dB is set but no backward increments were given")
@@ -126,29 +122,39 @@ def build_basis(cfg: RegressionConfig, w_state: np.ndarray, dB_i: np.ndarray | N
         if db.ndim != 2 or db.shape[0] != m:
             raise ValueError("dB_i must be M x l with the same M as w_state")
         l = db.shape[1]
-        for c in range(l):
-            columns.append(db[:, c])
-        cap = _product_degree_cap(cfg.degree_w)
-        for exps in _monomial_exponents(d, cap):
-            if sum(exps) == 0:
-                continue
-            mono = _monomial(w_state, exps)
-            for c in range(l):
-                columns.append(mono * db[:, c])
+        factors.update((f"db{c}", db[:, c]) for c in range(l))
+    for k, values in enumerate(barriers):
+        values = np.asarray(values, dtype=float)
+        if values.shape != (m,):
+            raise ValueError("each barrier must be an M vector")
+        factors[f"bar{k}"] = values
 
-    basis = np.column_stack(columns)
-    if basis.shape[1] > m:
-        raise ValueError(
-            f"underdetermined basis: {basis.shape[1]} columns but only {m} samples"
-        )
-    return basis
+    terms = _terms(cfg, d, l, len(barriers))
+    if len(terms) > m:
+        raise ValueError(f"underdetermined basis: {len(terms)} columns but only {m} samples")
+
+    monomials = {(0,) * d: np.ones(m)}
+    columns = []
+    for exponents, factor in terms:
+        mono = monomials.get(exponents)
+        if mono is None:
+            # each block runs in degree order, so the lower monomial is known
+            k = max(j for j, e in enumerate(exponents) if e)
+            lower = exponents[:k] + (exponents[k] - 1,) + exponents[k + 1:]
+            mono = monomials[exponents] = monomials[lower] * w_state[:, k]
+        if factor is None:
+            columns.append(mono)
+        elif any(exponents):
+            columns.append(mono * factors[factor])
+        else:
+            columns.append(factors[factor])
+    return np.column_stack(columns)
 
 
 def condexp_fit_eval(
     targets: np.ndarray,
     basis: np.ndarray,
     ridge: float = 0.0,
-    labels: tuple[str, ...] | None = None,
 ) -> tuple[np.ndarray, RegressionFit]:
     """Project targets onto the basis columns by (ridge) least squares.
 
@@ -181,11 +187,8 @@ def condexp_fit_eval(
 
     fitted = basis @ beta
     residual_norm = np.linalg.norm(y - fitted, axis=0)
-    if labels is None:
-        labels = tuple(f"c{j}" for j in range(b))
     fit = RegressionFit(
         coefficients=beta[:, 0] if squeeze else beta,
-        basis=labels,
         residual_norm=residual_norm,
         ridge=ridge,
     )

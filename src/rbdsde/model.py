@@ -342,8 +342,9 @@ def validate_scenario(s: Scenario) -> ValidationReport:
     """Check the structural conditions of a scenario; never raises.
 
     Per-path conditions (S_T <= xi, L < U along sampled paths) cannot be
-    decided here; they are listed as deferred and re-checked on the generated
-    ensemble by :func:`rbdsde.paths.obstacle_on_grid`.
+    decided here; they are listed as deferred and checked on the generated
+    ensemble by :meth:`rbdsde.paths.ObstacleGrid.check_flags`, which the
+    solvers call on the grid they evaluate.
     """
     violations: list[str] = []
     deferred: list[str] = []

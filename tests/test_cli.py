@@ -1,13 +1,21 @@
 """CLI config loading, commands, exit codes, output determinism."""
+import copy
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
+from functools import reduce
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rbdsde
+from rbdsde import bdsde_solver, reflect_one, reflect_two
 from rbdsde import paths as paths_module
 from rbdsde.cli import ConfigError, load_config, main
 
@@ -32,9 +40,14 @@ def _base_config(**overrides):
     return cfg
 
 
+def _dumps(cfg) -> str:
+    # strict JSON has no Infinity token; 1e999 parses to the same float
+    return json.dumps(cfg).replace("Infinity", "1e999")
+
+
 def _write(tmp_path, name, cfg):
     path = tmp_path / name
-    path.write_text(json.dumps(cfg))
+    path.write_text(_dumps(cfg))
     return str(path)
 
 
@@ -276,6 +289,9 @@ _PER_PATH_FAILURE = {
 }
 
 
+_INVALID = ("summary.json", {"status": "validation_failed"})
+
+
 @pytest.mark.parametrize("command, overrides, code, written, stderr", [
     ("compare", _PER_PATH_FAILURE, 2, None, "S_T <= xi violated"),
     ("convergence", _PER_PATH_FAILURE, 2, None, "S_T <= xi violated"),
@@ -284,6 +300,18 @@ _PER_PATH_FAILURE = {
      ("summary.json", {"status": "validation_failed"}), "underdetermined basis"),
     ("oracle-check", {"driver": {"kind": "exponential", "params": {"scale": 1.0}}}, 4,
      ("oracle.json", {"status": "unsupported"}), "oracle unsupported"),
+    ("run", {"dims": 5}, 2, _INVALID, "config.dims: expected an object"),
+    ("run", {"regression": 3}, 2, _INVALID, "config.regression: expected an object"),
+    ("run", {"steps": math.inf}, 2, _INVALID, "cannot convert float infinity to integer"),
+    ("run", {"paths": math.inf}, 2, _INVALID, "cannot convert float infinity to integer"),
+    ("run", {"seed": -math.inf}, 2, _INVALID, "cannot convert float infinity to integer"),
+    ("run", {"picard_iters": math.inf}, 2, _INVALID, "cannot convert float infinity to integer"),
+    ("run", {"dims": {"d": math.inf, "l": 1}}, 2, _INVALID, "cannot convert float infinity"),
+    ("run", {"regression": {"degree_w": math.inf}}, 2, _INVALID, "cannot convert float infinity"),
+    ("run", {"penalty": {"geometric": {"base": 4.0, "count": math.inf}, "tol": 1e-4}}, 2,
+     _INVALID, "config.penalty: cannot convert float infinity"),
+    ("run", {"penalty": {"geometric": {"base": 1e200, "count": 7}, "tol": 1e-4}}, 2,
+     _INVALID, "config.penalty:"),
 ])
 def test_failures_exit_with_contract_code(tmp_path, capsys, command, overrides, code, written, stderr):
     cfg_path = _write(tmp_path, "c.json", _base_config(**overrides))
@@ -295,3 +323,56 @@ def test_failures_exit_with_contract_code(tmp_path, capsys, command, overrides, 
         name, expected = written
         payload = json.loads((out / name).read_text())
         assert {key: payload[key] for key in expected} == expected
+
+
+def test_compare_checks_both_configs_before_solving(tmp_path, capsys, monkeypatch):
+    sweeps = []
+    sweep = bdsde_solver.solve_backward
+
+    def counted(*args, **kwargs):
+        sweeps.append(args)
+        return sweep(*args, **kwargs)
+
+    for module in (bdsde_solver, reflect_one, reflect_two):
+        monkeypatch.setattr(module, "solve_backward", counted)
+    valid = _write(tmp_path, "a.json", _base_config(paths=2000, steps=10))
+    failing = _write(tmp_path, "b.json", _base_config(**_PER_PATH_FAILURE))
+    assert main(["compare", valid, failing, "--out", str(tmp_path / "o")]) == 2
+    assert "S_T <= xi violated" in capsys.readouterr().err
+    assert sweeps == []
+
+
+def _node_paths(tree, prefix=()):
+    yield prefix
+    if isinstance(tree, dict):
+        for key, child in tree.items():
+            yield from _node_paths(child, prefix + (key,))
+
+
+_FUZZ_BASE = _base_config(paths=200, steps=4)
+
+# Finite numbers stay small, so no drawn config asks for more than a few
+# thousand path-steps, basis columns or iterations; the overflow cases of
+# large finite values are rows of test_failures_exit_with_contract_code.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-8, 64) | st.floats(-64.0, 64.0)
+    | st.sampled_from([math.inf, -math.inf, math.nan]) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(node=st.sampled_from(list(_node_paths(_FUZZ_BASE))), value=_JSON_VALUES)
+def test_any_config_node_gives_a_contract_code(node, value):
+    cfg = copy.deepcopy(_FUZZ_BASE)
+    if node:
+        reduce(lambda tree, key: tree[key], node[:-1], cfg)[node[-1]] = value
+    else:
+        cfg = value
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        # the suite turns RuntimeWarning into an error; a user's run only prints it
+        warnings.simplefilter("default", RuntimeWarning)
+        path = Path(tmp) / "c.json"
+        path.write_text(_dumps(cfg))
+        assert main(["run", str(path), "--out", tmp]) in range(5)

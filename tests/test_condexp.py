@@ -1,4 +1,5 @@
 """Regression-based conditional expectation operator."""
+import itertools
 import math
 
 import numpy as np
@@ -66,6 +67,36 @@ class TestBuildBasis:
                     k, _, e = factor[1:].partition("^")
                     expected = expected * w[:, int(k)] ** int(e or 1)
             np.testing.assert_allclose(basis[:, j], expected, rtol=1e-12, err_msg=label)
+
+    @settings(max_examples=100, deadline=None)
+    @given(d=st.integers(1, 3), l=st.integers(1, 3), degree=st.integers(0, 5),
+           include_db=st.booleans(), n_barriers=st.integers(0, 2))
+    def test_barrier_columns_close_the_design(self, d, l, degree, include_db, n_barriers):
+        w, db = _design(m=200, d=d, l=l, seed=d + 3 * l + 9 * degree)
+        barriers = np.random.default_rng(n_barriers).normal(size=(n_barriers, 200))
+        cfg = RegressionConfig(degree_w=degree, include_dB=include_db)
+        basis = build_basis(cfg, w, db, barriers=list(barriers))
+        labels = basis_labels(cfg, d, l, barriers=n_barriers)
+        assert len(labels) == basis.shape[1] == len(set(labels))
+
+        # the leading columns are the design without barriers, bit for bit
+        plain = build_basis(cfg, w, db)
+        assert np.array_equal(basis[:, :plain.shape[1]], plain)
+        assert labels[:plain.shape[1]] == basis_labels(cfg, d, l)
+
+        # then each barrier times each monomial of degree <= 2, in degree
+        # then lexicographic order, labelled "<monomial>*bar<k>"
+        low = sorted((e for e in itertools.product(range(3), repeat=d) if sum(e) <= 2),
+                     key=lambda e: (sum(e), e))
+        j = plain.shape[1]
+        for k, values in enumerate(barriers):
+            for exponents in low:
+                expected = values * np.prod(w ** np.array(exponents), axis=1)
+                np.testing.assert_allclose(basis[:, j], expected, rtol=1e-12)
+                mono = [f"w{i}" if e == 1 else f"w{i}^{e}" for i, e in enumerate(exponents) if e]
+                assert labels[j] == "*".join(mono + [f"bar{k}"])
+                j += 1
+        assert j == basis.shape[1]
 
     def test_underdetermined_raises(self):
         w, db = _design(m=4)

@@ -75,12 +75,18 @@ class TestGeneratePaths:
             assert np.array_equal(p.B_state[:, i + 1], p.B_state[:, i] + p.dB[:, i])
         assert np.all(p.W_state[:, 0] == 0.0)
 
-    def test_block_boundary_determinism(self):
-        # block size is an internal constant; crossing it must not matter
-        sc = constant_scenario(paths=4096 + 123, steps=2)
-        p1 = generate_paths(sc)
-        p2 = generate_paths(sc)
-        assert np.array_equal(p1.dW, p2.dW)
+    def test_block_boundary_determinism(self, monkeypatch):
+        # Paths are drawn in blocks of 4096 from per-block streams, so any
+        # ensemble is a prefix of a larger one, on either side of a block
+        # boundary and for any worker count.
+        monkeypatch.setenv("RBDSDE_THREADS", "1")
+        full = generate_paths(constant_scenario(paths=8197, steps=2))
+        for threads in ("1", "2"):
+            monkeypatch.setenv("RBDSDE_THREADS", threads)
+            for m in (2, 4095, 4096, 4097, 8191, 8192):
+                p = generate_paths(constant_scenario(paths=m, steps=2))
+                assert np.array_equal(p.dW, full.dW[:m]), (threads, m)
+                assert np.array_equal(p.dB, full.dB[:m]), (threads, m)
 
 
 class TestObstacleOnGrid:
