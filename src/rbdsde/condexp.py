@@ -11,6 +11,8 @@ for both the design and its labels.
 """
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,19 +56,21 @@ def _monomial_exponents(d: int, max_degree: int) -> list[tuple[int, ...]]:
     degree then lexicographically."""
     out: list[tuple[int, ...]] = []
     for total in range(max_degree + 1):
-        level: list[tuple[int, ...]] = []
-
-        def rec(prefix: tuple[int, ...], remaining: int, dims_left: int):
-            if dims_left == 1:
-                level.append(prefix + (remaining,))
-                return
-            for e in range(remaining + 1):
-                rec(prefix + (e,), remaining - e, dims_left - 1)
-
-        rec((), total, d)
-        level.sort()
-        out.extend(level)
+        # the index multisets come in ascending order, so reversed their
+        # exponent tuples ascend lexicographically
+        for indices in reversed(list(itertools.combinations_with_replacement(range(d), total))):
+            exponents = [0] * d
+            for k in indices:
+                exponents[k] += 1
+            out.append(tuple(exponents))
     return out
+
+
+def _db_product_degree(cfg: RegressionConfig) -> int:
+    """Highest W degree multiplied by the dB components.  At degree_w = 1
+    the single linear monomial still enters the products (the enumerated
+    four-column contract {1, w, dB, w*dB})."""
+    return max(1, cfg.degree_w - 1) if cfg.degree_w else 0
 
 
 def _terms(cfg: RegressionConfig, d: int, l: int, n_barriers: int):
@@ -78,14 +82,21 @@ def _terms(cfg: RegressionConfig, d: int, l: int, n_barriers: int):
     up to OBSTACLE_BASIS_DEGREE."""
     terms = [(e, None) for e in _monomial_exponents(d, cfg.degree_w)]
     if cfg.include_dB:
-        # At degree_w = 1 the single linear monomial still enters the
-        # products (the enumerated four-column contract {1, w, dB, w*dB}).
-        cap = max(1, cfg.degree_w - 1) if cfg.degree_w else 0
         terms += [((0,) * d, f"db{c}") for c in range(l)]
-        terms += [(e, f"db{c}") for e in _monomial_exponents(d, cap)[1:] for c in range(l)]
+        terms += [(e, f"db{c}") for e in _monomial_exponents(d, _db_product_degree(cfg))[1:]
+                  for c in range(l)]
     terms += [(e, f"bar{k}") for k in range(n_barriers)
               for e in _monomial_exponents(d, OBSTACLE_BASIS_DEGREE)]
     return terms
+
+
+def _term_count(cfg: RegressionConfig, d: int, l: int, n_barriers: int) -> int:
+    """``len(_terms(cfg, d, l, n_barriers))`` in closed form, without
+    enumerating a term: there are C(d + k, k) monomials of degree <= k."""
+    count = math.comb(d + cfg.degree_w, d)
+    if cfg.include_dB:
+        count += l * math.comb(d + _db_product_degree(cfg), d)
+    return count + n_barriers * math.comb(d + OBSTACLE_BASIS_DEGREE, d)
 
 
 def basis_labels(cfg: RegressionConfig, d: int, l: int, barriers: int = 0) -> tuple[str, ...]:
@@ -129,13 +140,13 @@ def build_basis(cfg: RegressionConfig, w_state: np.ndarray, dB_i: np.ndarray | N
             raise ValueError("each barrier must be an M vector")
         factors[f"bar{k}"] = values
 
-    terms = _terms(cfg, d, l, len(barriers))
-    if len(terms) > m:
-        raise ValueError(f"underdetermined basis: {len(terms)} columns but only {m} samples")
+    count = _term_count(cfg, d, l, len(barriers))
+    if count > m:
+        raise ValueError(f"underdetermined basis: {count} columns but only {m} samples")
 
     monomials = {(0,) * d: np.ones(m)}
     columns = []
-    for exponents, factor in terms:
+    for exponents, factor in _terms(cfg, d, l, len(barriers)):
         mono = monomials.get(exponents)
         if mono is None:
             # each block runs in degree order, so the lower monomial is known
@@ -158,10 +169,13 @@ def condexp_fit_eval(
 ) -> tuple[np.ndarray, RegressionFit]:
     """Project targets onto the basis columns by (ridge) least squares.
 
-    ``targets`` may be a single M vector or an M x k stack sharing one design
-    matrix; the solve uses one orthogonal factorisation either way.  With
-    ``ridge == 0`` a rank-deficient design raises instead of returning an
-    arbitrary minimum-norm fit.
+    Solves min |A beta - y|^2 + ridge |beta|^2 through the normal equations:
+    G = A'A + ridge I, scaled to unit diagonal, is factored once by Cholesky,
+    and two solves with the triangular factor give the coefficients of every
+    target.  ``targets`` may be a single M vector or an M x k stack sharing
+    one design matrix.  With ``ridge == 0`` a rank-deficient design raises
+    instead of returning an arbitrary fit; with ``ridge > 0`` a ridge below
+    the rounding of the Gram sums is raised to the smallest one they resolve.
     """
     basis = np.asarray(basis, dtype=float)
     y = np.asarray(targets, dtype=float)
@@ -176,14 +190,29 @@ def condexp_fit_eval(
     if ridge < 0:
         raise ValueError("ridge must be >= 0")
 
-    if ridge > 0:
-        a_aug = np.vstack([basis, np.sqrt(ridge) * np.eye(b)])
-        y_aug = np.vstack([y, np.zeros((b, y.shape[1]))])
-        beta, _, _, _ = np.linalg.lstsq(a_aug, y_aug, rcond=None)
-    else:
-        beta, _, rank, _ = np.linalg.lstsq(basis, y, rcond=None)
-        if rank < b:
-            raise ValueError(f"singular design: rank {rank} < {b} columns (ridge=0)")
+    gram = basis.T @ basis
+    gram[np.diag_indices(b)] += ridge
+    diag = gram.diagonal()
+    if ridge == 0 and np.any(diag == 0):
+        raise ValueError(f"singular design: column {int(np.argmax(diag == 0))} is zero (ridge=0)")
+    scale = 1.0 / np.sqrt(diag)
+    scaled = gram * np.outer(scale, scale)
+    # A pivot of the unit-diagonal G whose square is within the rounding of
+    # the Gram sums, eps * max(M, B) (numpy lstsq's default rcond), is a
+    # dependent column.
+    tol = np.finfo(float).eps * max(m, b)
+    try:
+        factor = np.linalg.cholesky(scaled)
+        dependent = np.min(factor.diagonal()) ** 2 <= tol
+    except np.linalg.LinAlgError:
+        dependent = True
+    if dependent:
+        if ridge == 0:
+            raise ValueError(f"singular design: {b} columns are linearly dependent (ridge=0)")
+        # the requested ridge is below what the Gram sums resolve
+        factor = np.linalg.cholesky(scaled + tol * np.eye(b))
+    half = np.linalg.solve(factor, scale[:, None] * (basis.T @ y))
+    beta = scale[:, None] * np.linalg.solve(factor.T, half)
 
     fitted = basis @ beta
     residual_norm = np.linalg.norm(y - fitted, axis=0)

@@ -103,6 +103,26 @@ class TestBuildBasis:
         with pytest.raises(ValueError, match="underdetermined basis"):
             build_basis(RegressionConfig(degree_w=3, include_dB=True), w, db)
 
+    @settings(max_examples=100, deadline=None)
+    @given(d=st.integers(1, 3), l=st.integers(1, 3), degree=st.integers(0, 5),
+           include_db=st.booleans(), n_barriers=st.integers(0, 2))
+    def test_underdetermined_check_counts_every_column(self, d, l, degree, include_db, n_barriers):
+        cfg = RegressionConfig(degree_w=degree, include_dB=include_db)
+        count = len(basis_labels(cfg, d, l, barriers=n_barriers))
+        w, db = _design(m=count - 1, d=d, l=l)
+        barriers = list(np.ones((n_barriers, count - 1)))
+        with pytest.raises(ValueError, match=f"underdetermined basis: {count} columns but only"):
+            build_basis(cfg, w, db, barriers=barriers)
+
+    def test_wide_state_is_checked_before_enumerating_terms(self):
+        # C(303, 3) W monomials plus C(302, 2) dB products: counted, not built
+        w, db = _design(m=400, d=300)
+        with pytest.raises(ValueError, match="underdetermined basis: 4636002 columns"):
+            build_basis(RegressionConfig(degree_w=3, include_dB=True), w, db)
+        # lexicographic order puts the last W component's monomial first
+        basis = build_basis(RegressionConfig(degree_w=1, include_dB=False), w, None)
+        assert np.array_equal(basis, np.column_stack([np.ones(400), w[:, ::-1]]))
+
     def test_missing_db_raises(self):
         w, _ = _design(m=10)
         with pytest.raises(ValueError, match="backward increments"):
@@ -185,6 +205,53 @@ class TestFitEval:
             condexp_fit_eval(np.ones(100), basis, ridge=0.0)
         fitted, _ = condexp_fit_eval(np.ones(100), basis, ridge=1e-10)
         assert np.max(np.abs(fitted - 1.0)) < 1e-8
+
+    def test_zero_column_raises_without_ridge(self):
+        # W is 0 at t = 0, so every W-monomial column of the first step is 0
+        w, _ = _design(m=100)
+        basis = np.column_stack([np.ones(100), np.zeros(100), w[:, 0]])
+        with pytest.raises(ValueError, match="singular design: column 1 is zero"):
+            condexp_fit_eval(w[:, 0], basis, ridge=0.0)
+
+    def test_dependent_columns_with_ridge_fit_their_span(self):
+        # a barrier column at t = 0 is constant, a multiple of the first
+        # column; at this scale the ridge is below the rounding of the Gram
+        # sums and the plain Cholesky factorisation fails
+        rng = np.random.default_rng(10)
+        w = rng.normal(size=10_000)
+        basis = np.column_stack([np.ones(10_000), 30 * w, 30 * w, 30 * w**2 + 7])
+        target = 1 + w + rng.normal(size=10_000)
+        fitted, _ = condexp_fit_eval(target, basis, ridge=1e-10)
+        q, _ = np.linalg.qr(basis[:, [0, 1, 3]])
+        assert np.max(np.abs(fitted - q @ (q.T @ target))) < 1e-9
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), b=st.integers(1, 8), k=st.integers(1, 3),
+           log_scales=st.lists(st.floats(-4, 2), min_size=8, max_size=8),
+           ridge=st.sampled_from([1e-10, 1e-3]), zero_column=st.booleans())
+    def test_matches_ridge_augmented_least_squares(self, seed, b, k, log_scales, ridge,
+                                                   zero_column):
+        # oracle: SVD least squares on the design stacked over sqrt(ridge) I;
+        # column scales of 1e-4 .. 1e2 mimic the monomials of early steps
+        rng = np.random.default_rng(seed)
+        m = 200
+        basis = rng.normal(size=(m, b)) * 10.0 ** np.array(log_scales[:b])
+        if zero_column:
+            basis[:, b // 2] = 0.0
+        targets = basis @ rng.normal(size=(b, k)) + rng.normal(size=(m, k))
+        augmented = np.vstack([basis, np.sqrt(ridge) * np.eye(b)])
+        beta, *_ = np.linalg.lstsq(augmented, np.vstack([targets, np.zeros((b, k))]),
+                                   rcond=None)
+
+        fitted, fit = condexp_fit_eval(targets, basis, ridge=ridge)
+        size = np.max(np.abs(targets))
+        np.testing.assert_allclose(fitted, basis @ beta, rtol=0, atol=1e-9 * size)
+        norms = np.linalg.norm(basis, axis=0)[:, None]
+        np.testing.assert_allclose(fit.coefficients * norms, beta * norms, rtol=0,
+                                   atol=1e-9 * size)
+        np.testing.assert_allclose(fit.residual_norm, np.linalg.norm(targets - fitted, axis=0))
+        if zero_column:
+            assert np.all(fit.coefficients[b // 2] == 0.0)
 
     def test_more_columns_than_samples_raises(self):
         basis = np.ones((3, 5))

@@ -77,6 +77,8 @@ _values = hnp.arrays(np.float64, _N, elements=st.floats(-10, 10))
 _gaps = hnp.arrays(np.float64, _N, elements=st.floats(1e-6, 10))
 _rates = hnp.arrays(np.float64, _N, elements=st.floats(0, 1e3))
 _rate = st.one_of(st.floats(0, 1e3), _rates)
+_shifts = hnp.arrays(np.float64, _N, elements=st.floats(0, 10))
+_fractions = hnp.arrays(np.float64, _N, elements=st.floats(0, 0.5))
 
 
 class TestImplicitStepProperties:
@@ -124,6 +126,22 @@ class TestImplicitStepProperties:
         resid = a + m_dt * np.maximum(l - y, 0.0) - n_dt * np.maximum(y - u, 0.0) - y
         assert np.max(np.abs(resid)) <= 1e-10
         assert np.all(dkp * dkm == 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=_values, l=_values, gap=_gaps, m_dt=_rate, n_dt=_rate, da=_shifts,
+           dl=_fractions, du=_shifts, dm=_rates, dn=_rates)
+    def test_monotone_in_every_argument(self, a, l, gap, m_dt, n_dt, da, dl, du, dm, dn):
+        # y rises with a, either barrier and the lower rate, and falls with
+        # the upper rate; the shifted lower barrier stays below the upper one
+        u = l + gap
+        y, _, _ = implicit_double_step(a, l, u, m_dt, n_dt)
+        tol = 1e-12  # rounding of values up to 30
+        for shifted in (implicit_double_step(a + da, l, u, m_dt, n_dt),
+                        implicit_double_step(a, l + dl * gap, u, m_dt, n_dt),
+                        implicit_double_step(a, l, u + du, m_dt, n_dt),
+                        implicit_double_step(a, l, u, m_dt + dm, n_dt)):
+            assert np.all(shifted[0] >= y - tol)
+        assert np.all(implicit_double_step(a, l, u, m_dt, n_dt + dn)[0] <= y + tol)
 
 
 class TestSolveDouble:
