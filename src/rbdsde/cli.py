@@ -8,9 +8,11 @@ files byte for byte, except for one timestamp field inside summary metadata.
 
 Exit codes: 0 success / comparison pass, 1 comparison or oracle mismatch,
 2 validation or config failure (including a per-path barrier condition that
-fails on the drawn paths, and a solver that overflows to non-finite values),
-3 schedule exhausted without convergence, 4 oracle unsupported for the given
-scenario.
+fails on the drawn paths, a solver that overflows to non-finite values, and
+a problem whose arrays cannot be allocated), 3 schedule exhausted without
+convergence, 4 oracle unsupported for the given scenario.  Every exit-2 case
+prints one ``validation:`` line per message to stderr; ``run`` also writes a
+``validation_failed`` summary.
 """
 from __future__ import annotations
 
@@ -508,7 +510,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "convergence":
             return cmd_convergence(args.config, out, args.grid_refinement)
         return cmd_oracle_check(args.config, out)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         messages = list(getattr(exc, "messages", [str(exc)]))
         for msg in messages:
             print(f"validation: {msg}", file=sys.stderr)

@@ -215,7 +215,8 @@ def condexp_fit_eval(
     beta = scale[:, None] * np.linalg.solve(factor.T, half)
 
     fitted = basis @ beta
-    residual_norm = np.linalg.norm(y - fitted, axis=0)
+    residual = y - fitted
+    residual_norm = np.sqrt(np.einsum("ij,ij->j", residual, residual))
     fit = RegressionFit(
         coefficients=beta[:, 0] if squeeze else beta,
         residual_norm=residual_norm,

@@ -16,7 +16,7 @@ import numpy as np
 from .bdsde_solver import solve_bdsde
 from .condexp import RegressionConfig
 from .model import Scenario, SolutionEnsemble
-from .paths import NoisePaths, obstacle_on_grid
+from .paths import NoisePaths
 from .reflect_one import solve_projected
 from .scenarios import shift_terminal
 
@@ -95,10 +95,13 @@ class AprioriStatistic:
 
 def apriori_statistic(sol: SolutionEnsemble, s: Scenario, p: NoisePaths) -> AprioriStatistic:
     """Solution energy against the data energy: the bound between them holds
-    with an unknown constant, so suites assert ratio stability, not a value."""
+    with an unknown constant, so suites assert ratio stability, not a value.
+    The terminal and obstacle data are read from the solver's obstacle grid."""
+    grids = sol.obstacle_grid
+    if grids is None:
+        raise ValueError("the a priori statistic needs a solver's obstacle grid")
     dt = s.grid.dt
     times = s.grid.times
-    grids = obstacle_on_grid(s, p)
     m = s.mc_paths
 
     k_total = sol.K_plus[:, -1] + sol.K_minus[:, -1]

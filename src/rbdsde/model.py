@@ -243,7 +243,6 @@ class PenaltySchedule:
 
     levels: tuple[float, ...]
     penetration_tol: float = 1e-4
-    max_levels: int | None = None
 
     def __post_init__(self):
         if not self.levels:
@@ -254,8 +253,6 @@ class PenaltySchedule:
             raise ValueError("penalty levels must be strictly increasing")
         if self.penetration_tol < 0:
             raise ValueError("penetration_tol must be >= 0")
-        if self.max_levels is not None and self.max_levels < 1:
-            raise ValueError("max_levels must be >= 1")
 
     @classmethod
     def geometric(cls, dt: float, base: float = 4.0, count: int = 7,
@@ -263,11 +260,6 @@ class PenaltySchedule:
         """Default ladder: rates base^k / dt for k = 0..count-1."""
         levels = tuple(base**k / dt for k in range(count))
         return cls(levels=levels, penetration_tol=penetration_tol)
-
-    def active_levels(self) -> tuple[float, ...]:
-        if self.max_levels is None:
-            return self.levels
-        return self.levels[: self.max_levels]
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,11 +306,9 @@ class SolutionEnsemble:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of scenario validation: one entry per violated condition plus
-    the per-path checks that can only run once an ensemble exists."""
+    """Outcome of scenario validation: one entry per violated condition."""
 
     violations: tuple[str, ...] = ()
-    deferred: tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -342,12 +332,10 @@ def validate_scenario(s: Scenario) -> ValidationReport:
     """Check the structural conditions of a scenario; never raises.
 
     Per-path conditions (S_T <= xi, L < U along sampled paths) cannot be
-    decided here; they are listed as deferred and checked on the generated
-    ensemble by :meth:`rbdsde.paths.ObstacleGrid.check_flags`, which the
-    solvers call on the grid they evaluate.
+    decided here; the solvers check them on the grid they evaluate, with
+    :meth:`rbdsde.paths.ObstacleGrid.check_flags`.
     """
     violations: list[str] = []
-    deferred: list[str] = []
 
     if not (0.0 < s.noise_coeff.alpha < 1.0):
         violations.append(f"alpha out of (0,1): noise coefficient declares alpha={s.noise_coeff.alpha}")
@@ -375,13 +363,10 @@ def validate_scenario(s: Scenario) -> ValidationReport:
             if np.any(lo.evaluate(t, w_probe) >= up.evaluate(t, w_probe)):
                 violations.append("L<U violated on the static probe grid")
                 break
-        deferred.append("L<U on all sampled (t_i, w) with i < N")
-        deferred.append("L_T <= xi <= U_T per path")
     elif s.obstacles.has_lower:
         xi_probe = s.terminal.evaluate(s.grid.horizon, w_probe)
         s_probe = s.obstacles.lower.evaluate(s.grid.horizon, w_probe)
         if np.any(s_probe > xi_probe):
             violations.append("S_T <= xi violated on the static probe grid")
-        deferred.append("S_T <= xi per path")
 
-    return ValidationReport(violations=tuple(violations), deferred=tuple(deferred))
+    return ValidationReport(violations=tuple(violations))

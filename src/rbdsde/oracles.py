@@ -16,7 +16,7 @@ import numpy as np
 
 from .bdsde_solver import coefficient_steps
 from .model import Scenario, SolutionEnsemble
-from .paths import NoisePaths, obstacle_on_grid
+from .paths import NoisePaths
 
 # Lattice value (2000 steps) for the reference stopping scenario
 # xi = (-W_T)^+, S_t = (-W_t)^+, f = 0, g = 0, T = 1, frozen at build time.
@@ -107,10 +107,11 @@ def stopping_rule_value(
 ) -> RuleValue:
     """Monte Carlo value of one admissible stopping rule applied to a solved
     ensemble: accumulated drift (and backward-noise) up to the stopping index
-    plus the obstacle there, or the terminal value if never stopped."""
+    plus the obstacle there, or the terminal value if never stopped.  The
+    obstacle and terminal values are those of the solver's obstacle grid."""
     m, n = s.mc_paths, s.grid.steps
-    grids = obstacle_on_grid(s, p)
-    if grids.lower is None:
+    grids = sol.obstacle_grid
+    if grids is None or grids.lower is None:
         raise ValueError("configuration error: stopping rules need a lower obstacle")
 
     if isinstance(rule, FixedRule):

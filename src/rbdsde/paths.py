@@ -97,28 +97,25 @@ def generate_paths(s: Scenario) -> NoisePaths:
 
 @dataclass(frozen=True, eq=False)
 class ObstacleGrid:
-    """Barrier and terminal values evaluated along the generated paths, plus
-    the per-path condition flags that validation had to defer."""
+    """Terminal and barrier values evaluated along the generated paths; the
+    per-path conditions that validation cannot decide are read from them."""
 
-    xi: np.ndarray                        # (M,)
-    lower: np.ndarray | None              # (M, N+1)
-    upper: np.ndarray | None              # (M, N+1)
-    lower_terminal_bad: np.ndarray | None  # (M,) paths with S_T > xi
-    upper_terminal_bad: np.ndarray | None  # (M,) paths with xi > U_T
-    ordering_bad: np.ndarray | None        # (M, N) interior points with L >= U
-
-    @property
-    def any_flag(self) -> bool:
-        return bool(self.flag_messages())
+    xi: np.ndarray             # (M,)
+    lower: np.ndarray | None   # (M, N+1)
+    upper: np.ndarray | None   # (M, N+1)
 
     def flag_messages(self) -> list[str]:
-        """One message per deferred per-path condition that fails."""
-        msgs = []
-        for flag, condition in ((self.lower_terminal_bad, "S_T <= xi"),
-                                (self.upper_terminal_bad, "xi <= U_T")):
-            if flag is not None and np.any(flag):
-                msgs.append(f"{condition} violated on {int(np.count_nonzero(flag))} paths")
-        if self.ordering_bad is not None and np.any(self.ordering_bad):
+        """One message per per-path condition that fails: S_T <= xi,
+        xi <= U_T, and L < U at the interior grid points."""
+        terminal = []
+        if self.lower is not None:
+            terminal.append(("S_T <= xi", self.lower[:, -1] > self.xi))
+        if self.upper is not None:
+            terminal.append(("xi <= U_T", self.xi > self.upper[:, -1]))
+        msgs = [f"{condition} violated on {int(np.count_nonzero(bad))} paths"
+                for condition, bad in terminal if np.any(bad)]
+        if (self.lower is not None and self.upper is not None
+                and np.any(self.lower[:, :-1] >= self.upper[:, :-1])):
             msgs.append("barrier crossing: L >= U at sampled interior points")
         return msgs
 
@@ -149,21 +146,8 @@ def obstacle_on_grid(s: Scenario, p: NoisePaths) -> ObstacleGrid:
     xi = s.terminal.evaluate(s.grid.horizon, p.W_state[:, n, :])
 
     lower = upper = None
-    lower_terminal_bad = upper_terminal_bad = ordering_bad = None
     if s.obstacles.has_lower:
         lower = _eval_on_grid(s.obstacles.lower, times, p.W_state)
-        lower_terminal_bad = lower[:, n] > xi
     if s.obstacles.has_upper:
         upper = _eval_on_grid(s.obstacles.upper, times, p.W_state)
-        upper_terminal_bad = xi > upper[:, n]
-    if lower is not None and upper is not None:
-        ordering_bad = lower[:, :n] >= upper[:, :n]
-
-    return ObstacleGrid(
-        xi=xi,
-        lower=lower,
-        upper=upper,
-        lower_terminal_bad=lower_terminal_bad,
-        upper_terminal_bad=upper_terminal_bad,
-        ordering_bad=ordering_bad,
-    )
+    return ObstacleGrid(xi=xi, lower=lower, upper=upper)

@@ -92,10 +92,13 @@ def skorohod_sup_formula(sol: SolutionEnsemble, s: Scenario, p: NoisePaths) -> n
 
     Re-evaluates the driver and noise coefficient along the stored solution,
     forms the reflection-free tail x_u = xi + sum_{j>=u} (F dt + G.dB - Z.dW)
-    and returns max_{v>=u} (x_v - S_v)^- for each path and grid index.
+    and returns max_{v>=u} (x_v - S_v)^- for each path and grid index.  The
+    terminal values and the barrier are those of the solver's obstacle grid.
     """
     m, n = s.mc_paths, s.grid.steps
-    grids = _lower_grid(s, p)
+    grids = sol.obstacle_grid
+    if grids is None or grids.lower is None:
+        raise ValueError("configuration error: scenario has no lower obstacle")
 
     # step_j = F_{j+1} dt + G_{j+1} . dB_j - Z_j . dW_j, pathwise
     steps = coefficient_steps(sol, s, p, lag=1) - np.einsum("mnd,mnd->mn", sol.Z, p.dW)

@@ -60,8 +60,8 @@ def _run_ladder(
     ``grids`` reaches its schedule's tolerance.  A shorter ladder clamps at
     its last level while the longer one keeps growing.  Never aborts on
     exhaustion, it flags instead."""
-    m_levels = sched_m.active_levels()
-    n_levels = sched_n.active_levels()
+    m_levels = sched_m.levels
+    n_levels = sched_n.levels
     two = grids.upper is not None
 
     stats: list[LevelStat] = []

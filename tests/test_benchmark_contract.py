@@ -3,8 +3,11 @@
 perfbench/spans.py wraps each public layer function by name, and the CLI
 workload replaces ``rbdsde.cli.validate_scenario`` and
 ``rbdsde.cli.solve_double``.  A refactor that moves or renames one of them
-would silently drop its spans, so this guard fails first.
+would silently drop its spans, so this guard fails first.  The same holds
+for the obstacle-grid fields that perfbench/worker.py and the span
+recorder's byte count read.
 """
+import dataclasses
 import importlib
 import importlib.util
 import sys
@@ -37,3 +40,8 @@ def test_cli_binds_the_functions_the_cli_workload_replaces():
     cli = importlib.import_module("rbdsde.cli")
     for name in ("validate_scenario", "solve_double"):
         assert callable(getattr(cli, name, None)), f"rbdsde.cli.{name}"
+
+
+def test_obstacle_grid_keeps_the_fields_the_benchmark_reads():
+    from rbdsde import ObstacleGrid
+    assert {f.name for f in dataclasses.fields(ObstacleGrid)} >= {"xi", "lower", "upper"}

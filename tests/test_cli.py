@@ -314,6 +314,8 @@ _INVALID = ("summary.json", {"status": "validation_failed"})
      _INVALID, "config.penalty:"),
     ("run", {"paths": 200, "steps": 4, "dims": {"d": 1000, "l": 1}}, 2, _INVALID,
      "underdetermined basis: 168170002 columns but only 200 samples"),
+    # about 364 TiB per increment array: the allocation fails at once
+    ("run", {"paths": 1e12, "steps": 50}, 2, _INVALID, "validation: Unable to allocate"),
 ])
 def test_failures_exit_with_contract_code(tmp_path, capsys, command, overrides, code, written, stderr):
     cfg_path = _write(tmp_path, "c.json", _base_config(**overrides))

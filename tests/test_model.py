@@ -125,10 +125,6 @@ class TestPenaltySchedule:
         with pytest.raises(ValueError):
             PenaltySchedule(levels=(1.0,), penetration_tol=-1.0)
 
-    def test_max_levels_caps(self):
-        sched = PenaltySchedule(levels=(1.0, 2.0, 4.0), max_levels=2)
-        assert sched.active_levels() == (1.0, 2.0)
-
 
 class TestValidateScenario:
 
@@ -183,7 +179,3 @@ class TestValidateScenario:
     def test_pure_and_idempotent(self):
         sc = two_barrier_scenario()
         assert validate_scenario(sc) == validate_scenario(sc)
-
-    def test_per_path_checks_deferred(self):
-        report = validate_scenario(constant_scenario())
-        assert any("per path" in d for d in report.deferred)

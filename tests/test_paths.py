@@ -4,10 +4,31 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from rbdsde import CoefficientSpec, ObstacleSpec, generate_paths, obstacle_on_grid
+from rbdsde import (
+    CoefficientSpec,
+    ObstacleGrid,
+    ObstacleSpec,
+    apriori_statistic,
+    generate_paths,
+    obstacle_on_grid,
+    skorohod_sup_formula,
+    solve_bdsde,
+    solve_reflected,
+    stopping_rule_value,
+)
+from rbdsde import paths as paths_module
+from rbdsde.oracles import FixedRule
 from rbdsde.paths import worker_count
-from rbdsde.scenarios import constant_scenario, stopping_put_scenario, two_barrier_scenario
+from rbdsde.scenarios import (
+    constant_scenario,
+    stopping_drift_scenario,
+    stopping_put_scenario,
+    two_barrier_scenario,
+)
 
 
 def _tiny_scenario(**kw):
@@ -97,14 +118,14 @@ class TestObstacleOnGrid:
         grids = obstacle_on_grid(sc, p)
         assert np.all(grids.lower == -10.0)
         assert np.all(grids.xi == 5.0)
-        assert not grids.any_flag
+        assert grids.flag_messages() == []
 
     def test_same_function_matches_terminal_exactly(self):
         sc = stopping_put_scenario(paths=200, steps=6)
         p = generate_paths(sc)
         grids = obstacle_on_grid(sc, p)
         assert np.array_equal(grids.lower[:, -1], grids.xi)
-        assert not grids.any_flag
+        assert grids.flag_messages() == []
 
     def test_crossed_barriers_flag_everywhere(self):
         sc = two_barrier_scenario(paths=30, steps=5)
@@ -116,13 +137,13 @@ class TestObstacleOnGrid:
             ),
         )
         grids = obstacle_on_grid(bad, generate_paths(bad))
-        assert np.all(grids.ordering_bad)
+        assert grids.flag_messages()[-1] == "barrier crossing: L >= U at sampled interior points"
 
     def test_terminal_violation_flagged(self):
         sc = constant_scenario(paths=30, steps=5)
         bad = dataclasses.replace(sc, obstacles=ObstacleSpec(lower=CoefficientSpec.constant(7.0)))
         grids = obstacle_on_grid(bad, generate_paths(bad))
-        assert np.all(grids.lower_terminal_bad)
+        assert grids.flag_messages() == ["S_T <= xi violated on 30 paths"]
 
     def test_dimension_mismatch(self):
         sc = constant_scenario(paths=30, steps=5)
@@ -130,3 +151,79 @@ class TestObstacleOnGrid:
         other = constant_scenario(paths=31, steps=5)
         with pytest.raises(ValueError, match="dimension mismatch"):
             obstacle_on_grid(other, p)
+
+
+def _reference_messages(xi, lower, upper):
+    """The per-path conditions, counted path by path."""
+    msgs = []
+    if lower is not None:
+        bad = sum(lower[k, -1] > xi[k] for k in range(len(xi)))
+        if bad:
+            msgs.append(f"S_T <= xi violated on {bad} paths")
+    if upper is not None:
+        bad = sum(xi[k] > upper[k, -1] for k in range(len(xi)))
+        if bad:
+            msgs.append(f"xi <= U_T violated on {bad} paths")
+    if lower is not None and upper is not None:
+        n = lower.shape[1] - 1
+        if any(lower[k, i] >= upper[k, i] for k in range(len(xi)) for i in range(n)):
+            msgs.append("barrier crossing: L >= U at sampled interior points")
+    return msgs
+
+
+@st.composite
+def _grids(draw):
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 4))
+    # few distinct values, so ties and violations are both common
+    values = st.sampled_from([-1.0, 0.0, 0.5, 1.0])
+    xi = draw(hnp.arrays(float, (m,), elements=values))
+    lower, upper = (draw(st.none() | hnp.arrays(float, (m, n + 1), elements=values))
+                    for _ in range(2))
+    return xi, lower, upper
+
+
+@settings(max_examples=200, deadline=None)
+@given(_grids())
+def test_flag_messages_match_reference(grid):
+    xi, lower, upper = grid
+    assert ObstacleGrid(xi=xi, lower=lower, upper=upper).flag_messages() == \
+        _reference_messages(xi, lower, upper)
+
+
+class TestSolvedGridConsumers:
+    """Post-solve diagnostics read the solver's checked grid."""
+
+    @pytest.fixture(scope="class")
+    def solved(self):
+        sc = stopping_drift_scenario(paths=2000, steps=10)
+        p = generate_paths(sc)
+        sol, _ = solve_reflected(sc, p)
+        return sc, p, sol
+
+    def test_consumers_do_not_evaluate_the_grid(self, solved, monkeypatch):
+        sc, p, sol = solved
+        evaluated = []
+        original = paths_module._eval_on_grid
+
+        def counting(spec, times, w_state):
+            evaluated.append(spec)
+            return original(spec, times, w_state)
+
+        monkeypatch.setattr(paths_module, "_eval_on_grid", counting)
+        skorohod_sup_formula(sol, sc, p)
+        stopping_rule_value(sol, sc, p, FixedRule(index=0))
+        apriori_statistic(sol, sc, p)
+        assert evaluated == []
+
+    def test_ensembles_without_a_lower_grid_raise(self, solved):
+        sc, p, sol = solved
+        unreflected = solve_bdsde(sc, p)
+        hand_built = dataclasses.replace(sol, obstacle_grid=None)
+        for ensemble in (unreflected, hand_built):
+            with pytest.raises(ValueError, match="no lower obstacle"):
+                skorohod_sup_formula(ensemble, sc, p)
+            with pytest.raises(ValueError, match="stopping rules need a lower obstacle"):
+                stopping_rule_value(ensemble, sc, p, FixedRule(index=0))
+        with pytest.raises(ValueError, match="obstacle grid"):
+            apriori_statistic(hand_built, sc, p)
