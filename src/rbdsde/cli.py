@@ -2,9 +2,16 @@
 emission for humans and scripts.
 
 Configs are strict JSON trees (unknown keys are errors, reported with their
-path into the file).  Numeric CSV output uses '.'-decimal, 17 significant
-digits; rerunning a command with the same config and seed reproduces the
-files byte for byte, except for one timestamp field inside summary metadata.
+path into the file).  Every field is read as its JSON type and never
+coerced: integer fields take numbers with an integral value, ``include_dB``
+takes a boolean, ``levels`` a list of numbers, other scalars numbers (not
+NaN), and coefficient params numbers or lists of numbers.  A coefficient's
+params are the arguments of its ``CoefficientSpec`` constructor, and an
+omitted optional param or ``regression`` key takes the library's default.
+
+Numeric CSV output uses '.'-decimal, 17 significant digits; rerunning a
+command with the same config and seed reproduces the files byte for byte,
+except for one timestamp field inside summary metadata.
 
 Exit codes: 0 success / comparison pass, 1 comparison or oracle mismatch,
 2 validation or config failure (including a per-path barrier condition that
@@ -19,7 +26,9 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import inspect
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -30,6 +39,7 @@ from . import diagnostics
 from .bdsde_solver import solve_bdsde
 from .condexp import RegressionConfig
 from .model import (
+    CATALOG_KINDS,
     CoefficientSpec,
     ConfigError,
     Dimensions,
@@ -53,21 +63,6 @@ def _fmt(x: float) -> str:
 # config loading
 
 
-_COEFF_PARAM_KEYS = {
-    "zero": set(),
-    "constant": {"value"},
-    "linear": {"a_y", "a_z", "a_w", "c"},
-    "payoff_put": {"strike"},
-    "payoff_neg_part": set(),
-    "exponential": {"scale"},
-    "clamp": {"lo", "hi"},
-}
-
-
-# what a failed numeric conversion raises; int(inf) and 4.0**1000 overflow
-_CONVERSION_ERRORS = (TypeError, ValueError, OverflowError)
-
-
 def _require_keys(node: dict, allowed: set[str], required: set[str], where: str) -> None:
     if not isinstance(node, dict):
         raise ConfigError(f"{where}: expected an object")
@@ -79,51 +74,71 @@ def _require_keys(node: dict, allowed: set[str], required: set[str], where: str)
             raise ConfigError(f"{where}: missing key {key!r}")
 
 
-def _load_coeff(node, where: str, lip_const=None, alpha=None) -> CoefficientSpec:
+def _integer(value, where: str, key: str) -> int:
+    """A JSON number with an integral value; a bool is not one."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = int(value)
+        except (OverflowError, ValueError) as exc:  # int(inf), int(nan)
+            raise ConfigError(f"{where}: {exc}") from exc
+        if number == value:
+            return number
+    raise ConfigError(f"{where}: {key} must be an integer, got {value!r}")
+
+
+def _number(value, where: str, key: str) -> float:
+    """A JSON number other than NaN; a bool is not one."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError as exc:  # an integer literal beyond the float range
+            raise ConfigError(f"{where}: {exc}") from exc
+        if not math.isnan(number):
+            return number
+    raise ConfigError(f"{where}: {key} must be a number, got {value!r}")
+
+
+def _boolean(value, where: str, key: str) -> bool:
+    if isinstance(value, bool):
+        return value
+    raise ConfigError(f"{where}: {key} must be true or false, got {value!r}")
+
+
+def _build(where: str, constructor, *args, **kwargs):
+    """Call a library constructor on read values; what it raises for a value
+    outside its domain (a list for a scalar, clamp's lo >= hi, 4.0**1000
+    overflowing) is a config error."""
+    try:
+        return constructor(*args, **kwargs)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _load_coeff(node, where: str, extra: tuple[str, ...] = ()) -> CoefficientSpec:
+    """Build a coefficient with its catalog constructor, whose signature
+    names the kind's parameters; ``extra`` keys of the node are numbers that
+    replace the spec's field of that name."""
     if not isinstance(node, dict):
         raise ConfigError(f"{where}: expected an object with 'kind' and 'params'")
-    _require_keys(node, {"kind", "params"}, {"kind"}, where)
+    _require_keys(node, {"kind", "params", *extra}, {"kind"}, where)
     kind = node["kind"]
     if kind == "hook":
         raise ConfigError(f"{where}: kind 'hook' is library-only and cannot be loaded")
-    if kind not in _COEFF_PARAM_KEYS:
+    if kind not in CATALOG_KINDS:
         raise ConfigError(f"{where}: unknown kind {kind!r}")
+    constructor = getattr(CoefficientSpec, kind)
+    parameters = inspect.signature(constructor).parameters
     params = node.get("params", {})
-    _require_keys(params, _COEFF_PARAM_KEYS[kind], set(), f"{where}.params")
-
-    try:
-        if kind == "zero":
-            spec = CoefficientSpec.zero()
-        elif kind == "constant":
-            spec = CoefficientSpec.constant(params.get("value", 0.0))
-        elif kind == "linear":
-            spec = CoefficientSpec.linear(
-                a_y=params.get("a_y", 0.0),
-                a_z=params.get("a_z", ()),
-                a_w=params.get("a_w", 0.0),
-                c=params.get("c", 0.0),
-            )
-        elif kind == "payoff_put":
-            spec = CoefficientSpec.payoff_put(params["strike"])
-        elif kind == "payoff_neg_part":
-            spec = CoefficientSpec.payoff_neg_part()
-        elif kind == "exponential":
-            spec = CoefficientSpec.exponential(params["scale"])
-        else:
-            spec = CoefficientSpec.clamp(params["lo"], params["hi"])
-    except KeyError as exc:
-        raise ConfigError(f"{where}.params: missing {exc.args[0]!r}") from exc
-    except _CONVERSION_ERRORS as exc:
-        raise ConfigError(f"{where}.params: {exc}") from exc
-
-    updates = {}
-    if lip_const is not None:
-        updates["lip_const"] = float(lip_const)
-    if alpha is not None:
-        updates["alpha"] = float(alpha)
-    if updates:
-        spec = replace(spec, **updates)
-    return spec
+    _require_keys(params, set(parameters),
+                  {name for name, p in parameters.items() if p.default is p.empty}, f"{where}.params")
+    args = {
+        key: [_number(v, f"{where}.params", f"{key}[{i}]") for i, v in enumerate(value)]
+        if isinstance(value, list)
+        else _number(value, f"{where}.params", key)
+        for key, value in params.items()
+    }
+    spec = _build(f"{where}.params", constructor, **args)
+    return replace(spec, **{key: _number(node[key], where, key) for key in extra if key in node})
 
 
 @dataclass(frozen=True)
@@ -138,6 +153,9 @@ _TOP_KEYS = {
     "horizon", "steps", "paths", "seed", "dims", "terminal", "driver",
     "noise", "obstacle", "penalty", "regression", "picard_iters",
 }
+
+# the readers of the regression keys; an omitted key takes RegressionConfig's default
+_REGRESSION_KEYS = {"degree_w": _integer, "include_dB": _boolean, "ridge": _number}
 
 
 def load_config(path: str | Path) -> RunSpec:
@@ -154,86 +172,57 @@ def load_config(path: str | Path) -> RunSpec:
 
     dims_node = tree["dims"]
     _require_keys(dims_node, {"d", "l"}, {"d", "l"}, "config.dims")
-
-    driver_node = tree["driver"]
-    _require_keys(driver_node, {"kind", "params", "lip_const"}, {"kind"}, "config.driver")
-    noise_node = tree["noise"]
-    _require_keys(noise_node, {"kind", "params", "alpha"}, {"kind"}, "config.noise")
-
     obstacle_node = tree["obstacle"]
     _require_keys(obstacle_node, {"lower", "upper"}, {"lower", "upper"}, "config.obstacle")
 
-    def load_barrier(node, where):
-        if node == "absent":
-            return None
-        return _load_coeff(node, where)
+    def load_barrier(side):
+        node = obstacle_node[side]
+        return None if node == "absent" else _load_coeff(node, f"config.obstacle.{side}")
 
-    try:
-        grid = TimeGrid(horizon=float(tree["horizon"]), steps=int(tree["steps"]))
-        dims = Dimensions(d=int(dims_node["d"]), l=int(dims_node["l"]))
-        scenario = Scenario(
-            grid=grid,
-            dims=dims,
-            terminal=_load_coeff(tree["terminal"], "config.terminal"),
-            driver=_load_coeff(
-                {"kind": driver_node["kind"], "params": driver_node.get("params", {})},
-                "config.driver",
-                lip_const=driver_node.get("lip_const"),
-            ),
-            noise_coeff=_load_coeff(
-                {"kind": noise_node["kind"], "params": noise_node.get("params", {})},
-                "config.noise",
-                alpha=noise_node.get("alpha", 0.5),
-            ),
-            obstacles=ObstacleSpec(
-                lower=load_barrier(obstacle_node["lower"], "config.obstacle.lower"),
-                upper=load_barrier(obstacle_node["upper"], "config.obstacle.upper"),
-            ),
-            mc_paths=int(tree["paths"]),
-            seed=int(tree["seed"]),
-        )
-    except ConfigError:
-        raise
-    except _CONVERSION_ERRORS as exc:
-        raise ConfigError(f"config: {exc}") from exc
+    grid = _build("config", TimeGrid, horizon=_number(tree["horizon"], "config", "horizon"),
+                  steps=_integer(tree["steps"], "config", "steps"))
+    scenario = _build(
+        "config", Scenario,
+        grid=grid,
+        dims=_build("config", Dimensions, d=_integer(dims_node["d"], "config", "d"),
+                    l=_integer(dims_node["l"], "config", "l")),
+        terminal=_load_coeff(tree["terminal"], "config.terminal"),
+        driver=_load_coeff(tree["driver"], "config.driver", ("lip_const",)),
+        noise_coeff=_load_coeff(tree["noise"], "config.noise", ("alpha",)),
+        obstacles=ObstacleSpec(lower=load_barrier("lower"), upper=load_barrier("upper")),
+        mc_paths=_integer(tree["paths"], "config", "paths"),
+        seed=_integer(tree["seed"], "config", "seed"),
+    )
 
     penalty_node = tree["penalty"]
     _require_keys(penalty_node, {"levels", "geometric", "tol"}, {"tol"}, "config.penalty")
     if ("levels" in penalty_node) == ("geometric" in penalty_node):
         raise ConfigError("config.penalty: give exactly one of 'levels' or 'geometric'")
-    try:
-        if "levels" in penalty_node:
-            schedule = PenaltySchedule(
-                levels=tuple(float(v) for v in penalty_node["levels"]),
-                penetration_tol=float(penalty_node["tol"]),
-            )
-        else:
-            geo = penalty_node["geometric"]
-            _require_keys(geo, {"base", "count"}, {"base", "count"}, "config.penalty.geometric")
-            schedule = PenaltySchedule.geometric(
-                grid.dt, base=float(geo["base"]), count=int(geo["count"]),
-                penetration_tol=float(penalty_node["tol"]),
-            )
-    except ConfigError:
-        raise
-    except _CONVERSION_ERRORS as exc:
-        raise ConfigError(f"config.penalty: {exc}") from exc
+    tol = _number(penalty_node["tol"], "config.penalty", "tol")
+    if "levels" in penalty_node:
+        levels = penalty_node["levels"]
+        if not isinstance(levels, list):
+            raise ConfigError(f"config.penalty: levels must be a list, got {levels!r}")
+        schedule = _build("config.penalty", PenaltySchedule,
+                          levels=tuple(_number(v, "config.penalty", f"levels[{i}]")
+                                       for i, v in enumerate(levels)),
+                          penetration_tol=tol)
+    else:
+        geo = penalty_node["geometric"]
+        _require_keys(geo, {"base", "count"}, {"base", "count"}, "config.penalty.geometric")
+        base = _number(geo["base"], "config.penalty", "base")
+        count = _integer(geo["count"], "config.penalty", "count")
+        # grid.dt overflows too, for a step count beyond the float range
+        schedule = _build("config.penalty", lambda: PenaltySchedule.geometric(
+            grid.dt, base=base, count=count, penetration_tol=tol))
 
     reg_node = tree["regression"]
-    _require_keys(reg_node, {"degree_w", "include_dB", "ridge"}, set(), "config.regression")
-    try:
-        regression = RegressionConfig(
-            degree_w=int(reg_node.get("degree_w", 3)),
-            include_dB=bool(reg_node.get("include_dB", True)),
-            ridge=float(reg_node.get("ridge", 1e-10)),
-        )
-        picard = int(tree["picard_iters"])
-        if picard < 0:
-            raise ValueError("picard_iters must be >= 0")
-    except ConfigError:
-        raise
-    except _CONVERSION_ERRORS as exc:
-        raise ConfigError(f"config: {exc}") from exc
+    _require_keys(reg_node, set(_REGRESSION_KEYS), set(), "config.regression")
+    regression = _build("config", RegressionConfig, **{
+        key: _REGRESSION_KEYS[key](value, "config", key) for key, value in reg_node.items()})
+    picard = _integer(tree["picard_iters"], "config", "picard_iters")
+    if picard < 0:
+        raise ConfigError("config: picard_iters must be >= 0")
 
     return RunSpec(scenario=scenario, regression=regression, schedule=schedule,
                    picard_iters=picard)
@@ -260,8 +249,7 @@ def _solve_for_config(spec: RunSpec, paths):
     """Dispatch on the barrier structure; returns (ensemble, trace or None)."""
     sc = spec.scenario
     if sc.obstacles.has_lower and sc.obstacles.has_upper:
-        return solve_double(sc, paths, spec.regression, spec.picard_iters,
-                            sched_m=spec.schedule, sched_n=spec.schedule)
+        return solve_double(sc, paths, spec.regression, spec.picard_iters, spec.schedule)
     if sc.obstacles.has_lower:
         return solve_reflected(sc, paths, spec.regression, spec.picard_iters,
                                schedule=spec.schedule)

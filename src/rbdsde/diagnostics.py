@@ -93,7 +93,7 @@ class AprioriStatistic:
         return self.lhs / max(self.rhs_data, 1e-12)
 
 
-def apriori_statistic(sol: SolutionEnsemble, s: Scenario, p: NoisePaths) -> AprioriStatistic:
+def apriori_statistic(sol: SolutionEnsemble, s: Scenario) -> AprioriStatistic:
     """Solution energy against the data energy: the bound between them holds
     with an unknown constant, so suites assert ratio stability, not a value.
     The terminal and obstacle data are read from the solver's obstacle grid."""

@@ -118,7 +118,7 @@ class CoefficientSpec:
         return cls(kind="zero")
 
     @classmethod
-    def constant(cls, value) -> "CoefficientSpec":
+    def constant(cls, value=0.0) -> "CoefficientSpec":
         if np.ndim(value) == 0:
             return cls(kind="constant", params=(("value", float(value)),))
         return cls(kind="constant", params=(("value", tuple(float(v) for v in value)),))

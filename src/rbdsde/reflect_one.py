@@ -77,8 +77,7 @@ def solve_reflected(
     """Run the penalty ladder until the penetration statistic reaches the
     schedule tolerance; never aborts on exhaustion, it flags instead."""
     schedule = schedule or PenaltySchedule.geometric(s.grid.dt)
-    return _run_ladder(s, p, cfg or RegressionConfig(), picard_iters, _lower_grid(s, p),
-                       schedule, schedule)
+    return _run_ladder(s, p, cfg or RegressionConfig(), picard_iters, _lower_grid(s, p), schedule)
 
 
 def skorohod_residual(sol: SolutionEnsemble, obstacle: np.ndarray) -> np.ndarray:
@@ -98,7 +97,7 @@ def skorohod_sup_formula(sol: SolutionEnsemble, s: Scenario, p: NoisePaths) -> n
     m, n = s.mc_paths, s.grid.steps
     grids = sol.obstacle_grid
     if grids is None or grids.lower is None:
-        raise ValueError("configuration error: scenario has no lower obstacle")
+        raise ValueError("configuration error: the ensemble's obstacle grid has no lower obstacle")
 
     # step_j = F_{j+1} dt + G_{j+1} . dB_j - Z_j . dW_j, pathwise
     steps = coefficient_steps(sol, s, p, lag=1) - np.einsum("mnd,mnd->mn", sol.Z, p.dW)

@@ -5,10 +5,10 @@ Each backward step of ``bdsde_solver.solve_backward`` solves
 y = a + m_dt*(l - y)^+ - n_dt*(y - u)^+ in closed form (unique by
 monotonicity).  An absent barrier is l = -inf or u = +inf and an infinite
 rate is the projection onto its barrier, so the one-barrier penalized and
-projected schemes are special cases of the same step.  The two penalty
-ladders advance jointly; the iterated limit (inner lower, outer upper) is
-collapsed onto one geometric schedule, which preserves both monotone
-penetration decays.
+projected schemes are special cases of the same step.  The two barriers
+share one penalty ladder; the iterated limit (inner lower, outer upper) is
+collapsed onto one schedule, which preserves both monotone penetration
+decays.
 """
 from __future__ import annotations
 
@@ -53,33 +53,28 @@ def _run_ladder(
     cfg: RegressionConfig,
     picard_iters: int,
     grids: ObstacleGrid,
-    sched_m: PenaltySchedule,
-    sched_n: PenaltySchedule,
+    schedule: PenaltySchedule,
 ) -> tuple[SolutionEnsemble, PenalizationTrace]:
-    """Solve level after level until the penetration of every barrier in
-    ``grids`` reaches its schedule's tolerance.  A shorter ladder clamps at
-    its last level while the longer one keeps growing.  Never aborts on
-    exhaustion, it flags instead."""
-    m_levels = sched_m.levels
-    n_levels = sched_n.levels
+    """Solve level after level, at the same rate for every barrier in
+    ``grids``, until each barrier's penetration reaches the schedule's
+    tolerance.  Never aborts on exhaustion, it flags instead."""
     two = grids.upper is not None
+    tol = schedule.penetration_tol
 
     stats: list[LevelStat] = []
     converged = False
-    for k in range(max(len(m_levels), len(n_levels))):
-        m_level = m_levels[min(k, len(m_levels) - 1)]
-        n_level = n_levels[min(k, len(n_levels) - 1)] if two else None
-        sol = solve_backward(s, p, cfg, picard_iters, grids, m_level, n_level)
+    for level in schedule.levels:
+        n_level = level if two else None
+        sol = solve_backward(s, p, cfg, picard_iters, grids, level, n_level)
         stat = LevelStat(
-            level_lower=m_level, level_upper=n_level,
+            level_lower=level, level_upper=n_level,
             penetration_lower=_penetration(grids.lower - sol.Y),
             penetration_upper=_penetration(sol.Y - grids.upper) if two else 0.0,
             mean_k_plus_T=float(sol.K_plus[:, -1].mean()),
             mean_k_minus_T=float(sol.K_minus[:, -1].mean()),
         )
         stats.append(stat)
-        if (stat.penetration_lower <= sched_m.penetration_tol
-                and stat.penetration_upper <= sched_n.penetration_tol):
+        if stat.penetration_lower <= tol and stat.penetration_upper <= tol:
             converged = True
             break
 
@@ -92,15 +87,14 @@ def solve_double(
     p: NoisePaths,
     cfg: RegressionConfig | None = None,
     picard_iters: int = 2,
-    sched_m: PenaltySchedule | None = None,
-    sched_n: PenaltySchedule | None = None,
+    schedule: PenaltySchedule | None = None,
 ) -> tuple[SolutionEnsemble, PenalizationTrace]:
-    """Advance the lower (m) and upper (n) penalty ladders jointly."""
+    """Run one penalty ladder for both barriers: level k penalizes the lower
+    and the upper barrier at the same rate."""
     if not (s.obstacles.has_lower and s.obstacles.has_upper):
         raise ValueError("configuration error: double reflection needs both barriers")
-    sched_m = sched_m or PenaltySchedule.geometric(s.grid.dt)
-    return _run_ladder(s, p, cfg or RegressionConfig(), picard_iters,
-                       _checked_grid(s, p, s.obstacles), sched_m, sched_n or sched_m)
+    return _run_ladder(s, p, cfg or RegressionConfig(), picard_iters, _checked_grid(s, p, s.obstacles),
+                       schedule or PenaltySchedule.geometric(s.grid.dt))
 
 
 def _flat_off_barrier(high: np.ndarray, low: np.ndarray, k: np.ndarray) -> np.ndarray:

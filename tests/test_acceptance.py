@@ -187,7 +187,7 @@ def test_criterion_8_two_barrier(binding):
     p = generate_paths(sc)
     grids = obstacle_on_grid(sc, p)
     sched = PenaltySchedule.geometric(sc.grid.dt, penetration_tol=1e-12)
-    sol, trace = solve_double(sc, p, OBSTACLE_CFG, sched_m=sched, sched_n=sched)
+    sol, trace = solve_double(sc, p, OBSTACLE_CFG, schedule=sched)
 
     eps = 3.0 * pooled_se(sol)
     band_ok = bool(sol.Y.min() >= -2.0 - eps and sol.Y.max() <= 2.0 + eps)
@@ -208,7 +208,7 @@ def test_criterion_8_two_barrier(binding):
     level = 16.0 / scb.grid.dt
     one = solve_penalized(scb, pb, OBSTACLE_CFG, level=level)
     lone = PenaltySchedule(levels=(level,))
-    two, _ = solve_double(far, pb, OBSTACLE_CFG, sched_m=lone, sched_n=lone)
+    two, _ = solve_double(far, pb, OBSTACLE_CFG, schedule=lone)
     far_gap = float(np.abs(one.Y - two.Y).max())
     far_ok = far_gap <= 3.0 * pooled_se(one, two)
 

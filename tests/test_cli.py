@@ -3,6 +3,7 @@ import copy
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -15,9 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rbdsde
-from rbdsde import bdsde_solver, reflect_one, reflect_two
+from rbdsde import CoefficientSpec, RegressionConfig, bdsde_solver, reflect_one, reflect_two
 from rbdsde import paths as paths_module
 from rbdsde.cli import ConfigError, load_config, main
+from rbdsde.model import CATALOG_KINDS
 
 
 def _base_config(**overrides):
@@ -316,6 +318,27 @@ _INVALID = ("summary.json", {"status": "validation_failed"})
      "underdetermined basis: 168170002 columns but only 200 samples"),
     # about 364 TiB per increment array: the allocation fails at once
     ("run", {"paths": 1e12, "steps": 50}, 2, _INVALID, "validation: Unable to allocate"),
+    # values of the wrong JSON type are rejected, not coerced
+    ("run", {"steps": 2.7}, 2, _INVALID, "validation: config: steps must be an integer, got 2.7"),
+    ("run", {"paths": 4000.9}, 2, _INVALID, "validation: config: paths must be an integer"),
+    ("run", {"seed": True}, 2, _INVALID, "validation: config: seed must be an integer, got True"),
+    ("run", {"steps": "20"}, 2, _INVALID, "validation: config: steps must be an integer, got '20'"),
+    ("run", {"regression": {"include_dB": "false"}}, 2, _INVALID,
+     "validation: config: include_dB must be true or false, got 'false'"),
+    ("run", {"penalty": {"levels": "123", "tol": 1e-4}}, 2, _INVALID,
+     "validation: config.penalty: levels must be a list, got '123'"),
+    ("run", {"terminal": {"kind": "constant", "params": {"value": True}}}, 2, _INVALID,
+     "validation: config.terminal.params: value must be a number, got True"),
+    ("run", {"terminal": {"kind": "constant", "params": {"value": "5"}}}, 2, _INVALID,
+     "validation: config.terminal.params: value must be a number, got '5'"),
+    ("run", {"driver": {"kind": "zero", "params": {}, "lip_const": None}}, 2, _INVALID,
+     "validation: config.driver: lip_const must be a number, got None"),
+    ("run", {"regression": {"ridge": math.nan}}, 2, _INVALID,
+     "validation: config: ridge must be a number, got nan"),
+    ("run", {"penalty": {"geometric": {"base": 4.0, "count": 7}, "tol": math.nan}}, 2, _INVALID,
+     "validation: config.penalty: tol must be a number, got nan"),
+    ("run", {"penalty": {"geometric": {"base": math.nan, "count": 7}, "tol": 1e-4}}, 2, _INVALID,
+     "validation: config.penalty: base must be a number, got nan"),
 ])
 def test_failures_exit_with_contract_code(tmp_path, capsys, command, overrides, code, written, stderr):
     cfg_path = _write(tmp_path, "c.json", _base_config(**overrides))
@@ -327,6 +350,46 @@ def test_failures_exit_with_contract_code(tmp_path, capsys, command, overrides, 
         name, expected = written
         payload = json.loads((out / name).read_text())
         assert {key: payload[key] for key in expected} == expected
+
+
+# Every parameter of each loadable kind, and the ones its constructor requires.
+_FULL_PARAMS = {
+    "zero": {},
+    "constant": {"value": 2.5},
+    "linear": {"a_y": 0.5, "a_z": [0.25], "a_w": 1.5, "c": -1.0},
+    "payoff_put": {"strike": 1.0},
+    "payoff_neg_part": {},
+    "exponential": {"scale": 0.5},
+    "clamp": {"lo": -1.0, "hi": 1.0},
+}
+_REQUIRED_PARAMS = {"payoff_put": {"strike"}, "exponential": {"scale"}, "clamp": {"lo", "hi"}}
+
+
+@pytest.mark.parametrize("kind", [kind for kind in CATALOG_KINDS if kind != "hook"])
+@pytest.mark.parametrize("given", ["all", "required"])
+def test_coefficients_load_as_their_constructor_builds_them(tmp_path, kind, given):
+    params = _FULL_PARAMS[kind]
+    if given == "required":
+        params = {key: v for key, v in params.items() if key in _REQUIRED_PARAMS.get(kind, set())}
+    cfg = _base_config(driver={"kind": kind, "params": params})
+    spec = load_config(_write(tmp_path, "c.json", cfg))
+    assert spec.scenario.driver == getattr(CoefficientSpec, kind)(**params)
+
+
+def test_omitted_regression_keys_take_the_library_defaults(tmp_path):
+    spec = load_config(_write(tmp_path, "c.json", _base_config(regression={})))
+    assert spec.regression == RegressionConfig()
+
+
+def test_readme_config_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
+    assert len(blocks) == 1
+    path = tmp_path / "readme.json"
+    path.write_text(blocks[0])
+    spec = load_config(path)
+    assert spec.scenario.mc_paths == 20000
+    assert spec.regression == RegressionConfig(degree_w=5, include_dB=False, ridge=1e-10)
 
 
 def test_compare_checks_both_configs_before_solving(tmp_path, capsys, monkeypatch):

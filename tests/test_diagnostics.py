@@ -90,7 +90,7 @@ class TestAprioriStatistic:
         )
         p = generate_paths(sc)
         sol = solve_projected(sc, p, fast_cfg)
-        stat = apriori_statistic(sol, sc, p)
+        stat = apriori_statistic(sol, sc)
         se_sq = regression_se(sol) ** 2
         assert stat.lhs <= 10.0 * se_sq + 1e-10
         assert stat.rhs_data == pytest.approx(0.0, abs=1e-12)
@@ -99,7 +99,7 @@ class TestAprioriStatistic:
         sc = constant_scenario(paths=3000, steps=20)
         p = generate_paths(sc)
         sol = solve_projected(sc, p, fast_cfg)
-        stat = apriori_statistic(sol, sc, p)
+        stat = apriori_statistic(sol, sc)
         assert stat.lhs == pytest.approx(25.0, rel=1e-6)
         assert stat.rhs_data == pytest.approx(25.0, rel=1e-6)
 
@@ -114,15 +114,15 @@ class TestAprioriStatistic:
                 sol = solve_projected(sc, p, fast_cfg if sc.noise_coeff.kind == "zero" else None)
             else:
                 sol = solve_bdsde(sc, p)
-            ratios.append(apriori_statistic(sol, sc, p).ratio)
+            ratios.append(apriori_statistic(sol, sc).ratio)
         assert max(ratios) / min(ratios) <= 50.0
         assert 0.5 <= min(ratios) and max(ratios) <= 4.0
 
     def test_pure_function(self, binding_problem, fast_cfg):
         sc, p = binding_problem
         sol = solve_projected(sc, p, fast_cfg)
-        a = apriori_statistic(sol, sc, p)
-        b = apriori_statistic(sol, sc, p)
+        a = apriori_statistic(sol, sc)
+        b = apriori_statistic(sol, sc)
         assert a == b
 
 

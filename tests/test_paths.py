@@ -213,7 +213,7 @@ class TestSolvedGridConsumers:
         monkeypatch.setattr(paths_module, "_eval_on_grid", counting)
         skorohod_sup_formula(sol, sc, p)
         stopping_rule_value(sol, sc, p, FixedRule(index=0))
-        apriori_statistic(sol, sc, p)
+        apriori_statistic(sol, sc)
         assert evaluated == []
 
     def test_ensembles_without_a_lower_grid_raise(self, solved):
@@ -221,9 +221,9 @@ class TestSolvedGridConsumers:
         unreflected = solve_bdsde(sc, p)
         hand_built = dataclasses.replace(sol, obstacle_grid=None)
         for ensemble in (unreflected, hand_built):
-            with pytest.raises(ValueError, match="no lower obstacle"):
+            with pytest.raises(ValueError, match="obstacle grid has no lower obstacle"):
                 skorohod_sup_formula(ensemble, sc, p)
             with pytest.raises(ValueError, match="stopping rules need a lower obstacle"):
                 stopping_rule_value(ensemble, sc, p, FixedRule(index=0))
         with pytest.raises(ValueError, match="obstacle grid"):
-            apriori_statistic(hand_built, sc, p)
+            apriori_statistic(hand_built, sc)

@@ -163,7 +163,7 @@ class TestSolveDouble:
         level = 16.0 / sc.grid.dt
         one = solve_penalized(sc, p, fast_cfg, level=level)
         sched = PenaltySchedule(levels=(level,))
-        two, _ = solve_double(both, p, fast_cfg, sched_m=sched, sched_n=sched)
+        two, _ = solve_double(both, p, fast_cfg, schedule=sched)
         assert np.array_equal(one.Y, two.Y)
         assert np.array_equal(one.K_plus, two.K_plus)
         assert np.all(two.K_minus == 0.0)
@@ -172,7 +172,7 @@ class TestSolveDouble:
         sc = two_barrier_scenario(paths=5000, steps=25)
         p = generate_paths(sc)
         sched = PenaltySchedule.geometric(sc.grid.dt, penetration_tol=1e-12)
-        sol, trace = solve_double(sc, p, fast_cfg, sched_m=sched, sched_n=sched)
+        sol, trace = solve_double(sc, p, fast_cfg, schedule=sched)
         eps = 3.0 * pooled_se(sol)
         assert sol.Y.min() >= -2.0 - eps
         assert sol.Y.max() <= 2.0 + eps
@@ -206,7 +206,7 @@ class TestSolveDouble:
         sc = two_barrier_scenario(paths=5000, steps=25, drift=2.0)
         p = generate_paths(sc)
         sched = PenaltySchedule.geometric(sc.grid.dt, count=5, penetration_tol=1e-14)
-        sol, trace = solve_double(sc, p, fast_cfg, sched_m=sched, sched_n=sched)
+        sol, trace = solve_double(sc, p, fast_cfg, schedule=sched)
         uppers = [s.penetration_upper for s in trace.levels]
         assert len(uppers) == 5
         assert all(b < a for a, b in zip(uppers, uppers[1:]))
@@ -222,23 +222,13 @@ class TestSolveDouble:
         with pytest.raises(ValueError, match="barrier crossing"):
             solve_double(bad, p)
 
-    def test_mismatched_schedule_lengths_clamp(self, fast_cfg):
-        sc = two_barrier_scenario(paths=3000, steps=10, drift=2.0)
-        p = generate_paths(sc)
-        sched_m = PenaltySchedule(levels=(10.0,), penetration_tol=1e-14)
-        sched_n = PenaltySchedule(levels=(10.0, 40.0, 160.0), penetration_tol=1e-14)
-        sol, trace = solve_double(sc, p, fast_cfg, sched_m=sched_m, sched_n=sched_n)
-        assert len(trace.levels) == 3
-        assert trace.levels[-1].level_lower == 10.0
-        assert trace.levels[-1].level_upper == 160.0
-
     def test_continuity_statistic_shrinks_with_dt(self, fast_cfg):
         stats = {}
         for steps in (50, 100):
             sc = two_barrier_scenario(paths=5000, steps=steps, drift=2.0)
             p = generate_paths(sc)
             sched = PenaltySchedule.geometric(sc.grid.dt, penetration_tol=1e-8)
-            sol, _ = solve_double(sc, p, fast_cfg, sched_m=sched, sched_n=sched)
+            sol, _ = solve_double(sc, p, fast_cfg, schedule=sched)
             stats[steps] = np.median(np.max(np.abs(np.diff(sol.Y, axis=1)), axis=1))
         ratio = stats[50] / stats[100]
         assert 1.15 <= ratio <= 1.6
@@ -267,7 +257,7 @@ class TestDoubleSkorohodResiduals:
         p = generate_paths(sc)
         grids = obstacle_on_grid(sc, p)
         sched = PenaltySchedule.geometric(sc.grid.dt, penetration_tol=1e-12)
-        sol, _ = solve_double(sc, p, fast_cfg, sched_m=sched, sched_n=sched)
+        sol, _ = solve_double(sc, p, fast_cfg, schedule=sched)
         lres, ures = double_skorohod_residuals(sol, grids.lower, grids.upper)
         assert abs(lres.mean()) <= max(5.0 * sc.grid.dt * sol.K_plus[:, -1].mean(), 1e-10)
         assert abs(ures.mean()) <= max(5.0 * sc.grid.dt * sol.K_minus[:, -1].mean(), 1e-10)
