@@ -235,8 +235,6 @@ def solve_backward(
         picard_iters=picard_iters,
         regression=cfg,
         residual_rms=residual_rms,
-        penalty_lower=m_level,
-        penalty_upper=n_level,
     )
     return SolutionEnsemble(Y=y_all, Z=z_all, K_plus=k_plus, K_minus=k_minus, meta=meta,
                             obstacle_grid=grids)

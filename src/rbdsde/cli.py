@@ -15,11 +15,12 @@ except for one timestamp field inside summary metadata.
 
 Exit codes: 0 success / comparison pass, 1 comparison or oracle mismatch,
 2 validation or config failure (including a per-path barrier condition that
-fails on the drawn paths, a solver that overflows to non-finite values, and
-a problem whose arrays cannot be allocated), 3 schedule exhausted without
-convergence, 4 oracle unsupported for the given scenario.  Every exit-2 case
-prints one ``validation:`` line per message to stderr; ``run`` also writes a
-``validation_failed`` summary.
+fails on the drawn paths, a solver that overflows to non-finite values, a
+problem whose arrays cannot be allocated, and ``convergence
+--grid-refinement`` on a step count not divisible by 4), 3 schedule
+exhausted without convergence, 4 oracle unsupported for the given scenario.
+Every exit-2 case prints one ``validation:`` line per message to stderr;
+``run`` also writes a ``validation_failed`` summary.
 """
 from __future__ import annotations
 
@@ -50,7 +51,7 @@ from .model import (
     validate_scenario,
 )
 from .oracles import dp_stopping_value, lattice_scope_problem
-from .paths import NoisePaths, generate_paths, obstacle_on_grid
+from .paths import NoisePaths, coarsen, generate_paths, obstacle_on_grid
 from .reflect_one import skorohod_residual, solve_reflected
 from .reflect_two import double_skorohod_residuals, solve_double
 
@@ -403,6 +404,8 @@ def cmd_convergence(config_path: str, out: Path, grid_refinement: bool = False) 
     sc = spec.scenario
     if not sc.obstacles.has_lower:
         raise ConfigError("convergence study needs an obstacle")
+    if grid_refinement and sc.grid.steps % 4:
+        raise ConfigError(f"grid refinement needs a step count divisible by 4, got {sc.grid.steps}")
     paths = _prepare(spec)
 
     rows: list[list[str]] = []
@@ -415,15 +418,11 @@ def cmd_convergence(config_path: str, out: Path, grid_refinement: bool = False) 
     rows[-1][4] = _fmt(sol.Y[:, 0].mean())
 
     if grid_refinement:
-        for divisor in (4, 2, 1):
-            steps = max(1, sc.grid.steps // divisor)
-            sub = replace(sc, grid=TimeGrid(horizon=sc.grid.horizon, steps=steps))
-            sub_spec = RunSpec(sub, spec.regression,
-                               PenaltySchedule.geometric(sub.grid.dt,
-                                                         penetration_tol=spec.schedule.penetration_tol),
-                               spec.picard_iters)
-            sub_paths = generate_paths(sub)
-            sub_sol, _ = _solve_for_config(sub_spec, sub_paths)
+        # every grid sees the run's noise (its paths summed over k steps) and its ladder
+        for k in (4, 2, 1):
+            steps = sc.grid.steps // k
+            coarse = replace(spec, scenario=replace(sc, grid=replace(sc.grid, steps=steps)))
+            sub_sol = sol if k == 1 else _solve_for_config(coarse, coarsen(paths, k))[0]
             max_step = np.max(np.abs(np.diff(sub_sol.Y, axis=1)), axis=1)
             rows.append(["grid", str(steps), "", "", _fmt(sub_sol.Y[:, 0].mean()),
                          _fmt(sub_sol.K_plus[:, -1].mean()), _fmt(sub_sol.K_minus[:, -1].mean()),

@@ -29,8 +29,8 @@ class RegressionConfig:
     def __post_init__(self):
         if self.degree_w < 0:
             raise ValueError("degree_w must be >= 0")
-        if self.ridge < 0:
-            raise ValueError("ridge must be >= 0")
+        if not 0 <= self.ridge < math.inf:
+            raise ValueError(f"ridge must be >= 0 and finite, got {self.ridge!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,7 +39,6 @@ class RegressionFit:
 
     coefficients: np.ndarray      # (B,) or (B, k) for stacked targets
     residual_norm: np.ndarray     # l2 residual per target column
-    ridge: float = 0.0            # regulariser the fit was computed with
 
 
 # Barrier-shape columns close the design of a step with a non-constant
@@ -187,8 +186,8 @@ def condexp_fit_eval(
         raise ValueError("targets and basis must share the sample dimension")
     if b > m:
         raise ValueError(f"underdetermined basis: {b} columns but only {m} samples")
-    if ridge < 0:
-        raise ValueError("ridge must be >= 0")
+    if not 0 <= ridge < math.inf:
+        raise ValueError(f"ridge must be >= 0 and finite, got {ridge!r}")
 
     gram = basis.T @ basis
     gram[np.diag_indices(b)] += ridge
@@ -220,6 +219,5 @@ def condexp_fit_eval(
     fit = RegressionFit(
         coefficients=beta[:, 0] if squeeze else beta,
         residual_norm=residual_norm,
-        ridge=ridge,
     )
     return (fitted[:, 0] if squeeze else fitted), fit

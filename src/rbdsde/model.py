@@ -103,13 +103,11 @@ class CoefficientSpec:
         if self.kind == "hook" and self.fn is None:
             raise ValueError("hook coefficients need a callable")
 
-    def param(self, name: str, default=None):
+    def param(self, name: str):
         for key, value in self.params:
             if key == name:
                 return value
-        if default is None:
-            raise KeyError(f"{self.kind} coefficient has no parameter {name!r}")
-        return default
+        raise KeyError(f"{self.kind} coefficient has no parameter {name!r}")
 
     # -- catalog constructors -------------------------------------------------
 
@@ -274,8 +272,6 @@ class SolveMeta:
     picard_iters: int
     regression: RegressionConfig
     residual_rms: np.ndarray
-    penalty_lower: float | None = None
-    penalty_upper: float | None = None
     converged: bool | None = None
 
 
@@ -298,10 +294,6 @@ class SolutionEnsemble:
             raise ValueError("Z shape inconsistent with Y")
         if self.K_plus.shape != (m, n_plus_1) or self.K_minus.shape != (m, n_plus_1):
             raise ValueError("K arrays must match Y's shape")
-
-    @property
-    def n_steps(self) -> int:
-        return self.Y.shape[1] - 1
 
 
 @dataclass(frozen=True)

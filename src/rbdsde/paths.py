@@ -48,10 +48,6 @@ class NoisePaths:
     def n_paths(self) -> int:
         return self.dW.shape[0]
 
-    @property
-    def n_steps(self) -> int:
-        return self.dW.shape[1]
-
 
 def _cumulative(increments: np.ndarray) -> np.ndarray:
     m, n, k = increments.shape
@@ -93,6 +89,17 @@ def generate_paths(s: Scenario) -> NoisePaths:
             fill(b)
 
     return NoisePaths(dW=dW, dB=dB, W_state=_cumulative(dW), B_state=_cumulative(dB), seed=s.seed)
+
+
+def coarsen(p: NoisePaths, k: int) -> NoisePaths:
+    """The same Brownian paths on a grid k times coarser: each block of k
+    consecutive increments is summed, which is exact for Brownian motion."""
+    m, n, _ = p.dW.shape
+    if k < 1 or n % k:
+        raise ValueError(f"coarsening factor {k} does not divide {n} steps")
+    dW = p.dW.reshape(m, n // k, k, -1).sum(axis=2)
+    dB = p.dB.reshape(m, n // k, k, -1).sum(axis=2)
+    return NoisePaths(dW=dW, dB=dB, W_state=_cumulative(dW), B_state=_cumulative(dB), seed=p.seed)
 
 
 @dataclass(frozen=True, eq=False)

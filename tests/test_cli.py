@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import rbdsde
 from rbdsde import CoefficientSpec, RegressionConfig, bdsde_solver, reflect_one, reflect_two
+from rbdsde import cli
 from rbdsde import paths as paths_module
 from rbdsde.cli import ConfigError, load_config, main
 from rbdsde.model import CATALOG_KINDS
@@ -228,7 +229,7 @@ class TestConvergenceCommand:
         assert rows[1].split(",")[2] == "0"  # penetration exactly zero
 
     def test_grid_refinement_rows(self, tmp_path):
-        cfg = TestCompareCommand._stopping()
+        cfg = TestCompareCommand._stopping(steps=24)
         cfg_path = _write(tmp_path, "c.json", cfg)
         out = tmp_path / "o"
         assert main(["convergence", cfg_path, "--out", str(out), "--grid-refinement"]) == 0
@@ -241,6 +242,51 @@ class TestConvergenceCommand:
         # continuity statistic shrinks as the grid refines
         stats = [float(r[7]) for r in grid_rows]
         assert stats[0] > stats[1] > stats[2]
+
+    def test_grid_refinement_solves_the_run_paths_on_its_ladder(self, tmp_path, monkeypatch):
+        draws, ladders = [], []
+        generate, solve = cli.generate_paths, cli.solve_reflected
+
+        def counted_generate(*args, **kwargs):
+            draws.append(args)
+            return generate(*args, **kwargs)
+
+        def recorded_solve(*args, **kwargs):
+            ladders.append(kwargs["schedule"])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "generate_paths", counted_generate)
+        monkeypatch.setattr(cli, "solve_reflected", recorded_solve)
+        cfg = TestCompareCommand._stopping(steps=24, paths=2000)
+        cfg["penalty"] = {"levels": [10.0, 1000.0, 100000.0], "tol": 1e-9}
+        cfg_path = _write(tmp_path, "c.json", cfg)
+        out = tmp_path / "o"
+        assert main(["convergence", cfg_path, "--out", str(out), "--grid-refinement"]) in (0, 3)
+        rows = [r.split(",") for r in (out / "convergence.csv").read_text().splitlines()[1:]]
+
+        assert len(draws) == 1
+        assert len(ladders) == 3
+        assert all(s.levels == (10.0, 1000.0, 100000.0) for s in ladders)
+        last_penalty = [r for r in rows if r[0] == "penalty"][-1]
+        (finest,) = [r for r in rows if r[:2] == ["grid", "24"]]
+        assert finest[4:6] == last_penalty[4:6]
+
+    def test_grid_refinement_rejects_steps_not_divisible_by_4(self, tmp_path, capsys, monkeypatch):
+        sweeps = []
+        sweep = bdsde_solver.solve_backward
+
+        def counted(*args, **kwargs):
+            sweeps.append(args)
+            return sweep(*args, **kwargs)
+
+        for module in (bdsde_solver, reflect_one, reflect_two):
+            monkeypatch.setattr(module, "solve_backward", counted)
+        cfg_path = _write(tmp_path, "c.json", TestCompareCommand._stopping(steps=25))
+        out = tmp_path / "o"
+        assert main(["convergence", cfg_path, "--out", str(out), "--grid-refinement"]) == 2
+        assert "validation: grid refinement needs a step count divisible by 4" in capsys.readouterr().err
+        assert not (out / "convergence.csv").exists()
+        assert sweeps == []
 
     def test_requires_obstacle(self, tmp_path):
         cfg = _base_config(obstacle={"lower": "absent", "upper": "absent"})
@@ -335,6 +381,7 @@ _INVALID = ("summary.json", {"status": "validation_failed"})
      "validation: config.driver: lip_const must be a number, got None"),
     ("run", {"regression": {"ridge": math.nan}}, 2, _INVALID,
      "validation: config: ridge must be a number, got nan"),
+    ("run", {"regression": {"ridge": math.inf}}, 2, _INVALID, "ridge must be"),
     ("run", {"penalty": {"geometric": {"base": 4.0, "count": 7}, "tol": math.nan}}, 2, _INVALID,
      "validation: config.penalty: tol must be a number, got nan"),
     ("run", {"penalty": {"geometric": {"base": math.nan, "count": 7}, "tol": 1e-4}}, 2, _INVALID,

@@ -277,3 +277,11 @@ class TestFitEval:
         assert fit.coefficients.shape == (2, 3)
         single, _ = condexp_fit_eval(targets[:, 1], basis)
         assert np.allclose(stacked[:, 1], single, atol=1e-13)
+
+
+@pytest.mark.parametrize("ridge", [math.inf, math.nan])
+def test_ridge_outside_zero_to_inf_is_rejected(ridge):
+    with pytest.raises(ValueError, match="ridge must be"):
+        RegressionConfig(ridge=ridge)
+    with pytest.raises(ValueError, match="ridge must be"):
+        condexp_fit_eval(np.ones(10), np.ones((10, 1)), ridge=ridge)

@@ -22,8 +22,9 @@ from rbdsde import (
 )
 from rbdsde import paths as paths_module
 from rbdsde.oracles import FixedRule
-from rbdsde.paths import worker_count
+from rbdsde.paths import coarsen, worker_count
 from rbdsde.scenarios import (
+    constant_g_scenario,
     constant_scenario,
     stopping_drift_scenario,
     stopping_put_scenario,
@@ -108,6 +109,41 @@ class TestGeneratePaths:
                 p = generate_paths(constant_scenario(paths=m, steps=2))
                 assert np.array_equal(p.dW, full.dW[:m]), (threads, m)
                 assert np.array_equal(p.dB, full.dB[:m]), (threads, m)
+
+
+class TestCoarsen:
+
+    @pytest.fixture(scope="class")
+    def fine(self):
+        return generate_paths(constant_scenario(paths=300, steps=12, seed=3))
+
+    def test_factor_one_is_bit_identical(self, fine):
+        same = coarsen(fine, 1)
+        for name in ("dW", "dB", "W_state", "B_state"):
+            assert np.array_equal(getattr(same, name), getattr(fine, name)), name
+        assert same.seed == fine.seed
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 6, 12])
+    def test_coarse_states_are_every_kth_fine_state(self, fine, k):
+        coarse = coarsen(fine, k)
+        assert coarse.dW.shape == (300, 12 // k, 1)
+        assert np.max(np.abs(coarse.B_state[:, -1] - fine.B_state[:, -1])) <= 1e-12
+        assert np.max(np.abs(coarse.W_state - fine.W_state[:, ::k])) <= 1e-12
+        assert np.max(np.abs(coarse.B_state - fine.B_state[:, ::k])) <= 1e-12
+
+    @pytest.mark.parametrize("k", [0, 5, 7, 24])
+    def test_factor_not_dividing_the_steps_raises(self, fine, k):
+        with pytest.raises(ValueError, match="does not divide"):
+            coarsen(fine, k)
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_constant_g_is_exact_on_every_coarsening(self, k):
+        # Y_0 = 0.3 B_T on any grid, so the coarse solves differ by rounding only
+        sc = constant_g_scenario(paths=2000, steps=24)
+        p = generate_paths(sc)
+        coarse = dataclasses.replace(sc, grid=dataclasses.replace(sc.grid, steps=24 // k))
+        sol = solve_bdsde(coarse, coarsen(p, k))
+        assert np.max(np.abs(sol.Y[:, 0] - 0.3 * p.B_state[:, -1, 0])) <= 1e-8
 
 
 class TestObstacleOnGrid:
