@@ -381,11 +381,11 @@ _INVALID = ("summary.json", {"status": "validation_failed"})
      "validation: config.driver: lip_const must be a number, got None"),
     ("run", {"regression": {"ridge": math.nan}}, 2, _INVALID,
      "validation: config: ridge must be a number, got nan"),
-    ("run", {"regression": {"ridge": math.inf}}, 2, _INVALID, "ridge must be"),
     ("run", {"penalty": {"geometric": {"base": 4.0, "count": 7}, "tol": math.nan}}, 2, _INVALID,
      "validation: config.penalty: tol must be a number, got nan"),
     ("run", {"penalty": {"geometric": {"base": math.nan, "count": 7}, "tol": 1e-4}}, 2, _INVALID,
      "validation: config.penalty: base must be a number, got nan"),
+    ("run", {"regression": {"ridge": math.inf}}, 2, _INVALID, "ridge must be"),
 ])
 def test_failures_exit_with_contract_code(tmp_path, capsys, command, overrides, code, written, stderr):
     cfg_path = _write(tmp_path, "c.json", _base_config(**overrides))
