@@ -3,7 +3,14 @@ equations with zero, one, or two reflecting barriers, plus the executable
 structural checks that come with them."""
 
 from .bdsde_solver import implicit_double_step, solve_bdsde
-from .condexp import RegressionConfig, RegressionFit, basis_labels, build_basis, condexp_fit_eval
+from .condexp import (
+    Design,
+    RegressionConfig,
+    RegressionFit,
+    basis_labels,
+    build_basis,
+    condexp_fit_eval,
+)
 from .diagnostics import (
     apriori_statistic,
     check_comparison,
@@ -50,6 +57,7 @@ from .reflect_two import (
 
 __all__ = [
     "CoefficientSpec",
+    "Design",
     "Dimensions",
     "FixedRule",
     "HittingRule",

@@ -32,7 +32,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .condexp import RegressionConfig, build_basis, condexp_fit_eval
+from .condexp import Design, RegressionConfig, build_basis, condexp_fit_eval
 from .model import ObstacleSpec, Scenario, SolutionEnsemble, SolveMeta
 from .paths import NoisePaths, ObstacleGrid, obstacle_on_grid
 
@@ -69,7 +69,7 @@ def implicit_double_step(a, l_val, u_val, m_dt, n_dt):
     u_arr = np.asarray(u_val, dtype=float)
     has_lower = not (l_arr.ndim == 0 and l_arr == -np.inf)
     has_upper = not (u_arr.ndim == 0 and u_arr == np.inf)
-    # an absent side cannot cross; skipping the test spares a strided grid pass
+    # an absent side cannot cross, so only two barriers are tested
     if has_lower and has_upper and np.any(l_arr >= u_arr):
         raise ValueError("barrier crossing: l_val >= u_val")
     if np.any(np.asarray(m_dt) < 0) or np.any(np.asarray(n_dt) < 0):
@@ -112,18 +112,19 @@ def _noise_matrix(spec, t, w, y, z, l: int) -> np.ndarray:
 def coefficient_steps(sol: SolutionEnsemble, s: Scenario, p: NoisePaths, lag: int) -> np.ndarray:
     """F dt + G . dB_j for each path and step j, with the driver F and the
     noise coefficient G re-evaluated along the solution at grid index
-    j + lag (0 or 1); Z after the last step is taken as zero.  Returns M x N."""
+    j + lag (0 or 1); Z after the last step is taken as zero.  Returns M x N,
+    a view of N contiguous step rows."""
     m, n = s.mc_paths, s.grid.steps
     times = s.grid.times
-    steps = np.empty((m, n))
+    steps = np.empty((n, m))
     for j in range(n):
         k = j + lag
         y, w = sol.Y[:, k], p.W_state[:, k, :]
         z = sol.Z[:, k, :] if k < n else np.zeros((m, s.dims.d))
         f = s.driver.evaluate(times[k], w, y, z)
         g = _noise_matrix(s.noise_coeff, times[k], w, y, z, s.dims.l)
-        steps[:, j] = f * s.grid.dt + np.einsum("ml,ml->m", g, p.dB[:, j, :])
-    return steps
+        steps[j] = f * s.grid.dt + np.einsum("ml,ml->m", g, p.dB[:, j, :])
+    return steps.T
 
 
 def solve_backward(
@@ -139,7 +140,11 @@ def solve_backward(
     the lower (m) and upper (n) penalty levels per unit time; a level of None
     is the infinite rate, the projection.  With no barrier in ``grids`` the
     sweep solves the unreflected equation.  Non-constant barriers add their
-    shape columns to the design."""
+    shape columns to the design.
+
+    The sweep stores Y, Z and K time first, one contiguous row per grid
+    time, and returns them as (M, ...) views.  Each step's design is
+    factored once and serves its three fits."""
     m, n = s.mc_paths, s.grid.steps
     d, l = s.dims.d, s.dims.l
     if p.dW.shape != (m, n, d) or p.dB.shape != (m, n, l):
@@ -150,52 +155,51 @@ def solve_backward(
     m_dt = np.inf if m_level is None else m_level * dt
     n_dt = np.inf if n_level is None else n_level * dt
 
-    y_all = np.empty((m, n + 1))
-    z_all = np.zeros((m, n, d))
-    # the pushes of step i go to column i + 1 and are summed into K in place
-    k_plus = np.zeros((m, n + 1))
-    k_minus = np.zeros((m, n + 1))
+    y_all = np.empty((n + 1, m))
+    z_all = np.zeros((n, m, d))
+    # the pushes of step i go to row i + 1 and are summed into K in place
+    k_plus = np.zeros((n + 1, m))
+    k_minus = np.zeros((n + 1, m))
     residual_rms = np.zeros((n, 2 + d))
 
-    y_all[:, n] = grids.xi
+    y_all[n] = grids.xi
     b_terminal = p.B_state[:, n, :]
 
-    shaped = [values for spec, values in ((s.obstacles.lower, grids.lower),
-                                          (s.obstacles.upper, grids.upper))
-              if values is not None and spec.kind not in ("zero", "constant")]
+    shaped = [getattr(grids, side) for side in s.obstacles.shaped_sides()
+              if getattr(grids, side) is not None]
     basis_size = None
     for i in range(n - 1, -1, -1):
         t_next = times[i + 1]
         w_next = p.W_state[:, i + 1, :]
-        y_next = y_all[:, i + 1]
-        z_next = z_all[:, i + 1, :] if i + 1 < n else np.zeros((m, d))
+        y_next = y_all[i + 1]
+        z_next = z_all[i + 1] if i + 1 < n else np.zeros((m, d))
+        d_w, d_b = p.dW[:, i, :], p.dB[:, i, :]
 
         f_next = s.driver.evaluate(t_next, w_next, y_next, z_next)
         g_next = _noise_matrix(s.noise_coeff, t_next, w_next, y_next, z_next, l)
-        continuation_target = y_next + np.einsum("ml,ml->m", g_next, p.dB[:, i, :])
+        continuation_target = y_next + np.einsum("ml,ml->m", g_next, d_b)
 
         w_now = p.W_state[:, i, :]
         remaining_db = b_terminal - p.B_state[:, i, :]
-        basis = build_basis(cfg, w_now, remaining_db, [values[:, i] for values in shaped])
-        basis_size = basis.shape[1]
+        design = Design(build_basis(cfg, w_now, remaining_db, [values[:, i] for values in shaped]),
+                        cfg.ridge)
+        basis_size = design.shape[1]
 
         # Stage 1: rough continuation fit, reused as a centring control for
         # the gradient targets and to seed the drift refinement.
-        rough, rough_fit = condexp_fit_eval(
-            np.column_stack([continuation_target, f_next]),
-            basis, ridge=cfg.ridge,
-        )
+        rough, rough_fit = condexp_fit_eval(np.column_stack([continuation_target, f_next]), design)
 
         # Stage 2: Z from the centred increments; centring removes the
         # conditional mean, which otherwise dominates the target variance.
-        z_targets = (continuation_target - rough[:, 0])[:, None] * p.dW[:, i, :]
-        z_fitted, z_fit = condexp_fit_eval(z_targets, basis, ridge=cfg.ridge)
-        z_all[:, i, :] = z_fitted / dt
+        z_targets = (continuation_target - rough[:, 0])[:, None] * d_w
+        z_fitted, z_fit = condexp_fit_eval(z_targets, design)
+        z_now = z_all[i]
+        np.divide(z_fitted, dt, out=z_now)
 
         # Stage 3: final continuation with the martingale part Z.dW taken
         # out of the target (zero conditional mean, most of the variance).
-        controlled = continuation_target - np.einsum("md,md->m", z_all[:, i, :], p.dW[:, i, :])
-        continuation, cont_fit = condexp_fit_eval(controlled, basis, ridge=cfg.ridge)
+        controlled = continuation_target - np.einsum("md,md->m", z_now, d_w)
+        continuation, cont_fit = condexp_fit_eval(controlled, design)
 
         residual_rms[i, 0] = cont_fit.residual_norm[0] / np.sqrt(m)
         residual_rms[i, 1] = rough_fit.residual_norm[1] / np.sqrt(m)
@@ -203,23 +207,17 @@ def solve_backward(
 
         y_val = continuation + rough[:, 1] * dt
         for _ in range(picard_iters):
-            y_val = continuation + s.driver.evaluate(times[i], w_now, y_val, z_all[:, i, :]) * dt
+            y_val = continuation + s.driver.evaluate(times[i], w_now, y_val, z_now) * dt
 
         lower = -np.inf if grids.lower is None else grids.lower[:, i]
         upper = np.inf if grids.upper is None else grids.upper[:, i]
-        y_val, dk_plus, dk_minus = implicit_double_step(y_val, lower, upper, m_dt, n_dt)
-        # an absent side pushes nothing; skipping its strided column write saves a pass
-        if grids.lower is not None:
-            k_plus[:, i + 1] = dk_plus
-        if grids.upper is not None:
-            k_minus[:, i + 1] = dk_minus
-        y_all[:, i] = y_val
-
-        if not np.all(np.isfinite(y_val)):
+        y_all[i], k_plus[i + 1], k_minus[i + 1] = implicit_double_step(y_val, lower, upper,
+                                                                       m_dt, n_dt)
+        if not np.all(np.isfinite(y_all[i])):
             raise NonFiniteError(f"solver produced non-finite values at step {i}")
 
-    np.cumsum(k_plus, axis=1, out=k_plus)
-    np.cumsum(k_minus, axis=1, out=k_minus)
+    np.cumsum(k_plus, axis=0, out=k_plus)
+    np.cumsum(k_minus, axis=0, out=k_minus)
 
     if grids.lower is None and grids.upper is None:
         scheme = "plain"
@@ -236,8 +234,8 @@ def solve_backward(
         regression=cfg,
         residual_rms=residual_rms,
     )
-    return SolutionEnsemble(Y=y_all, Z=z_all, K_plus=k_plus, K_minus=k_minus, meta=meta,
-                            obstacle_grid=grids)
+    return SolutionEnsemble(Y=y_all.T, Z=z_all.transpose(1, 0, 2), K_plus=k_plus.T,
+                            K_minus=k_minus.T, meta=meta, obstacle_grid=grids)
 
 
 def solve_bdsde(

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import diagnostics
 from .bdsde_solver import solve_bdsde
-from .condexp import RegressionConfig
+from .condexp import RegressionConfig, _determined_count
 from .model import (
     CATALOG_KINDS,
     CoefficientSpec,
@@ -238,12 +238,16 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _prepare(spec: RunSpec, paths: NoisePaths | None = None) -> NoisePaths:
-    """Validate the scenario and draw its paths unless shared ones are given.
-    The solvers check the per-path conditions that validation had to defer."""
-    report = validate_scenario(spec.scenario)
+    """Validate the scenario and its regression basis size, then draw its
+    paths unless shared ones are given.  The solvers check the per-path
+    conditions that validation had to defer."""
+    sc = spec.scenario
+    report = validate_scenario(sc)
     if not report.ok:
         raise ConfigError(*report.violations)
-    return paths if paths is not None else generate_paths(spec.scenario)
+    _determined_count(spec.regression, sc.dims.d, sc.dims.l, len(sc.obstacles.shaped_sides()),
+                      sc.mc_paths)
+    return paths if paths is not None else generate_paths(sc)
 
 
 def _solve_for_config(spec: RunSpec, paths):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -109,14 +109,24 @@ def basis_labels(cfg: RegressionConfig, d: int, l: int, barriers: int = 0) -> tu
     return tuple(label(*term) for term in _terms(cfg, d, l, barriers))
 
 
+def _determined_count(cfg: RegressionConfig, d: int, l: int, n_barriers: int, m: int) -> int:
+    """The design's column count; raises if it exceeds the ``m`` samples."""
+    count = _term_count(cfg, d, l, n_barriers)
+    if count > m:
+        raise ValueError(f"underdetermined basis: {count} columns but only {m} samples")
+    return count
+
+
 def build_basis(cfg: RegressionConfig, w_state: np.ndarray, dB_i: np.ndarray | None,
                 barriers=()) -> np.ndarray:
     """Assemble the M x B design matrix for one time step, in the column
     order of :func:`basis_labels`.  ``barriers`` holds the step's
     non-constant barrier values, one M vector each.
 
-    Each monomial is computed once, as a lower monomial times one W
-    component, and reused by the dB and barrier products.
+    The matrix is the transpose of a C-ordered B x M array that is filled
+    one contiguous row per term.  Each monomial is computed once, as a lower
+    monomial times one W component, and reused by the dB and barrier
+    products.
     """
     w_state = np.asarray(w_state, dtype=float)
     if w_state.ndim != 2:
@@ -139,81 +149,100 @@ def build_basis(cfg: RegressionConfig, w_state: np.ndarray, dB_i: np.ndarray | N
             raise ValueError("each barrier must be an M vector")
         factors[f"bar{k}"] = values
 
-    count = _term_count(cfg, d, l, len(barriers))
-    if count > m:
-        raise ValueError(f"underdetermined basis: {count} columns but only {m} samples")
-
-    monomials = {(0,) * d: np.ones(m)}
-    columns = []
-    for exponents, factor in _terms(cfg, d, l, len(barriers)):
+    rows = np.empty((_determined_count(cfg, d, l, len(barriers), m), m))
+    monomials = {(0,) * d: 1.0}
+    for row, (exponents, factor) in zip(rows, _terms(cfg, d, l, len(barriers))):
         mono = monomials.get(exponents)
         if mono is None:
-            # each block runs in degree order, so the lower monomial is known
+            # each block runs in degree order, so the lower monomial is known;
+            # a W-block monomial is built in its own row
             k = max(j for j, e in enumerate(exponents) if e)
             lower = exponents[:k] + (exponents[k] - 1,) + exponents[k + 1:]
-            mono = monomials[exponents] = monomials[lower] * w_state[:, k]
-        if factor is None:
-            columns.append(mono)
-        elif any(exponents):
-            columns.append(mono * factors[factor])
-        else:
-            columns.append(factors[factor])
-    return np.column_stack(columns)
+            mono = monomials[exponents] = np.multiply(monomials[lower], w_state[:, k],
+                                                      out=None if factor else row)
+        if factor is not None:
+            np.multiply(mono, factors[factor], out=row)
+        elif mono is not row:  # the constant
+            row[:] = mono
+    return rows.T
 
 
-def condexp_fit_eval(
-    targets: np.ndarray,
-    basis: np.ndarray,
-    ridge: float = 0.0,
-) -> tuple[np.ndarray, RegressionFit]:
-    """Project targets onto the basis columns by (ridge) least squares.
+@dataclass(frozen=True, eq=False)
+class Design:
+    """A regression design factored for least squares: the M x B matrix A,
+    the scale s = 1/sqrt(diag G) of its ridge Gram G = A'A + ridge I, and the
+    lower Cholesky factor of the unit-diagonal sG s.  Built once, it serves
+    every fit on the same matrix.
 
-    Solves min |A beta - y|^2 + ridge |beta|^2 through the normal equations:
-    G = A'A + ridge I, scaled to unit diagonal, is factored once by Cholesky,
-    and two solves with the triangular factor give the coefficients of every
-    target.  ``targets`` may be a single M vector or an M x k stack sharing
-    one design matrix.  With ``ridge == 0`` a rank-deficient design raises
-    instead of returning an arbitrary fit; with ``ridge > 0`` a ridge below
-    the rounding of the Gram sums is raised to the smallest one they resolve.
+    With ``ridge == 0`` a zero or dependent column raises instead of giving
+    an arbitrary fit; with ``ridge > 0`` a ridge below the rounding of the
+    Gram sums is raised to the smallest one they resolve
+    (``ridge_floor``)."""
+
+    matrix: np.ndarray
+    ridge: InitVar[float] = 0.0
+    scale: np.ndarray = field(init=False)
+    factor: np.ndarray = field(init=False)
+    ridge_floor: bool = field(init=False)
+
+    def __post_init__(self, ridge: float):
+        matrix = np.asarray(self.matrix, dtype=float)
+        m, b = matrix.shape
+        if b > m:
+            raise ValueError(f"underdetermined basis: {b} columns but only {m} samples")
+        if not 0 <= ridge < math.inf:
+            raise ValueError(f"ridge must be >= 0 and finite, got {ridge!r}")
+
+        gram = matrix.T @ matrix
+        gram[np.diag_indices(b)] += ridge
+        diag = gram.diagonal()
+        if ridge == 0 and np.any(diag == 0):
+            raise ValueError(f"singular design: column {int(np.argmax(diag == 0))} is zero (ridge=0)")
+        scale = 1.0 / np.sqrt(diag)
+        scaled = gram * np.outer(scale, scale)
+        # A pivot of the unit-diagonal G whose square is within the rounding
+        # of the Gram sums, eps * max(M, B) (numpy lstsq's default rcond), is
+        # a dependent column.
+        tol = np.finfo(float).eps * max(m, b)
+        try:
+            factor = np.linalg.cholesky(scaled)
+            dependent = np.min(factor.diagonal()) ** 2 <= tol
+        except np.linalg.LinAlgError:
+            dependent = True
+        if dependent:
+            if ridge == 0:
+                raise ValueError(f"singular design: {b} columns are linearly dependent (ridge=0)")
+            # the requested ridge is below what the Gram sums resolve
+            factor = np.linalg.cholesky(scaled + tol * np.eye(b))
+        for name, value in (("matrix", matrix), ("scale", scale), ("factor", factor),
+                            ("ridge_floor", bool(dependent))):
+            object.__setattr__(self, name, value)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.matrix.shape
+
+
+def condexp_fit_eval(targets: np.ndarray, design: Design) -> tuple[np.ndarray, RegressionFit]:
+    """Project targets onto the design's columns by (ridge) least squares,
+    min |A beta - y|^2 + ridge |beta|^2.
+
+    Two solves with the design's triangular factor give the coefficients of
+    every target.  ``targets`` may be a single M vector or an M x k stack
+    sharing the design.
     """
-    basis = np.asarray(basis, dtype=float)
     y = np.asarray(targets, dtype=float)
     squeeze = y.ndim == 1
     if squeeze:
         y = y[:, None]
-    m, b = basis.shape
-    if y.shape[0] != m:
+    if y.shape[0] != design.shape[0]:
         raise ValueError("targets and basis must share the sample dimension")
-    if b > m:
-        raise ValueError(f"underdetermined basis: {b} columns but only {m} samples")
-    if not 0 <= ridge < math.inf:
-        raise ValueError(f"ridge must be >= 0 and finite, got {ridge!r}")
 
-    gram = basis.T @ basis
-    gram[np.diag_indices(b)] += ridge
-    diag = gram.diagonal()
-    if ridge == 0 and np.any(diag == 0):
-        raise ValueError(f"singular design: column {int(np.argmax(diag == 0))} is zero (ridge=0)")
-    scale = 1.0 / np.sqrt(diag)
-    scaled = gram * np.outer(scale, scale)
-    # A pivot of the unit-diagonal G whose square is within the rounding of
-    # the Gram sums, eps * max(M, B) (numpy lstsq's default rcond), is a
-    # dependent column.
-    tol = np.finfo(float).eps * max(m, b)
-    try:
-        factor = np.linalg.cholesky(scaled)
-        dependent = np.min(factor.diagonal()) ** 2 <= tol
-    except np.linalg.LinAlgError:
-        dependent = True
-    if dependent:
-        if ridge == 0:
-            raise ValueError(f"singular design: {b} columns are linearly dependent (ridge=0)")
-        # the requested ridge is below what the Gram sums resolve
-        factor = np.linalg.cholesky(scaled + tol * np.eye(b))
-    half = np.linalg.solve(factor, scale[:, None] * (basis.T @ y))
-    beta = scale[:, None] * np.linalg.solve(factor.T, half)
+    scale = design.scale[:, None]
+    half = np.linalg.solve(design.factor, scale * (design.matrix.T @ y))
+    beta = scale * np.linalg.solve(design.factor.T, half)
 
-    fitted = basis @ beta
+    fitted = design.matrix @ beta
     residual = y - fitted
     residual_norm = np.sqrt(np.einsum("ij,ij->j", residual, residual))
     fit = RegressionFit(

@@ -214,6 +214,13 @@ class ObstacleSpec:
     def has_upper(self) -> bool:
         return self.upper is not None
 
+    def shaped_sides(self) -> tuple[str, ...]:
+        """The sides, ``"lower"`` then ``"upper"``, whose barrier is present
+        and not constant-like; each adds its shape columns to the regression
+        design, which already spans a zero or constant barrier."""
+        return tuple(side for side, spec in (("lower", self.lower), ("upper", self.upper))
+                     if spec is not None and spec.kind not in ("zero", "constant"))
+
 
 @dataclass(frozen=True)
 class Scenario:

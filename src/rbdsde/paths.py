@@ -36,7 +36,11 @@ def worker_count() -> int:
 
 @dataclass(frozen=True, eq=False)
 class NoisePaths:
-    """Increment and cumulative-state arrays for both Brownian motions."""
+    """Increment and cumulative-state arrays for both Brownian motions.
+
+    Indexed path first, stored time first: each array is a transposed view
+    of a C-ordered (N, M, k) or (N+1, M, k) buffer, so the M x k slice of
+    one grid time, ``dW[:, i, :]``, is contiguous."""
 
     dW: np.ndarray       # (M, N, d)
     dB: np.ndarray       # (M, N, l)
@@ -49,11 +53,23 @@ class NoisePaths:
         return self.dW.shape[0]
 
 
+def _path_major(time_major: np.ndarray) -> np.ndarray:
+    """The (M, N, k) view of a time-major (N, M, k) array, and back."""
+    return time_major.transpose(1, 0, 2)
+
+
 def _cumulative(increments: np.ndarray) -> np.ndarray:
-    m, n, k = increments.shape
-    state = np.zeros((m, n + 1, k))
-    np.cumsum(increments, axis=1, out=state[:, 1:, :])
+    """Running sums over time of (N, M, k) increments, from 0."""
+    n, m, k = increments.shape
+    state = np.zeros((n + 1, m, k))
+    np.cumsum(increments, axis=0, out=state[1:])
     return state
+
+
+def _noise_paths(dW: np.ndarray, dB: np.ndarray, seed: int) -> NoisePaths:
+    """Paths over time-major (N, M, k) increments."""
+    return NoisePaths(dW=_path_major(dW), dB=_path_major(dB), W_state=_path_major(_cumulative(dW)),
+                      B_state=_path_major(_cumulative(dB)), seed=seed)
 
 
 def generate_paths(s: Scenario) -> NoisePaths:
@@ -68,16 +84,20 @@ def generate_paths(s: Scenario) -> NoisePaths:
     sqrt_dt = np.sqrt(s.grid.dt)
     key = np.uint64(s.seed & 0xFFFFFFFFFFFFFFFF)
 
-    dW = np.empty((m, n, d))
-    dB = np.empty((m, n, l))
+    dW = np.empty((n, m, d))
+    dB = np.empty((n, m, l))
 
     def fill(block: int) -> None:
+        # a block draws its paths in path-major order and writes their
+        # slice of every time row
         start = block * _BLOCK
         stop = min(start + _BLOCK, m)
         rng_w = np.random.Generator(np.random.Philox(key=key).jumped(2 * block))
         rng_b = np.random.Generator(np.random.Philox(key=key).jumped(2 * block + 1))
-        dW[start:stop] = rng_w.standard_normal((stop - start, n, d)) * sqrt_dt
-        dB[start:stop] = rng_b.standard_normal((stop - start, n, l)) * sqrt_dt
+        np.multiply(_path_major(rng_w.standard_normal((stop - start, n, d))), sqrt_dt,
+                    out=dW[:, start:stop])
+        np.multiply(_path_major(rng_b.standard_normal((stop - start, n, l))), sqrt_dt,
+                    out=dB[:, start:stop])
 
     blocks = range((m + _BLOCK - 1) // _BLOCK)
     workers = worker_count()
@@ -88,7 +108,7 @@ def generate_paths(s: Scenario) -> NoisePaths:
         for b in blocks:
             fill(b)
 
-    return NoisePaths(dW=dW, dB=dB, W_state=_cumulative(dW), B_state=_cumulative(dB), seed=s.seed)
+    return _noise_paths(dW, dB, s.seed)
 
 
 def coarsen(p: NoisePaths, k: int) -> NoisePaths:
@@ -97,9 +117,9 @@ def coarsen(p: NoisePaths, k: int) -> NoisePaths:
     m, n, _ = p.dW.shape
     if k < 1 or n % k:
         raise ValueError(f"coarsening factor {k} does not divide {n} steps")
-    dW = p.dW.reshape(m, n // k, k, -1).sum(axis=2)
-    dB = p.dB.reshape(m, n // k, k, -1).sum(axis=2)
-    return NoisePaths(dW=dW, dB=dB, W_state=_cumulative(dW), B_state=_cumulative(dB), seed=p.seed)
+    dW, dB = (_path_major(increments).reshape(n // k, k, m, -1).sum(axis=1)
+              for increments in (p.dW, p.dB))
+    return _noise_paths(dW, dB, p.seed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,8 +128,8 @@ class ObstacleGrid:
     per-path conditions that validation cannot decide are read from them."""
 
     xi: np.ndarray             # (M,)
-    lower: np.ndarray | None   # (M, N+1)
-    upper: np.ndarray | None   # (M, N+1)
+    lower: np.ndarray | None   # (M, N+1), a view of (N+1, M) time rows
+    upper: np.ndarray | None   # (M, N+1), a view of (N+1, M) time rows
 
     def flag_messages(self) -> list[str]:
         """One message per per-path condition that fails: S_T <= xi,
@@ -134,11 +154,13 @@ class ObstacleGrid:
 
 
 def _eval_on_grid(spec, times: np.ndarray, w_state: np.ndarray) -> np.ndarray:
+    """The (M, N+1) values of ``spec`` along the paths, filled one
+    contiguous time row at a time."""
     m, n_plus_1, _ = w_state.shape
-    out = np.empty((m, n_plus_1))
+    out = np.empty((n_plus_1, m))
     for i in range(n_plus_1):
-        out[:, i] = spec.evaluate(times[i], w_state[:, i, :])
-    return out
+        out[i] = spec.evaluate(times[i], w_state[:, i, :])
+    return out.T
 
 
 def obstacle_on_grid(s: Scenario, p: NoisePaths) -> ObstacleGrid:

@@ -13,6 +13,7 @@ from rbdsde import (
     generate_paths,
     obstacle_on_grid,
     solve_bdsde,
+    solve_reflected,
 )
 from rbdsde.diagnostics import z_se_per_step
 from rbdsde.scenarios import (
@@ -20,6 +21,7 @@ from rbdsde.scenarios import (
     constant_scenario,
     linear_drift_scenario,
     shift_terminal,
+    stopping_drift_scenario,
 )
 
 
@@ -123,6 +125,23 @@ class TestComparisonInvariant:
         result = check_comparison(sol, sol_up, p)
         assert result.passed
         assert result.violation_fraction <= 0.01
+
+
+class TestLayout:
+
+    @pytest.mark.parametrize("solve", ["bdsde", "reflected"])
+    def test_public_shapes_and_contiguous_time_slices(self, solve):
+        sc = dataclasses.replace(stopping_drift_scenario(paths=500, steps=6),
+                                 dims=Dimensions(d=2, l=1))
+        p = generate_paths(sc)
+        sol = solve_bdsde(sc, p) if solve == "bdsde" else solve_reflected(sc, p)[0]
+        assert sol.Y.shape == sol.K_plus.shape == sol.K_minus.shape == (500, 7)
+        assert sol.Z.shape == (500, 6, 2)
+        for i in range(7):
+            assert sol.Y[:, i].flags.c_contiguous
+            assert sol.K_plus[:, i].flags.c_contiguous and sol.K_minus[:, i].flags.c_contiguous
+        for i in range(6):
+            assert sol.Z[:, i, :].flags.c_contiguous
 
 
 class TestFailureModes:

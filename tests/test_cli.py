@@ -399,6 +399,33 @@ def test_failures_exit_with_contract_code(tmp_path, capsys, command, overrides, 
         assert {key: payload[key] for key in expected} == expected
 
 
+@pytest.mark.parametrize("paths, regression, obstacle, columns", [
+    # a corridor of constant barriers: 4 W monomials, dB and dB*w, dB*w^2
+    (5, {"degree_w": 3, "include_dB": True, "ridge": 1e-10},
+     {"lower": {"kind": "constant", "params": {"value": -10.0}},
+      "upper": {"kind": "constant", "params": {"value": 10.0}}}, 7),
+    # a shaped lower barrier adds itself times 1, w and w^2 to {1, w, dB, w*dB}
+    (6, {"degree_w": 1, "include_dB": True, "ridge": 1e-10},
+     {"lower": {"kind": "payoff_neg_part", "params": {}}, "upper": "absent"}, 7),
+])
+def test_underdetermined_basis_exits_before_drawing_paths(tmp_path, capsys, monkeypatch, paths,
+                                                          regression, obstacle, columns):
+    draws = []
+    generate = cli.generate_paths
+
+    def counted(*args, **kwargs):
+        draws.append(args)
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "generate_paths", counted)
+    cfg = _base_config(paths=paths, regression=regression, obstacle=obstacle,
+                       terminal={"kind": "payoff_neg_part", "params": {}})
+    assert main(["run", _write(tmp_path, "c.json", cfg), "--out", str(tmp_path / "o")]) == 2
+    assert (f"validation: underdetermined basis: {columns} columns but only {paths} samples"
+            in capsys.readouterr().err)
+    assert draws == []
+
+
 # Every parameter of each loadable kind, and the ones its constructor requires.
 _FULL_PARAMS = {
     "zero": {},

@@ -1,13 +1,15 @@
 """Regression-based conditional expectation operator."""
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rbdsde import RegressionConfig, basis_labels, build_basis, condexp_fit_eval
+from rbdsde import Design, RegressionConfig, basis_labels, build_basis, condexp_fit_eval
 
 
 def _design(m=2000, d=1, l=1, seed=0):
@@ -128,20 +130,40 @@ class TestBuildBasis:
         with pytest.raises(ValueError, match="backward increments"):
             build_basis(RegressionConfig(degree_w=1, include_dB=True), w, None)
 
+    def test_design_is_the_transpose_of_contiguous_term_rows(self):
+        w, db = _design(m=50, d=2, l=2)
+        basis = build_basis(RegressionConfig(degree_w=3, include_dB=True), w, db, barriers=[w[:, 1]])
+        assert basis.shape == (50, len(basis_labels(RegressionConfig(), 2, 2, barriers=1)))
+        assert basis.T.flags.c_contiguous
+        assert basis.base is not None and basis.base.shape == basis.shape[::-1]
+
+    def test_design_buffer_is_freed_without_the_cycle_collector(self):
+        # a reference cycle inside build_basis would keep each step's design
+        # alive until the cyclic collector runs
+        w, db = _design(m=100)
+        gc.disable()
+        try:
+            basis = build_basis(RegressionConfig(degree_w=3), w, db, barriers=[w[:, 0]])
+            buffer = weakref.ref(basis.base)
+            del basis
+            assert buffer() is None
+        finally:
+            gc.enable()
+
 
 class TestFitEval:
 
     def test_constant_target_exact(self):
         w, db = _design()
         basis = build_basis(RegressionConfig(degree_w=2, include_dB=False), w, None)
-        fitted, fit = condexp_fit_eval(np.full(len(w), 3.25), basis, ridge=0.0)
+        fitted, fit = condexp_fit_eval(np.full(len(w), 3.25), Design(basis, ridge=0.0))
         assert np.max(np.abs(fitted - 3.25)) < 1e-12
 
     def test_linear_target_recovers_coefficients(self):
         w, _ = _design()
         basis = build_basis(RegressionConfig(degree_w=1, include_dB=False), w, None)
         target = 2.0 * w[:, 0] + 1.0
-        fitted, fit = condexp_fit_eval(target, basis, ridge=0.0)
+        fitted, fit = condexp_fit_eval(target, Design(basis, ridge=0.0))
         assert fit.coefficients[0] == pytest.approx(1.0, abs=1e-10)
         assert fit.coefficients[1] == pytest.approx(2.0, abs=1e-10)
 
@@ -151,7 +173,7 @@ class TestFitEval:
         w = rng.normal(size=(100_000, 1))
         basis = build_basis(RegressionConfig(degree_w=1, include_dB=False), w, None)
         target = w[:, 0] ** 2
-        fitted, fit = condexp_fit_eval(target, basis, ridge=0.0)
+        fitted, fit = condexp_fit_eval(target, Design(basis, ridge=0.0))
 
         gram = basis.T @ basis
         beta_oracle = np.linalg.solve(gram, basis.T @ target)
@@ -167,8 +189,9 @@ class TestFitEval:
         basis = build_basis(RegressionConfig(degree_w=3, include_dB=True), w, db)
         rng = np.random.default_rng(4)
         target = rng.normal(size=len(w))
-        once, _ = condexp_fit_eval(target, basis, ridge=0.0)
-        twice, _ = condexp_fit_eval(once, basis, ridge=0.0)
+        design = Design(basis, ridge=0.0)
+        once, _ = condexp_fit_eval(target, design)
+        twice, _ = condexp_fit_eval(once, design)
         assert np.max(np.abs(twice - once)) < 1e-10
 
     def test_linearity(self):
@@ -176,9 +199,10 @@ class TestFitEval:
         basis = build_basis(RegressionConfig(degree_w=2, include_dB=True), w, db)
         rng = np.random.default_rng(5)
         u, v = rng.normal(size=(2, len(w)))
-        fu, _ = condexp_fit_eval(u, basis, ridge=0.0)
-        fv, _ = condexp_fit_eval(v, basis, ridge=0.0)
-        combo, _ = condexp_fit_eval(2.0 * u - 0.5 * v, basis, ridge=0.0)
+        design = Design(basis, ridge=0.0)
+        fu, _ = condexp_fit_eval(u, design)
+        fv, _ = condexp_fit_eval(v, design)
+        combo, _ = condexp_fit_eval(2.0 * u - 0.5 * v, design)
         assert np.max(np.abs(combo - (2.0 * fu - 0.5 * fv))) < 1e-9
 
     def test_measurability_fidelity(self):
@@ -190,20 +214,20 @@ class TestFitEval:
         target = 0.7 * db[:, 0]
 
         with_db = build_basis(RegressionConfig(degree_w=3, include_dB=True), w, db)
-        fitted, _ = condexp_fit_eval(target, with_db, ridge=0.0)
+        fitted, _ = condexp_fit_eval(target, Design(with_db, ridge=0.0))
         rel_err = np.linalg.norm(fitted - target) / np.linalg.norm(target)
         assert rel_err <= 0.01
 
         without = build_basis(RegressionConfig(degree_w=3, include_dB=False), w, None)
-        collapsed, _ = condexp_fit_eval(target, without, ridge=0.0)
+        collapsed, _ = condexp_fit_eval(target, Design(without, ridge=0.0))
         assert np.linalg.norm(collapsed) / np.linalg.norm(target) < 0.1
 
     def test_singular_design_raises_without_ridge(self):
         w, _ = _design(m=100)
         basis = np.column_stack([np.ones(100), w[:, 0], w[:, 0]])
         with pytest.raises(ValueError, match="singular design"):
-            condexp_fit_eval(np.ones(100), basis, ridge=0.0)
-        fitted, _ = condexp_fit_eval(np.ones(100), basis, ridge=1e-10)
+            Design(basis, ridge=0.0)
+        fitted, _ = condexp_fit_eval(np.ones(100), Design(basis, ridge=1e-10))
         assert np.max(np.abs(fitted - 1.0)) < 1e-8
 
     def test_zero_column_raises_without_ridge(self):
@@ -211,7 +235,7 @@ class TestFitEval:
         w, _ = _design(m=100)
         basis = np.column_stack([np.ones(100), np.zeros(100), w[:, 0]])
         with pytest.raises(ValueError, match="singular design: column 1 is zero"):
-            condexp_fit_eval(w[:, 0], basis, ridge=0.0)
+            Design(basis, ridge=0.0)
 
     def test_dependent_columns_with_ridge_fit_their_span(self):
         # a barrier column at t = 0 is constant, a multiple of the first
@@ -221,7 +245,7 @@ class TestFitEval:
         w = rng.normal(size=10_000)
         basis = np.column_stack([np.ones(10_000), 30 * w, 30 * w, 30 * w**2 + 7])
         target = 1 + w + rng.normal(size=10_000)
-        fitted, _ = condexp_fit_eval(target, basis, ridge=1e-10)
+        fitted, _ = condexp_fit_eval(target, Design(basis, ridge=1e-10))
         q, _ = np.linalg.qr(basis[:, [0, 1, 3]])
         assert np.max(np.abs(fitted - q @ (q.T @ target))) < 1e-9
 
@@ -243,7 +267,7 @@ class TestFitEval:
         beta, *_ = np.linalg.lstsq(augmented, np.vstack([targets, np.zeros((b, k))]),
                                    rcond=None)
 
-        fitted, fit = condexp_fit_eval(targets, basis, ridge=ridge)
+        fitted, fit = condexp_fit_eval(targets, Design(basis, ridge=ridge))
         size = np.max(np.abs(targets))
         np.testing.assert_allclose(fitted, basis @ beta, rtol=0, atol=1e-9 * size)
         norms = np.linalg.norm(basis, axis=0)[:, None]
@@ -256,26 +280,53 @@ class TestFitEval:
     def test_more_columns_than_samples_raises(self):
         basis = np.ones((3, 5))
         with pytest.raises(ValueError, match="underdetermined"):
-            condexp_fit_eval(np.ones(3), basis)
+            Design(basis)
 
     def test_deterministic(self):
         w, db = _design()
         basis = build_basis(RegressionConfig(), w, db)
         rng = np.random.default_rng(8)
         target = rng.normal(size=len(w))
-        f1, _ = condexp_fit_eval(target, basis, ridge=1e-10)
-        f2, _ = condexp_fit_eval(target, basis, ridge=1e-10)
+        f1, _ = condexp_fit_eval(target, Design(basis, ridge=1e-10))
+        f2, _ = condexp_fit_eval(target, Design(basis, ridge=1e-10))
         assert np.array_equal(f1, f2)
+
+    def test_one_design_serves_every_fit(self):
+        w, db = _design()
+        basis = build_basis(RegressionConfig(), w, db)
+        rng = np.random.default_rng(11)
+        targets = [rng.normal(size=len(w)), rng.normal(size=(len(w), 2)), rng.normal(size=len(w))]
+        shared = Design(basis, ridge=1e-10)
+        for target in targets:
+            fitted, fit = condexp_fit_eval(target, shared)
+            own_fitted, own_fit = condexp_fit_eval(target, Design(basis, ridge=1e-10))
+            assert np.array_equal(fitted, own_fitted)
+            assert np.array_equal(fit.coefficients, own_fit.coefficients)
+            assert np.array_equal(fit.residual_norm, own_fit.residual_norm)
+        assert shared.shape == basis.shape
+        assert not shared.ridge_floor
+
+    def test_ridge_floor_is_recorded(self):
+        # the dependent design of test_dependent_columns_with_ridge_fit_their_span
+        w = np.random.default_rng(10).normal(size=10_000)
+        basis = np.column_stack([np.ones(10_000), 30 * w, 30 * w, 30 * w**2 + 7])
+        assert Design(basis, ridge=1e-10).ridge_floor
+        assert not Design(basis[:, [0, 1, 3]], ridge=1e-10).ridge_floor
+
+    def test_fit_checks_the_sample_dimension(self):
+        design = Design(np.ones((10, 1)))
+        with pytest.raises(ValueError, match="share the sample dimension"):
+            condexp_fit_eval(np.ones(9), design)
 
     def test_stacked_targets_share_design(self):
         w, db = _design()
         basis = build_basis(RegressionConfig(degree_w=1, include_dB=False), w, None)
         rng = np.random.default_rng(9)
         targets = rng.normal(size=(len(w), 3))
-        stacked, fit = condexp_fit_eval(targets, basis)
+        stacked, fit = condexp_fit_eval(targets, Design(basis))
         assert stacked.shape == targets.shape
         assert fit.coefficients.shape == (2, 3)
-        single, _ = condexp_fit_eval(targets[:, 1], basis)
+        single, _ = condexp_fit_eval(targets[:, 1], Design(basis))
         assert np.allclose(stacked[:, 1], single, atol=1e-13)
 
 
@@ -284,4 +335,4 @@ def test_ridge_outside_zero_to_inf_is_rejected(ridge):
     with pytest.raises(ValueError, match="ridge must be"):
         RegressionConfig(ridge=ridge)
     with pytest.raises(ValueError, match="ridge must be"):
-        condexp_fit_eval(np.ones(10), np.ones((10, 1)), ridge=ridge)
+        Design(np.ones((10, 1)), ridge=ridge)

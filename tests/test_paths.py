@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from rbdsde import (
     CoefficientSpec,
+    Dimensions,
     ObstacleGrid,
     ObstacleSpec,
     apriori_statistic,
@@ -109,6 +110,53 @@ class TestGeneratePaths:
                 p = generate_paths(constant_scenario(paths=m, steps=2))
                 assert np.array_equal(p.dW, full.dW[:m]), (threads, m)
                 assert np.array_equal(p.dB, full.dB[:m]), (threads, m)
+
+
+class TestTimeMajorLayout:
+    """Paths and grids are stored time first and indexed path first."""
+
+    @staticmethod
+    def _row_major_fill(sc):
+        # block b of 4096 paths draws W from Philox sub-stream 2b and B from 2b + 1
+        m, n = sc.mc_paths, sc.grid.steps
+        key = np.uint64(sc.seed)
+        refs = np.empty((m, n, sc.dims.d)), np.empty((m, n, sc.dims.l))
+        for block, start in enumerate(range(0, m, 4096)):
+            stop = min(start + 4096, m)
+            for stream, ref in enumerate(refs, start=2 * block):
+                rng = np.random.Generator(np.random.Philox(key=key).jumped(stream))
+                ref[start:stop] = rng.standard_normal((stop - start,) + ref.shape[1:]) * np.sqrt(sc.grid.dt)
+        return refs
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("m", [4095, 4097])
+    def test_increments_equal_a_row_major_fill(self, monkeypatch, m, threads):
+        monkeypatch.setenv("RBDSDE_THREADS", threads)
+        sc = dataclasses.replace(constant_scenario(paths=m, steps=3, seed=11), dims=Dimensions(d=2, l=3))
+        p = generate_paths(sc)
+        ref_w, ref_b = self._row_major_fill(sc)
+        assert np.array_equal(p.dW, ref_w)
+        assert np.array_equal(p.dB, ref_b)
+
+    def test_public_shapes_and_contiguous_time_slices(self):
+        sc = dataclasses.replace(stopping_drift_scenario(paths=300, steps=7), dims=Dimensions(d=2, l=3))
+        p = generate_paths(sc)
+        assert p.dW.shape == (300, 7, 2) and p.dB.shape == (300, 7, 3)
+        assert p.W_state.shape == (300, 8, 2) and p.B_state.shape == (300, 8, 3)
+        grids = obstacle_on_grid(sc, p)
+        assert grids.lower.shape == (300, 8) and grids.xi.shape == (300,)
+        for i in range(8):
+            assert p.W_state[:, i, :].flags.c_contiguous
+            assert p.B_state[:, i, :].flags.c_contiguous
+            assert grids.lower[:, i].flags.c_contiguous
+        for i in range(7):
+            assert p.dW[:, i, :].flags.c_contiguous and p.dB[:, i, :].flags.c_contiguous
+
+    def test_coarsened_paths_keep_the_layout(self):
+        p = coarsen(generate_paths(constant_scenario(paths=50, steps=6)), 3)
+        assert p.dW.shape == (50, 2, 1) and p.W_state.shape == (50, 3, 1)
+        assert all(p.W_state[:, i, :].flags.c_contiguous for i in range(3))
+        assert all(p.dB[:, i, :].flags.c_contiguous for i in range(2))
 
 
 class TestCoarsen:
