@@ -8,8 +8,9 @@ and noise coefficient G at the (i+1)-layer, then projects
 
 onto the regression basis, and finally refines the drift contribution by a
 short Picard iteration: Y_i = C_i + f(t_i, W_i, Y_i, Z_i) dt.  The step
-ends with the implicit penalty correction on the barriers, which is the
-identity when there are none.
+ends with the implicit penalty correction at the sweep's one level for every
+barrier: the projection at an infinite level, the identity with no barrier.
+``_checked_grid`` alone picks and checks the barriers a solve reflects on.
 
 Both projections are computed with martingale control variates: the gradient
 target is centred by a rough continuation fit, and the continuation target
@@ -72,8 +73,8 @@ def implicit_double_step(a, l_val, u_val, m_dt, n_dt):
     # an absent side cannot cross, so only two barriers are tested
     if has_lower and has_upper and np.any(l_arr >= u_arr):
         raise ValueError("barrier crossing: l_val >= u_val")
-    if np.any(np.asarray(m_dt) < 0) or np.any(np.asarray(n_dt) < 0):
-        raise ValueError("penalty rates must be >= 0")
+    if not (np.all(np.asarray(m_dt) >= 0) and np.all(np.asarray(n_dt) >= 0)):
+        raise ValueError("penalty rates must be >= 0")  # NaN fails too
 
     # Each push is a difference of consecutive values, exactly zero where its
     # side did not act.  The sides are disjoint: y still equals a where a > u.
@@ -91,10 +92,14 @@ def implicit_double_step(a, l_val, u_val, m_dt, n_dt):
     return y, dk_plus, dk_minus
 
 
-def _checked_grid(s: Scenario, p: NoisePaths, obstacles: ObstacleSpec) -> ObstacleGrid:
-    """The obstacle grid of ``obstacles`` (the scenario's barriers, or a part
-    of them that a solver reflects on) along the paths; raises if a per-path
-    condition fails."""
+def _checked_grid(s: Scenario, p: NoisePaths, sides: tuple[str, ...]) -> ObstacleGrid:
+    """The obstacle grid of the scenario's barriers on ``sides`` (a subset of
+    ``("lower", "upper")``, the barriers a solve reflects on) along the
+    paths; raises if a side is absent or a per-path condition fails."""
+    for side in sides:
+        if getattr(s.obstacles, side) is None:
+            raise ValueError(f"configuration error: scenario has no {side} obstacle")
+    obstacles = ObstacleSpec(**{side: getattr(s.obstacles, side) for side in sides})
     grids = obstacle_on_grid(replace(s, obstacles=obstacles), p)
     grids.check_flags()
     return grids
@@ -133,14 +138,13 @@ def solve_backward(
     cfg: RegressionConfig,
     picard_iters: int,
     grids: ObstacleGrid,
-    m_level: float | None = None,
-    n_level: float | None = None,
+    level: float = np.inf,
 ) -> SolutionEnsemble:
-    """One backward sweep reflecting on the barriers present in ``grids`` at
-    the lower (m) and upper (n) penalty levels per unit time; a level of None
-    is the infinite rate, the projection.  With no barrier in ``grids`` the
-    sweep solves the unreflected equation.  Non-constant barriers add their
-    shape columns to the design.
+    """One backward sweep reflecting on every barrier present in ``grids``
+    at one penalty level per unit time; the infinite level is the
+    projection.  With no barrier in ``grids`` the sweep solves the
+    unreflected equation.  Non-constant barriers add their shape columns to
+    the design.
 
     The sweep stores Y, Z and K time first, one contiguous row per grid
     time, and returns them as (M, ...) views.  Each step's design is
@@ -152,8 +156,7 @@ def solve_backward(
 
     dt = s.grid.dt
     times = s.grid.times
-    m_dt = np.inf if m_level is None else m_level * dt
-    n_dt = np.inf if n_level is None else n_level * dt
+    rate = level * dt
 
     y_all = np.empty((n + 1, m))
     z_all = np.zeros((n, m, d))
@@ -212,7 +215,7 @@ def solve_backward(
         lower = -np.inf if grids.lower is None else grids.lower[:, i]
         upper = np.inf if grids.upper is None else grids.upper[:, i]
         y_all[i], k_plus[i + 1], k_minus[i + 1] = implicit_double_step(y_val, lower, upper,
-                                                                       m_dt, n_dt)
+                                                                       rate, rate)
         if not np.all(np.isfinite(y_all[i])):
             raise NonFiniteError(f"solver produced non-finite values at step {i}")
 
@@ -224,7 +227,7 @@ def solve_backward(
     elif grids.upper is not None:
         scheme = "double"
     else:
-        scheme = "projected" if m_level is None else "penalized"
+        scheme = "projected" if np.isinf(level) else "penalized"
     meta = SolveMeta(
         scheme=scheme,
         seed=p.seed,
@@ -246,5 +249,4 @@ def solve_bdsde(
 ) -> SolutionEnsemble:
     """Solve the unreflected terminal-value equation; obstacles, if any, are
     ignored and both reflection processes come back identically zero."""
-    return solve_backward(s, p, cfg or RegressionConfig(), picard_iters,
-                          _checked_grid(s, p, ObstacleSpec()))
+    return solve_backward(s, p, cfg or RegressionConfig(), picard_iters, _checked_grid(s, p, ()))

@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bdsde_solver import solve_bdsde
+from .bdsde_solver import _checked_grid, solve_backward
 from .condexp import RegressionConfig
 from .model import Scenario, SolutionEnsemble
 from .paths import NoisePaths
-from .reflect_one import solve_projected
 from .scenarios import shift_terminal
 
 
@@ -136,14 +135,12 @@ def stability_statistic(
     picard_iters: int = 2,
 ) -> float:
     """E[sup_i (Y_i - Y'_i)^2] between the base scenario and its terminal
-    perturbation xi + delta, solved on the same noise."""
-    cfg = cfg or RegressionConfig()
-    perturbed = shift_terminal(s, delta)
-    if s.obstacles.has_lower:
-        base_sol = solve_projected(s, shared_paths, cfg, picard_iters)
-        pert_sol = solve_projected(perturbed, shared_paths, cfg, picard_iters)
-    else:
-        base_sol = solve_bdsde(s, shared_paths, cfg, picard_iters)
-        pert_sol = solve_bdsde(perturbed, shared_paths, cfg, picard_iters)
+    perturbation xi + delta, each solved on the same noise by one projected
+    sweep that reflects on every barrier the scenario declares; raises if
+    either data set fails a per-path condition."""
+    base_sol, pert_sol = (
+        solve_backward(sc, shared_paths, cfg or RegressionConfig(), picard_iters,
+                       _checked_grid(sc, shared_paths, sc.obstacles.sides))
+        for sc in (s, shift_terminal(s, delta)))
     diff = pert_sol.Y - base_sol.Y
     return float(np.mean(np.max(diff**2, axis=1)))

@@ -214,12 +214,17 @@ class ObstacleSpec:
     def has_upper(self) -> bool:
         return self.upper is not None
 
+    @property
+    def sides(self) -> tuple[str, ...]:
+        """The sides, ``"lower"`` then ``"upper"``, whose barrier is present."""
+        return tuple(side for side in ("lower", "upper") if getattr(self, side) is not None)
+
     def shaped_sides(self) -> tuple[str, ...]:
-        """The sides, ``"lower"`` then ``"upper"``, whose barrier is present
-        and not constant-like; each adds its shape columns to the regression
-        design, which already spans a zero or constant barrier."""
-        return tuple(side for side, spec in (("lower", self.lower), ("upper", self.upper))
-                     if spec is not None and spec.kind not in ("zero", "constant"))
+        """The present sides whose barrier is not constant-like; each adds its
+        shape columns to the regression design, which already spans a zero or
+        constant barrier."""
+        return tuple(side for side in self.sides
+                     if getattr(self, side).kind not in ("zero", "constant"))
 
 
 @dataclass(frozen=True)
@@ -252,11 +257,12 @@ class PenaltySchedule:
     def __post_init__(self):
         if not self.levels:
             raise ValueError("schedule needs at least one level")
-        if any(n <= 0 for n in self.levels):
+        # each check is written so that a NaN fails it
+        if not all(n > 0 for n in self.levels):
             raise ValueError("penalty levels must be positive")
-        if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
+        if not all(a < b for a, b in zip(self.levels, self.levels[1:])):
             raise ValueError("penalty levels must be strictly increasing")
-        if self.penetration_tol < 0:
+        if not self.penetration_tol >= 0:
             raise ValueError("penetration_tol must be >= 0")
 
     @classmethod
@@ -279,7 +285,6 @@ class SolveMeta:
     picard_iters: int
     regression: RegressionConfig
     residual_rms: np.ndarray
-    converged: bool | None = None
 
 
 @dataclass(frozen=True, eq=False)

@@ -113,6 +113,8 @@ def stopping_rule_value(
     grids = sol.obstacle_grid
     if grids is None or grids.lower is None:
         raise ValueError("configuration error: stopping rules need a lower obstacle")
+    if grids.upper is not None:
+        raise ValueError("configuration error: stopping rules ignore K- of an upper obstacle")
 
     if isinstance(rule, FixedRule):
         if not 0 <= rule.index <= n:

@@ -174,9 +174,6 @@ def obstacle_on_grid(s: Scenario, p: NoisePaths) -> ObstacleGrid:
     n = s.grid.steps
     xi = s.terminal.evaluate(s.grid.horizon, p.W_state[:, n, :])
 
-    lower = upper = None
-    if s.obstacles.has_lower:
-        lower = _eval_on_grid(s.obstacles.lower, times, p.W_state)
-    if s.obstacles.has_upper:
-        upper = _eval_on_grid(s.obstacles.upper, times, p.W_state)
-    return ObstacleGrid(xi=xi, lower=lower, upper=upper)
+    barriers = {side: _eval_on_grid(getattr(s.obstacles, side), times, p.W_state)
+                for side in s.obstacles.sides}
+    return ObstacleGrid(xi=xi, lower=barriers.get("lower"), upper=barriers.get("upper"))

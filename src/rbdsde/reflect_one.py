@@ -6,8 +6,9 @@ value a (continuation plus drift) is corrected by solving the scalar
 piecewise-linear equation y = a + n*dt*(s - y)^+ in closed form.  This keeps
 arbitrarily large penalty rates usable; an explicit penalty in the driver
 would be stiff beyond n*dt ~ 1.  The step and the sweep are those of
-``bdsde_solver`` and the ladder that of ``reflect_two``, with the upper
-barrier at +inf.
+``bdsde_solver`` and the ladder that of ``reflect_two``, on the lower
+barrier only.  The sup formula for K, like the stopping rules in ``oracles``,
+is one-barrier only and refuses an ensemble solved with an upper barrier.
 """
 from __future__ import annotations
 
@@ -15,8 +16,8 @@ import numpy as np
 
 from .bdsde_solver import _checked_grid, coefficient_steps, implicit_double_step, solve_backward
 from .condexp import RegressionConfig
-from .model import ObstacleSpec, PenaltySchedule, Scenario, SolutionEnsemble
-from .paths import NoisePaths, ObstacleGrid
+from .model import PenaltySchedule, Scenario, SolutionEnsemble
+from .paths import NoisePaths
 from .reflect_two import PenalizationTrace, _flat_off_barrier, _penetration, _run_ladder
 
 
@@ -30,14 +31,6 @@ def implicit_penalty_step(a, s_val, n_dt):
     return y, dk
 
 
-def _lower_grid(s: Scenario, p: NoisePaths) -> ObstacleGrid:
-    """The obstacle grid without any upper barrier, which the one-barrier
-    solvers ignore; raises if the lower barrier or its conditions fail."""
-    if not s.obstacles.has_lower:
-        raise ValueError("configuration error: scenario has no lower obstacle")
-    return _checked_grid(s, p, ObstacleSpec(lower=s.obstacles.lower))
-
-
 def solve_penalized(
     s: Scenario,
     p: NoisePaths,
@@ -47,8 +40,8 @@ def solve_penalized(
 ) -> SolutionEnsemble:
     """One backward sweep at a fixed penalty rate ``level``; the per-step
     correction uses n_dt = level * dt."""
-    return solve_backward(s, p, cfg or RegressionConfig(), picard_iters, _lower_grid(s, p),
-                          m_level=level)
+    return solve_backward(s, p, cfg or RegressionConfig(), picard_iters,
+                          _checked_grid(s, p, ("lower",)), level)
 
 
 def solve_projected(
@@ -58,7 +51,8 @@ def solve_projected(
     picard_iters: int = 2,
 ) -> SolutionEnsemble:
     """Infinite-penalty limit: per step Y_i = max(a, S_i), dK = (S_i - a)^+."""
-    return solve_backward(s, p, cfg or RegressionConfig(), picard_iters, _lower_grid(s, p))
+    return solve_backward(s, p, cfg or RegressionConfig(), picard_iters,
+                          _checked_grid(s, p, ("lower",)))
 
 
 def penetration_statistic(sol: SolutionEnsemble, lower: np.ndarray) -> float:
@@ -77,7 +71,8 @@ def solve_reflected(
     """Run the penalty ladder until the penetration statistic reaches the
     schedule tolerance; never aborts on exhaustion, it flags instead."""
     schedule = schedule or PenaltySchedule.geometric(s.grid.dt)
-    return _run_ladder(s, p, cfg or RegressionConfig(), picard_iters, _lower_grid(s, p), schedule)
+    return _run_ladder(s, p, cfg or RegressionConfig(), picard_iters,
+                       _checked_grid(s, p, ("lower",)), schedule)
 
 
 def skorohod_residual(sol: SolutionEnsemble, obstacle: np.ndarray) -> np.ndarray:
@@ -98,6 +93,8 @@ def skorohod_sup_formula(sol: SolutionEnsemble, s: Scenario, p: NoisePaths) -> n
     grids = sol.obstacle_grid
     if grids is None or grids.lower is None:
         raise ValueError("configuration error: the ensemble's obstacle grid has no lower obstacle")
+    if grids.upper is not None:
+        raise ValueError("configuration error: the sup formula ignores K- of an upper obstacle")
 
     # step_j = F_{j+1} dt + G_{j+1} . dB_j - Z_j . dW_j, pathwise
     steps = coefficient_steps(sol, s, p, lag=1) - np.einsum("mnd,mnd->mn", sol.Z, p.dW)

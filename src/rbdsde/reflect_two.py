@@ -2,17 +2,17 @@
 entry point.
 
 Each backward step of ``bdsde_solver.solve_backward`` solves
-y = a + m_dt*(l - y)^+ - n_dt*(y - u)^+ in closed form (unique by
-monotonicity).  An absent barrier is l = -inf or u = +inf and an infinite
-rate is the projection onto its barrier, so the one-barrier penalized and
-projected schemes are special cases of the same step.  The two barriers
-share one penalty ladder; the iterated limit (inner lower, outer upper) is
-collapsed onto one schedule, which preserves both monotone penetration
-decays.
+y = a + n_dt*(l - y)^+ - n_dt*(y - u)^+ in closed form (unique by
+monotonicity), with one rate n_dt = level * dt for both barriers.  An absent
+barrier is l = -inf or u = +inf and an infinite rate is the projection onto
+its barrier, so the one-barrier penalized and projected schemes are special
+cases of the same step.  The two barriers share one penalty ladder; the
+iterated limit (inner lower, outer upper) is collapsed onto one schedule,
+which preserves both monotone penetration decays.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,10 +64,9 @@ def _run_ladder(
     stats: list[LevelStat] = []
     converged = False
     for level in schedule.levels:
-        n_level = level if two else None
-        sol = solve_backward(s, p, cfg, picard_iters, grids, level, n_level)
+        sol = solve_backward(s, p, cfg, picard_iters, grids, level)
         stat = LevelStat(
-            level_lower=level, level_upper=n_level,
+            level_lower=level, level_upper=level if two else None,
             penetration_lower=_penetration(grids.lower - sol.Y),
             penetration_upper=_penetration(sol.Y - grids.upper) if two else 0.0,
             mean_k_plus_T=float(sol.K_plus[:, -1].mean()),
@@ -78,7 +77,6 @@ def _run_ladder(
             converged = True
             break
 
-    sol = replace(sol, meta=replace(sol.meta, converged=converged))
     return sol, PenalizationTrace(levels=tuple(stats), converged=converged)
 
 
@@ -91,9 +89,8 @@ def solve_double(
 ) -> tuple[SolutionEnsemble, PenalizationTrace]:
     """Run one penalty ladder for both barriers: level k penalizes the lower
     and the upper barrier at the same rate."""
-    if not (s.obstacles.has_lower and s.obstacles.has_upper):
-        raise ValueError("configuration error: double reflection needs both barriers")
-    return _run_ladder(s, p, cfg or RegressionConfig(), picard_iters, _checked_grid(s, p, s.obstacles),
+    return _run_ladder(s, p, cfg or RegressionConfig(), picard_iters,
+                       _checked_grid(s, p, ("lower", "upper")),
                        schedule or PenaltySchedule.geometric(s.grid.dt))
 
 

@@ -16,11 +16,13 @@ from rbdsde import (
     stability_statistic,
 )
 from rbdsde.diagnostics import apriori_statistic, pooled_se, regression_se
+from rbdsde.model import ConfigError
 from rbdsde.scenarios import (
     constant_scenario,
     diagnostics_suite,
     shift_terminal,
     stopping_put_scenario,
+    two_barrier_scenario,
 )
 
 
@@ -145,6 +147,13 @@ class TestStabilityStatistic:
         s04 = stability_statistic(sc, 0.4, p, fast_cfg)
         s02 = stability_statistic(sc, 0.2, p, fast_cfg)
         assert 2.5 <= s04 / s02 <= 6.0
+
+    def test_corridor_shift_is_checked_against_the_upper_barrier(self, fast_cfg):
+        # xi + 3 leaves the corridor [-2, 2]: a one-barrier solve would not notice
+        sc = two_barrier_scenario(paths=4000, steps=20, drift=2.0)
+        p = generate_paths(sc)
+        with pytest.raises(ConfigError, match="xi <= U_T"):
+            stability_statistic(sc, 3.0, p, fast_cfg)
 
 
 class TestPooledSe:

@@ -124,6 +124,10 @@ class TestPenaltySchedule:
             PenaltySchedule(levels=(-1.0, 2.0))
         with pytest.raises(ValueError):
             PenaltySchedule(levels=(1.0,), penetration_tol=-1.0)
+        with pytest.raises(ValueError, match="levels must be positive"):
+            PenaltySchedule(levels=(1.0, float("nan")))
+        with pytest.raises(ValueError, match="penetration_tol"):
+            PenaltySchedule(levels=(1.0,), penetration_tol=float("nan"))
 
 
 class TestValidateScenario:

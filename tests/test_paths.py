@@ -18,6 +18,7 @@ from rbdsde import (
     obstacle_on_grid,
     skorohod_sup_formula,
     solve_bdsde,
+    solve_double,
     solve_reflected,
     stopping_rule_value,
 )
@@ -311,3 +312,11 @@ class TestSolvedGridConsumers:
                 stopping_rule_value(ensemble, sc, p, FixedRule(index=0))
         with pytest.raises(ValueError, match="obstacle grid"):
             apriori_statistic(hand_built, sc)
+        # both one-barrier representations ignore K-, so a corridor is refused
+        corridor = two_barrier_scenario(paths=2000, steps=10, width=0.5)
+        corridor_paths = generate_paths(corridor)
+        two_barrier, _ = solve_double(corridor, corridor_paths)
+        with pytest.raises(ValueError, match="sup formula ignores K- of an upper obstacle"):
+            skorohod_sup_formula(two_barrier, corridor, corridor_paths)
+        with pytest.raises(ValueError, match="stopping rules ignore K- of an upper obstacle"):
+            stopping_rule_value(two_barrier, corridor, corridor_paths, FixedRule(index=0))

@@ -12,6 +12,7 @@ from rbdsde import (
     SolveMeta,
     RegressionConfig,
     generate_paths,
+    implicit_double_step,
     implicit_penalty_step,
     obstacle_on_grid,
     penetration_statistic,
@@ -70,6 +71,8 @@ class TestImplicitPenaltyStep:
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
             implicit_penalty_step(1.0, 2.0, -0.5)
+        with pytest.raises(ValueError, match="rates must be >= 0"):
+            implicit_double_step(np.array([0.0]), np.array([1.0]), np.inf, np.nan, 0.0)
 
 
 class TestSolvePenalized:
@@ -129,6 +132,14 @@ class TestProjectedLimit:
         pen = solve_penalized(sc, p, fast_cfg, level=1e6 / sc.grid.dt)
         assert np.max(np.abs(proj.Y - pen.Y)) < 1e-5
 
+    def test_infinite_level_is_the_projection(self, binding_problem, fast_cfg):
+        sc, p = binding_problem
+        proj = solve_projected(sc, p, fast_cfg)
+        pen = solve_penalized(sc, p, fast_cfg, level=np.inf)
+        assert pen.meta.scheme == proj.meta.scheme == "projected"
+        for name in ("Y", "Z", "K_plus", "K_minus"):
+            assert np.array_equal(getattr(pen, name), getattr(proj, name))
+
     def test_non_binding_equals_plain_exactly(self):
         sc = constant_scenario(paths=2000, steps=10)
         p = generate_paths(sc)
@@ -175,7 +186,17 @@ class TestSolveReflected:
         sched = PenaltySchedule(levels=(1.0,), penetration_tol=1e-15)
         sol, trace = solve_reflected(sc, p, fast_cfg, schedule=sched)
         assert not trace.converged
-        assert sol.meta.converged is False
+
+    def test_returns_the_last_level_sweep(self, fast_cfg):
+        sc = stopping_drift_scenario(paths=2000, steps=10)
+        p = generate_paths(sc)
+        sched = PenaltySchedule.geometric(sc.grid.dt, count=3, penetration_tol=0.0)
+        sol, trace = solve_reflected(sc, p, fast_cfg, schedule=sched)
+        assert len(trace.levels) == 3
+        last = solve_penalized(sc, p, fast_cfg, level=trace.levels[-1].level_lower)
+        assert sol.meta.scheme == last.meta.scheme == "penalized"
+        for name in ("Y", "Z", "K_plus", "K_minus"):
+            assert np.array_equal(getattr(sol, name), getattr(last, name))
 
     def test_obstacle_domination_after_convergence(self, binding_problem, fast_cfg):
         sc, p = binding_problem
