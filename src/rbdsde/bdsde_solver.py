@@ -95,10 +95,16 @@ def implicit_double_step(a, l_val, u_val, m_dt, n_dt):
 def _checked_grid(s: Scenario, p: NoisePaths, sides: tuple[str, ...]) -> ObstacleGrid:
     """The obstacle grid of the scenario's barriers on ``sides`` (a subset of
     ``("lower", "upper")``, the barriers a solve reflects on) along the
-    paths; raises if a side is absent or a per-path condition fails."""
+    paths; raises if a side is absent, if a reflected solve would leave out
+    a declared barrier, or if a per-path condition fails.  Empty ``sides``
+    is the unreflected solve, which ignores every barrier."""
     for side in sides:
         if getattr(s.obstacles, side) is None:
             raise ValueError(f"configuration error: scenario has no {side} obstacle")
+    ignored = [side for side in s.obstacles.sides if side not in sides]
+    if sides and ignored:
+        raise ValueError(f"configuration error: this solve would ignore the scenario's "
+                         f"{ignored[0]} obstacle")
     obstacles = ObstacleSpec(**{side: getattr(s.obstacles, side) for side in sides})
     grids = obstacle_on_grid(replace(s, obstacles=obstacles), p)
     grids.check_flags()
@@ -148,7 +154,9 @@ def solve_backward(
 
     The sweep stores Y, Z and K time first, one contiguous row per grid
     time, and returns them as (M, ...) views.  Each step's design is
-    factored once and serves its three fits."""
+    factored once and serves its three fits.  K of a side without a
+    barrier in ``grids`` is a zero array the sweep never writes, so its
+    pages are never touched."""
     m, n = s.mc_paths, s.grid.steps
     d, l = s.dims.d, s.dims.l
     if p.dW.shape != (m, n, d) or p.dB.shape != (m, n, l):
@@ -160,7 +168,8 @@ def solve_backward(
 
     y_all = np.empty((n + 1, m))
     z_all = np.zeros((n, m, d))
-    # the pushes of step i go to row i + 1 and are summed into K in place
+    # the pushes of step i go to row i + 1 of a present side's K and are
+    # summed in place; an absent side's K is never written
     k_plus = np.zeros((n + 1, m))
     k_minus = np.zeros((n + 1, m))
     residual_rms = np.zeros((n, 2 + d))
@@ -183,14 +192,15 @@ def solve_backward(
         continuation_target = y_next + np.einsum("ml,ml->m", g_next, d_b)
 
         w_now = p.W_state[:, i, :]
-        remaining_db = b_terminal - p.B_state[:, i, :]
+        remaining_db = b_terminal - p.B_state[:, i, :] if cfg.include_dB else None
         design = Design(build_basis(cfg, w_now, remaining_db, [values[:, i] for values in shaped]),
                         cfg.ridge)
         basis_size = design.shape[1]
 
         # Stage 1: rough continuation fit, reused as a centring control for
-        # the gradient targets and to seed the drift refinement.
-        rough, rough_fit = condexp_fit_eval(np.column_stack([continuation_target, f_next]), design)
+        # the gradient targets and to seed the drift refinement.  Targets
+        # are stacked as rows, the layout the fit multiplies in.
+        rough, rough_fit = condexp_fit_eval(np.stack([continuation_target, f_next]).T, design)
 
         # Stage 2: Z from the centred increments; centring removes the
         # conditional mean, which otherwise dominates the target variance.
@@ -214,13 +224,20 @@ def solve_backward(
 
         lower = -np.inf if grids.lower is None else grids.lower[:, i]
         upper = np.inf if grids.upper is None else grids.upper[:, i]
-        y_all[i], k_plus[i + 1], k_minus[i + 1] = implicit_double_step(y_val, lower, upper,
-                                                                       rate, rate)
+        y_all[i], dk_plus, dk_minus = implicit_double_step(y_val, lower, upper, rate, rate)
         if not np.all(np.isfinite(y_all[i])):
             raise NonFiniteError(f"solver produced non-finite values at step {i}")
+        if grids.lower is not None:
+            k_plus[i + 1] = dk_plus
+        if grids.upper is not None:
+            k_minus[i + 1] = dk_minus
 
-    np.cumsum(k_plus, axis=0, out=k_plus)
-    np.cumsum(k_minus, axis=0, out=k_minus)
+    # running sums from K_0 = 0, one contiguous row at a time: the
+    # sequential sums of np.cumsum(axis=0) without its strided pass
+    for k, values in ((k_plus, grids.lower), (k_minus, grids.upper)):
+        if values is not None:
+            for i in range(n):
+                np.add(k[i], k[i + 1], out=k[i + 1])
 
     if grids.lower is None and grids.upper is None:
         scheme = "plain"

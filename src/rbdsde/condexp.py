@@ -229,7 +229,10 @@ def condexp_fit_eval(targets: np.ndarray, design: Design) -> tuple[np.ndarray, R
 
     Two solves with the design's triangular factor give the coefficients of
     every target.  ``targets`` may be a single M vector or an M x k stack
-    sharing the design.
+    sharing the design.  The products run on the targets as k contiguous
+    rows, copied only if the stack is not already stored that way (the
+    transpose of a k x M array is); the fitted values come back as the
+    transpose of k contiguous rows.
     """
     y = np.asarray(targets, dtype=float)
     squeeze = y.ndim == 1
@@ -237,14 +240,16 @@ def condexp_fit_eval(targets: np.ndarray, design: Design) -> tuple[np.ndarray, R
         y = y[:, None]
     if y.shape[0] != design.shape[0]:
         raise ValueError("targets and basis must share the sample dimension")
+    rows = np.ascontiguousarray(y.T)
 
     scale = design.scale[:, None]
-    half = np.linalg.solve(design.factor, scale * (design.matrix.T @ y))
+    half = np.linalg.solve(design.factor, scale * (rows @ design.matrix).T)
     beta = scale * np.linalg.solve(design.factor.T, half)
 
-    fitted = design.matrix @ beta
-    residual = y - fitted
-    residual_norm = np.sqrt(np.einsum("ij,ij->j", residual, residual))
+    fitted_rows = beta.T @ design.matrix.T
+    residual = rows - fitted_rows
+    residual_norm = np.sqrt(np.einsum("ji,ji->j", residual, residual))
+    fitted = fitted_rows.T
     fit = RegressionFit(
         coefficients=beta[:, 0] if squeeze else beta,
         residual_norm=residual_norm,

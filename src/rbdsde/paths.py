@@ -59,10 +59,15 @@ def _path_major(time_major: np.ndarray) -> np.ndarray:
 
 
 def _cumulative(increments: np.ndarray) -> np.ndarray:
-    """Running sums over time of (N, M, k) increments, from 0."""
+    """Running sums over time of (N, M, k) increments, from 0.  Each state
+    row is the previous row plus one increment row: the sequential sums of
+    ``np.cumsum(axis=0)``, made one contiguous row at a time."""
     n, m, k = increments.shape
-    state = np.zeros((n + 1, m, k))
-    np.cumsum(increments, axis=0, out=state[1:])
+    state = np.empty((n + 1, m, k))
+    state[0] = 0.0
+    state[1] = increments[0]
+    for i in range(1, n):
+        np.add(state[i], increments[i], out=state[i + 1])
     return state
 
 

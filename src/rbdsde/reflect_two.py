@@ -57,13 +57,16 @@ def _run_ladder(
 ) -> tuple[SolutionEnsemble, PenalizationTrace]:
     """Solve level after level, at the same rate for every barrier in
     ``grids``, until each barrier's penetration reaches the schedule's
-    tolerance.  Never aborts on exhaustion, it flags instead."""
+    tolerance.  Never aborts on exhaustion, it flags instead.  A level
+    keeps only its ``LevelStat``: its ensemble is released before the next
+    level's sweep, so one ensemble is alive at a time."""
     two = grids.upper is not None
     tol = schedule.penetration_tol
 
     stats: list[LevelStat] = []
     converged = False
     for level in schedule.levels:
+        sol = None  # the previous level's ensemble goes before this sweep
         sol = solve_backward(s, p, cfg, picard_iters, grids, level)
         stat = LevelStat(
             level_lower=level, level_upper=level if two else None,

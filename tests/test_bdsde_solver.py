@@ -143,6 +143,22 @@ class TestLayout:
         for i in range(6):
             assert sol.Z[:, i, :].flags.c_contiguous
 
+    @pytest.mark.parametrize("solve", ["bdsde", "reflected"])
+    def test_k_of_an_absent_side_is_an_exact_zero(self, solve):
+        sc = stopping_drift_scenario(paths=500, steps=6)
+        p = generate_paths(sc)
+        if solve == "bdsde":
+            sol = solve_bdsde(sc, p)
+            absent = (sol.K_plus, sol.K_minus)
+        else:
+            sol = solve_reflected(sc, p)[0]
+            assert sol.K_plus[:, -1].max() > 0.0
+            absent = (sol.K_minus,)
+        for k in absent:
+            assert k.shape == (500, 7)
+            assert np.all(k == 0.0) and not np.any(np.signbit(k))
+            assert all(k[:, i].flags.c_contiguous for i in range(7))
+
 
 class TestFailureModes:
 

@@ -329,6 +329,20 @@ class TestFitEval:
         single, _ = condexp_fit_eval(targets[:, 1], Design(basis))
         assert np.allclose(stacked[:, 1], single, atol=1e-13)
 
+    @pytest.mark.parametrize("m", [4097, 30_000])
+    def test_target_layout_does_not_change_the_bits(self, m):
+        w, db = _design(m=m)
+        design = Design(build_basis(RegressionConfig(degree_w=5), w, db), 1e-10)
+        a, b = np.random.default_rng(4).normal(size=(2, m))
+        columns = np.column_stack([a, b])
+        rows = np.stack([a, b]).T
+        assert columns.flags.c_contiguous and rows.flags.f_contiguous
+        fitted_c, fit_c = condexp_fit_eval(columns, design)
+        fitted_r, fit_r = condexp_fit_eval(rows, design)
+        assert fitted_c.tobytes() == fitted_r.tobytes()
+        assert fit_c.coefficients.tobytes() == fit_r.coefficients.tobytes()
+        assert fit_c.residual_norm.tobytes() == fit_r.residual_norm.tobytes()
+
 
 @pytest.mark.parametrize("ridge", [math.inf, math.nan])
 def test_ridge_outside_zero_to_inf_is_rejected(ridge):

@@ -99,6 +99,13 @@ class TestGeneratePaths:
             assert np.array_equal(p.B_state[:, i + 1], p.B_state[:, i] + p.dB[:, i])
         assert np.all(p.W_state[:, 0] == 0.0)
 
+    def test_states_are_the_cumsum_of_increments(self):
+        # M is not a multiple of the 4096-path block
+        increments = np.random.default_rng(5).normal(size=(9, 5001, 2))
+        expected = np.zeros((10, 5001, 2))
+        np.cumsum(increments, axis=0, out=expected[1:])
+        assert paths_module._cumulative(increments).tobytes() == expected.tobytes()
+
     def test_block_boundary_determinism(self, monkeypatch):
         # Paths are drawn in blocks of 4096 from per-block streams, so any
         # ensemble is a prefix of a larger one, on either side of a block

@@ -1,5 +1,6 @@
 """One-barrier penalization, projection limit, Skorohod machinery."""
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from rbdsde import (
     solve_reflected,
 )
 from rbdsde.diagnostics import pooled_se
-from rbdsde.scenarios import constant_scenario, stopping_drift_scenario
+from rbdsde.scenarios import constant_scenario, stopping_drift_scenario, two_barrier_scenario
 
 
 def _bisect_penalty(a, s, n_dt):
@@ -205,6 +206,39 @@ class TestSolveReflected:
         assert trace.converged
         eps = 3.0 * pooled_se(sol)
         assert np.mean(sol.Y < grids.lower - eps) <= 0.01
+
+
+@pytest.mark.parametrize("solve", [solve_projected, solve_penalized, solve_reflected])
+def test_one_barrier_solvers_refuse_a_declared_upper_barrier(solve):
+    # a drift of 2 drives the solution through U = 2 unless the upper
+    # barrier reflects it
+    sc = two_barrier_scenario(paths=4000, steps=20, drift=2.0)
+    p = generate_paths(sc)
+    with pytest.raises(ValueError, match="configuration error: .*upper obstacle"):
+        solve(sc, p)
+
+
+def _traced_peak(solve):
+    """Peak bytes traced while ``solve`` runs, and its result."""
+    tracemalloc.start()
+    try:
+        result = solve()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_ladder_holds_one_ensemble_at_a_time():
+    # every level runs: the tolerance is never met at a finite level
+    sc = stopping_drift_scenario(paths=4000, steps=20, seed=3)
+    p = generate_paths(sc)
+    cfg = RegressionConfig(degree_w=3, include_dB=False)
+    schedule = PenaltySchedule(levels=(1.0, 10.0, 100.0), penetration_tol=0.0)
+    ladder_peak, (sol, trace) = _traced_peak(lambda: solve_reflected(sc, p, cfg, schedule=schedule))
+    sweep_peak, _ = _traced_peak(lambda: solve_penalized(sc, p, cfg, level=1.0))
+    ensemble = sol.Y.nbytes + sol.Z.nbytes + sol.K_plus.nbytes + sol.K_minus.nbytes
+    assert len(trace.levels) == 3
+    assert ladder_peak <= sweep_peak + ensemble / 2
 
 
 def _hand_ensemble(y, k_plus):
