@@ -43,17 +43,39 @@ class NonFiniteError(ValueError, RuntimeError):
     reports it with exit code 2; a RuntimeError for library callers."""
 
 
-def _toward(a, barrier, rate, hit):
-    """``a`` with each entry in ``hit`` replaced by the solution of
-    y = a + rate*(barrier - y): the rate-weighted mean of a and the barrier,
-    or the barrier itself at an infinite rate."""
+def _toward(a, barrier, rate):
+    """The solution of y = a + rate*(barrier - y): the rate-weighted mean of
+    a and the barrier, or the barrier itself where the rate is infinite."""
     infinite = np.isinf(rate)
-    if np.all(infinite):
-        return np.where(hit, barrier, a)
-    if np.any(infinite):  # per-entry rates, some of them infinite
-        return np.where(infinite, _toward(a, barrier, np.inf, hit),
-                        _toward(a, barrier, np.where(infinite, 0.0, rate), hit))
-    return np.where(hit, (a + rate * barrier) / (1.0 + rate), a)
+    if np.ndim(rate) == 0:
+        return barrier if infinite else (a + rate * barrier) / (1.0 + rate)
+    finite = np.where(infinite, 0.0, rate)
+    return np.where(infinite, barrier, (a + finite * barrier) / (1.0 + finite))
+
+
+def _reflect(y, lower, upper, m_dt, n_dt, dk_plus, dk_minus) -> None:
+    """The implicit step in place on rows of paths: ``y`` holds the
+    candidate a on entry and the solution of
+    y = a + m_dt*(lower - y)^+ - n_dt*(y - upper)^+ on return.
+
+    Only the paths that hit a barrier are computed and written, into ``y``
+    and that side's push row; every other entry is left as it is.  An
+    absent barrier is None and nothing is done for its side.  A rate is a
+    scalar or a row; an infinite rate projects onto its barrier.  The
+    barriers must not cross and the rates must be >= 0 (not checked)."""
+    # both sides find their paths from the candidate, before y changes
+    below = None if lower is None else np.flatnonzero(y < lower)
+    above = None if upper is None else np.flatnonzero(y > upper)
+    if below is not None:
+        a = y[below]
+        pushed = _toward(a, lower[below], m_dt if np.ndim(m_dt) == 0 else m_dt[below])
+        dk_plus[below] = pushed - a
+        y[below] = pushed
+    if above is not None:
+        a = y[above]
+        pushed = _toward(a, upper[above], n_dt if np.ndim(n_dt) == 0 else n_dt[above])
+        dk_minus[above] = a - pushed
+        y[above] = pushed
 
 
 def implicit_double_step(a, l_val, u_val, m_dt, n_dt):
@@ -61,9 +83,10 @@ def implicit_double_step(a, l_val, u_val, m_dt, n_dt):
     (y, dK_plus, dK_minus).  At most one side is ever active, so the product
     dK_plus * dK_minus vanishes identically.
 
-    An absent barrier is the scalar -inf (lower) or +inf (upper); no
-    arithmetic is done for its side.  A rate of +inf projects onto its
-    barrier.
+    Scalars or broadcasting arrays.  An absent barrier is the scalar -inf
+    (lower) or +inf (upper); no arithmetic is done for its side.  A rate of
+    +inf projects onto its barrier.  The sweep runs the same in-place step,
+    without the checks made here.
     """
     a = np.asarray(a, dtype=float)
     l_arr = np.asarray(l_val, dtype=float)
@@ -73,23 +96,22 @@ def implicit_double_step(a, l_val, u_val, m_dt, n_dt):
     # an absent side cannot cross, so only two barriers are tested
     if has_lower and has_upper and np.any(l_arr >= u_arr):
         raise ValueError("barrier crossing: l_val >= u_val")
-    if not (np.all(np.asarray(m_dt) >= 0) and np.all(np.asarray(n_dt) >= 0)):
+    rates = [np.asarray(rate, dtype=float) for rate in (m_dt, n_dt)]
+    if not all(np.all(rate >= 0) for rate in rates):
         raise ValueError("penalty rates must be >= 0")  # NaN fails too
 
-    # Each push is a difference of consecutive values, exactly zero where its
-    # side did not act.  The sides are disjoint: y still equals a where a > u.
-    y = a
-    dk_plus = dk_minus = np.zeros_like(a)
-    if has_lower:
-        y = _toward(a, l_arr, m_dt, a < l_arr)
-        dk_plus = y - a
-    if has_upper:
-        pushed = _toward(y, u_arr, n_dt, a > u_arr)
-        dk_minus = y - pushed
-        y = pushed
-    if y.ndim == 0:
-        return float(y), float(dk_plus), float(dk_minus)
-    return y, dk_plus, dk_minus
+    shape = np.broadcast_shapes(a.shape, l_arr.shape, u_arr.shape, *(r.shape for r in rates))
+
+    def row(x):
+        return np.broadcast_to(x, shape).ravel()
+
+    y = row(a).copy()
+    dk_plus, dk_minus = np.zeros(y.size), np.zeros(y.size)
+    _reflect(y, row(l_arr) if has_lower else None, row(u_arr) if has_upper else None,
+             *(r if r.ndim == 0 else row(r) for r in rates), dk_plus, dk_minus)
+    if not shape:
+        return float(y[0]), float(dk_plus[0]), float(dk_minus[0])
+    return y.reshape(shape), dk_plus.reshape(shape), dk_minus.reshape(shape)
 
 
 def _checked_grid(s: Scenario, p: NoisePaths, sides: tuple[str, ...]) -> ObstacleGrid:
@@ -112,8 +134,14 @@ def _checked_grid(s: Scenario, p: NoisePaths, sides: tuple[str, ...]) -> Obstacl
 
 
 def _noise_matrix(spec, t, w, y, z, l: int) -> np.ndarray:
+    """G at one grid time as an M x l matrix.  A coefficient given as one M
+    vector is shared by the l components: with l = 1 it is a read-only
+    view.  With l > 1 it is copied, because einsum factors a stride-0
+    operand out of its sum, which would round the products differently."""
     out = spec.evaluate(t, w, y, z)
     if out.ndim == 1:
+        if l == 1:
+            return np.broadcast_to(out[:, None], (out.shape[0], 1))
         return np.repeat(out[:, None], l, axis=1)
     if out.shape[1] != l:
         raise ValueError(f"noise coefficient returned {out.shape[1]} components, expected {l}")
@@ -145,6 +173,8 @@ def solve_backward(
     picard_iters: int,
     grids: ObstacleGrid,
     level: float = np.inf,
+    *,
+    factors: dict | None = None,
 ) -> SolutionEnsemble:
     """One backward sweep reflecting on every barrier present in ``grids``
     at one penalty level per unit time; the infinite level is the
@@ -156,7 +186,15 @@ def solve_backward(
     time, and returns them as (M, ...) views.  Each step's design is
     factored once and serves its three fits.  K of a side without a
     barrier in ``grids`` is a zero array the sweep never writes, so its
-    pages are never touched."""
+    pages are never touched.  The penetration of each barrier, the mean
+    over paths of the squared largest excess beyond it, is kept as a
+    running per-path maximum and reported in ``meta``.
+
+    ``factors`` is for sweeps that share their designs, the levels of one
+    ladder: it maps a step index to that step's design factorization, which
+    the sweep reuses where it is found and adds where it is not.  It is
+    valid only for sweeps on the same paths, barriers and ``cfg``, whose
+    basis matrices are bit-identical."""
     m, n = s.mc_paths, s.grid.steps
     d, l = s.dims.d, s.dims.l
     if p.dW.shape != (m, n, d) or p.dB.shape != (m, n, l):
@@ -165,6 +203,8 @@ def solve_backward(
     dt = s.grid.dt
     times = s.grid.times
     rate = level * dt
+    if not rate >= 0:
+        raise ValueError("penalty rates must be >= 0")  # NaN fails too
 
     y_all = np.empty((n + 1, m))
     z_all = np.zeros((n, m, d))
@@ -177,6 +217,20 @@ def solve_backward(
     y_all[n] = grids.xi
     b_terminal = p.B_state[:, n, :]
 
+    # time rows of the barriers; an absent one is None
+    lower_rows = None if grids.lower is None else grids.lower.T
+    upper_rows = None if grids.upper is None else grids.upper.T
+    # per path, the largest (L - Y)^+ and (Y - U)^+ over the rows solved so far
+    shortfall = np.zeros(m)
+    overshoot = np.zeros(m)
+
+    def track_penetration(i):
+        if lower_rows is not None:
+            np.maximum(shortfall, lower_rows[i] - y_all[i], out=shortfall)
+        if upper_rows is not None:
+            np.maximum(overshoot, y_all[i] - upper_rows[i], out=overshoot)
+
+    track_penetration(n)
     shaped = [getattr(grids, side) for side in s.obstacles.shaped_sides()
               if getattr(grids, side) is not None]
     basis_size = None
@@ -193,8 +247,14 @@ def solve_backward(
 
         w_now = p.W_state[:, i, :]
         remaining_db = b_terminal - p.B_state[:, i, :] if cfg.include_dB else None
-        design = Design(build_basis(cfg, w_now, remaining_db, [values[:, i] for values in shaped]),
-                        cfg.ridge)
+        basis = build_basis(cfg, w_now, remaining_db, [values[:, i] for values in shaped])
+        factored = None if factors is None else factors.get(i)
+        if factored is None:
+            design = Design(basis, cfg.ridge)
+            if factors is not None:
+                factors[i] = design.scale, design.factor, design.ridge_floor
+        else:
+            design = Design._reusing(basis, factored)
         basis_size = design.shape[1]
 
         # Stage 1: rough continuation fit, reused as a centring control for
@@ -218,30 +278,30 @@ def solve_backward(
         residual_rms[i, 1] = rough_fit.residual_norm[1] / np.sqrt(m)
         residual_rms[i, 2:] = z_fit.residual_norm / np.sqrt(m)
 
-        y_val = continuation + rough[:, 1] * dt
+        # the drift refinement and the reflection write Y's row in place
+        y_now = y_all[i]
+        np.add(continuation, rough[:, 1] * dt, out=y_now)
         for _ in range(picard_iters):
-            y_val = continuation + s.driver.evaluate(times[i], w_now, y_val, z_now) * dt
+            np.add(continuation, s.driver.evaluate(times[i], w_now, y_now, z_now) * dt, out=y_now)
 
-        lower = -np.inf if grids.lower is None else grids.lower[:, i]
-        upper = np.inf if grids.upper is None else grids.upper[:, i]
-        y_all[i], dk_plus, dk_minus = implicit_double_step(y_val, lower, upper, rate, rate)
-        if not np.all(np.isfinite(y_all[i])):
+        # interior barriers were checked not to cross by _checked_grid
+        _reflect(y_now, None if lower_rows is None else lower_rows[i],
+                 None if upper_rows is None else upper_rows[i], rate, rate,
+                 k_plus[i + 1], k_minus[i + 1])
+        if not np.all(np.isfinite(y_now)):
             raise NonFiniteError(f"solver produced non-finite values at step {i}")
-        if grids.lower is not None:
-            k_plus[i + 1] = dk_plus
-        if grids.upper is not None:
-            k_minus[i + 1] = dk_minus
+        track_penetration(i)
 
     # running sums from K_0 = 0, one contiguous row at a time: the
     # sequential sums of np.cumsum(axis=0) without its strided pass
-    for k, values in ((k_plus, grids.lower), (k_minus, grids.upper)):
-        if values is not None:
+    for k, rows in ((k_plus, lower_rows), (k_minus, upper_rows)):
+        if rows is not None:
             for i in range(n):
                 np.add(k[i], k[i + 1], out=k[i + 1])
 
-    if grids.lower is None and grids.upper is None:
+    if lower_rows is None and upper_rows is None:
         scheme = "plain"
-    elif grids.upper is not None:
+    elif upper_rows is not None:
         scheme = "double"
     else:
         scheme = "projected" if np.isinf(level) else "penalized"
@@ -253,6 +313,8 @@ def solve_backward(
         picard_iters=picard_iters,
         regression=cfg,
         residual_rms=residual_rms,
+        penetration_lower=float(np.mean(shortfall ** 2)),
+        penetration_upper=float(np.mean(overshoot ** 2)),
     )
     return SolutionEnsemble(Y=y_all.T, Z=z_all.transpose(1, 0, 2), K_plus=k_plus.T,
                             K_minus=k_minus.T, meta=meta, obstacle_grid=grids)

@@ -218,6 +218,20 @@ class Design:
                             ("ridge_floor", bool(dependent))):
             object.__setattr__(self, name, value)
 
+    @classmethod
+    def _reusing(cls, matrix: np.ndarray, factored: tuple[np.ndarray, np.ndarray, bool]) -> Design:
+        """A design on ``matrix`` with the ``(scale, factor, ridge_floor)``
+        of an earlier design on a bit-identical matrix and the same ridge;
+        the Gram is not formed again."""
+        scale, factor, ridge_floor = factored
+        if factor.shape != (matrix.shape[1],) * 2:
+            raise ValueError("stored factor does not match the design's columns")
+        design = object.__new__(cls)
+        for name, value in (("matrix", matrix), ("scale", scale), ("factor", factor),
+                            ("ridge_floor", ridge_floor)):
+            object.__setattr__(design, name, value)
+        return design
+
     @property
     def shape(self) -> tuple[int, int]:
         return self.matrix.shape

@@ -275,8 +275,10 @@ class PenaltySchedule:
 
 @dataclass(frozen=True, eq=False)
 class SolveMeta:
-    """Provenance of a solution ensemble: scheme, seed, regression setup and
-    per-step residual RMS (columns: continuation, drift, then z targets)."""
+    """Provenance of a solution ensemble: scheme, seed, regression setup,
+    per-step residual RMS (columns: continuation, drift, then z targets) and
+    the penetration of each barrier, the mean over paths of
+    sup_i ((L - Y)^+)^2 or sup_i ((Y - U)^+)^2 (zero without that barrier)."""
 
     scheme: str
     seed: int
@@ -285,6 +287,8 @@ class SolveMeta:
     picard_iters: int
     regression: RegressionConfig
     residual_rms: np.ndarray
+    penetration_lower: float = 0.0
+    penetration_upper: float = 0.0
 
 
 @dataclass(frozen=True, eq=False)

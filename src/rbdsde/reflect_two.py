@@ -59,19 +59,25 @@ def _run_ladder(
     ``grids``, until each barrier's penetration reaches the schedule's
     tolerance.  Never aborts on exhaustion, it flags instead.  A level
     keeps only its ``LevelStat``: its ensemble is released before the next
-    level's sweep, so one ensemble is alive at a time."""
+    level's sweep, so one ensemble is alive at a time.
+
+    The levels share what does not depend on the level: the first sweep
+    factors each step's design and the later ones reuse the factor (B + B^2
+    numbers per step, released on return), and each sweep reports its
+    penetration, so no (M, N+1) array is formed to measure it."""
     two = grids.upper is not None
     tol = schedule.penetration_tol
 
+    factors: dict = {}  # step index -> that step's design factorization
     stats: list[LevelStat] = []
     converged = False
     for level in schedule.levels:
         sol = None  # the previous level's ensemble goes before this sweep
-        sol = solve_backward(s, p, cfg, picard_iters, grids, level)
+        sol = solve_backward(s, p, cfg, picard_iters, grids, level, factors=factors)
         stat = LevelStat(
             level_lower=level, level_upper=level if two else None,
-            penetration_lower=_penetration(grids.lower - sol.Y),
-            penetration_upper=_penetration(sol.Y - grids.upper) if two else 0.0,
+            penetration_lower=sol.meta.penetration_lower,
+            penetration_upper=sol.meta.penetration_upper,
             mean_k_plus_T=float(sol.K_plus[:, -1].mean()),
             mean_k_minus_T=float(sol.K_minus[:, -1].mean()),
         )

@@ -15,6 +15,7 @@ from rbdsde import (
     solve_bdsde,
     solve_reflected,
 )
+from rbdsde.bdsde_solver import _noise_matrix
 from rbdsde.diagnostics import z_se_per_step
 from rbdsde.scenarios import (
     constant_g_scenario,
@@ -110,6 +111,21 @@ class TestMultiDimensional:
         target = 0.3 * p.B_state[:, -1, 0] + 0.1 * p.B_state[:, -1, 1]
         assert np.corrcoef(sol.Y[:, 0], target)[0, 1] >= 0.99
         assert sol.Y[:, 0].var() == pytest.approx(0.09 + 0.01, rel=0.15)
+
+
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_shared_noise_coefficient_gives_the_products_of_a_full_matrix(self, l):
+        # a coefficient returned as one M vector serves all l components
+        rng = np.random.default_rng(l)
+        g, w, d_b = rng.normal(size=4097), rng.normal(size=(4097, 1)), rng.normal(size=(4097, l))
+        spec = CoefficientSpec.hook(lambda t, w, y, z: g)
+        matrix = _noise_matrix(spec, 0.0, w, g, np.zeros((4097, 1)), l)
+        full = np.repeat(g[:, None], l, axis=1)
+        assert np.array_equal(matrix, full)
+        assert (np.einsum("ml,ml->m", matrix, d_b).tobytes()
+                == np.einsum("ml,ml->m", full, d_b).tobytes())
+        if l == 1:
+            assert np.shares_memory(matrix, g) and not matrix.flags.writeable
 
 
 class TestComparisonInvariant:

@@ -306,6 +306,25 @@ class TestFitEval:
         assert shared.shape == basis.shape
         assert not shared.ridge_floor
 
+    def test_stored_factor_serves_a_rebuilt_basis(self):
+        # a ladder level rebuilds the same basis and reuses the first
+        # level's factor instead of forming the Gram again
+        w, db = _design(m=4097)
+        cfg = RegressionConfig(degree_w=4)
+        first = Design(build_basis(cfg, w, db), 1e-10)
+        reused = Design._reusing(build_basis(cfg, w, db),
+                                 (first.scale, first.factor, first.ridge_floor))
+        targets = np.random.default_rng(12).normal(size=(len(w), 2))
+        fitted, fit = condexp_fit_eval(targets, reused)
+        own_fitted, own_fit = condexp_fit_eval(targets, first)
+        assert fitted.tobytes() == own_fitted.tobytes()
+        assert fit.coefficients.tobytes() == own_fit.coefficients.tobytes()
+        assert fit.residual_norm.tobytes() == own_fit.residual_norm.tobytes()
+        assert reused.ridge_floor == first.ridge_floor
+        with pytest.raises(ValueError, match="does not match"):
+            Design._reusing(build_basis(RegressionConfig(degree_w=3), w, db),
+                            (first.scale, first.factor, first.ridge_floor))
+
     def test_ridge_floor_is_recorded(self):
         # the dependent design of test_dependent_columns_with_ridge_fit_their_span
         w = np.random.default_rng(10).normal(size=10_000)

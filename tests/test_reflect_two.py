@@ -15,10 +15,15 @@ from rbdsde import (
     generate_paths,
     implicit_double_step,
     obstacle_on_grid,
+    solve_bdsde,
     solve_double,
     solve_penalized,
+    solve_reflected,
 )
+from rbdsde.bdsde_solver import _reflect
 from rbdsde.diagnostics import pooled_se
+from rbdsde.reflect_one import penetration_statistic
+from rbdsde.reflect_two import LevelStat, _penetration
 from rbdsde.scenarios import stopping_drift_scenario, two_barrier_scenario
 from tests.test_reflect_one import _hand_ensemble
 
@@ -142,6 +147,151 @@ class TestImplicitStepProperties:
                         implicit_double_step(a, l, u, m_dt + dm, n_dt)):
             assert np.all(shifted[0] >= y - tol)
         assert np.all(implicit_double_step(a, l, u, m_dt, n_dt + dn)[0] <= y + tol)
+
+
+def _full_array_step(a, l, u, m_dt, n_dt):
+    """Reference: the step computed on every entry with np.where, the
+    arithmetic of the sweep before it touched only the paths that hit."""
+
+    def toward(x, barrier, rate, hit):
+        infinite = np.isinf(rate)
+        finite = np.where(infinite, 0.0, rate)
+        with np.errstate(invalid="ignore", over="ignore"):
+            return np.where(hit, np.where(infinite, barrier, (x + finite * barrier) / (1.0 + finite)), x)
+
+    y, dk_plus, dk_minus = a, np.zeros_like(a), np.zeros_like(a)
+    if l is not None:
+        y = toward(a, l, m_dt, a < l)
+        dk_plus = y - a
+    if u is not None:
+        pushed = toward(y, u, n_dt, a > u)
+        dk_minus = y - pushed
+        y = pushed
+    return y, dk_plus, dk_minus
+
+
+class TestSweepKernel:
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=_values, l=_values, gap=_gaps, ties=hnp.arrays(np.int8, _N, elements=st.integers(0, 2)),
+           m_dt=_rate, n_dt=_rate, infinite_m=hnp.arrays(bool, _N), infinite_n=hnp.arrays(bool, _N),
+           sides=st.sampled_from(["both", "lower", "upper"]))
+    def test_public_step_is_the_sweep_kernel(self, a, l, gap, ties, m_dt, n_dt, infinite_m,
+                                             infinite_n, sides):
+        u = l + gap
+        a = np.select([ties == 1, ties == 2], [l, u], a)  # ties a == L and a == U
+        # a rate stays the sweep's scalar unless some entries are infinite
+        m_dt = np.where(infinite_m, np.inf, m_dt) if infinite_m.any() else m_dt
+        n_dt = np.where(infinite_n, np.inf, n_dt) if infinite_n.any() else n_dt
+        lower = None if sides == "upper" else l
+        upper = None if sides == "lower" else u
+        public = implicit_double_step(a, -np.inf if lower is None else lower,
+                                      np.inf if upper is None else upper, m_dt, n_dt)
+        # the sweep's call: the candidate row is solved in place and the
+        # pushes go into zeroed rows of K
+        row, k_plus, k_minus = a.copy(), np.zeros(_N), np.zeros(_N)
+        _reflect(row, lower, upper, m_dt, n_dt, k_plus, k_minus)
+        reference = _full_array_step(a, lower, upper, m_dt, n_dt)
+        for got, kernel, want in zip(public, (row, k_plus, k_minus), reference):
+            assert got.tobytes() == kernel.tobytes() == want.tobytes()
+
+
+def _bit_equal(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def _independent_stat(sol, grids, level, two):
+    """The LevelStat of a sweep measured on its arrays."""
+    return LevelStat(
+        level_lower=level, level_upper=level if two else None,
+        penetration_lower=penetration_statistic(sol, grids.lower),
+        penetration_upper=_penetration(sol.Y - grids.upper) if two else 0.0,
+        mean_k_plus_T=float(sol.K_plus[:, -1].mean()),
+        mean_k_minus_T=float(sol.K_minus[:, -1].mean()),
+    )
+
+
+def _counting_cholesky(monkeypatch):
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counted(a):
+        calls.append(1)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    return calls
+
+
+class TestLadderSharing:
+    """Every level of a ladder reuses the first level's design factors and
+    reports the penetration its sweep kept: the results are those of
+    independent sweeps at the same levels, bit for bit."""
+
+    _LEVELS = (1.0, 10.0, 100.0)
+
+    def _check(self, monkeypatch, sc, cfg, ladder, independent):
+        p = generate_paths(sc)
+        grids = obstacle_on_grid(sc, p)
+        two = grids.upper is not None
+        schedule = PenaltySchedule(levels=self._LEVELS, penetration_tol=0.0)
+        calls = _counting_cholesky(monkeypatch)
+        sol, trace = ladder(sc, p, cfg, schedule)
+        assert len(calls) == sc.grid.steps
+        del calls[:]
+        sweeps = [independent(sc, p, cfg, level) for level in self._LEVELS]
+        assert len(calls) == len(self._LEVELS) * sc.grid.steps
+
+        assert not trace.converged and len(trace.levels) == len(self._LEVELS)
+        for stat, own, level in zip(trace.levels, sweeps, self._LEVELS):
+            assert repr(stat) == repr(_independent_stat(own, grids, level, two))
+        last = sweeps[-1]
+        for name in ("Y", "Z", "K_plus", "K_minus"):
+            assert _bit_equal(getattr(sol, name), getattr(last, name)), name
+        assert _bit_equal(sol.meta.residual_rms, last.meta.residual_rms)
+
+    def test_one_barrier_ladder_on_a_shaped_barrier(self, monkeypatch, fast_cfg):
+        sc = stopping_drift_scenario(paths=3000, steps=12, seed=5)
+        assert sc.obstacles.shaped_sides() == ("lower",)
+        self._check(monkeypatch, sc, fast_cfg,
+                    lambda sc, p, cfg, schedule: solve_reflected(sc, p, cfg, schedule=schedule),
+                    lambda sc, p, cfg, level: solve_penalized(sc, p, cfg, level=level))
+
+    def test_corridor_ladder(self, monkeypatch, fast_cfg):
+        sc = two_barrier_scenario(paths=3000, steps=12, drift=2.0)
+
+        def one_level(sc, p, cfg, level):
+            return solve_double(sc, p, cfg, schedule=PenaltySchedule(levels=(level,)))[0]
+
+        self._check(monkeypatch, sc, fast_cfg,
+                    lambda sc, p, cfg, schedule: solve_double(sc, p, cfg, schedule=schedule),
+                    one_level)
+
+
+class TestSweepPenetration:
+
+    def test_one_barrier_sweep_reports_the_statistic(self, fast_cfg):
+        sc = stopping_drift_scenario(paths=3000, steps=12, seed=5)
+        p = generate_paths(sc)
+        sol = solve_penalized(sc, p, fast_cfg, level=1.0)
+        grids = obstacle_on_grid(sc, p)
+        assert sol.meta.penetration_lower > 0.0
+        assert _bit_equal(sol.meta.penetration_lower, penetration_statistic(sol, grids.lower))
+        assert sol.meta.penetration_upper == 0.0
+
+    def test_corridor_sweep_reports_both_sides(self, fast_cfg):
+        sc = two_barrier_scenario(paths=3000, steps=12, drift=2.0)
+        p = generate_paths(sc)
+        sol, _ = solve_double(sc, p, fast_cfg, schedule=PenaltySchedule(levels=(1.0,)))
+        grids = obstacle_on_grid(sc, p)
+        assert sol.meta.penetration_upper > 0.0
+        assert _bit_equal(sol.meta.penetration_lower, penetration_statistic(sol, grids.lower))
+        assert _bit_equal(sol.meta.penetration_upper, _penetration(sol.Y - grids.upper))
+
+    def test_unreflected_sweep_reports_zero(self):
+        sc = two_barrier_scenario(paths=500, steps=6, drift=2.0)
+        sol = solve_bdsde(sc, generate_paths(sc))
+        assert sol.meta.penetration_lower == sol.meta.penetration_upper == 0.0
 
 
 class TestSolveDouble:
