@@ -52,8 +52,8 @@ from .model import (
 )
 from .oracles import dp_stopping_value, lattice_scope_problem
 from .paths import NoisePaths, coarsen, generate_paths, obstacle_on_grid
-from .reflect_one import skorohod_residual, solve_reflected
-from .reflect_two import double_skorohod_residuals, solve_double
+from .reflect_one import solve_reflected
+from .reflect_two import _flat_off_barrier, solve_double
 
 
 def _fmt(x: float) -> str:
@@ -261,28 +261,15 @@ def _solve_for_config(spec: RunSpec, paths):
     return solve_bdsde(sc, paths, spec.regression, spec.picard_iters), None
 
 
-# summary.json keeps the short keys of one-barrier ladders
-_ONE_BARRIER_KEYS = {"level_lower": "level", "penetration_lower": "penetration",
-                     "mean_k_plus_T": "mean_k_T"}
-
-
-def _trace_rows(trace) -> list[dict]:
-    rows = []
-    for stat in trace.levels if trace is not None else ():
-        row = asdict(stat)
-        if stat.level_upper is None:
-            row = {short: row[key] for key, short in _ONE_BARRIER_KEYS.items()}
-        rows.append(row)
-    return rows
-
-
-def _write_timeseries(path: Path, sc: Scenario, sol) -> None:
-    lower = sol.obstacle_grid.lower
+def _write_timeseries(path: Path, sc: Scenario, sol, penetration: dict) -> None:
+    """Per grid time: Y, Z and K means and each side's mean squared excess
+    ``penetration[side]``; an absent side writes 0."""
     times = sc.grid.times
     m, n = sc.mc_paths, sc.grid.steps
     header = ["t", "Y_mean", "Y_se"]
     header += [f"Z_mean_{k}" for k in range(sc.dims.d)]
-    header += ["K_plus_mean", "K_minus_mean", "penetration"]
+    header += ["K_plus_mean", "K_minus_mean", "penetration_lower", "penetration_upper"]
+    columns = [penetration.get(side, np.zeros(n + 1)) for side in ("lower", "upper")]
 
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -295,23 +282,35 @@ def _write_timeseries(path: Path, sc: Scenario, sol) -> None:
             else:
                 row += [""] * sc.dims.d
             row += [_fmt(sol.K_plus[:, i].mean()), _fmt(sol.K_minus[:, i].mean())]
-            if lower is not None:
-                pen_i = np.mean(np.maximum(lower[:, i] - y_i, 0.0) ** 2)
-            else:
-                pen_i = 0.0
-            row.append(_fmt(pen_i))
+            row += [_fmt(column[i]) for column in columns]
             writer.writerow(row)
 
 
-def _skorohod_verdict(residuals: np.ndarray, k: np.ndarray, dt: float) -> dict:
-    """Mean |flat-off-the-barrier residual| against 5 dt times the mean K_T."""
-    mean_res = float(np.abs(residuals).mean())
+# per barrier side: its reflection process and the suffix of its verdict keys
+_SIDES = {"lower": ("K_plus", ""), "upper": ("K_minus", "_upper")}
+
+
+def _side_checks(sol, side: str, se: float, dt: float, verdicts: dict) -> np.ndarray:
+    """Add the Skorohod and obstacle-domination verdicts of one barrier side
+    and return its per-step penetration, the mean over paths of the squared
+    positive excess.  The side's excess is formed once, for all three."""
+    k_name, suffix = _SIDES[side]
+    k = getattr(sol, k_name)
+    excess = sol.obstacle_grid.excess(side, sol.Y)
+    mean_res = float(np.abs(_flat_off_barrier(excess, k)).mean())
     tol = 5.0 * dt * float(k[:, -1].mean())
-    return {
+    verdicts["skorohod" + suffix] = {
         "mean_abs_residual": mean_res,
         "tolerance": tol,
         "passed": bool(mean_res <= max(tol, 1e-12)),
     }
+    domination = float(np.mean(excess > 3.0 * se))
+    verdicts["obstacle_domination" + suffix] = {
+        "violation_fraction": domination,
+        "passed": bool(domination <= 0.01),
+    }
+    positive = np.maximum(excess, 0.0, out=excess)
+    return np.mean(np.square(positive, out=positive), axis=0)
 
 
 def cmd_run(config_path: str, out: Path) -> int:
@@ -329,19 +328,8 @@ def cmd_run(config_path: str, out: Path) -> int:
             and np.all(sol.K_minus[:, 0] == 0.0) and np.all(np.diff(sol.K_minus, axis=1) >= 0)
         ),
     }
-    if grids.lower is not None:
-        if grids.upper is not None:
-            lower_res, upper_res = double_skorohod_residuals(sol, grids.lower, grids.upper)
-            verdicts["skorohod_upper"] = _skorohod_verdict(upper_res, sol.K_minus, sc.grid.dt)
-        else:
-            lower_res = skorohod_residual(sol, grids.lower)
-        verdicts["skorohod"] = _skorohod_verdict(lower_res, sol.K_plus, sc.grid.dt)
-        se = diagnostics.regression_se(sol)
-        domination = float(np.mean(sol.Y < grids.lower - 3.0 * se))
-        verdicts["obstacle_domination"] = {
-            "violation_fraction": domination,
-            "passed": bool(domination <= 0.01),
-        }
+    se = diagnostics.regression_se(sol)
+    penetration = {side: _side_checks(sol, side, se, sc.grid.dt, verdicts) for side in grids.sides}
 
     summary = {
         "status": "ok" if converged else "not_converged",
@@ -350,7 +338,7 @@ def cmd_run(config_path: str, out: Path) -> int:
         "Y0_se": float(y0.std(ddof=1) / np.sqrt(sc.mc_paths)),
         "mean_K_plus_T": float(sol.K_plus[:, -1].mean()),
         "mean_K_minus_T": float(sol.K_minus[:, -1].mean()),
-        "penetration_trace": _trace_rows(trace),
+        "penetration_trace": [asdict(stat) for stat in trace.levels] if trace is not None else [],
         "diagnostics": verdicts,
         "meta": {
             "seed": sc.seed,
@@ -362,7 +350,7 @@ def cmd_run(config_path: str, out: Path) -> int:
         },
     }
     _write_json(out / "summary.json", summary)
-    _write_timeseries(out / "timeseries.csv", sc, sol)
+    _write_timeseries(out / "timeseries.csv", sc, sol, penetration)
     return 0 if converged else 3
 
 
@@ -415,10 +403,9 @@ def cmd_convergence(config_path: str, out: Path, grid_refinement: bool = False) 
     rows: list[list[str]] = []
     sol, trace = _solve_for_config(spec, paths)
     for stat in trace.levels:
-        two = stat.level_upper is not None
-        rows.append(["penalty", _fmt(stat.level_lower), _fmt(stat.penetration_lower),
-                     _fmt(stat.penetration_upper) if two else "", "",
-                     _fmt(stat.mean_k_plus_T), _fmt(stat.mean_k_minus_T) if two else "", ""])
+        rows.append(["penalty", _fmt(stat.level), _fmt(stat.penetration_lower),
+                     _fmt(stat.penetration_upper), "", _fmt(stat.mean_k_plus_T),
+                     _fmt(stat.mean_k_minus_T), ""])
     rows[-1][4] = _fmt(sol.Y[:, 0].mean())
 
     if grid_refinement:

@@ -95,7 +95,8 @@ class AprioriStatistic:
 def apriori_statistic(sol: SolutionEnsemble, s: Scenario) -> AprioriStatistic:
     """Solution energy against the data energy: the bound between them holds
     with an unknown constant, so suites assert ratio stability, not a value.
-    The terminal and obstacle data are read from the solver's obstacle grid."""
+    The terminal and barrier data are read from the solver's obstacle grid,
+    and every barrier in it adds its term to the data energy."""
     grids = sol.obstacle_grid
     if grids is None:
         raise ValueError("the a priori statistic needs a solver's obstacle grid")
@@ -120,9 +121,10 @@ def apriori_statistic(sol: SolutionEnsemble, s: Scenario) -> AprioriStatistic:
         g0 = s.noise_coeff.evaluate(times[i], zero_w, zero_y, zero_z)
         g0_sq += float(np.sum(np.atleast_1d(g0[0] if g0.ndim == 1 else g0[0, :]) ** 2)) * dt
 
-    obstacle_part = np.zeros(m)
-    if grids.lower is not None:
-        obstacle_part = np.max(np.maximum(grids.lower, 0.0) ** 2, axis=1)
+    # sup over time of the squared excess of the zero process beyond each
+    # barrier: sup (L^+)^2 + sup (U^-)^2
+    obstacle_part = sum((np.max(np.maximum(grids.excess(side, 0.0), 0.0), axis=1) ** 2
+                         for side in grids.sides), np.zeros(m))
     rhs = float(np.mean(grids.xi**2 + f0_sq + g0_sq + obstacle_part))
     return AprioriStatistic(lhs=lhs, rhs_data=rhs)
 

@@ -136,6 +136,16 @@ class ObstacleGrid:
     lower: np.ndarray | None   # (M, N+1), a view of (N+1, M) time rows
     upper: np.ndarray | None   # (M, N+1), a view of (N+1, M) time rows
 
+    @property
+    def sides(self) -> tuple[str, ...]:
+        """The sides, ``"lower"`` then ``"upper"``, whose barrier is present."""
+        return tuple(side for side in ("lower", "upper") if getattr(self, side) is not None)
+
+    def excess(self, side: str, y) -> np.ndarray:
+        """How far the process y lies beyond the barrier on ``side``: L - y
+        below and y - U above, positive where y violates the barrier."""
+        return self.lower - y if side == "lower" else y - self.upper
+
     def flag_messages(self) -> list[str]:
         """One message per per-path condition that fails: S_T <= xi,
         xi <= U_T, and L < U at the interior grid points."""

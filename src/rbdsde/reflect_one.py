@@ -78,7 +78,7 @@ def solve_reflected(
 def skorohod_residual(sol: SolutionEnsemble, obstacle: np.ndarray) -> np.ndarray:
     """Per-path sum of (Y_i - S_i) * (K_{i+1} - K_i): the flat-off-the-barrier
     condition, zero up to the penalty slack once converged."""
-    return _flat_off_barrier(sol.Y, obstacle, sol.K_plus)
+    return _flat_off_barrier(obstacle - sol.Y, sol.K_plus)
 
 
 def skorohod_sup_formula(sol: SolutionEnsemble, s: Scenario, p: NoisePaths) -> np.ndarray:
@@ -101,6 +101,6 @@ def skorohod_sup_formula(sol: SolutionEnsemble, s: Scenario, p: NoisePaths) -> n
 
     tails = np.zeros((m, n + 1))
     tails[:, :n] = np.cumsum(steps[:, ::-1], axis=1)[:, ::-1]
-    shortfall = np.maximum(grids.lower - (grids.xi[:, None] + tails), 0.0)
+    shortfall = np.maximum(grids.excess("lower", grids.xi[:, None] + tails), 0.0)
     # running max of the shortfall from the right: sup over v >= u
     return np.maximum.accumulate(shortfall[:, ::-1], axis=1)[:, ::-1]

@@ -30,11 +30,10 @@ def _penetration(excess: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class LevelStat:
-    """One level of a penalty ladder.  A one-barrier ladder has no upper
-    level; its upper penetration and mean K-_T are zero."""
+    """One level of a penalty ladder, which penalizes every barrier at the
+    rate ``level``.  An absent barrier's penetration and mean K_T are zero."""
 
-    level_lower: float
-    level_upper: float | None
+    level: float
     penetration_lower: float
     penetration_upper: float
     mean_k_plus_T: float
@@ -65,7 +64,6 @@ def _run_ladder(
     factors each step's design and the later ones reuse the factor (B + B^2
     numbers per step, released on return), and each sweep reports its
     penetration, so no (M, N+1) array is formed to measure it."""
-    two = grids.upper is not None
     tol = schedule.penetration_tol
 
     factors: dict = {}  # step index -> that step's design factorization
@@ -75,8 +73,7 @@ def _run_ladder(
         sol = None  # the previous level's ensemble goes before this sweep
         sol = solve_backward(s, p, cfg, picard_iters, grids, level, factors=factors)
         stat = LevelStat(
-            level_lower=level, level_upper=level if two else None,
-            penetration_lower=sol.meta.penetration_lower,
+            level=level, penetration_lower=sol.meta.penetration_lower,
             penetration_upper=sol.meta.penetration_upper,
             mean_k_plus_T=float(sol.K_plus[:, -1].mean()),
             mean_k_minus_T=float(sol.K_minus[:, -1].mean()),
@@ -103,10 +100,11 @@ def solve_double(
                        schedule or PenaltySchedule.geometric(s.grid.dt))
 
 
-def _flat_off_barrier(high: np.ndarray, low: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Per-path sum of (high_i - low_i) * (k_{i+1} - k_i): zero when the
-    reflection process k only grows where the solution meets its barrier."""
-    return np.sum((high[:, :-1] - low[:, :-1]) * np.diff(k, axis=1), axis=1)
+def _flat_off_barrier(excess: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Per-path sum of -excess_i * (k_{i+1} - k_i), with the excess of the
+    solution beyond one barrier and that barrier's reflection process k:
+    zero when k only grows where the solution meets its barrier."""
+    return -np.sum(excess[:, :-1] * np.diff(k, axis=1), axis=1)
 
 
 def double_skorohod_residuals(
@@ -114,5 +112,5 @@ def double_skorohod_residuals(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-path flat-off-the-barrier sums for both reflection processes:
     sum (Y - L) dK_plus and sum (U - Y) dK_minus."""
-    return (_flat_off_barrier(sol.Y, lower, sol.K_plus),
-            _flat_off_barrier(upper, sol.Y, sol.K_minus))
+    return (_flat_off_barrier(lower - sol.Y, sol.K_plus),
+            _flat_off_barrier(sol.Y - upper, sol.K_minus))

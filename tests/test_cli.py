@@ -1,5 +1,6 @@
 """CLI config loading, commands, exit codes, output determinism."""
 import copy
+import csv
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import warnings
 from functools import reduce
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,6 +41,22 @@ def _base_config(**overrides):
         "regression": {"degree_w": 3, "include_dB": True, "ridge": 1e-10},
         "picard_iters": 2,
     }
+    cfg.update(overrides)
+    return cfg
+
+
+def _corridor_config(**overrides):
+    """A corridor [-1, 1] that both barriers bind: clamped terminal, drift 1,
+    backward noise 0.2 and a degree-1 basis."""
+    cfg = _base_config(
+        steps=50, paths=6000,
+        terminal={"kind": "clamp", "params": {"lo": -1.0, "hi": 1.0}},
+        driver={"kind": "constant", "params": {"value": 1.0}},
+        noise={"kind": "constant", "params": {"value": 0.2}},
+        obstacle={"lower": {"kind": "constant", "params": {"value": -1.0}},
+                  "upper": {"kind": "constant", "params": {"value": 1.0}}},
+        regression={"degree_w": 1, "include_dB": True, "ridge": 1e-10},
+    )
     cfg.update(overrides)
     return cfg
 
@@ -167,8 +185,43 @@ class TestRunCommand:
         assert summary == {"status": "validation_failed",
                            "errors": ["solver produced non-finite values at step 9"]}
 
-    def test_rerun_byte_identical(self, tmp_path):
-        cfg_path = _write(tmp_path, "c.json", _base_config())
+    def test_corridor_timeseries_has_each_sides_penetration(self, tmp_path, monkeypatch):
+        solved = []
+        solve = cli.solve_double
+
+        def keep(*args, **kwargs):
+            solved.append(solve(*args, **kwargs))
+            return solved[-1]
+
+        monkeypatch.setattr(cli, "solve_double", keep)
+        out = tmp_path / "o"
+        assert main(["run", _write(tmp_path, "c.json", _corridor_config()), "--out", str(out)]) == 0
+        rows = list(csv.reader((out / "timeseries.csv").open()))
+        assert rows[0][-2:] == ["penetration_lower", "penetration_upper"]
+        columns = np.array([[float(v) for v in row[-2:]] for row in rows[1:]])
+        sol, _ = solved[0]
+        grids = sol.obstacle_grid
+        # per step, the mean over paths of ((L - Y)^+)^2 and ((Y - U)^+)^2
+        for column, excess in zip(columns.T, (grids.lower - sol.Y, sol.Y - grids.upper)):
+            np.testing.assert_allclose(column, np.mean(np.maximum(excess, 0.0) ** 2, axis=0),
+                                       rtol=1e-12, atol=0.0)
+        assert columns[:, 1].max() > 0.0
+
+    @pytest.mark.parametrize("upper", [{"kind": "constant", "params": {"value": 1.0}}, "absent"],
+                             ids=["corridor", "lower_only"])
+    def test_upper_domination_verdict_exactly_with_an_upper_barrier(self, tmp_path, upper):
+        cfg = _corridor_config(paths=2000)
+        cfg["obstacle"]["upper"] = upper
+        out = tmp_path / "o"
+        assert main(["run", _write(tmp_path, "c.json", cfg), "--out", str(out)]) == 0
+        verdicts = json.loads((out / "summary.json").read_text())["diagnostics"]
+        assert "obstacle_domination" in verdicts
+        assert ("obstacle_domination_upper" in verdicts) == (upper != "absent")
+
+    @pytest.mark.parametrize("config", [_base_config, _corridor_config],
+                             ids=["one_barrier", "corridor"])
+    def test_rerun_byte_identical(self, tmp_path, config):
+        cfg_path = _write(tmp_path, "c.json", config())
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
         assert main(["run", cfg_path, "--out", str(out1)]) == 0
         assert main(["run", cfg_path, "--out", str(out2)]) == 0

@@ -105,6 +105,20 @@ class TestAprioriStatistic:
         assert stat.lhs == pytest.approx(25.0, rel=1e-6)
         assert stat.rhs_data == pytest.approx(25.0, rel=1e-6)
 
+    def test_upper_barrier_below_zero_adds_its_negative_part(self, fast_cfg):
+        # corridor [-3, -1] around a clamped W_T: sup (L^+)^2 = 0, sup (U^-)^2 = 1
+        sc = dataclasses.replace(
+            constant_scenario(paths=2000, steps=10, seed=3),
+            terminal=CoefficientSpec.clamp(-3.0, -1.0),
+            obstacles=ObstacleSpec(lower=CoefficientSpec.constant(-3.0),
+                                   upper=CoefficientSpec.constant(-1.0)),
+        )
+        sol, _ = solve_double(sc, generate_paths(sc), fast_cfg)
+        xi_energy = float(np.mean(sol.obstacle_grid.xi ** 2))
+        stat = apriori_statistic(sol, sc)
+        assert stat.rhs_data == pytest.approx(xi_energy + 1.0, rel=1e-12)
+        assert stat.rhs_data == pytest.approx(2.2255, abs=1e-4)
+
     def test_suite_ratio_band(self, fast_cfg):
         # frozen baseline from the first verified run: ratios in [0.74, 2.74]
         ratios = []

@@ -194,7 +194,7 @@ class TestSolveReflected:
         sched = PenaltySchedule.geometric(sc.grid.dt, count=3, penetration_tol=0.0)
         sol, trace = solve_reflected(sc, p, fast_cfg, schedule=sched)
         assert len(trace.levels) == 3
-        last = solve_penalized(sc, p, fast_cfg, level=trace.levels[-1].level_lower)
+        last = solve_penalized(sc, p, fast_cfg, level=trace.levels[-1].level)
         assert sol.meta.scheme == last.meta.scheme == "penalized"
         for name in ("Y", "Z", "K_plus", "K_minus"):
             assert np.array_equal(getattr(sol, name), getattr(last, name))

@@ -203,8 +203,7 @@ def _bit_equal(a, b):
 def _independent_stat(sol, grids, level, two):
     """The LevelStat of a sweep measured on its arrays."""
     return LevelStat(
-        level_lower=level, level_upper=level if two else None,
-        penetration_lower=penetration_statistic(sol, grids.lower),
+        level=level, penetration_lower=penetration_statistic(sol, grids.lower),
         penetration_upper=_penetration(sol.Y - grids.upper) if two else 0.0,
         mean_k_plus_T=float(sol.K_plus[:, -1].mean()),
         mean_k_minus_T=float(sol.K_minus[:, -1].mean()),
