@@ -299,14 +299,9 @@ def solve_backward(
             for i in range(n):
                 np.add(k[i], k[i + 1], out=k[i + 1])
 
-    if lower_rows is None and upper_rows is None:
-        scheme = "plain"
-    elif upper_rows is not None:
-        scheme = "double"
-    else:
-        scheme = "projected" if np.isinf(level) else "penalized"
+    one_barrier = "projected" if np.isinf(level) else "penalized"
     meta = SolveMeta(
-        scheme=scheme,
+        scheme=("plain", one_barrier, "double")[len(grids.sides)],
         seed=p.seed,
         n_paths=m,
         basis_size=basis_size,

@@ -37,7 +37,6 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics
-from .bdsde_solver import solve_bdsde
 from .condexp import RegressionConfig, _determined_count
 from .model import (
     CATALOG_KINDS,
@@ -52,7 +51,6 @@ from .model import (
 )
 from .oracles import dp_stopping_value, lattice_scope_problem
 from .paths import NoisePaths, coarsen, generate_paths, obstacle_on_grid
-from .reflect_one import solve_reflected
 from .reflect_two import _flat_off_barrier, solve_double
 
 
@@ -251,14 +249,9 @@ def _prepare(spec: RunSpec, paths: NoisePaths | None = None) -> NoisePaths:
 
 
 def _solve_for_config(spec: RunSpec, paths):
-    """Dispatch on the barrier structure; returns (ensemble, trace or None)."""
-    sc = spec.scenario
-    if sc.obstacles.has_lower and sc.obstacles.has_upper:
-        return solve_double(sc, paths, spec.regression, spec.picard_iters, spec.schedule)
-    if sc.obstacles.has_lower:
-        return solve_reflected(sc, paths, spec.regression, spec.picard_iters,
-                               schedule=spec.schedule)
-    return solve_bdsde(sc, paths, spec.regression, spec.picard_iters), None
+    """Solve with every barrier the config declares; returns (ensemble, trace)."""
+    return solve_double(spec.scenario, paths, spec.regression, spec.picard_iters,
+                        schedule=spec.schedule)
 
 
 def _write_timeseries(path: Path, sc: Scenario, sol, penetration: dict) -> None:
@@ -286,16 +279,15 @@ def _write_timeseries(path: Path, sc: Scenario, sol, penetration: dict) -> None:
             writer.writerow(row)
 
 
-# per barrier side: its reflection process and the suffix of its verdict keys
-_SIDES = {"lower": ("K_plus", ""), "upper": ("K_minus", "_upper")}
+# per barrier side, the suffix of its verdict keys
+_SUFFIX = {"lower": "", "upper": "_upper"}
 
 
 def _side_checks(sol, side: str, se: float, dt: float, verdicts: dict) -> np.ndarray:
     """Add the Skorohod and obstacle-domination verdicts of one barrier side
     and return its per-step penetration, the mean over paths of the squared
     positive excess.  The side's excess is formed once, for all three."""
-    k_name, suffix = _SIDES[side]
-    k = getattr(sol, k_name)
+    k, suffix = sol.k(side), _SUFFIX[side]
     excess = sol.obstacle_grid.excess(side, sol.Y)
     mean_res = float(np.abs(_flat_off_barrier(excess, k)).mean())
     tol = 5.0 * dt * float(k[:, -1].mean())
@@ -318,7 +310,6 @@ def cmd_run(config_path: str, out: Path) -> int:
     sc = spec.scenario
     sol, trace = _solve_for_config(spec, _prepare(spec))
     grids = sol.obstacle_grid
-    converged = trace.converged if trace is not None else True
 
     y0 = sol.Y[:, 0]
     verdicts = {
@@ -332,13 +323,13 @@ def cmd_run(config_path: str, out: Path) -> int:
     penetration = {side: _side_checks(sol, side, se, sc.grid.dt, verdicts) for side in grids.sides}
 
     summary = {
-        "status": "ok" if converged else "not_converged",
-        "converged": converged,
+        "status": "ok" if trace.converged else "not_converged",
+        "converged": trace.converged,
         "Y0_mean": float(y0.mean()),
         "Y0_se": float(y0.std(ddof=1) / np.sqrt(sc.mc_paths)),
         "mean_K_plus_T": float(sol.K_plus[:, -1].mean()),
         "mean_K_minus_T": float(sol.K_minus[:, -1].mean()),
-        "penetration_trace": [asdict(stat) for stat in trace.levels] if trace is not None else [],
+        "penetration_trace": [asdict(stat) for stat in trace.levels],
         "diagnostics": verdicts,
         "meta": {
             "seed": sc.seed,
@@ -351,7 +342,7 @@ def cmd_run(config_path: str, out: Path) -> int:
     }
     _write_json(out / "summary.json", summary)
     _write_timeseries(out / "timeseries.csv", sc, sol, penetration)
-    return 0 if converged else 3
+    return 0 if trace.converged else 3
 
 
 def cmd_compare(config_a: str, config_b: str, out: Path) -> int:
@@ -379,11 +370,12 @@ def cmd_compare(config_a: str, config_b: str, out: Path) -> int:
         "y_pass": result.passed,
     }
     overall = result.passed
-    if a.obstacles == b.obstacles and a.obstacles.has_lower:
-        dk = diagnostics.check_dK_comparison(sol_a, sol_b)
+    # the ordered pushing of each barrier the two configs share
+    for side in a.obstacles.sides if a.obstacles == b.obstacles else ():
+        dk = diagnostics.check_dK_comparison(sol_a, sol_b, side=side)
         payload.update({
-            "dk_violation_fraction": dk.violation_fraction,
-            "dk_pass": dk.passed,
+            "dk_violation_fraction" + _SUFFIX[side]: dk.violation_fraction,
+            "dk_pass" + _SUFFIX[side]: dk.passed,
         })
         overall = overall and dk.passed
     payload["pass"] = overall
@@ -394,7 +386,7 @@ def cmd_compare(config_a: str, config_b: str, out: Path) -> int:
 def cmd_convergence(config_path: str, out: Path, grid_refinement: bool = False) -> int:
     spec = load_config(config_path)
     sc = spec.scenario
-    if not sc.obstacles.has_lower:
+    if not sc.obstacles.sides:
         raise ConfigError("convergence study needs an obstacle")
     if grid_refinement and sc.grid.steps % 4:
         raise ConfigError(f"grid refinement needs a step count divisible by 4, got {sc.grid.steps}")

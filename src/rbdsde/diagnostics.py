@@ -69,16 +69,19 @@ def check_dK_comparison(
     sol_a: SolutionEnsemble,
     sol_b: SolutionEnsemble,
     epsilon: float | None = None,
+    side: str = "lower",
 ) -> ComparisonResult:
-    """With a shared obstacle, the dominated solution needs at least as much
-    pushing: dK_A >= dK_B - epsilon on at least 99% of steps."""
-    if sol_a.K_plus.shape != sol_b.K_plus.shape:
+    """With a shared barrier on ``side``, the dominated solution A is pushed
+    up at least as much by a lower barrier, dK+_A >= dK+_B - epsilon, and
+    down no more by an upper one, dK-_A <= dK-_B + epsilon, on at least 99%
+    of steps."""
+    if sol_a.Y.shape != sol_b.Y.shape:
         raise ValueError("mismatched shapes between the two ensembles")
     if epsilon is None:
         epsilon = 3.0 * pooled_se(sol_a, sol_b)
-    dk_a = np.diff(sol_a.K_plus, axis=1)
-    dk_b = np.diff(sol_b.K_plus, axis=1)
-    fraction = float(np.mean(dk_a < dk_b - epsilon))
+    dk_a, dk_b = (np.diff(sol.k(side), axis=1) for sol in (sol_a, sol_b))
+    wrong = dk_a < dk_b - epsilon if side == "lower" else dk_a > dk_b + epsilon
+    fraction = float(np.mean(wrong))
     return ComparisonResult(violation_fraction=fraction, epsilon=epsilon, passed=fraction <= 0.01)
 
 

@@ -207,14 +207,6 @@ class ObstacleSpec:
     upper: CoefficientSpec | None = None
 
     @property
-    def has_lower(self) -> bool:
-        return self.lower is not None
-
-    @property
-    def has_upper(self) -> bool:
-        return self.upper is not None
-
-    @property
     def sides(self) -> tuple[str, ...]:
         """The sides, ``"lower"`` then ``"upper"``, whose barrier is present."""
         return tuple(side for side in ("lower", "upper") if getattr(self, side) is not None)
@@ -311,6 +303,11 @@ class SolutionEnsemble:
         if self.K_plus.shape != (m, n_plus_1) or self.K_minus.shape != (m, n_plus_1):
             raise ValueError("K arrays must match Y's shape")
 
+    def k(self, side: str) -> np.ndarray:
+        """The reflection process of the barrier on ``side``: K+ pushes up
+        from the lower barrier, K- down from the upper one."""
+        return self.K_plus if side == "lower" else self.K_minus
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -337,10 +334,11 @@ def _probe_states(grid: TimeGrid, dims: Dimensions) -> np.ndarray:
 
 
 def validate_scenario(s: Scenario) -> ValidationReport:
-    """Check the structural conditions of a scenario; never raises.
-
-    Per-path conditions (S_T <= xi, L < U along sampled paths) cannot be
-    decided here; the solvers check them on the grid they evaluate, with
+    """Check the structural conditions of a scenario; never raises.  Any
+    barrier set is accepted, and each declared barrier is probed on a few
+    states by its own rule (S_T <= xi below, xi <= U_T above, L < U at
+    interior times when both are present).  The per-path versions of these
+    conditions are checked by the solvers on the grid they evaluate, with
     :meth:`rbdsde.paths.ObstacleGrid.check_flags`.
     """
     violations: list[str] = []
@@ -354,8 +352,6 @@ def validate_scenario(s: Scenario) -> ValidationReport:
                        ("upper obstacle", s.obstacles.upper)):
         if spec is not None and not spec.depends_on_state_only() and spec.kind != "hook":
             violations.append(f"{name} must depend on (t, w) only")
-    if s.obstacles.has_upper and not s.obstacles.has_lower:
-        violations.append("upper barrier without lower barrier is unsupported")
     if s.driver.kind == "linear":
         a_z = s.driver.param("a_z")
         if a_z and len(a_z) != s.dims.d:
@@ -365,16 +361,14 @@ def validate_scenario(s: Scenario) -> ValidationReport:
     t_interior = [0.0, s.grid.horizon / 3.0, 2.0 * s.grid.horizon / 3.0,
                   s.grid.times[s.grid.steps - 1] if s.grid.steps > 1 else 0.0]
 
-    if s.obstacles.has_lower and s.obstacles.has_upper:
-        lo, up = s.obstacles.lower, s.obstacles.upper
-        for t in t_interior:
-            if np.any(lo.evaluate(t, w_probe) >= up.evaluate(t, w_probe)):
-                violations.append("L<U violated on the static probe grid")
-                break
-    elif s.obstacles.has_lower:
-        xi_probe = s.terminal.evaluate(s.grid.horizon, w_probe)
-        s_probe = s.obstacles.lower.evaluate(s.grid.horizon, w_probe)
-        if np.any(s_probe > xi_probe):
-            violations.append("S_T <= xi violated on the static probe grid")
+    lower, upper = s.obstacles.lower, s.obstacles.upper
+    xi_probe = s.terminal.evaluate(s.grid.horizon, w_probe)
+    if lower is not None and np.any(lower.evaluate(s.grid.horizon, w_probe) > xi_probe):
+        violations.append("S_T <= xi violated on the static probe grid")
+    if upper is not None and np.any(xi_probe > upper.evaluate(s.grid.horizon, w_probe)):
+        violations.append("xi <= U_T violated on the static probe grid")
+    if lower is not None and upper is not None and any(
+            np.any(lower.evaluate(t, w_probe) >= upper.evaluate(t, w_probe)) for t in t_interior):
+        violations.append("L<U violated on the static probe grid")
 
     return ValidationReport(violations=tuple(violations))

@@ -35,7 +35,7 @@ def lattice_scope_problem(s: Scenario) -> str | None:
         s.driver.kind == "linear" and all(v == 0.0 for v in s.driver.param("a_z")))
     if not linear_in_y:
         return "the driver must be at most linear in y"
-    if s.obstacles.has_upper:
+    if s.obstacles.upper is not None:
         return "the lattice oracle handles a lower obstacle only"
     return None
 
@@ -64,7 +64,7 @@ def dp_stopping_value(s: Scenario, lattice_steps: int = 2000) -> float:
         # two fixed-point passes resolve the y-dependence of the drift
         y_val = cont + s.driver.evaluate(t, w_col, cont, None) * dt
         y_val = cont + s.driver.evaluate(t, w_col, y_val, None) * dt
-        if s.obstacles.has_lower:
+        if s.obstacles.lower is not None:
             y_val = np.maximum(s.obstacles.lower.evaluate(t, w_col), y_val)
         values = y_val
 

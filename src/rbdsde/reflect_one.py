@@ -7,8 +7,11 @@ piecewise-linear equation y = a + n*dt*(s - y)^+ in closed form.  This keeps
 arbitrarily large penalty rates usable; an explicit penalty in the driver
 would be stiff beyond n*dt ~ 1.  The step and the sweep are those of
 ``bdsde_solver`` and the ladder that of ``reflect_two``, on the lower
-barrier only.  The sup formula for K, like the stopping rules in ``oracles``,
-is one-barrier only and refuses an ensemble solved with an upper barrier.
+barrier only: these solvers refuse a declared upper barrier, and
+``reflect_two.solve_double`` solves any barrier set, an upper barrier alone
+as the mirror of a lower one.  The sup formula for K, like the stopping
+rules in ``oracles``, is lower-barrier only and refuses an ensemble solved
+with an upper barrier.
 """
 from __future__ import annotations
 

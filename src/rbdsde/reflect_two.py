@@ -1,5 +1,5 @@
-"""The penalty ladder behind every reflected solver, and the two-barrier
-entry point.
+"""The penalty ladder behind every reflected solver, and ``solve_double``,
+the one entry point for every barrier set.
 
 Each backward step of ``bdsde_solver.solve_backward`` solves
 y = a + n_dt*(l - y)^+ - n_dt*(y - u)^+ in closed form (unique by
@@ -8,7 +8,10 @@ barrier is l = -inf or u = +inf and an infinite rate is the projection onto
 its barrier, so the one-barrier penalized and projected schemes are special
 cases of the same step.  The two barriers share one penalty ladder; the
 iterated limit (inner lower, outer upper) is collapsed onto one schedule,
-which preserves both monotone penetration decays.
+which preserves both monotone penetration decays.  An upper barrier alone
+is the mirror of a lower one: under Y -> -Y (xi -> -xi, f(y,z) -> -f(-y,-z),
+g(y,z) -> -g(-y,-z), L -> -U) the same sweep gives -Y, -Z and K- = K+
+exactly.
 """
 from __future__ import annotations
 
@@ -56,7 +59,8 @@ def _run_ladder(
 ) -> tuple[SolutionEnsemble, PenalizationTrace]:
     """Solve level after level, at the same rate for every barrier in
     ``grids``, until each barrier's penetration reaches the schedule's
-    tolerance.  Never aborts on exhaustion, it flags instead.  A level
+    tolerance.  Never aborts on exhaustion, it flags instead.  A grid with
+    no barrier is solved by one unreflected sweep, with no level.  A level
     keeps only its ``LevelStat``: its ensemble is released before the next
     level's sweep, so one ensemble is alive at a time.
 
@@ -64,6 +68,9 @@ def _run_ladder(
     factors each step's design and the later ones reuse the factor (B + B^2
     numbers per step, released on return), and each sweep reports its
     penetration, so no (M, N+1) array is formed to measure it."""
+    if not grids.sides:
+        return (solve_backward(s, p, cfg, picard_iters, grids),
+                PenalizationTrace(levels=(), converged=True))
     tol = schedule.penetration_tol
 
     factors: dict = {}  # step index -> that step's design factorization
@@ -93,10 +100,12 @@ def solve_double(
     picard_iters: int = 2,
     schedule: PenaltySchedule | None = None,
 ) -> tuple[SolutionEnsemble, PenalizationTrace]:
-    """Run one penalty ladder for both barriers: level k penalizes the lower
-    and the upper barrier at the same rate."""
+    """Solve with every barrier the scenario declares, none, one on either
+    side or both: level k of one penalty ladder penalizes each of them at
+    the same rate.  Without a barrier this is ``solve_bdsde`` with an empty
+    trace."""
     return _run_ladder(s, p, cfg or RegressionConfig(), picard_iters,
-                       _checked_grid(s, p, ("lower", "upper")),
+                       _checked_grid(s, p, s.obstacles.sides),
                        schedule or PenaltySchedule.geometric(s.grid.dt))
 
 

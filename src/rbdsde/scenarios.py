@@ -127,7 +127,7 @@ def shift_terminal(s: Scenario, delta: float) -> Scenario:
 def shift_lower_obstacle(s: Scenario, delta: float) -> Scenario:
     """Scenario with the lower barrier moved by delta (negative keeps
     terminal domination intact)."""
-    if not s.obstacles.has_lower:
+    if s.obstacles.lower is None:
         raise ValueError("scenario has no lower obstacle to shift")
     base = s.obstacles.lower
 

@@ -77,8 +77,7 @@ class TestLoadConfig:
     def test_round_trip(self, tmp_path):
         spec = load_config(_write(tmp_path, "c.json", _base_config()))
         assert spec.scenario.mc_paths == 4000
-        assert spec.scenario.obstacles.has_lower
-        assert not spec.scenario.obstacles.has_upper
+        assert spec.scenario.obstacles.sides == ("lower",)
         assert spec.schedule.levels[0] == pytest.approx(20.0)
 
     def test_unknown_top_key(self, tmp_path):
@@ -258,12 +257,29 @@ class TestCompareCommand:
         payload = json.loads((out / "comparison.json").read_text())
         assert payload["pass"] is True
         assert payload["dk_pass"] is True
+        assert "dk_pass_upper" not in payload
 
     def test_swapped_pair_fails(self, tmp_path):
         a = _write(tmp_path, "a.json", self._stopping())
         b = _write(tmp_path, "b.json",
                    self._stopping(driver={"kind": "constant", "params": {"value": -0.5}}))
         assert main(["compare", b, a, "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize("order, code", [("ordered", 0), ("swapped", 1)])
+    def test_corridors_check_the_upper_push(self, tmp_path, order, code):
+        # the terminal clamp(W_T, -1, 0.5) lies below clamp(W_T, -1, 1), so
+        # the upper barrier pushes its solution down at least as much
+        low, high = (_write(tmp_path, f"{name}.json", _corridor_config(
+            paths=4000, steps=20, terminal={"kind": "clamp", "params": {"lo": -1.0, "hi": hi}}))
+            for name, hi in (("low", 0.5), ("high", 1.0)))
+        configs = [low, high] if order == "ordered" else [high, low]
+        out = tmp_path / "o"
+        assert main(["compare", *configs, "--out", str(out)]) == code
+        payload = json.loads((out / "comparison.json").read_text())
+        assert {"dk_pass", "dk_violation_fraction"} < set(payload)
+        fraction = payload["dk_violation_fraction_upper"]
+        assert payload["dk_pass_upper"] is (order == "ordered")
+        assert fraction == 0.0 if order == "ordered" else fraction > 0.01
 
     def test_mismatched_frames_exit_2(self, tmp_path):
         a = _write(tmp_path, "a.json", self._stopping())
@@ -298,7 +314,7 @@ class TestConvergenceCommand:
 
     def test_grid_refinement_solves_the_run_paths_on_its_ladder(self, tmp_path, monkeypatch):
         draws, ladders = [], []
-        generate, solve = cli.generate_paths, cli.solve_reflected
+        generate, solve = cli.generate_paths, cli.solve_double
 
         def counted_generate(*args, **kwargs):
             draws.append(args)
@@ -309,7 +325,7 @@ class TestConvergenceCommand:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(cli, "generate_paths", counted_generate)
-        monkeypatch.setattr(cli, "solve_reflected", recorded_solve)
+        monkeypatch.setattr(cli, "solve_double", recorded_solve)
         cfg = TestCompareCommand._stopping(steps=24, paths=2000)
         cfg["penalty"] = {"levels": [10.0, 1000.0, 100000.0], "tol": 1e-9}
         cfg_path = _write(tmp_path, "c.json", cfg)
@@ -345,6 +361,125 @@ class TestConvergenceCommand:
         cfg = _base_config(obstacle={"lower": "absent", "upper": "absent"})
         cfg_path = _write(tmp_path, "c.json", cfg)
         assert main(["convergence", cfg_path, "--out", str(tmp_path / "o")]) == 2
+
+
+# A lower barrier W_t - 0.5 under the terminal W_T with a running cost 1,
+# which binds on [0, 0.5].  Every coefficient is constant or linear, so the
+# problem's mirror under Y -> -Y (xi -> -xi, f -> -f, g -> -g, L -> -U) is a
+# config too.
+_LOWER = {"kind": "linear", "params": {"a_w": 1.0, "c": -0.5}}
+_BARRIER_SETS = {
+    "none": {"lower": "absent", "upper": "absent"},
+    "lower": {"lower": _LOWER, "upper": "absent"},
+    "both": {"lower": _LOWER, "upper": {"kind": "linear", "params": {"a_w": 1.0, "c": 1.5}}},
+}
+
+
+def _linear_config(barriers):
+    return _base_config(
+        paths=2000, steps=10,
+        terminal={"kind": "linear", "params": {"a_w": 1.0}},
+        driver={"kind": "constant", "params": {"value": -1.0}},
+        noise={"kind": "constant", "params": {"value": 0.2}},
+        obstacle=_BARRIER_SETS[barriers],
+        regression={"degree_w": 2, "include_dB": True, "ridge": 1e-10},
+    )
+
+
+def _mirrored_config():
+    """The upper-barrier mirror of ``_linear_config("lower")``."""
+    cfg = _linear_config("lower")
+    cfg.update(
+        terminal={"kind": "linear", "params": {"a_w": -1.0}},
+        driver={"kind": "constant", "params": {"value": 1.0}},
+        noise={"kind": "constant", "params": {"value": -0.2}},
+        obstacle={"lower": "absent", "upper": {"kind": "linear", "params": {"a_w": -1.0, "c": 0.5}}},
+    )
+    return cfg
+
+
+class TestBarrierSets:
+    """Every barrier set goes through one ``solve_double`` call, and an upper
+    barrier alone is the mirror of a lower one."""
+
+    @pytest.mark.parametrize("barriers", ["none", "lower", "upper", "both"])
+    def test_one_solve_double_call_gives_the_library_solve(self, tmp_path, monkeypatch, barriers):
+        solved = []
+        solve = cli.solve_double
+
+        def keep(*args, **kwargs):
+            solved.append(solve(*args, **kwargs))
+            return solved[-1]
+
+        monkeypatch.setattr(cli, "solve_double", keep)
+        cfg = _mirrored_config() if barriers == "upper" else _linear_config(barriers)
+        assert main(["run", _write(tmp_path, "c.json", cfg), "--out", str(tmp_path / "o")]) == 0
+        assert len(solved) == 1
+        (sol, _), = solved
+
+        # the upper-only run is checked against the lower-only solve it mirrors
+        spec = load_config(_write(tmp_path, "r.json",
+                                  _linear_config("lower" if barriers == "upper" else barriers)))
+        sc = spec.scenario
+        args = (sc, rbdsde.generate_paths(sc), spec.regression, spec.picard_iters)
+        if barriers == "none":
+            ref = rbdsde.solve_bdsde(*args)
+        elif barriers == "both":
+            ref, _ = rbdsde.solve_double(*args, spec.schedule)
+        else:
+            ref, _ = rbdsde.solve_reflected(*args, schedule=spec.schedule)
+        if barriers == "upper":
+            assert np.array_equal(sol.Y, -ref.Y) and np.array_equal(sol.Z, -ref.Z)
+            assert np.array_equal(sol.K_minus, ref.K_plus) and not np.any(sol.K_plus)
+        else:
+            for name in ("Y", "Z", "K_plus", "K_minus"):
+                assert getattr(sol, name).tobytes() == getattr(ref, name).tobytes(), name
+
+    def test_upper_only_run_is_the_mirrored_lower_run(self, tmp_path):
+        runs = {}
+        for name, cfg in (("lower", _linear_config("lower")), ("upper", _mirrored_config())):
+            out = tmp_path / name
+            assert main(["run", _write(tmp_path, f"{name}.json", cfg), "--out", str(out)]) == 0
+            summary = json.loads((out / "summary.json").read_text())
+            rows = list(csv.DictReader((out / "timeseries.csv").open()))
+            runs[name] = summary, rows
+        (lower, lower_rows), (upper, upper_rows) = runs["lower"], runs["upper"]
+
+        verdicts = upper["diagnostics"]
+        assert set(verdicts) == {"terminal_exact", "k_nondecreasing_from_zero",
+                                 "skorohod_upper", "obstacle_domination_upper"}
+        assert verdicts["skorohod_upper"] == lower["diagnostics"]["skorohod"]
+        assert verdicts["obstacle_domination_upper"] == lower["diagnostics"]["obstacle_domination"]
+        assert (upper["Y0_mean"], upper["Y0_se"]) == (-lower["Y0_mean"], lower["Y0_se"])
+        assert (upper["mean_K_minus_T"], upper["mean_K_plus_T"]) == (lower["mean_K_plus_T"], 0.0)
+        assert upper["meta"]["scheme"] == lower["meta"]["scheme"] == "penalized"
+        assert [(s["penetration_upper"], s["mean_k_minus_T"]) for s in upper["penetration_trace"]] == \
+            [(s["penetration_lower"], s["mean_k_plus_T"]) for s in lower["penetration_trace"]]
+        for up, low in zip(upper_rows, lower_rows):
+            assert float(up["Y_mean"]) == -float(low["Y_mean"])
+            assert (up["K_minus_mean"], up["penetration_upper"]) == \
+                (low["K_plus_mean"], low["penetration_lower"])
+
+    def test_upper_only_convergence(self, tmp_path):
+        tables = {}
+        for name, cfg in (("lower", _linear_config("lower")), ("upper", _mirrored_config())):
+            out = tmp_path / name
+            code = main(["convergence", _write(tmp_path, f"{name}.json", cfg), "--out", str(out)])
+            assert code in (0, 3)
+            tables[name] = code, list(csv.DictReader((out / "convergence.csv").open()))
+        (code_l, lower), (code_u, upper) = tables["lower"], tables["upper"]
+        assert code_u == code_l
+        assert [(r["penetration_upper"], r["K_minus_T_mean"]) for r in upper] == \
+            [(r["penetration_lower"], r["K_plus_T_mean"]) for r in lower]
+
+    def test_upper_only_oracle_check_is_unsupported(self, tmp_path, capsys):
+        cfg = _base_config(obstacle={"lower": "absent",
+                                     "upper": {"kind": "constant", "params": {"value": 10.0}}})
+        out = tmp_path / "o"
+        assert main(["oracle-check", _write(tmp_path, "c.json", cfg), "--out", str(out)]) == 4
+        assert ("oracle unsupported: the lattice oracle handles a lower obstacle only"
+                in capsys.readouterr().err)
+        assert json.loads((out / "oracle.json").read_text()) == {"status": "unsupported"}
 
 
 class TestOracleCheckCommand:

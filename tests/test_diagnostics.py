@@ -124,9 +124,9 @@ class TestAprioriStatistic:
         ratios = []
         for name, sc in diagnostics_suite(paths=5000, steps=25).items():
             p = generate_paths(sc)
-            if sc.obstacles.has_upper:
+            if sc.obstacles.upper is not None:
                 sol, _ = solve_double(sc, p, fast_cfg)
-            elif sc.obstacles.has_lower:
+            elif sc.obstacles.lower is not None:
                 sol = solve_projected(sc, p, fast_cfg if sc.noise_coeff.kind == "zero" else None)
             else:
                 sol = solve_bdsde(sc, p)

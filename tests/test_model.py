@@ -164,13 +164,20 @@ class TestValidateScenario:
         report = validate_scenario(bad)
         assert any("S_T <= xi" in v for v in report.violations)
 
-    def test_upper_only_rejected(self):
+    def test_upper_only_accepted(self):
         sc = constant_scenario()
-        bad = dataclasses.replace(
+        upper_only = dataclasses.replace(
             sc, obstacles=ObstacleSpec(upper=CoefficientSpec.constant(10.0))
         )
+        assert validate_scenario(upper_only).ok
+
+    def test_upper_terminal_domination_probe(self):
+        sc = constant_scenario()
+        bad = dataclasses.replace(
+            sc, obstacles=ObstacleSpec(upper=CoefficientSpec.constant(3.0))
+        )
         report = validate_scenario(bad)
-        assert any("upper barrier without lower" in v for v in report.violations)
+        assert report.violations == ("xi <= U_T violated on the static probe grid",)
 
     def test_obstacle_must_be_state_only(self):
         sc = constant_scenario()

@@ -1,5 +1,6 @@
 """Two-barrier double penalization."""
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -9,8 +10,13 @@ from hypothesis.extra import numpy as hnp
 
 from rbdsde import (
     CoefficientSpec,
+    Dimensions,
     ObstacleSpec,
+    PenalizationTrace,
     PenaltySchedule,
+    RegressionConfig,
+    Scenario,
+    TimeGrid,
     double_skorohod_residuals,
     generate_paths,
     implicit_double_step,
@@ -24,7 +30,7 @@ from rbdsde.bdsde_solver import _reflect
 from rbdsde.diagnostics import pooled_se
 from rbdsde.reflect_one import penetration_statistic
 from rbdsde.reflect_two import LevelStat, _penetration
-from rbdsde.scenarios import stopping_drift_scenario, two_barrier_scenario
+from rbdsde.scenarios import constant_g_scenario, stopping_drift_scenario, two_barrier_scenario
 from tests.test_reflect_one import _hand_ensemble
 
 
@@ -295,11 +301,25 @@ class TestSweepPenetration:
 
 class TestSolveDouble:
 
-    def test_requires_both_barriers(self):
-        sc = stopping_drift_scenario(paths=100, steps=4)
+    def test_lower_only_is_the_one_barrier_ladder(self, fast_cfg):
+        sc = stopping_drift_scenario(paths=1000, steps=8)
         p = generate_paths(sc)
-        with pytest.raises(ValueError, match="configuration error"):
-            solve_double(sc, p)
+        sol, trace = solve_double(sc, p, fast_cfg)
+        ref, ref_trace = solve_reflected(sc, p, fast_cfg)
+        for name in ("Y", "Z", "K_plus", "K_minus"):
+            assert _bit_equal(getattr(sol, name), getattr(ref, name)), name
+        assert repr(trace) == repr(ref_trace)
+        assert sol.meta.scheme == "penalized"
+
+    def test_no_barrier_is_one_unreflected_sweep(self):
+        sc = constant_g_scenario(paths=500, steps=6)
+        p = generate_paths(sc)
+        sol, trace = solve_double(sc, p)
+        ref = solve_bdsde(sc, p)
+        for name in ("Y", "Z", "K_plus", "K_minus"):
+            assert _bit_equal(getattr(sol, name), getattr(ref, name)), name
+        assert trace == PenalizationTrace(levels=(), converged=True)
+        assert sol.meta.scheme == "plain"
 
     def test_far_upper_barrier_matches_one_barrier_solver(self, fast_cfg):
         sc = stopping_drift_scenario(paths=5000, steps=25)
@@ -410,3 +430,69 @@ class TestDoubleSkorohodResiduals:
         lres, ures = double_skorohod_residuals(sol, grids.lower, grids.upper)
         assert abs(lres.mean()) <= max(5.0 * sc.grid.dt * sol.K_plus[:, -1].mean(), 1e-10)
         assert abs(ures.mean()) <= max(5.0 * sc.grid.dt * sol.K_minus[:, -1].mean(), 1e-10)
+
+
+def _negated(spec):
+    """The coefficient (t, w, y, z) -> -spec(t, w, -y, -z)."""
+    def fn(t, w, y, z):
+        return -spec.evaluate(t, w, None if y is None else -y, None if z is None else -z)
+
+    return CoefficientSpec.hook(fn, lip_const=spec.lip_const, alpha=spec.alpha)
+
+
+def _mirror(s):
+    """The upper-barrier problem that Y -> -Y maps a lower-barrier problem
+    to: xi -> -xi, f(y, z) -> -f(-y, -z), g(y, z) -> -g(-y, -z), L -> -U.  A
+    constant barrier stays constant, so it adds no basis column on either
+    side."""
+    lower = s.obstacles.lower
+    upper = (CoefficientSpec.constant(-lower.param("value")) if lower.kind == "constant"
+             else _negated(lower))
+    return dataclasses.replace(
+        s, terminal=_negated(s.terminal), driver=_negated(s.driver),
+        noise_coeff=_negated(s.noise_coeff), obstacles=ObstacleSpec(upper=upper))
+
+
+class TestMirror:
+    """An upper barrier alone is the mirror of a lower one: the sweep gives
+    -Y, -Z and K- = K+ exactly (an exact zero may differ in sign), and the
+    ladder takes the same levels with the same penetrations."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shaped=st.booleans(),
+        height=st.floats(-0.5, 0.0),
+        a_y=st.floats(-1.0, 1.0),
+        cost=st.floats(0.0, 2.0),
+        beta=st.sampled_from([0.0, 0.3]),
+        degree=st.integers(1, 4),
+        include_db=st.booleans(),
+        levels=st.sampled_from([(4.0,), (4.0, 64.0), (4.0, 64.0, math.inf)]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_upper_only_solve_is_the_mirrored_lower_solve(self, shaped, height, a_y, cost, beta,
+                                                          degree, include_db, levels, seed):
+        barrier = CoefficientSpec.payoff_neg_part() if shaped else CoefficientSpec.constant(height)
+        sc = Scenario(
+            grid=TimeGrid(horizon=1.0, steps=6), dims=Dimensions(),
+            terminal=CoefficientSpec.payoff_neg_part(),
+            driver=CoefficientSpec.linear(a_y=a_y, a_z=(0.0,), c=-cost),
+            noise_coeff=CoefficientSpec.constant(beta),
+            obstacles=ObstacleSpec(lower=barrier), mc_paths=300, seed=seed,
+        )
+        p = generate_paths(sc)
+        cfg = RegressionConfig(degree_w=degree, include_dB=include_db)
+        schedule = PenaltySchedule(levels=levels, penetration_tol=0.0)
+        low, low_trace = solve_reflected(sc, p, cfg, schedule=schedule)
+        up, up_trace = solve_double(_mirror(sc), p, cfg, schedule=schedule)
+
+        assert np.array_equal(up.Y, -low.Y)
+        assert np.array_equal(up.Z, -low.Z)
+        assert np.array_equal(up.K_minus, low.K_plus)
+        assert not np.any(up.K_plus)
+        assert up.meta.scheme == low.meta.scheme
+        assert up_trace.converged == low_trace.converged
+        assert len(up_trace.levels) == len(low_trace.levels)
+        for u, l in zip(up_trace.levels, low_trace.levels):
+            assert (u.penetration_upper, u.penetration_lower) == (l.penetration_lower, 0.0)
+            assert (u.mean_k_minus_T, u.mean_k_plus_T) == (l.mean_k_plus_T, 0.0)
