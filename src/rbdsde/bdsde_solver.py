@@ -10,7 +10,9 @@ onto the regression basis, and finally refines the drift contribution by a
 short Picard iteration: Y_i = C_i + f(t_i, W_i, Y_i, Z_i) dt.  The step
 ends with the implicit penalty correction at the sweep's one level for every
 barrier: the projection at an infinite level, the identity with no barrier.
-``_checked_grid`` alone picks and checks the barriers a solve reflects on.
+A solve reflects on every barrier its scenario declares, which
+``_checked_grid`` evaluates and checks; ``solve_bdsde``, which ignores
+barriers, solves the scenario with its barriers removed.
 
 Both projections are computed with martingale control variates: the gradient
 target is centred by a rough continuation fit, and the continuation target
@@ -114,21 +116,10 @@ def implicit_double_step(a, l_val, u_val, m_dt, n_dt):
     return y.reshape(shape), dk_plus.reshape(shape), dk_minus.reshape(shape)
 
 
-def _checked_grid(s: Scenario, p: NoisePaths, sides: tuple[str, ...]) -> ObstacleGrid:
-    """The obstacle grid of the scenario's barriers on ``sides`` (a subset of
-    ``("lower", "upper")``, the barriers a solve reflects on) along the
-    paths; raises if a side is absent, if a reflected solve would leave out
-    a declared barrier, or if a per-path condition fails.  Empty ``sides``
-    is the unreflected solve, which ignores every barrier."""
-    for side in sides:
-        if getattr(s.obstacles, side) is None:
-            raise ValueError(f"configuration error: scenario has no {side} obstacle")
-    ignored = [side for side in s.obstacles.sides if side not in sides]
-    if sides and ignored:
-        raise ValueError(f"configuration error: this solve would ignore the scenario's "
-                         f"{ignored[0]} obstacle")
-    obstacles = ObstacleSpec(**{side: getattr(s.obstacles, side) for side in sides})
-    grids = obstacle_on_grid(replace(s, obstacles=obstacles), p)
+def _checked_grid(s: Scenario, p: NoisePaths) -> ObstacleGrid:
+    """The obstacle grid of every barrier the scenario declares, along the
+    paths; raises ConfigError if a per-path condition fails."""
+    grids = obstacle_on_grid(s, p)
     grids.check_flags()
     return grids
 
@@ -176,9 +167,9 @@ def solve_backward(
     *,
     factors: dict | None = None,
 ) -> SolutionEnsemble:
-    """One backward sweep reflecting on every barrier present in ``grids``
-    at one penalty level per unit time; the infinite level is the
-    projection.  With no barrier in ``grids`` the sweep solves the
+    """One backward sweep reflecting on every barrier in ``grids``, the
+    scenario's ``_checked_grid``, at one penalty level per unit time; the
+    infinite level is the projection.  With no barrier the sweep solves the
     unreflected equation.  Non-constant barriers add their shape columns to
     the design.
 
@@ -231,8 +222,7 @@ def solve_backward(
             np.maximum(overshoot, y_all[i] - upper_rows[i], out=overshoot)
 
     track_penetration(n)
-    shaped = [getattr(grids, side) for side in s.obstacles.shaped_sides()
-              if getattr(grids, side) is not None]
+    shaped = [getattr(grids, side) for side in s.obstacles.shaped_sides()]
     basis_size = None
     for i in range(n - 1, -1, -1):
         t_next = times[i + 1]
@@ -323,4 +313,5 @@ def solve_bdsde(
 ) -> SolutionEnsemble:
     """Solve the unreflected terminal-value equation; obstacles, if any, are
     ignored and both reflection processes come back identically zero."""
-    return solve_backward(s, p, cfg or RegressionConfig(), picard_iters, _checked_grid(s, p, ()))
+    s = replace(s, obstacles=ObstacleSpec())
+    return solve_backward(s, p, cfg or RegressionConfig(), picard_iters, _checked_grid(s, p))

@@ -370,8 +370,11 @@ def cmd_compare(config_a: str, config_b: str, out: Path) -> int:
         "y_pass": result.passed,
     }
     overall = result.passed
-    # the ordered pushing of each barrier the two configs share
-    for side in a.obstacles.sides if a.obstacles == b.obstacles else ():
+    # the ordered pushing of each barrier the two configs declare alike,
+    # whatever other barrier either declares
+    shared = [side for side in a.obstacles.sides
+              if getattr(a.obstacles, side) == getattr(b.obstacles, side)]
+    for side in shared:
         dk = diagnostics.check_dK_comparison(sol_a, sol_b, side=side)
         payload.update({
             "dk_violation_fraction" + _SUFFIX[side]: dk.violation_fraction,

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bdsde_solver import _checked_grid, solve_backward
 from .condexp import RegressionConfig
 from .model import Scenario, SolutionEnsemble
 from .paths import NoisePaths
+from .reflect_one import solve_projected
 from .scenarios import shift_terminal
 
 
@@ -140,12 +140,10 @@ def stability_statistic(
     picard_iters: int = 2,
 ) -> float:
     """E[sup_i (Y_i - Y'_i)^2] between the base scenario and its terminal
-    perturbation xi + delta, each solved on the same noise by one projected
-    sweep that reflects on every barrier the scenario declares; raises if
-    either data set fails a per-path condition."""
-    base_sol, pert_sol = (
-        solve_backward(sc, shared_paths, cfg or RegressionConfig(), picard_iters,
-                       _checked_grid(sc, shared_paths, sc.obstacles.sides))
-        for sc in (s, shift_terminal(s, delta)))
+    perturbation xi + delta, each solved on the same noise by
+    ``solve_projected``, which reflects on every barrier the scenario
+    declares; raises if either data set fails a per-path condition."""
+    base_sol, pert_sol = (solve_projected(sc, shared_paths, cfg, picard_iters)
+                          for sc in (s, shift_terminal(s, delta)))
     diff = pert_sol.Y - base_sol.Y
     return float(np.mean(np.max(diff**2, axis=1)))

@@ -147,15 +147,18 @@ class ObstacleGrid:
         return self.lower - y if side == "lower" else y - self.upper
 
     def flag_messages(self) -> list[str]:
-        """One message per per-path condition that fails: S_T <= xi,
-        xi <= U_T, and L < U at the interior grid points."""
-        terminal = []
+        """One message per per-path condition that fails: finite barrier
+        values, S_T <= xi, xi <= U_T, and L < U at the interior grid
+        points."""
+        per_path = [(f"-inf < {symbol} < inf", ~np.all(np.isfinite(values), axis=1))
+                    for symbol, values in (("L", self.lower), ("U", self.upper))
+                    if values is not None]
         if self.lower is not None:
-            terminal.append(("S_T <= xi", self.lower[:, -1] > self.xi))
+            per_path.append(("S_T <= xi", self.lower[:, -1] > self.xi))
         if self.upper is not None:
-            terminal.append(("xi <= U_T", self.xi > self.upper[:, -1]))
+            per_path.append(("xi <= U_T", self.xi > self.upper[:, -1]))
         msgs = [f"{condition} violated on {int(np.count_nonzero(bad))} paths"
-                for condition, bad in terminal if np.any(bad)]
+                for condition, bad in per_path if np.any(bad)]
         if (self.lower is not None and self.upper is not None
                 and np.any(self.lower[:, :-1] >= self.upper[:, :-1])):
             msgs.append("barrier crossing: L >= U at sampled interior points")

@@ -1,17 +1,17 @@
-"""One-barrier reflected solver via penalization, the projection limit
-scheme, and the Skorohod-condition machinery.
+"""The penalized, projected and reflected solvers, and the Skorohod-condition
+machinery of the lower barrier.
 
 The penalty is handled implicitly inside each backward step: the candidate
 value a (continuation plus drift) is corrected by solving the scalar
 piecewise-linear equation y = a + n*dt*(s - y)^+ in closed form.  This keeps
 arbitrarily large penalty rates usable; an explicit penalty in the driver
 would be stiff beyond n*dt ~ 1.  The step and the sweep are those of
-``bdsde_solver`` and the ladder that of ``reflect_two``, on the lower
-barrier only: these solvers refuse a declared upper barrier, and
-``reflect_two.solve_double`` solves any barrier set, an upper barrier alone
-as the mirror of a lower one.  The sup formula for K, like the stopping
-rules in ``oracles``, is lower-barrier only and refuses an ensemble solved
-with an upper barrier.
+``bdsde_solver`` and the ladder that of ``reflect_two``.  Like every solver
+but ``solve_bdsde``, these reflect on every barrier the scenario declares,
+none, one on either side or both; they differ only in their level policy:
+one finite level, the infinite level, or the ladder.  The sup formula for K,
+like the stopping rules in ``oracles``, is lower-barrier only and refuses an
+ensemble solved with an upper barrier.
 """
 from __future__ import annotations
 
@@ -41,10 +41,9 @@ def solve_penalized(
     picard_iters: int = 2,
     level: float = 1.0,
 ) -> SolutionEnsemble:
-    """One backward sweep at a fixed penalty rate ``level``; the per-step
-    correction uses n_dt = level * dt."""
-    return solve_backward(s, p, cfg or RegressionConfig(), picard_iters,
-                          _checked_grid(s, p, ("lower",)), level)
+    """One backward sweep penalizing every declared barrier at the fixed
+    rate ``level``; the per-step correction uses n_dt = level * dt."""
+    return solve_backward(s, p, cfg or RegressionConfig(), picard_iters, _checked_grid(s, p), level)
 
 
 def solve_projected(
@@ -53,9 +52,9 @@ def solve_projected(
     cfg: RegressionConfig | None = None,
     picard_iters: int = 2,
 ) -> SolutionEnsemble:
-    """Infinite-penalty limit: per step Y_i = max(a, S_i), dK = (S_i - a)^+."""
-    return solve_backward(s, p, cfg or RegressionConfig(), picard_iters,
-                          _checked_grid(s, p, ("lower",)))
+    """Infinite-penalty limit: per step Y_i = min(U_i, max(a, L_i)) over the
+    declared barriers, and dK+ = (L_i - a)^+, dK- = (a - U_i)^+."""
+    return solve_backward(s, p, cfg or RegressionConfig(), picard_iters, _checked_grid(s, p))
 
 
 def penetration_statistic(sol: SolutionEnsemble, lower: np.ndarray) -> float:
@@ -72,10 +71,9 @@ def solve_reflected(
     schedule: PenaltySchedule | None = None,
 ) -> tuple[SolutionEnsemble, PenalizationTrace]:
     """Run the penalty ladder until the penetration statistic reaches the
-    schedule tolerance; never aborts on exhaustion, it flags instead."""
-    schedule = schedule or PenaltySchedule.geometric(s.grid.dt)
-    return _run_ladder(s, p, cfg or RegressionConfig(), picard_iters,
-                       _checked_grid(s, p, ("lower",)), schedule)
+    schedule tolerance; never aborts on exhaustion, it flags instead.  The
+    same call as ``reflect_two.solve_double``, kept under its own name."""
+    return _run_ladder(s, p, cfg, picard_iters, schedule)
 
 
 def skorohod_residual(sol: SolutionEnsemble, obstacle: np.ndarray) -> np.ndarray:

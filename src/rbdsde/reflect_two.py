@@ -1,5 +1,5 @@
 """The penalty ladder behind every reflected solver, and ``solve_double``,
-the one entry point for every barrier set.
+which runs it on the barriers the scenario declares.
 
 Each backward step of ``bdsde_solver.solve_backward`` solves
 y = a + n_dt*(l - y)^+ - n_dt*(y - u)^+ in closed form (unique by
@@ -11,7 +11,8 @@ iterated limit (inner lower, outer upper) is collapsed onto one schedule,
 which preserves both monotone penetration decays.  An upper barrier alone
 is the mirror of a lower one: under Y -> -Y (xi -> -xi, f(y,z) -> -f(-y,-z),
 g(y,z) -> -g(-y,-z), L -> -U) the same sweep gives -Y, -Z and K- = K+
-exactly.
+exactly.  ``solve_double`` and ``reflect_one.solve_reflected`` are the same
+ladder call under two names.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from .bdsde_solver import _checked_grid, solve_backward
 from .bdsde_solver import implicit_double_step  # noqa: F401
 from .condexp import RegressionConfig
 from .model import PenaltySchedule, Scenario, SolutionEnsemble
-from .paths import NoisePaths, ObstacleGrid
+from .paths import NoisePaths
 
 def _penetration(excess: np.ndarray) -> float:
     """Mean over paths of sup_i ((excess)^+)^2."""
@@ -52,15 +53,15 @@ class PenalizationTrace:
 def _run_ladder(
     s: Scenario,
     p: NoisePaths,
-    cfg: RegressionConfig,
+    cfg: RegressionConfig | None,
     picard_iters: int,
-    grids: ObstacleGrid,
-    schedule: PenaltySchedule,
+    schedule: PenaltySchedule | None,
 ) -> tuple[SolutionEnsemble, PenalizationTrace]:
-    """Solve level after level, at the same rate for every barrier in
-    ``grids``, until each barrier's penetration reaches the schedule's
-    tolerance.  Never aborts on exhaustion, it flags instead.  A grid with
-    no barrier is solved by one unreflected sweep, with no level.  A level
+    """Solve level after level, at the same rate for every barrier the
+    scenario declares, until each barrier's penetration reaches the
+    tolerance of ``schedule``, by default the geometric ladder of the time
+    grid.  Never aborts on exhaustion, it flags instead.  A scenario with no
+    barrier is solved by one unreflected sweep, with no level.  A level
     keeps only its ``LevelStat``: its ensemble is released before the next
     level's sweep, so one ensemble is alive at a time.
 
@@ -68,9 +69,12 @@ def _run_ladder(
     factors each step's design and the later ones reuse the factor (B + B^2
     numbers per step, released on return), and each sweep reports its
     penetration, so no (M, N+1) array is formed to measure it."""
+    cfg = cfg or RegressionConfig()
+    grids = _checked_grid(s, p)
     if not grids.sides:
         return (solve_backward(s, p, cfg, picard_iters, grids),
                 PenalizationTrace(levels=(), converged=True))
+    schedule = schedule or PenaltySchedule.geometric(s.grid.dt)
     tol = schedule.penetration_tol
 
     factors: dict = {}  # step index -> that step's design factorization
@@ -103,10 +107,8 @@ def solve_double(
     """Solve with every barrier the scenario declares, none, one on either
     side or both: level k of one penalty ladder penalizes each of them at
     the same rate.  Without a barrier this is ``solve_bdsde`` with an empty
-    trace."""
-    return _run_ladder(s, p, cfg or RegressionConfig(), picard_iters,
-                       _checked_grid(s, p, s.obstacles.sides),
-                       schedule or PenaltySchedule.geometric(s.grid.dt))
+    trace.  The same call as ``solve_reflected``, kept under its own name."""
+    return _run_ladder(s, p, cfg, picard_iters, schedule)
 
 
 def _flat_off_barrier(excess: np.ndarray, k: np.ndarray) -> np.ndarray:

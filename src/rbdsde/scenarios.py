@@ -128,7 +128,7 @@ def shift_lower_obstacle(s: Scenario, delta: float) -> Scenario:
     """Scenario with the lower barrier moved by delta (negative keeps
     terminal domination intact)."""
     if s.obstacles.lower is None:
-        raise ValueError("scenario has no lower obstacle to shift")
+        raise ValueError("the scenario declares no lower obstacle to shift")
     base = s.obstacles.lower
 
     def shifted(t, w, y, z):

@@ -281,6 +281,25 @@ class TestCompareCommand:
         assert payload["dk_pass_upper"] is (order == "ordered")
         assert fraction == 0.0 if order == "ordered" else fraction > 0.01
 
+    @pytest.mark.parametrize("added_to", ["a", "b"])
+    def test_a_barrier_of_one_config_keeps_the_shared_check(self, tmp_path, added_to):
+        # the README config against its driver -0.5 variant: adding a barrier
+        # that never binds to either config leaves the shared lower check as it is
+        base = _readme_config(paths=4000, steps=24)
+        configs = {"a": base, "b": {**base, "driver": {"kind": "constant", "params": {"value": -0.5}}}}
+        payloads = {}
+        for case in ("shared", "added"):
+            if case == "added":
+                configs[added_to] = {**configs[added_to], "obstacle": {
+                    **base["obstacle"], "upper": {"kind": "constant", "params": {"value": 100.0}}}}
+            paths = [_write(tmp_path, f"{case}_{name}.json", cfg) for name, cfg in configs.items()]
+            out = tmp_path / case
+            assert main(["compare", *paths, "--out", str(out)]) == 0
+            payloads[case] = json.loads((out / "comparison.json").read_text())
+        assert payloads["added"]["dk_pass"] is True
+        assert payloads["added"]["dk_violation_fraction"] == 0.0
+        assert payloads["added"] == payloads["shared"]
+
     def test_mismatched_frames_exit_2(self, tmp_path):
         a = _write(tmp_path, "a.json", self._stopping())
         b = _write(tmp_path, "b.json", self._stopping(seed=7))
@@ -641,6 +660,34 @@ def test_coefficients_load_as_their_constructor_builds_them(tmp_path, kind, give
 def test_omitted_regression_keys_take_the_library_defaults(tmp_path):
     spec = load_config(_write(tmp_path, "c.json", _base_config(regression={})))
     assert spec.regression == RegressionConfig()
+
+
+def _readme_config(**overrides):
+    """The config block of the README, with ``overrides`` applied."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
+    return {**json.loads(block), **overrides}
+
+
+@pytest.mark.parametrize("side, value", [("lower", -math.inf), ("lower", math.inf),
+                                         ("upper", -math.inf), ("upper", math.inf)])
+def test_infinite_barrier_is_a_validation_failure(tmp_path, capsys, side, value):
+    cfg = _corridor_config(paths=2000, steps=10)
+    cfg["obstacle"] = {**cfg["obstacle"], side: {"kind": "constant", "params": {"value": value}}}
+    out = tmp_path / "o"
+    assert main(["run", _write(tmp_path, "c.json", cfg), "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines and all(line.startswith("validation: ") for line in lines)
+    if (side, value) in (("lower", -math.inf), ("upper", math.inf)):
+        # the static probe cannot see a barrier that never binds
+        symbol = "L" if side == "lower" else "U"
+        assert lines == [f"validation: -inf < {symbol} < inf violated on 2000 paths"]
+
+    def no_constant(token):
+        raise AssertionError(f"summary.json holds {token}")
+
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=no_constant)
+    assert summary == {"status": "validation_failed", "errors": [line[12:] for line in lines]}
 
 
 def test_readme_config_loads(tmp_path):

@@ -19,9 +19,12 @@ from rbdsde import (
     skorohod_sup_formula,
     solve_bdsde,
     solve_double,
+    solve_penalized,
+    solve_projected,
     solve_reflected,
     stopping_rule_value,
 )
+from rbdsde.model import ConfigError
 from rbdsde import paths as paths_module
 from rbdsde.oracles import FixedRule
 from rbdsde.paths import coarsen, worker_count
@@ -237,6 +240,22 @@ class TestObstacleOnGrid:
         grids = obstacle_on_grid(bad, generate_paths(bad))
         assert grids.flag_messages() == ["S_T <= xi violated on 30 paths"]
 
+    @pytest.mark.parametrize("side, value", [("lower", -np.inf), ("lower", np.inf),
+                                             ("upper", -np.inf), ("upper", np.inf)])
+    def test_infinite_barrier_fails_its_condition_in_every_solver(self, side, value):
+        sc = two_barrier_scenario(paths=200, steps=5)
+        bad = dataclasses.replace(sc, obstacles=dataclasses.replace(
+            sc.obstacles, **{side: CoefficientSpec.constant(value)}))
+        p = generate_paths(bad)
+        symbol = "L" if side == "lower" else "U"
+        message = f"-inf < {symbol} < inf violated on 200 paths"
+        assert obstacle_on_grid(bad, p).flag_messages()[0] == message
+        for solve in (solve_penalized, solve_projected, solve_reflected, solve_double):
+            with pytest.raises(ConfigError, match=message):
+                solve(bad, p)
+        # the unreflected solve never evaluates a barrier
+        assert np.array_equal(solve_bdsde(bad, p).Y, solve_bdsde(sc, p).Y)
+
     def test_dimension_mismatch(self):
         sc = constant_scenario(paths=30, steps=5)
         p = generate_paths(sc)
@@ -248,6 +267,11 @@ class TestObstacleOnGrid:
 def _reference_messages(xi, lower, upper):
     """The per-path conditions, counted path by path."""
     msgs = []
+    for symbol, values in (("L", lower), ("U", upper)):
+        if values is not None:
+            bad = sum(not all(np.isfinite(v) for v in values[k]) for k in range(len(xi)))
+            if bad:
+                msgs.append(f"-inf < {symbol} < inf violated on {bad} paths")
     if lower is not None:
         bad = sum(lower[k, -1] > xi[k] for k in range(len(xi)))
         if bad:
@@ -269,8 +293,9 @@ def _grids(draw):
     n = draw(st.integers(1, 4))
     # few distinct values, so ties and violations are both common
     values = st.sampled_from([-1.0, 0.0, 0.5, 1.0])
+    barrier_values = st.sampled_from([-1.0, 0.0, 0.5, 1.0, -np.inf, np.inf, np.nan])
     xi = draw(hnp.arrays(float, (m,), elements=values))
-    lower, upper = (draw(st.none() | hnp.arrays(float, (m, n + 1), elements=values))
+    lower, upper = (draw(st.none() | hnp.arrays(float, (m, n + 1), elements=barrier_values))
                     for _ in range(2))
     return xi, lower, upper
 

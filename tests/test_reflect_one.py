@@ -4,14 +4,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rbdsde import (
     CoefficientSpec,
+    Dimensions,
     ObstacleSpec,
     PenaltySchedule,
     SolutionEnsemble,
     SolveMeta,
     RegressionConfig,
+    Scenario,
+    TimeGrid,
     generate_paths,
     implicit_double_step,
     implicit_penalty_step,
@@ -20,6 +25,7 @@ from rbdsde import (
     skorohod_residual,
     skorohod_sup_formula,
     solve_bdsde,
+    solve_double,
     solve_penalized,
     solve_projected,
     solve_reflected,
@@ -78,12 +84,15 @@ class TestImplicitPenaltyStep:
 
 class TestSolvePenalized:
 
-    def test_requires_obstacle(self):
+    def test_no_barrier_is_the_unreflected_sweep(self):
         sc = constant_scenario(paths=200, steps=4)
         bare = dataclasses.replace(sc, obstacles=ObstacleSpec())
         p = generate_paths(bare)
-        with pytest.raises(ValueError, match="configuration error"):
-            solve_penalized(bare, p, level=10.0)
+        pen = solve_penalized(bare, p, level=10.0)
+        plain = solve_bdsde(sc, p)
+        assert pen.meta.scheme == plain.meta.scheme == "plain"
+        for name in ("Y", "Z", "K_plus", "K_minus"):
+            assert np.array_equal(getattr(pen, name), getattr(plain, name))
 
     def test_inactive_penalty_matches_plain_solver_exactly(self):
         sc = constant_scenario(paths=2000, steps=10)
@@ -209,13 +218,70 @@ class TestSolveReflected:
 
 
 @pytest.mark.parametrize("solve", [solve_projected, solve_penalized, solve_reflected])
-def test_one_barrier_solvers_refuse_a_declared_upper_barrier(solve):
+def test_one_barrier_solvers_reflect_a_declared_upper_barrier(solve):
     # a drift of 2 drives the solution through U = 2 unless the upper
     # barrier reflects it
     sc = two_barrier_scenario(paths=4000, steps=20, drift=2.0)
     p = generate_paths(sc)
-    with pytest.raises(ValueError, match="configuration error: .*upper obstacle"):
-        solve(sc, p)
+    result = solve(sc, p)
+    sol = result[0] if isinstance(result, tuple) else result
+    assert sol.meta.scheme == "double"
+    assert sol.K_minus[:, -1].mean() > 0.01
+    assert sol.Y[:, 0].mean() < solve_bdsde(sc, p).Y[:, 0].mean() - 0.01
+
+
+class TestLevelPolicy:
+    """The solvers differ only in their level policy: each equals
+    ``solve_double`` on its ladder for every barrier set, bit for bit, and
+    with no barrier each is ``solve_bdsde``."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        sides=st.sampled_from([(), ("lower",), ("upper",), ("lower", "upper")]),
+        shaped=st.booleans(),
+        gap=st.floats(0.0, 0.5),
+        a_y=st.floats(-1.0, 1.0),
+        drift=st.floats(-3.0, 3.0),
+        beta=st.sampled_from([0.0, 0.3]),
+        degree=st.integers(1, 3),
+        include_db=st.booleans(),
+        level=st.sampled_from([0.5, 4.0, 64.0]),
+        levels=st.sampled_from([(4.0,), (4.0, 64.0), (4.0, 64.0, np.inf)]),
+        tol=st.sampled_from([0.0, 1e-4]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_each_solver_is_solve_double_on_its_ladder(self, sides, shaped, gap, a_y, drift, beta,
+                                                      degree, include_db, level, levels, tol, seed):
+        # xi = clamp(W_T, -1, 1) lies between the barriers on every path
+        barriers = ({"lower": CoefficientSpec.clamp(-2.0, -0.5), "upper": CoefficientSpec.clamp(0.5, 2.0)}
+                    if shaped else {"lower": CoefficientSpec.constant(-1.0 - gap),
+                                    "upper": CoefficientSpec.constant(1.0 + gap)})
+        sc = Scenario(
+            grid=TimeGrid(horizon=1.0, steps=6), dims=Dimensions(),
+            terminal=CoefficientSpec.clamp(-1.0, 1.0),
+            driver=CoefficientSpec.linear(a_y=a_y, a_z=(0.0,), c=drift),
+            noise_coeff=CoefficientSpec.constant(beta),
+            obstacles=ObstacleSpec(**{side: barriers[side] for side in sides}),
+            mc_paths=300, seed=seed,
+        )
+        p = generate_paths(sc)
+        cfg = RegressionConfig(degree_w=degree, include_dB=include_db)
+        plain = solve_bdsde(sc, p, cfg)
+        assert plain.meta.scheme == "plain"
+        # each solver's ensemble and trace, and its ladder
+        solved = [
+            (solve_projected(sc, p, cfg), None, (np.inf,)),
+            (solve_penalized(sc, p, cfg, level=level), None, (level,)),
+            (*solve_reflected(sc, p, cfg, schedule=PenaltySchedule(levels, tol)), levels),
+        ]
+        for sol, trace, ladder in solved:
+            ref, ref_trace = solve_double(sc, p, cfg, schedule=PenaltySchedule(ladder, tol))
+            for other in (ref,) if sides else (ref, plain):
+                for name in ("Y", "Z", "K_plus", "K_minus"):
+                    assert np.array_equal(getattr(sol, name), getattr(other, name)), (ladder, name)
+                assert sol.meta.scheme == other.meta.scheme
+            if trace is not None:
+                assert trace == ref_trace
 
 
 def _traced_peak(solve):
