@@ -206,7 +206,8 @@ def solve_backward(
     residual_rms = np.zeros((n, 2 + d))
 
     y_all[n] = grids.xi
-    b_terminal = p.B_state[:, n, :]
+    # B_T - B_{t_i}, summed backward one increment per step
+    remaining_db = np.zeros((m, l)) if cfg.include_dB else None
 
     # time rows of the barriers; an absent one is None
     lower_rows = None if grids.lower is None else grids.lower.T
@@ -236,7 +237,8 @@ def solve_backward(
         continuation_target = y_next + np.einsum("ml,ml->m", g_next, d_b)
 
         w_now = p.W_state[:, i, :]
-        remaining_db = b_terminal - p.B_state[:, i, :] if cfg.include_dB else None
+        if remaining_db is not None:
+            remaining_db += d_b
         basis = build_basis(cfg, w_now, remaining_db, [values[:, i] for values in shaped])
         factored = None if factors is None else factors.get(i)
         if factored is None:

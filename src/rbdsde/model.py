@@ -35,6 +35,10 @@ CATALOG_KINDS = (
 # which qualifies when its y and z loadings vanish.
 STATE_ONLY_KINDS = ("zero", "constant", "payoff_put", "payoff_neg_part", "exponential", "clamp")
 
+# Kinds whose value is one number at every (t, w): such a barrier adds no
+# shape column to the regression design and is held as one value on the grid.
+CONSTANT_KINDS = ("zero", "constant")
+
 
 class ConfigError(ValueError):
     """Malformed configuration, or a scenario that fails validation or a
@@ -216,7 +220,7 @@ class ObstacleSpec:
         shape columns to the regression design, which already spans a zero or
         constant barrier."""
         return tuple(side for side in self.sides
-                     if getattr(self, side).kind not in ("zero", "constant"))
+                     if getattr(self, side).kind not in CONSTANT_KINDS)
 
 
 @dataclass(frozen=True)

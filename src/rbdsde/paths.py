@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigError, Scenario
+from .model import CONSTANT_KINDS, ConfigError, Scenario
 
 log = logging.getLogger(__name__)
 
@@ -24,9 +24,13 @@ _BLOCK = 4096
 
 
 def worker_count() -> int:
-    """Parallelism cap from RBDSDE_THREADS (default 1); a value that is not
-    an integer is logged and read as 1."""
-    raw = os.environ.get("RBDSDE_THREADS", "1")
+    """Parallelism cap from RBDSDE_THREADS, by default the number of cores
+    this process may run on; a value that is not an integer is logged and
+    read as 1.  The drawn bits do not depend on it."""
+    raw = os.environ.get("RBDSDE_THREADS")
+    if raw is None:
+        usable = getattr(os, "sched_getaffinity", None)
+        return len(usable(0)) if usable is not None else os.cpu_count() or 1
     try:
         return max(1, int(raw))
     except ValueError:
@@ -36,21 +40,27 @@ def worker_count() -> int:
 
 @dataclass(frozen=True, eq=False)
 class NoisePaths:
-    """Increment and cumulative-state arrays for both Brownian motions.
+    """Increment arrays of both Brownian motions and the state of W.
 
     Indexed path first, stored time first: each array is a transposed view
     of a C-ordered (N, M, k) or (N+1, M, k) buffer, so the M x k slice of
-    one grid time, ``dW[:, i, :]``, is contiguous."""
+    one grid time, ``dW[:, i, :]``, is contiguous.  The state of B is not
+    stored, because the solver reads B only through its increments."""
 
     dW: np.ndarray       # (M, N, d)
     dB: np.ndarray       # (M, N, l)
     W_state: np.ndarray  # (M, N+1, d), W_0 = 0
-    B_state: np.ndarray  # (M, N+1, l), B_0 = 0
     seed: int
 
     @property
     def n_paths(self) -> int:
         return self.dW.shape[0]
+
+    @property
+    def B_state(self) -> np.ndarray:
+        """(M, N+1, l), B_0 = 0: the running sums of ``dB``, formed anew on
+        every read, in the layout of ``W_state``."""
+        return _path_major(_cumulative(_path_major(self.dB)))
 
 
 def _path_major(time_major: np.ndarray) -> np.ndarray:
@@ -74,7 +84,7 @@ def _cumulative(increments: np.ndarray) -> np.ndarray:
 def _noise_paths(dW: np.ndarray, dB: np.ndarray, seed: int) -> NoisePaths:
     """Paths over time-major (N, M, k) increments."""
     return NoisePaths(dW=_path_major(dW), dB=_path_major(dB), W_state=_path_major(_cumulative(dW)),
-                      B_state=_path_major(_cumulative(dB)), seed=seed)
+                      seed=seed)
 
 
 def generate_paths(s: Scenario) -> NoisePaths:
@@ -130,11 +140,13 @@ def coarsen(p: NoisePaths, k: int) -> NoisePaths:
 @dataclass(frozen=True, eq=False)
 class ObstacleGrid:
     """Terminal and barrier values evaluated along the generated paths; the
-    per-path conditions that validation cannot decide are read from them."""
+    per-path conditions that validation cannot decide are read from them.
+    A constant barrier is a read-only view of one value, so a grid is for
+    reading only."""
 
     xi: np.ndarray             # (M,)
-    lower: np.ndarray | None   # (M, N+1), a view of (N+1, M) time rows
-    upper: np.ndarray | None   # (M, N+1), a view of (N+1, M) time rows
+    lower: np.ndarray | None   # (M, N+1), a view of (N+1, M) time rows or of one value
+    upper: np.ndarray | None   # (M, N+1), a view of (N+1, M) time rows or of one value
 
     @property
     def sides(self) -> tuple[str, ...]:
@@ -147,12 +159,13 @@ class ObstacleGrid:
         return self.lower - y if side == "lower" else y - self.upper
 
     def flag_messages(self) -> list[str]:
-        """One message per per-path condition that fails: finite barrier
-        values, S_T <= xi, xi <= U_T, and L < U at the interior grid
-        points."""
-        per_path = [(f"-inf < {symbol} < inf", ~np.all(np.isfinite(values), axis=1))
-                    for symbol, values in (("L", self.lower), ("U", self.upper))
-                    if values is not None]
+        """One message per per-path condition that fails: finite terminal
+        and barrier values, S_T <= xi, xi <= U_T, and L < U at the interior
+        grid points."""
+        per_path = [("-inf < xi < inf", ~np.isfinite(self.xi))]
+        per_path += [(f"-inf < {symbol} < inf", ~np.all(np.isfinite(values), axis=1))
+                     for symbol, values in (("L", self.lower), ("U", self.upper))
+                     if values is not None]
         if self.lower is not None:
             per_path.append(("S_T <= xi", self.lower[:, -1] > self.xi))
         if self.upper is not None:
@@ -173,8 +186,12 @@ class ObstacleGrid:
 
 def _eval_on_grid(spec, times: np.ndarray, w_state: np.ndarray) -> np.ndarray:
     """The (M, N+1) values of ``spec`` along the paths, filled one
-    contiguous time row at a time."""
+    contiguous time row at a time.  A constant-like spec is evaluated at one
+    state and returned as a read-only view of that value."""
     m, n_plus_1, _ = w_state.shape
+    if spec.kind in CONSTANT_KINDS:
+        value = spec.evaluate(times[0], w_state[:1, 0, :])  # the first path's, shape (1,)
+        return np.broadcast_to(value[:, None], (m, n_plus_1))
     out = np.empty((n_plus_1, m))
     for i in range(n_plus_1):
         out[i] = spec.evaluate(times[i], w_state[:, i, :])

@@ -690,6 +690,20 @@ def test_infinite_barrier_is_a_validation_failure(tmp_path, capsys, side, value)
     assert summary == {"status": "validation_failed", "errors": [line[12:] for line in lines]}
 
 
+@pytest.mark.parametrize("value", [-math.inf, math.inf])
+def test_infinite_terminal_is_a_validation_failure_before_the_sweep(tmp_path, capsys, value):
+    # no barrier reads xi, so only its own per-path condition can stop it
+    cfg = _base_config(paths=2000, steps=10, terminal={"kind": "constant", "params": {"value": value}},
+                       obstacle={"lower": "absent", "upper": "absent"})
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", _write(tmp_path, "c.json", cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["validation: -inf < xi < inf violated on 2000 paths"]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary == {"status": "validation_failed", "errors": ["-inf < xi < inf violated on 2000 paths"]}
+
+
 def test_readme_config_loads(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)

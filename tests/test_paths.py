@@ -1,6 +1,7 @@
 """Noise-path generation and obstacle grids."""
 import dataclasses
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from hypothesis.extra import numpy as hnp
 from rbdsde import (
     CoefficientSpec,
     Dimensions,
+    NoisePaths,
     ObstacleGrid,
     ObstacleSpec,
+    RegressionConfig,
     apriori_statistic,
     generate_paths,
     obstacle_on_grid,
@@ -24,6 +27,7 @@ from rbdsde import (
     solve_reflected,
     stopping_rule_value,
 )
+from rbdsde.bdsde_solver import _checked_grid, solve_backward
 from rbdsde.model import ConfigError
 from rbdsde import paths as paths_module
 from rbdsde.oracles import FixedRule
@@ -205,6 +209,53 @@ class TestCoarsen:
         assert np.max(np.abs(sol.Y[:, 0] - 0.3 * p.B_state[:, -1, 0])) <= 1e-8
 
 
+class TestStoredArrays:
+    """Paths and grids hold only what their readers need: the state of B is
+    summed when it is read, and a constant barrier is one stored value."""
+
+    def test_noise_paths_store_no_b_state(self):
+        assert {f.name for f in dataclasses.fields(NoisePaths)} == {"dW", "dB", "W_state", "seed"}
+
+    def test_b_state_is_the_forward_running_sum_of_db(self):
+        sc = dataclasses.replace(constant_scenario(paths=5001, steps=9, seed=5), dims=Dimensions(l=2))
+        p = generate_paths(sc)
+        expected = np.zeros((5001, 10, 2))
+        for i in range(9):
+            expected[:, i + 1] = expected[:, i] + p.dB[:, i]
+        b_state = p.B_state
+        assert b_state.shape == expected.shape and b_state.tobytes() == expected.tobytes()
+        assert all(b_state[:, i, :].flags.c_contiguous for i in range(10))
+
+    def test_constant_corridor_is_held_as_read_only_views(self):
+        m, n = 4000, 20
+        sc = two_barrier_scenario(paths=m, steps=n)
+        p = generate_paths(sc)
+        tracemalloc.start()
+        try:
+            grids = obstacle_on_grid(sc, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        for values, value in ((grids.lower, -2.0), (grids.upper, 2.0)):
+            assert values.shape == (m, n + 1) and np.all(values == value)
+            assert not values.flags.writeable and values.strides[1] == 0
+        # xi is one row; the two barriers together take less than another
+        assert peak < 2 * m * 8
+
+    @pytest.mark.parametrize("level", [50.0, np.inf])
+    def test_sweep_on_views_equals_sweep_on_copies(self, level):
+        sc = two_barrier_scenario(paths=3000, steps=20, width=0.8, drift=0.6)
+        p = generate_paths(sc)
+        views = _checked_grid(sc, p)
+        copies = ObstacleGrid(xi=views.xi, lower=np.array(views.lower), upper=np.array(views.upper))
+        cfg = RegressionConfig(degree_w=1, include_dB=True)
+        on_views, on_copies = (solve_backward(sc, p, cfg, 2, grids, level) for grids in (views, copies))
+        # the drift pushes onto the upper barrier, the noise onto the lower
+        assert np.any(on_views.K_plus) and np.any(on_views.K_minus)
+        for name in ("Y", "Z", "K_plus", "K_minus"):
+            assert getattr(on_views, name).tobytes() == getattr(on_copies, name).tobytes(), name
+
+
 class TestObstacleOnGrid:
 
     def test_constant_obstacle_and_terminal(self):
@@ -267,6 +318,9 @@ class TestObstacleOnGrid:
 def _reference_messages(xi, lower, upper):
     """The per-path conditions, counted path by path."""
     msgs = []
+    bad = sum(not np.isfinite(x) for x in xi)
+    if bad:
+        msgs.append(f"-inf < xi < inf violated on {bad} paths")
     for symbol, values in (("L", lower), ("U", upper)):
         if values is not None:
             bad = sum(not all(np.isfinite(v) for v in values[k]) for k in range(len(xi)))
@@ -294,7 +348,7 @@ def _grids(draw):
     # few distinct values, so ties and violations are both common
     values = st.sampled_from([-1.0, 0.0, 0.5, 1.0])
     barrier_values = st.sampled_from([-1.0, 0.0, 0.5, 1.0, -np.inf, np.inf, np.nan])
-    xi = draw(hnp.arrays(float, (m,), elements=values))
+    xi = draw(hnp.arrays(float, (m,), elements=values | barrier_values))
     lower, upper = (draw(st.none() | hnp.arrays(float, (m, n + 1), elements=barrier_values))
                     for _ in range(2))
     return xi, lower, upper
