@@ -224,8 +224,17 @@ def solve_backward(
 
     track_penetration(n)
     shaped = [getattr(grids, side) for side in s.obstacles.shaped_sides()]
-    basis_size = None
-    for i in range(n - 1, -1, -1):
+    # a driver of the state alone gives every Picard iteration the same row
+    picard = min(picard_iters, 1) if s.driver.depends_on_state_only() else picard_iters
+
+    previous = None  # the last step's design
+
+    def step(i: int) -> None:
+        """Solve row i of Y, Z and K from row i + 1.  The targets, fitted
+        rows and residuals the step forms are released on return, and its
+        design, kept in ``previous``, as soon as the next step has built its
+        basis."""
+        nonlocal previous
         t_next = times[i + 1]
         w_next = p.W_state[:, i + 1, :]
         y_next = y_all[i + 1]
@@ -233,13 +242,20 @@ def solve_backward(
         d_w, d_b = p.dW[:, i, :], p.dB[:, i, :]
 
         f_next = s.driver.evaluate(t_next, w_next, y_next, z_next)
-        g_next = _noise_matrix(s.noise_coeff, t_next, w_next, y_next, z_next, l)
-        continuation_target = y_next + np.einsum("ml,ml->m", g_next, d_b)
+        continuation_target = y_next + np.einsum(
+            "ml,ml->m", _noise_matrix(s.noise_coeff, t_next, w_next, y_next, z_next, l), d_b)
 
         w_now = p.W_state[:, i, :]
         if remaining_db is not None:
-            remaining_db += d_b
+            np.add(remaining_db, d_b, out=remaining_db)
         basis = build_basis(cfg, w_now, remaining_db, [values[:, i] for values in shaped])
+        # The last design goes only once this basis is built.  Freed before,
+        # its memory joined the free top of the heap, which the allocator
+        # returned to the system, and the next basis was faulted in again:
+        # 70k page faults against 18k in the first level of a 30k-path
+        # ladder with 9 columns, 112k against 10k in a 100k-path sweep when
+        # freed with the rest of its step.
+        previous = None
         factored = None if factors is None else factors.get(i)
         if factored is None:
             design = Design(basis, cfg.ridge)
@@ -247,7 +263,6 @@ def solve_backward(
                 factors[i] = design.scale, design.factor, design.ridge_floor
         else:
             design = Design._reusing(basis, factored)
-        basis_size = design.shape[1]
 
         # Stage 1: rough continuation fit, reused as a centring control for
         # the gradient targets and to seed the drift refinement.  Targets
@@ -273,7 +288,7 @@ def solve_backward(
         # the drift refinement and the reflection write Y's row in place
         y_now = y_all[i]
         np.add(continuation, rough[:, 1] * dt, out=y_now)
-        for _ in range(picard_iters):
+        for _ in range(picard):
             np.add(continuation, s.driver.evaluate(times[i], w_now, y_now, z_now) * dt, out=y_now)
 
         # interior barriers were checked not to cross by _checked_grid
@@ -283,6 +298,10 @@ def solve_backward(
         if not np.all(np.isfinite(y_now)):
             raise NonFiniteError(f"solver produced non-finite values at step {i}")
         track_penetration(i)
+        previous = design
+
+    for i in range(n - 1, -1, -1):
+        step(i)
 
     # running sums from K_0 = 0, one contiguous row at a time: the
     # sequential sums of np.cumsum(axis=0) without its strided pass
@@ -296,7 +315,7 @@ def solve_backward(
         scheme=("plain", one_barrier, "double")[len(grids.sides)],
         seed=p.seed,
         n_paths=m,
-        basis_size=basis_size,
+        basis_size=previous.shape[1],
         picard_iters=picard_iters,
         regression=cfg,
         residual_rms=residual_rms,

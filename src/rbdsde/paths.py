@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -101,22 +102,27 @@ def generate_paths(s: Scenario) -> NoisePaths:
 
     dW = np.empty((n, m, d))
     dB = np.empty((n, m, l))
+    blocks = range((m + _BLOCK - 1) // _BLOCK)
+    workers = min(worker_count(), len(blocks))
+    # one draw buffer per concurrent fill, allocated here once and handed
+    # from fill to fill; a fill draws W and then B into its buffer
+    buffers = queue.SimpleQueue()
+    for _ in range(workers):
+        buffers.put(np.empty(min(_BLOCK, m) * n * max(d, l)))
 
     def fill(block: int) -> None:
         # a block draws its paths in path-major order and writes their
         # slice of every time row
         start = block * _BLOCK
         stop = min(start + _BLOCK, m)
-        rng_w = np.random.Generator(np.random.Philox(key=key).jumped(2 * block))
-        rng_b = np.random.Generator(np.random.Philox(key=key).jumped(2 * block + 1))
-        np.multiply(_path_major(rng_w.standard_normal((stop - start, n, d))), sqrt_dt,
-                    out=dW[:, start:stop])
-        np.multiply(_path_major(rng_b.standard_normal((stop - start, n, l))), sqrt_dt,
-                    out=dB[:, start:stop])
+        buffer = buffers.get()
+        for stream, out in ((2 * block, dW), (2 * block + 1, dB)):
+            draws = buffer[:(stop - start) * n * out.shape[2]].reshape(stop - start, n, -1)
+            np.random.Generator(np.random.Philox(key=key).jumped(stream)).standard_normal(out=draws)
+            np.multiply(_path_major(draws), sqrt_dt, out=out[:, start:stop])
+        buffers.put(buffer)
 
-    blocks = range((m + _BLOCK - 1) // _BLOCK)
-    workers = worker_count()
-    if workers > 1 and len(blocks) > 1:
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill, blocks))
     else:
@@ -153,10 +159,11 @@ class ObstacleGrid:
         """The sides, ``"lower"`` then ``"upper"``, whose barrier is present."""
         return tuple(side for side in ("lower", "upper") if getattr(self, side) is not None)
 
-    def excess(self, side: str, y) -> np.ndarray:
+    def excess(self, side: str, y, i=slice(None)) -> np.ndarray:
         """How far the process y lies beyond the barrier on ``side``: L - y
-        below and y - U above, positive where y violates the barrier."""
-        return self.lower - y if side == "lower" else y - self.upper
+        below and y - U above, positive where y violates the barrier.  With
+        a grid time index ``i``, y is that time's row of paths."""
+        return self.lower[:, i] - y if side == "lower" else y - self.upper[:, i]
 
     def flag_messages(self) -> list[str]:
         """One message per per-path condition that fails: finite terminal

@@ -1,6 +1,7 @@
 """Unreflected backward solver."""
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from rbdsde import (
     solve_bdsde,
     solve_reflected,
 )
-from rbdsde.bdsde_solver import _noise_matrix
+from rbdsde.bdsde_solver import _checked_grid, _noise_matrix, solve_backward
 from rbdsde.diagnostics import z_se_per_step
 from rbdsde.scenarios import (
     constant_g_scenario,
@@ -174,6 +175,59 @@ class TestLayout:
             assert k.shape == (500, 7)
             assert np.all(k == 0.0) and not np.any(np.signbit(k))
             assert all(k[:, i].flags.c_contiguous for i in range(7))
+
+
+class TestWorkingSet:
+    """A sweep holds one step's work at a time."""
+
+    # M-rows a step may hold beside its design: the sweep's running rows,
+    # the step's targets, fitted rows and residuals, and its rows of the
+    # drift and of Z
+    STEP_ROWS = 16
+
+    def test_traced_peak_is_one_design_and_a_few_rows(self):
+        sc = constant_g_scenario(paths=20_000, steps=10, beta=0.3)
+        p = generate_paths(sc)
+        grids = _checked_grid(sc, p)
+        tracemalloc.start()
+        try:
+            sol = solve_backward(sc, p, RegressionConfig(degree_w=4, include_dB=True), 2, grids)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = peak - sum(a.nbytes for a in (sol.Y, sol.Z, sol.K_plus, sol.K_minus))
+        # a design of 9 columns; a sweep that builds each basis while it
+        # still holds the last step's design and rows reads about 30 rows
+        assert sol.meta.basis_size == 9
+        assert held < (sol.meta.basis_size + self.STEP_ROWS) * sc.mc_paths * 8
+
+    @pytest.mark.parametrize("driver, state_only", [
+        (CoefficientSpec.linear(a_w=0.5, c=0.1), True),
+        (CoefficientSpec.linear(a_y=-0.5, a_w=0.5, c=0.1), False),
+    ], ids=["state_only", "y_dependent"])
+    def test_picard_iterations_stop_where_the_driver_ignores_y(self, monkeypatch, driver, state_only):
+        sc = dataclasses.replace(stopping_drift_scenario(paths=2000, steps=8), driver=driver)
+        p = generate_paths(sc)
+        calls = []
+        evaluate = CoefficientSpec.evaluate
+
+        def counted(spec, *args, **kwargs):
+            calls.append(spec is sc.driver)
+            return evaluate(spec, *args, **kwargs)
+
+        monkeypatch.setattr(CoefficientSpec, "evaluate", counted)
+        solved = {}
+        for iters in (0, 1, 3):
+            calls.clear()
+            solved[iters] = solve_bdsde(sc, p, picard_iters=iters)
+            # one evaluation at t_{i+1} per step, then one per iteration run
+            runs = min(iters, 1) if state_only else iters
+            assert sum(calls) == sc.grid.steps * (1 + runs), iters
+        if state_only:
+            # every iteration after the first recomputes the same row
+            assert solved[1].Y.tobytes() == solved[3].Y.tobytes()
+        else:
+            assert not np.array_equal(solved[1].Y, solved[3].Y)
 
 
 class TestFailureModes:

@@ -454,6 +454,51 @@ class TestBarrierSets:
             for name in ("Y", "Z", "K_plus", "K_minus"):
                 assert getattr(sol, name).tobytes() == getattr(ref, name).tobytes(), name
 
+    @pytest.mark.parametrize("barriers", ["lower", "upper", "both"])
+    def test_row_wise_checks_equal_the_whole_array_formulas(self, tmp_path, barriers):
+        # every barrier binds: the lower of the linear config, its mirror, the corridor
+        cfg = {"lower": _linear_config("lower"), "upper": _mirrored_config(),
+               "both": _corridor_config(paths=2000)}[barriers]
+        spec = load_config(_write(tmp_path, "c.json", cfg))
+        sol, _ = cli._solve_for_config(spec, cli._prepare(spec))
+        grids, dt = sol.obstacle_grid, spec.scenario.grid.dt
+        se = rbdsde.regression_se(sol)
+        for side in grids.sides:
+            verdicts = {}
+            penetration = cli._side_checks(sol, side, se, dt, verdicts)
+            # the (M, N+1) formulas that the walk over time rows replaces
+            k = sol.k(side)
+            excess = grids.excess(side, sol.Y)
+            flat = -np.sum(excess[:, :-1] * np.diff(k, axis=1), axis=1)
+            suffix = cli._SUFFIX[side]
+            skorohod = verdicts["skorohod" + suffix]
+            assert skorohod["mean_abs_residual"] == float(np.abs(flat).mean()) > 0.0
+            assert skorohod["tolerance"] == 5.0 * dt * float(k[:, -1].mean())
+            assert (verdicts["obstacle_domination" + suffix]["violation_fraction"]
+                    == float(np.mean(excess > 3.0 * se)))
+            positive = np.maximum(excess, 0.0)
+            assert penetration.tobytes() == np.mean(np.square(positive), axis=0).tobytes()
+            assert penetration.max() > 0.0
+
+    def test_row_wise_k_check_equals_the_whole_array_formula(self):
+        def whole(k):
+            return bool(np.all(k[:, 0] == 0.0) and np.all(np.diff(k, axis=1) >= 0))
+
+        rng = np.random.default_rng(3)
+        grown = np.cumsum(np.abs(rng.normal(size=(6, 8))), axis=1)
+        grown[:, 0] = 0.0
+        cases = [grown, np.zeros((6, 8))]
+        for index, value in (((2, 5), 0.0), ((1, 0), 1e-300), ((0, 3), np.nan), ((4, 7), np.inf),
+                             ((3, 0), -0.0)):
+            k = grown.copy()
+            k[index] = value
+            cases.append(k)
+        verdicts = [whole(k) for k in cases]
+        assert True in verdicts and False in verdicts
+        for k, verdict in zip(cases, verdicts):
+            # the time-major layout of the solver's K
+            assert cli._nondecreasing_from_zero(np.ascontiguousarray(k.T).T) is verdict
+
     def test_upper_only_run_is_the_mirrored_lower_run(self, tmp_path):
         runs = {}
         for name, cfg in (("lower", _linear_config("lower")), ("upper", _mirrored_config())):

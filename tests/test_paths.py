@@ -1,6 +1,7 @@
 """Noise-path generation and obstacle grids."""
 import dataclasses
 import logging
+import sys
 import tracemalloc
 
 import numpy as np
@@ -116,15 +117,22 @@ class TestGeneratePaths:
     def test_block_boundary_determinism(self, monkeypatch):
         # Paths are drawn in blocks of 4096 from per-block streams, so any
         # ensemble is a prefix of a larger one, on either side of a block
-        # boundary and for any worker count.
+        # boundary and for any worker count, also with more workers than
+        # blocks and draw buffers.  A short switch interval interleaves the
+        # fills, so two of them sharing a buffer would show.
         monkeypatch.setenv("RBDSDE_THREADS", "1")
         full = generate_paths(constant_scenario(paths=8197, steps=2))
-        for threads in ("1", "2"):
-            monkeypatch.setenv("RBDSDE_THREADS", threads)
-            for m in (2, 4095, 4096, 4097, 8191, 8192):
-                p = generate_paths(constant_scenario(paths=m, steps=2))
-                assert np.array_equal(p.dW, full.dW[:m]), (threads, m)
-                assert np.array_equal(p.dB, full.dB[:m]), (threads, m)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for threads in ("1", "2", "3", "5"):
+                monkeypatch.setenv("RBDSDE_THREADS", threads)
+                for m in (2, 4095, 4096, 4097, 8191, 8192, 8197):
+                    p = generate_paths(constant_scenario(paths=m, steps=2))
+                    assert np.array_equal(p.dW, full.dW[:m]), (threads, m)
+                    assert np.array_equal(p.dB, full.dB[:m]), (threads, m)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestTimeMajorLayout:
@@ -143,7 +151,7 @@ class TestTimeMajorLayout:
                 ref[start:stop] = rng.standard_normal((stop - start,) + ref.shape[1:]) * np.sqrt(sc.grid.dt)
         return refs
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("threads", ["1", "2", "3", "5"])
     @pytest.mark.parametrize("m", [4095, 4097])
     def test_increments_equal_a_row_major_fill(self, monkeypatch, m, threads):
         monkeypatch.setenv("RBDSDE_THREADS", threads)
