@@ -171,7 +171,8 @@ def solve_backward(
     scenario's ``_checked_grid``, at one penalty level per unit time; the
     infinite level is the projection.  With no barrier the sweep solves the
     unreflected equation.  Non-constant barriers add their shape columns to
-    the design.
+    the design.  Each step forms each barrier's row once, for its basis,
+    its reflection and the penetration.
 
     The sweep stores Y, Z and K time first, one contiguous row per grid
     time, and returns them as (M, ...) views.  Each step's design is
@@ -209,21 +210,25 @@ def solve_backward(
     # B_T - B_{t_i}, summed backward one increment per step
     remaining_db = np.zeros((m, l)) if cfg.include_dB else None
 
-    # time rows of the barriers; an absent one is None
-    lower_rows = None if grids.lower is None else grids.lower.T
-    upper_rows = None if grids.upper is None else grids.upper.T
+    sides = grids.sides
+
+    def barrier_rows(i):
+        """Each present barrier's row at grid time i, formed once for the
+        step that reads it."""
+        return {side: grids.row(side, i) for side in sides}
+
     # per path, the largest (L - Y)^+ and (Y - U)^+ over the rows solved so far
     shortfall = np.zeros(m)
     overshoot = np.zeros(m)
 
-    def track_penetration(i):
-        if lower_rows is not None:
-            np.maximum(shortfall, lower_rows[i] - y_all[i], out=shortfall)
-        if upper_rows is not None:
-            np.maximum(overshoot, y_all[i] - upper_rows[i], out=overshoot)
+    def track_penetration(i, barriers):
+        if "lower" in barriers:
+            np.maximum(shortfall, barriers["lower"] - y_all[i], out=shortfall)
+        if "upper" in barriers:
+            np.maximum(overshoot, y_all[i] - barriers["upper"], out=overshoot)
 
-    track_penetration(n)
-    shaped = [getattr(grids, side) for side in s.obstacles.shaped_sides()]
+    track_penetration(n, barrier_rows(n))
+    shaped = s.obstacles.shaped_sides()
     # a driver of the state alone gives every Picard iteration the same row
     picard = min(picard_iters, 1) if s.driver.depends_on_state_only() else picard_iters
 
@@ -248,7 +253,8 @@ def solve_backward(
         w_now = p.W_state[:, i, :]
         if remaining_db is not None:
             np.add(remaining_db, d_b, out=remaining_db)
-        basis = build_basis(cfg, w_now, remaining_db, [values[:, i] for values in shaped])
+        barriers = barrier_rows(i)
+        basis = build_basis(cfg, w_now, remaining_db, [barriers[side] for side in shaped])
         # The last design goes only once this basis is built.  Freed before,
         # its memory joined the free top of the heap, which the allocator
         # returned to the system, and the next basis was faulted in again:
@@ -292,12 +298,11 @@ def solve_backward(
             np.add(continuation, s.driver.evaluate(times[i], w_now, y_now, z_now) * dt, out=y_now)
 
         # interior barriers were checked not to cross by _checked_grid
-        _reflect(y_now, None if lower_rows is None else lower_rows[i],
-                 None if upper_rows is None else upper_rows[i], rate, rate,
+        _reflect(y_now, barriers.get("lower"), barriers.get("upper"), rate, rate,
                  k_plus[i + 1], k_minus[i + 1])
         if not np.all(np.isfinite(y_now)):
             raise NonFiniteError(f"solver produced non-finite values at step {i}")
-        track_penetration(i)
+        track_penetration(i, barriers)
         previous = design
 
     for i in range(n - 1, -1, -1):
@@ -305,14 +310,14 @@ def solve_backward(
 
     # running sums from K_0 = 0, one contiguous row at a time: the
     # sequential sums of np.cumsum(axis=0) without its strided pass
-    for k, rows in ((k_plus, lower_rows), (k_minus, upper_rows)):
-        if rows is not None:
+    for k, side in ((k_plus, "lower"), (k_minus, "upper")):
+        if side in sides:
             for i in range(n):
                 np.add(k[i], k[i + 1], out=k[i + 1])
 
     one_barrier = "projected" if np.isinf(level) else "penalized"
     meta = SolveMeta(
-        scheme=("plain", one_barrier, "double")[len(grids.sides)],
+        scheme=("plain", one_barrier, "double")[len(sides)],
         seed=p.seed,
         n_paths=m,
         basis_size=previous.shape[1],

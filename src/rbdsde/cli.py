@@ -50,7 +50,7 @@ from .model import (
     validate_scenario,
 )
 from .oracles import dp_stopping_value, lattice_scope_problem
-from .paths import NoisePaths, coarsen, generate_paths, obstacle_on_grid
+from .paths import NoisePaths, coarsen, generate_paths
 from .reflect_two import solve_double
 
 
@@ -375,11 +375,10 @@ def cmd_compare(config_a: str, config_b: str, out: Path) -> int:
         raise ConfigError("configs must share (seed, paths, steps, dims)")
     paths = _prepare(spec_a)
     _prepare(spec_b, paths)
-    # the solvers check their own per-path conditions; checking b's now
-    # spares the solve of a when b fails them
-    obstacle_on_grid(b, paths).check_flags()
-    sol_a, _ = _solve_for_config(spec_a, paths)
+    # each solve checks its per-path conditions before it solves anything,
+    # so b, solved first, fails before either config is solved
     sol_b, _ = _solve_for_config(spec_b, paths)
+    sol_a, _ = _solve_for_config(spec_a, paths)
 
     result = diagnostics.check_comparison(sol_a, sol_b, paths)
     payload = {

@@ -155,7 +155,9 @@ class CoefficientSpec:
 
     @classmethod
     def hook(cls, fn: Callable[..., np.ndarray], lip_const: float = 0.0, alpha: float = 0.5) -> "CoefficientSpec":
-        """Library-only escape hatch: fn(t, w, y, z) vectorised over paths."""
+        """Library-only escape hatch: fn(t, w, y, z) vectorised over paths.
+        As a barrier it must be a pure function of (t, w), because the
+        barrier's rows are evaluated again wherever they are read."""
         return cls(kind="hook", lip_const=lip_const, alpha=alpha, fn=fn)
 
     # -- evaluation ------------------------------------------------------------

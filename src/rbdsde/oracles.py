@@ -111,21 +111,22 @@ def stopping_rule_value(
     obstacle and terminal values are those of the solver's obstacle grid."""
     m, n = s.mc_paths, s.grid.steps
     grids = sol.obstacle_grid
-    if grids is None or grids.lower is None:
+    if grids is None or "lower" not in grids.sides:
         raise ValueError("configuration error: stopping rules need a lower obstacle")
-    if grids.upper is not None:
+    if "upper" in grids.sides:
         raise ValueError("configuration error: stopping rules ignore K- of an upper obstacle")
+    lower = grids.lower
 
     if isinstance(rule, FixedRule):
         if not 0 <= rule.index <= n:
             raise ValueError(f"fixed stopping index must be in [0, {n}]")
         nu = np.full(m, rule.index)
     else:
-        hit = sol.Y <= grids.lower + rule.epsilon
+        hit = sol.Y <= lower + rule.epsilon
         hit[:, n] = True
         nu = np.argmax(hit, axis=1)
 
-    payoff = np.where(nu == n, grids.xi, np.take_along_axis(grids.lower, nu[:, None], axis=1)[:, 0])
+    payoff = np.where(nu == n, grids.xi, np.take_along_axis(lower, nu[:, None], axis=1)[:, 0])
 
     steps = coefficient_steps(sol, s, p, lag=0)
     running = np.zeros(m)

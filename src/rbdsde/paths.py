@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CONSTANT_KINDS, ConfigError, Scenario
+from .model import CONSTANT_KINDS, CoefficientSpec, ConfigError, Scenario
 
 log = logging.getLogger(__name__)
 
@@ -144,43 +144,117 @@ def coarsen(p: NoisePaths, k: int) -> NoisePaths:
 
 
 @dataclass(frozen=True, eq=False)
-class ObstacleGrid:
-    """Terminal and barrier values evaluated along the generated paths; the
-    per-path conditions that validation cannot decide are read from them.
-    A constant barrier is a read-only view of one value, so a grid is for
-    reading only."""
+class _ShapedRows:
+    """A barrier that is not constant, held as what evaluates it along the
+    paths: its spec, the grid times and the state of W.  A row is evaluated
+    each time it is read, so the spec must be a pure function of (t, W_t)."""
 
-    xi: np.ndarray             # (M,)
-    lower: np.ndarray | None   # (M, N+1), a view of (N+1, M) time rows or of one value
-    upper: np.ndarray | None   # (M, N+1), a view of (N+1, M) time rows or of one value
+    spec: CoefficientSpec
+    times: np.ndarray
+    w_state: np.ndarray  # (M, N+1, d)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.w_state.shape[:2]
+
+    def row(self, i: int) -> np.ndarray:
+        """The (M,) values at grid time i."""
+        return self.spec.evaluate(self.times[i], self.w_state[:, i, :])
+
+    def whole(self) -> np.ndarray:
+        """The (M, N+1) values, filled one contiguous time row at a time."""
+        m, n_plus_1 = self.shape
+        out = np.empty((n_plus_1, m))
+        for i in range(n_plus_1):
+            out[i] = self.row(i)
+        return out.T
+
+
+class _Barrier:
+    """A barrier field of ObstacleGrid.  It is set to None (no barrier), to
+    an (M, N+1) array or to the ``_ShapedRows`` of a barrier that is not
+    constant, and it reads as None or as the whole (M, N+1) array, which a
+    shaped barrier forms anew on every read.  A descriptor rather than a
+    property, so ``lower`` and ``upper`` stay fields: a grid is built from
+    arrays by keyword, and ``dataclasses.fields`` lists them."""
+
+    def __set_name__(self, owner, name):
+        self.held = "_" + name
+
+    def __get__(self, grid, owner=None):
+        if grid is None:
+            return None  # the field's default: no barrier
+        held = getattr(grid, self.held)
+        return held.whole() if isinstance(held, _ShapedRows) else held
+
+    def __set__(self, grid, value):
+        grid.__dict__[self.held] = value
+
+
+# per barrier side, its symbol in the per-path conditions
+_SYMBOL = {"lower": "L", "upper": "U"}
+
+
+@dataclass(frozen=True, eq=False)
+class ObstacleGrid:
+    """Terminal and barrier values along the generated paths; the per-path
+    conditions that validation cannot decide are read from them.  A constant
+    barrier is a read-only view of one value, and a barrier that is not
+    constant is evaluated one time row where it is read: ``row(side, i)``
+    forms one row, and ``lower`` and ``upper`` form the whole (M, N+1)
+    array on every read.  A grid is for reading only."""
+
+    xi: np.ndarray                          # (M,)
+    lower: np.ndarray | None = _Barrier()   # (M, N+1)
+    upper: np.ndarray | None = _Barrier()   # (M, N+1)
+
+    def _held(self, side: str):
+        """What the grid holds for ``side``: None, an array or shaped rows."""
+        return getattr(self, "_" + side)
 
     @property
     def sides(self) -> tuple[str, ...]:
         """The sides, ``"lower"`` then ``"upper"``, whose barrier is present."""
-        return tuple(side for side in ("lower", "upper") if getattr(self, side) is not None)
+        return tuple(side for side in ("lower", "upper") if self._held(side) is not None)
 
-    def excess(self, side: str, y, i=slice(None)) -> np.ndarray:
+    def row(self, side: str, i: int) -> np.ndarray:
+        """The (M,) barrier values on ``side`` at grid time i."""
+        held = self._held(side)
+        return held.row(i) if isinstance(held, _ShapedRows) else held[:, i]
+
+    def excess(self, side: str, y, i: int | None = None) -> np.ndarray:
         """How far the process y lies beyond the barrier on ``side``: L - y
         below and y - U above, positive where y violates the barrier.  With
-        a grid time index ``i``, y is that time's row of paths."""
-        return self.lower[:, i] - y if side == "lower" else y - self.upper[:, i]
+        a grid time index ``i``, y is that time's row of paths and only that
+        row of the barrier is formed."""
+        barrier = getattr(self, side) if i is None else self.row(side, i)
+        return barrier - y if side == "lower" else y - barrier
 
     def flag_messages(self) -> list[str]:
         """One message per per-path condition that fails: finite terminal
         and barrier values, S_T <= xi, xi <= U_T, and L < U at the interior
-        grid points."""
+        grid points.  The barriers are read one time row at a time."""
+        sides = self.sides
+        nonfinite = {side: np.zeros(self.xi.shape, dtype=bool) for side in sides}
+        crossed = False
+        rows = {}
+        n_rows = self._held(sides[0]).shape[1] if sides else 0
+        for i in range(n_rows):
+            rows = {side: self.row(side, i) for side in sides}
+            for side, row in rows.items():
+                nonfinite[side] |= ~np.isfinite(row)
+            if len(rows) == 2 and i < n_rows - 1:
+                crossed = crossed or bool(np.any(rows["lower"] >= rows["upper"]))
+        # rows now holds the barriers at the horizon
         per_path = [("-inf < xi < inf", ~np.isfinite(self.xi))]
-        per_path += [(f"-inf < {symbol} < inf", ~np.all(np.isfinite(values), axis=1))
-                     for symbol, values in (("L", self.lower), ("U", self.upper))
-                     if values is not None]
-        if self.lower is not None:
-            per_path.append(("S_T <= xi", self.lower[:, -1] > self.xi))
-        if self.upper is not None:
-            per_path.append(("xi <= U_T", self.xi > self.upper[:, -1]))
+        per_path += [(f"-inf < {_SYMBOL[side]} < inf", nonfinite[side]) for side in sides]
+        if "lower" in rows:
+            per_path.append(("S_T <= xi", rows["lower"] > self.xi))
+        if "upper" in rows:
+            per_path.append(("xi <= U_T", self.xi > rows["upper"]))
         msgs = [f"{condition} violated on {int(np.count_nonzero(bad))} paths"
                 for condition, bad in per_path if np.any(bad)]
-        if (self.lower is not None and self.upper is not None
-                and np.any(self.lower[:, :-1] >= self.upper[:, :-1])):
+        if crossed:
             msgs.append("barrier crossing: L >= U at sampled interior points")
         return msgs
 
@@ -191,22 +265,21 @@ class ObstacleGrid:
             raise ConfigError(*msgs)
 
 
-def _eval_on_grid(spec, times: np.ndarray, w_state: np.ndarray) -> np.ndarray:
-    """The (M, N+1) values of ``spec`` along the paths, filled one
-    contiguous time row at a time.  A constant-like spec is evaluated at one
-    state and returned as a read-only view of that value."""
+def _eval_on_grid(spec, times: np.ndarray, w_state: np.ndarray) -> np.ndarray | _ShapedRows:
+    """A barrier along the paths, as ObstacleGrid holds it.  A constant-like
+    spec is evaluated at one state and returned as a read-only (M, N+1)
+    view of that value; any other spec is returned as the ``_ShapedRows``
+    that evaluate its time rows where they are read."""
     m, n_plus_1, _ = w_state.shape
     if spec.kind in CONSTANT_KINDS:
         value = spec.evaluate(times[0], w_state[:1, 0, :])  # the first path's, shape (1,)
         return np.broadcast_to(value[:, None], (m, n_plus_1))
-    out = np.empty((n_plus_1, m))
-    for i in range(n_plus_1):
-        out[i] = spec.evaluate(times[i], w_state[:, i, :])
-    return out.T
+    return _ShapedRows(spec, times, w_state)
 
 
 def obstacle_on_grid(s: Scenario, p: NoisePaths) -> ObstacleGrid:
-    """Evaluate terminal value and barriers on every (path, grid time)."""
+    """The terminal values along the paths and each declared barrier,
+    constant ones as one value and the others as what evaluates their rows."""
     if p.dW.shape != (s.mc_paths, s.grid.steps, s.dims.d):
         raise ValueError("dimension mismatch between scenario and paths")
     if p.dB.shape != (s.mc_paths, s.grid.steps, s.dims.l):

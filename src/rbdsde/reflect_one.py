@@ -92,9 +92,9 @@ def skorohod_sup_formula(sol: SolutionEnsemble, s: Scenario, p: NoisePaths) -> n
     """
     m, n = s.mc_paths, s.grid.steps
     grids = sol.obstacle_grid
-    if grids is None or grids.lower is None:
+    if grids is None or "lower" not in grids.sides:
         raise ValueError("configuration error: the ensemble's obstacle grid has no lower obstacle")
-    if grids.upper is not None:
+    if "upper" in grids.sides:
         raise ValueError("configuration error: the sup formula ignores K- of an upper obstacle")
 
     # step_j = F_{j+1} dt + G_{j+1} . dB_j - Z_j . dW_j, pathwise

@@ -195,7 +195,8 @@ class TestRunCommand:
         monkeypatch.setattr(cli, "solve_double", keep)
         out = tmp_path / "o"
         assert main(["run", _write(tmp_path, "c.json", _corridor_config()), "--out", str(out)]) == 0
-        rows = list(csv.reader((out / "timeseries.csv").open()))
+        with (out / "timeseries.csv").open() as fh:
+            rows = list(csv.reader(fh))
         assert rows[0][-2:] == ["penetration_lower", "penetration_upper"]
         columns = np.array([[float(v) for v in row[-2:]] for row in rows[1:]])
         sol, _ = solved[0]
@@ -505,7 +506,8 @@ class TestBarrierSets:
             out = tmp_path / name
             assert main(["run", _write(tmp_path, f"{name}.json", cfg), "--out", str(out)]) == 0
             summary = json.loads((out / "summary.json").read_text())
-            rows = list(csv.DictReader((out / "timeseries.csv").open()))
+            with (out / "timeseries.csv").open() as fh:
+                rows = list(csv.DictReader(fh))
             runs[name] = summary, rows
         (lower, lower_rows), (upper, upper_rows) = runs["lower"], runs["upper"]
 
@@ -530,7 +532,8 @@ class TestBarrierSets:
             out = tmp_path / name
             code = main(["convergence", _write(tmp_path, f"{name}.json", cfg), "--out", str(out)])
             assert code in (0, 3)
-            tables[name] = code, list(csv.DictReader((out / "convergence.csv").open()))
+            with (out / "convergence.csv").open() as fh:
+                tables[name] = code, list(csv.DictReader(fh))
         (code_l, lower), (code_u, upper) = tables["lower"], tables["upper"]
         assert code_u == code_l
         assert [(r["penetration_upper"], r["K_minus_T_mean"]) for r in upper] == \

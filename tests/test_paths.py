@@ -16,6 +16,7 @@ from rbdsde import (
     NoisePaths,
     ObstacleGrid,
     ObstacleSpec,
+    PenaltySchedule,
     RegressionConfig,
     apriori_statistic,
     generate_paths,
@@ -31,7 +32,7 @@ from rbdsde import (
 from rbdsde.bdsde_solver import _checked_grid, solve_backward
 from rbdsde.model import ConfigError
 from rbdsde import paths as paths_module
-from rbdsde.oracles import FixedRule
+from rbdsde.oracles import FixedRule, HittingRule
 from rbdsde.paths import coarsen, worker_count
 from rbdsde.scenarios import (
     constant_g_scenario,
@@ -250,6 +251,26 @@ class TestStoredArrays:
         # xi is one row; the two barriers together take less than another
         assert peak < 2 * m * 8
 
+    def test_ladder_on_a_shaped_barrier_holds_no_barrier_array(self):
+        # 40 steps, so a stored (M, N+1) barrier would take 41 rows of M numbers
+        sc = stopping_drift_scenario(paths=20_000, steps=40)
+        p = generate_paths(sc)
+        schedule = PenaltySchedule.geometric(sc.grid.dt, count=2)
+        tracemalloc.start()
+        try:
+            sol, _ = solve_reflected(sc, p, RegressionConfig(degree_w=4, include_dB=False),
+                                     schedule=schedule)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        results = sum(a.nbytes for a in (sol.Y, sol.Z, sol.K_plus, sol.K_minus))
+        row = sc.mc_paths * 8
+        # beside the results, a solve holds one design, its step's working
+        # rows, xi, the step's barrier row and the running penetration
+        assert peak - results < (sol.meta.basis_size + 20) * row
+        # and the returned ensemble keeps xi and what evaluates the barrier
+        assert kept - results < 2 * row
+
     @pytest.mark.parametrize("level", [50.0, np.inf])
     def test_sweep_on_views_equals_sweep_on_copies(self, level):
         sc = two_barrier_scenario(paths=3000, steps=20, width=0.8, drift=0.6)
@@ -323,6 +344,108 @@ class TestObstacleOnGrid:
             obstacle_on_grid(other, p)
 
 
+def _filled(spec, times, w_state):
+    """A barrier's (M, N+1) values filled whole, one evaluation per grid
+    time: the reference every formed row must equal bit for bit."""
+    out = np.empty((len(times), w_state.shape[0]))
+    for i in range(len(times)):
+        out[i] = spec.evaluate(times[i], w_state[:, i, :])
+    return out.T
+
+
+_BARRIERS = {
+    "zero": CoefficientSpec.zero(),
+    "constant": CoefficientSpec.constant(-0.25),
+    "linear": CoefficientSpec.linear(a_w=0.5, c=-0.1),
+    "payoff_put": CoefficientSpec.payoff_put(0.3),
+    "payoff_neg_part": CoefficientSpec.payoff_neg_part(),
+    "exponential": CoefficientSpec.exponential(0.4),
+    "clamp": CoefficientSpec.clamp(-0.5, 0.5),
+    "hook": CoefficientSpec.hook(lambda t, w, y, z: np.sin(3.0 * t + w[:, 1]) * w[:, 0]),
+}
+
+
+def _on_w(fn):
+    """A barrier hook of t and the first component of W_t."""
+    return CoefficientSpec.hook(lambda t, w, y, z: fn(t, w[:, 0]))
+
+
+# (lower, upper, a message the case must raise); xi = W_T and T = 1
+_FLAG_CASES = {
+    "non_finite": (_on_w(lambda t, w: np.where(w > 1.0, np.nan, w - 3.0)),
+                   _on_w(lambda t, w: np.where(w < -1.0, np.inf, w + 3.0)),
+                   "-inf < U < inf"),
+    "non_finite_lower_only": (_on_w(lambda t, w: np.where(w > 0.5, -np.inf, w - 3.0)), None,
+                              "-inf < L < inf"),
+    "lower_above_xi": (_on_w(lambda t, w: w - 1.0 + (t == 1.0) * (w > 0.0) * 1.1),
+                       _on_w(lambda t, w: w + 1.0), "S_T <= xi"),
+    "upper_below_xi": (_on_w(lambda t, w: w - 1.0),
+                       _on_w(lambda t, w: w + 1.0 - (t == 1.0) * (w < 0.0) * 1.1), "xi <= U_T"),
+    "interior_crossing": (_on_w(lambda t, w: w - 1.0),
+                          _on_w(lambda t, w: np.where((abs(t - 0.5) < 0.01) & (w > 0.5),
+                                                      w - 2.0, w + 1.0)),
+                          "barrier crossing"),
+    # L_T >= U_T is no crossing: only S_T <= xi fails
+    "horizon_crossing": (_on_w(lambda t, w: np.where(t == 1.0, w + 0.5, w - 1.0)),
+                         _on_w(lambda t, w: np.where(t == 1.0, w + 0.2, w + 1.0)), "S_T <= xi"),
+}
+
+
+def _whole_array_messages(xi, lower, upper):
+    """The per-path conditions read from whole (M, N+1) barrier arrays."""
+    per_path = [("-inf < xi < inf", ~np.isfinite(xi))]
+    per_path += [(f"-inf < {symbol} < inf", ~np.all(np.isfinite(values), axis=1))
+                 for symbol, values in (("L", lower), ("U", upper)) if values is not None]
+    if lower is not None:
+        per_path.append(("S_T <= xi", lower[:, -1] > xi))
+    if upper is not None:
+        per_path.append(("xi <= U_T", xi > upper[:, -1]))
+    msgs = [f"{condition} violated on {int(np.count_nonzero(bad))} paths"
+            for condition, bad in per_path if np.any(bad)]
+    if lower is not None and upper is not None and np.any(lower[:, :-1] >= upper[:, :-1]):
+        msgs.append("barrier crossing: L >= U at sampled interior points")
+    return msgs
+
+
+class TestBarrierRows:
+    """A barrier that is not constant is evaluated one time row where it
+    is read, with the bits of the barrier filled whole."""
+
+    @pytest.mark.parametrize("kind", sorted(_BARRIERS))
+    def test_rows_equal_the_filled_barrier(self, kind):
+        spec = _BARRIERS[kind]
+        sc = dataclasses.replace(two_barrier_scenario(paths=500, steps=6), dims=Dimensions(d=2),
+                                 obstacles=ObstacleSpec(lower=spec, upper=spec))
+        p = generate_paths(sc)
+        grids = obstacle_on_grid(sc, p)
+        filled = _filled(spec, sc.grid.times, p.W_state)
+        for side in ("lower", "upper"):
+            for i in range(sc.grid.steps + 1):
+                assert grids.row(side, i).tobytes() == filled[:, i].tobytes(), (side, i)
+            assert getattr(grids, side).tobytes() == filled.tobytes(), side
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            grids.lower = filled
+
+    def test_whole_barrier_is_formed_on_every_read(self):
+        sc = stopping_drift_scenario(paths=200, steps=4)
+        grids = obstacle_on_grid(sc, generate_paths(sc))
+        first, second = grids.lower, grids.lower
+        assert first is not second and first.tobytes() == second.tobytes()
+
+    @pytest.mark.parametrize("case", sorted(_FLAG_CASES))
+    def test_row_wise_flags_equal_the_whole_array_formulas(self, case):
+        lower, upper, expected = _FLAG_CASES[case]
+        sc = dataclasses.replace(two_barrier_scenario(paths=400, steps=6),
+                                 terminal=CoefficientSpec.linear(a_w=1.0),
+                                 obstacles=ObstacleSpec(lower=lower, upper=upper))
+        grids = obstacle_on_grid(sc, generate_paths(sc))
+        msgs = grids.flag_messages()
+        assert msgs == _whole_array_messages(grids.xi, grids.lower, grids.upper)
+        assert any(msg.startswith(expected) for msg in msgs), msgs
+        with pytest.raises(ConfigError):
+            grids.check_flags()
+
+
 def _reference_messages(xi, lower, upper):
     """The per-path conditions, counted path by path."""
     msgs = []
@@ -394,6 +517,16 @@ class TestSolvedGridConsumers:
         stopping_rule_value(sol, sc, p, FixedRule(index=0))
         apriori_statistic(sol, sc)
         assert evaluated == []
+
+    def test_consumers_read_the_solved_grid_not_the_scenario(self, solved):
+        sc, p, sol = solved
+        swapped = dataclasses.replace(sc, obstacles=ObstacleSpec(lower=CoefficientSpec.payoff_put(0.5)))
+        results = [(skorohod_sup_formula(sol, scenario, p).tobytes(),
+                    stopping_rule_value(sol, scenario, p, HittingRule(epsilon=1e-3)),
+                    stopping_rule_value(sol, scenario, p, FixedRule(index=3)),
+                    apriori_statistic(sol, scenario))
+                   for scenario in (sc, swapped)]
+        assert results[0] == results[1]
 
     def test_ensembles_without_a_lower_grid_raise(self, solved):
         sc, p, sol = solved
