@@ -124,6 +124,14 @@ def _checked_grid(s: Scenario, p: NoisePaths) -> ObstacleGrid:
     return grids
 
 
+def _lower_only_grid(sol: SolutionEnsemble, no_lower: str, upper: str) -> ObstacleGrid:
+    """The obstacle grid of an ensemble solved with a lower barrier alone."""
+    sides = () if sol.obstacle_grid is None else sol.obstacle_grid.sides
+    if sides != ("lower",):
+        raise ValueError("configuration error: " + (upper if "lower" in sides else no_lower))
+    return sol.obstacle_grid
+
+
 def _noise_matrix(spec, t, w, y, z, l: int) -> np.ndarray:
     """G at one grid time as an M x l matrix.  A coefficient given as one M
     vector is shared by the l components: with l = 1 it is a read-only

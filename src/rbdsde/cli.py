@@ -14,17 +14,19 @@ command with the same config and seed reproduces the files byte for byte,
 except for one timestamp field inside summary metadata.
 
 Exit codes: 0 success / comparison pass, 1 comparison or oracle mismatch,
-2 validation or config failure (including a per-path barrier condition that
-fails on the drawn paths, a solver that overflows to non-finite values, a
-problem whose arrays cannot be allocated, and ``convergence
---grid-refinement`` on a step count not divisible by 4), 3 schedule
-exhausted without convergence, 4 oracle unsupported for the given scenario.
-Every exit-2 case prints one ``validation:`` line per message to stderr;
-``run`` also writes a ``validation_failed`` summary.
+2 validation or config failure (a per-path barrier condition that fails on
+the drawn paths, a solver overflow to non-finite values, arrays that cannot
+be allocated, ``convergence --grid-refinement`` on a step count not
+divisible by 4, an OS error on a path: a config that is a directory, an
+``--out`` that is a file), 3 schedule exhausted without convergence, 4
+oracle unsupported for the given scenario.  Every exit-2 case prints one
+``validation:`` line per message to stderr, an OS error's naming its path;
+``run`` also writes a ``validation_failed`` summary where it can.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import datetime
 import inspect
@@ -51,7 +53,7 @@ from .model import (
 )
 from .oracles import dp_stopping_value, lattice_scope_problem
 from .paths import NoisePaths, coarsen, generate_paths
-from .reflect_two import solve_double
+from .reflect_two import _walk_rows, solve_double
 
 
 def _fmt(x: float) -> str:
@@ -163,7 +165,7 @@ def load_config(path: str | Path) -> RunSpec:
         raise ConfigError(f"config file not found: {path}")
     try:
         tree = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: malformed JSON: {exc}") from exc
     if not isinstance(tree, dict):
         raise ConfigError(f"{path}: top level must be an object")
@@ -254,15 +256,15 @@ def _solve_for_config(spec: RunSpec, paths):
                         schedule=spec.schedule)
 
 
-def _write_timeseries(path: Path, sc: Scenario, sol, penetration: dict) -> None:
-    """Per grid time: Y, Z and K means and each side's mean squared excess
-    ``penetration[side]``; an absent side writes 0."""
+def _write_timeseries(path: Path, sc: Scenario, sol, walks: dict) -> None:
+    """Per grid time: Y, Z and K means and each side's mean squared excess,
+    read off that side's row walk; a side without a barrier writes 0."""
     times = sc.grid.times
     m, n = sc.mc_paths, sc.grid.steps
     header = ["t", "Y_mean", "Y_se"]
     header += [f"Z_mean_{k}" for k in range(sc.dims.d)]
     header += ["K_plus_mean", "K_minus_mean", "penetration_lower", "penetration_upper"]
-    columns = [penetration.get(side, np.zeros(n + 1)) for side in ("lower", "upper")]
+    columns = [walks[side].mean_sq_excess for side in ("lower", "upper")]
 
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -283,62 +285,35 @@ def _write_timeseries(path: Path, sc: Scenario, sol, penetration: dict) -> None:
 _SUFFIX = {"lower": "", "upper": "_upper"}
 
 
-def _side_checks(sol, side: str, se: float, dt: float, verdicts: dict) -> np.ndarray:
-    """Add the Skorohod and obstacle-domination verdicts of one barrier side
-    and return its per-step penetration, the mean over paths of the squared
-    positive excess.  One walk over the time rows of Y, the side's K and its
-    barrier forms each row's excess once, for all three."""
-    k_rows, y_rows, suffix = sol.k(side).T, sol.Y.T, _SUFFIX[side]
-    rows, m = y_rows.shape
-    # per path, the sum of excess_i * (k_{i+1} - k_i): zero when k grows
-    # only where Y meets the barrier
-    flat = np.zeros(m)
-    dominated = 0
-    penetration = np.empty(rows)
-    for i in range(rows):
-        excess = sol.obstacle_grid.excess(side, y_rows[i], i)
-        if i + 1 < rows:
-            flat += excess * (k_rows[i + 1] - k_rows[i])
-        dominated += np.count_nonzero(excess > 3.0 * se)
-        positive = np.maximum(excess, 0.0, out=excess)
-        penetration[i] = np.mean(np.square(positive, out=positive))
-    mean_res = float(np.abs(flat).mean())
-    tol = 5.0 * dt * float(k_rows[-1].mean())
-    verdicts["skorohod" + suffix] = {
-        "mean_abs_residual": mean_res,
-        "tolerance": tol,
-        "passed": bool(mean_res <= max(tol, 1e-12)),
-    }
-    domination = dominated / (m * rows)
-    verdicts["obstacle_domination" + suffix] = {
-        "violation_fraction": domination,
-        "passed": bool(domination <= 0.01),
-    }
-    return penetration
-
-
-def _nondecreasing_from_zero(k: np.ndarray) -> bool:
-    """Whether a reflection process starts at zero on every path and never
-    falls, read one time row at a time."""
-    rows = k.T
-    return bool(np.all(rows[0] == 0.0)) and all(
-        np.all(rows[i + 1] - rows[i] >= 0) for i in range(len(rows) - 1))
-
-
 def cmd_run(config_path: str, out: Path) -> int:
     spec = load_config(config_path)
     sc = spec.scenario
     sol, trace = _solve_for_config(spec, _prepare(spec))
     grids = sol.obstacle_grid
+    se = diagnostics.regression_se(sol)
+    # one walk over the time rows per side; a side without a barrier checks only its K
+    walks = {side: _walk_rows(sol.Y, sol.k(side), grids if side in grids.sides else None,
+                              side, 3.0 * se) for side in ("lower", "upper")}
 
     y0 = sol.Y[:, 0]
     verdicts = {
         "terminal_exact": bool(np.array_equal(sol.Y[:, -1], grids.xi)),
-        "k_nondecreasing_from_zero": all(_nondecreasing_from_zero(k)
-                                         for k in (sol.K_plus, sol.K_minus)),
+        "k_nondecreasing_from_zero": all(walk.k_nondecreasing_from_zero for walk in walks.values()),
     }
-    se = diagnostics.regression_se(sol)
-    penetration = {side: _side_checks(sol, side, se, sc.grid.dt, verdicts) for side in grids.sides}
+    for side in grids.sides:
+        walk, suffix = walks[side], _SUFFIX[side]
+        mean_res = float(np.abs(walk.flat_off).mean())
+        tol = 5.0 * sc.grid.dt * float(sol.k(side)[:, -1].mean())
+        verdicts["skorohod" + suffix] = {
+            "mean_abs_residual": mean_res,
+            "tolerance": tol,
+            "passed": bool(mean_res <= max(tol, 1e-12)),
+        }
+        domination = walk.above_slack / sol.Y.size
+        verdicts["obstacle_domination" + suffix] = {
+            "violation_fraction": domination,
+            "passed": bool(domination <= 0.01),
+        }
 
     summary = {
         "status": "ok" if trace.converged else "not_converged",
@@ -359,7 +334,7 @@ def cmd_run(config_path: str, out: Path) -> int:
         },
     }
     _write_json(out / "summary.json", summary)
-    _write_timeseries(out / "timeseries.csv", sc, sol, penetration)
+    _write_timeseries(out / "timeseries.csv", sc, sol, walks)
     return 0 if trace.converged else 3
 
 
@@ -491,8 +466,8 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     try:
+        out.mkdir(parents=True, exist_ok=True)
         if args.command == "run":
             return cmd_run(args.config, out)
         if args.command == "compare":
@@ -500,12 +475,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "convergence":
             return cmd_convergence(args.config, out, args.grid_refinement)
         return cmd_oracle_check(args.config, out)
-    except (ValueError, MemoryError) as exc:
+    except (ValueError, MemoryError, OSError) as exc:
         messages = list(getattr(exc, "messages", [str(exc)]))
         for msg in messages:
             print(f"validation: {msg}", file=sys.stderr)
         if args.command == "run":
-            _write_json(out / "summary.json", {"status": "validation_failed", "errors": messages})
+            with contextlib.suppress(OSError):
+                _write_json(out / "summary.json", {"status": "validation_failed", "errors": messages})
         return 2
 
 

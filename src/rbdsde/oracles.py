@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bdsde_solver import coefficient_steps
+from .bdsde_solver import _lower_only_grid, coefficient_steps
 from .model import Scenario, SolutionEnsemble
 from .paths import NoisePaths
 
@@ -110,29 +110,24 @@ def stopping_rule_value(
     plus the obstacle there, or the terminal value if never stopped.  The
     obstacle and terminal values are those of the solver's obstacle grid."""
     m, n = s.mc_paths, s.grid.steps
-    grids = sol.obstacle_grid
-    if grids is None or "lower" not in grids.sides:
-        raise ValueError("configuration error: stopping rules need a lower obstacle")
-    if "upper" in grids.sides:
-        raise ValueError("configuration error: stopping rules ignore K- of an upper obstacle")
-    lower = grids.lower
+    grids = _lower_only_grid(sol, "stopping rules need a lower obstacle",
+                             "stopping rules ignore K- of an upper obstacle")
 
-    if isinstance(rule, FixedRule):
-        if not 0 <= rule.index <= n:
-            raise ValueError(f"fixed stopping index must be in [0, {n}]")
-        nu = np.full(m, rule.index)
-    else:
-        hit = sol.Y <= lower + rule.epsilon
-        hit[:, n] = True
-        nu = np.argmax(hit, axis=1)
-
-    payoff = np.where(nu == n, grids.xi, np.take_along_axis(lower, nu[:, None], axis=1)[:, 0])
+    fixed = isinstance(rule, FixedRule)
+    if fixed and not 0 <= rule.index <= n:
+        raise ValueError(f"fixed stopping index must be in [0, {n}]")
+    nu = np.full(m, rule.index if fixed else n)
+    payoff = (grids.row("lower", rule.index) if fixed and rule.index < n else grids.xi).astype(float)
 
     steps = coefficient_steps(sol, s, p, lag=0)
     running = np.zeros(m)
     for i in range(n):
+        if not fixed:  # a hitting path stops at its first hit, the others at the horizon
+            lower = grids.row("lower", i)
+            hit = (nu == n) & (sol.Y[:, i] <= lower + rule.epsilon)
+            nu[hit], payoff[hit] = i, lower[hit]
         running = running + np.where(i < nu, steps[:, i], 0.0)
-    value = payoff.astype(float) + running
+    value = payoff + running
 
     mean = float(value.mean())
     se = float(value.std(ddof=1) / math.sqrt(m))

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bdsde_solver import _checked_grid, coefficient_steps, implicit_double_step, solve_backward
+from .bdsde_solver import (_checked_grid, _lower_only_grid, coefficient_steps, implicit_double_step,
+                           solve_backward)
 from .condexp import RegressionConfig
 from .model import PenaltySchedule, Scenario, SolutionEnsemble
-from .paths import NoisePaths
-from .reflect_two import PenalizationTrace, _flat_off_barrier, _penetration, _run_ladder
+from .paths import NoisePaths, ObstacleGrid
+from .reflect_two import PenalizationTrace, _run_ladder, _walk_rows
 
 
 def implicit_penalty_step(a, s_val, n_dt):
@@ -60,7 +61,8 @@ def solve_projected(
 def penetration_statistic(sol: SolutionEnsemble, lower: np.ndarray) -> float:
     """Mean over paths of sup_i ((Y - S)^-)^2, the obstacle-violation measure
     driven to zero by the schedule."""
-    return _penetration(lower - sol.Y)
+    grid = ObstacleGrid(xi=sol.Y[:, -1], lower=lower)
+    return float(np.mean(_walk_rows(sol.Y, sol.K_plus, grid).sup_excess ** 2))
 
 
 def solve_reflected(
@@ -79,7 +81,7 @@ def solve_reflected(
 def skorohod_residual(sol: SolutionEnsemble, obstacle: np.ndarray) -> np.ndarray:
     """Per-path sum of (Y_i - S_i) * (K_{i+1} - K_i): the flat-off-the-barrier
     condition, zero up to the penalty slack once converged."""
-    return _flat_off_barrier(obstacle - sol.Y, sol.K_plus)
+    return _walk_rows(sol.Y, sol.K_plus, ObstacleGrid(xi=sol.Y[:, -1], lower=obstacle)).flat_off
 
 
 def skorohod_sup_formula(sol: SolutionEnsemble, s: Scenario, p: NoisePaths) -> np.ndarray:
@@ -91,11 +93,8 @@ def skorohod_sup_formula(sol: SolutionEnsemble, s: Scenario, p: NoisePaths) -> n
     terminal values and the barrier are those of the solver's obstacle grid.
     """
     m, n = s.mc_paths, s.grid.steps
-    grids = sol.obstacle_grid
-    if grids is None or "lower" not in grids.sides:
-        raise ValueError("configuration error: the ensemble's obstacle grid has no lower obstacle")
-    if "upper" in grids.sides:
-        raise ValueError("configuration error: the sup formula ignores K- of an upper obstacle")
+    grids = _lower_only_grid(sol, "the ensemble's obstacle grid has no lower obstacle",
+                             "the sup formula ignores K- of an upper obstacle")
 
     # step_j = F_{j+1} dt + G_{j+1} . dB_j - Z_j . dW_j, pathwise
     steps = coefficient_steps(sol, s, p, lag=1) - np.einsum("mnd,mnd->mn", sol.Z, p.dW)

@@ -16,6 +16,7 @@ ladder call under two names.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,11 +26,7 @@ from .bdsde_solver import _checked_grid, solve_backward
 from .bdsde_solver import implicit_double_step  # noqa: F401
 from .condexp import RegressionConfig
 from .model import PenaltySchedule, Scenario, SolutionEnsemble
-from .paths import NoisePaths
-
-def _penetration(excess: np.ndarray) -> float:
-    """Mean over paths of sup_i ((excess)^+)^2."""
-    return float(np.mean(np.max(np.maximum(excess, 0.0), axis=1) ** 2))
+from .paths import NoisePaths, ObstacleGrid
 
 
 @dataclass(frozen=True)
@@ -111,11 +108,35 @@ def solve_double(
     return _run_ladder(s, p, cfg, picard_iters, schedule)
 
 
-def _flat_off_barrier(excess: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Per-path sum of -excess_i * (k_{i+1} - k_i), with the excess of the
-    solution beyond one barrier and that barrier's reflection process k:
-    zero when k only grows where the solution meets its barrier."""
-    return -np.sum(excess[:, :-1] * np.diff(k, axis=1), axis=1)
+_RowWalk = namedtuple("_RowWalk", "flat_off sup_excess mean_sq_excess above_slack "
+                                   "k_nondecreasing_from_zero")
+
+
+def _walk_rows(y, k, grid: ObstacleGrid | None = None, side: str = "lower",
+               slack: float = np.inf) -> _RowWalk:
+    """Walk the rows of Y, one side's K and that side's barrier in ``grid``
+    once.  Returns, per path, the flat-off sum sum_i -excess_i * dK_i and the
+    largest positive excess; per grid time, the mean squared positive excess;
+    the count of excesses above ``slack``; and whether K starts at zero and
+    never falls, the one check made without a barrier.  Sums run row after
+    row, as numpy sums the time axis of the solver's time-major arrays."""
+    y_rows, k_rows = y.T, k.T
+    rows, m = len(k_rows), y_rows.shape[1]
+    flat, sup, mean_sq, above = np.zeros(m), np.zeros(m), np.zeros(rows), 0
+    monotone = bool(np.all(k_rows[0] == 0.0))
+    for i in range(rows):
+        dk = k_rows[i + 1] - k_rows[i] if i + 1 < rows else None
+        monotone = monotone and (dk is None or bool(np.all(dk >= 0)))
+        if grid is None:
+            continue
+        excess = grid.excess(side, y_rows[i], i)
+        if dk is not None:
+            flat += excess * dk
+        above += np.count_nonzero(excess > slack)
+        positive = np.maximum(excess, 0.0, out=excess)
+        np.maximum(sup, positive, out=sup)
+        mean_sq[i] = np.mean(np.square(positive, out=positive))
+    return _RowWalk(np.negative(flat, out=flat), sup, mean_sq, above, monotone)
 
 
 def double_skorohod_residuals(
@@ -123,5 +144,5 @@ def double_skorohod_residuals(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-path flat-off-the-barrier sums for both reflection processes:
     sum (Y - L) dK_plus and sum (U - Y) dK_minus."""
-    return (_flat_off_barrier(lower - sol.Y, sol.K_plus),
-            _flat_off_barrier(sol.Y - upper, sol.K_minus))
+    grid = ObstacleGrid(xi=sol.Y[:, -1], lower=lower, upper=upper)
+    return tuple(_walk_rows(sol.Y, sol.k(side), grid, side).flat_off for side in ("lower", "upper"))

@@ -1,6 +1,8 @@
 """CLI config loading, commands, exit codes, output determinism."""
+import contextlib
 import copy
 import csv
+import io
 import json
 import math
 import os
@@ -460,26 +462,37 @@ class TestBarrierSets:
         # every barrier binds: the lower of the linear config, its mirror, the corridor
         cfg = {"lower": _linear_config("lower"), "upper": _mirrored_config(),
                "both": _corridor_config(paths=2000)}[barriers]
-        spec = load_config(_write(tmp_path, "c.json", cfg))
+        path = _write(tmp_path, "c.json", cfg)
+        spec = load_config(path)
         sol, _ = cli._solve_for_config(spec, cli._prepare(spec))
+        out = tmp_path / "o"
+        assert main(["run", path, "--out", str(out)]) == 0
+        verdicts = json.loads((out / "summary.json").read_text())["diagnostics"]
+        with (out / "timeseries.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
         grids, dt = sol.obstacle_grid, spec.scenario.grid.dt
         se = rbdsde.regression_se(sol)
         for side in grids.sides:
-            verdicts = {}
-            penetration = cli._side_checks(sol, side, se, dt, verdicts)
+            walk = reflect_two._walk_rows(sol.Y, sol.k(side), grids, side, 3.0 * se)
             # the (M, N+1) formulas that the walk over time rows replaces
             k = sol.k(side)
             excess = grids.excess(side, sol.Y)
             flat = -np.sum(excess[:, :-1] * np.diff(k, axis=1), axis=1)
+            positive = np.maximum(excess, 0.0)
+            assert walk.flat_off.tobytes() == flat.tobytes()
+            assert walk.sup_excess.tobytes() == np.max(positive, axis=1).tobytes()
+            assert walk.above_slack == np.count_nonzero(excess > 3.0 * se)
+            assert walk.mean_sq_excess.tobytes() == np.mean(np.square(positive), axis=0).tobytes()
+            assert walk.mean_sq_excess.max() > 0.0
+            # run's verdicts and penetration column are read off the walk
             suffix = cli._SUFFIX[side]
             skorohod = verdicts["skorohod" + suffix]
             assert skorohod["mean_abs_residual"] == float(np.abs(flat).mean()) > 0.0
             assert skorohod["tolerance"] == 5.0 * dt * float(k[:, -1].mean())
             assert (verdicts["obstacle_domination" + suffix]["violation_fraction"]
                     == float(np.mean(excess > 3.0 * se)))
-            positive = np.maximum(excess, 0.0)
-            assert penetration.tobytes() == np.mean(np.square(positive), axis=0).tobytes()
-            assert penetration.max() > 0.0
+            assert ([float(row["penetration_" + side]) for row in rows]
+                    == np.mean(np.square(positive), axis=0).tolist())
 
     def test_row_wise_k_check_equals_the_whole_array_formula(self):
         def whole(k):
@@ -497,8 +510,30 @@ class TestBarrierSets:
         verdicts = [whole(k) for k in cases]
         assert True in verdicts and False in verdicts
         for k, verdict in zip(cases, verdicts):
-            # the time-major layout of the solver's K
-            assert cli._nondecreasing_from_zero(np.ascontiguousarray(k.T).T) is verdict
+            # the time-major layout of the solver's K, with and without a barrier
+            k = np.ascontiguousarray(k.T).T
+            y = np.zeros_like(k)
+            grid = rbdsde.ObstacleGrid(xi=y[:, -1], lower=np.full_like(k, -1.0))
+            assert reflect_two._walk_rows(y, k).k_nondecreasing_from_zero is verdict
+            assert reflect_two._walk_rows(y, k, grid).k_nondecreasing_from_zero is verdict
+
+    def test_k_check_reads_the_side_without_a_barrier(self, tmp_path, monkeypatch):
+        solve = cli.solve_double
+
+        def falling_k_minus(*args, **kwargs):
+            sol, trace = solve(*args, **kwargs)
+            sol.K_minus[0, 3] = 1.0  # K- rises at step 3 and falls back at step 4
+            return sol, trace
+
+        path = _write(tmp_path, "c.json", _linear_config("lower"))
+        verdict = {}
+        for name, solver in (("kept", solve), ("corrupted", falling_k_minus)):
+            monkeypatch.setattr(cli, "solve_double", solver)
+            assert main(["run", path, "--out", str(tmp_path / name)]) == 0
+            summary = json.loads((tmp_path / name / "summary.json").read_text())
+            assert "skorohod_upper" not in summary["diagnostics"]
+            verdict[name] = summary["diagnostics"]["k_nondecreasing_from_zero"]
+        assert verdict == {"kept": True, "corrupted": False}
 
     def test_upper_only_run_is_the_mirrored_lower_run(self, tmp_path):
         runs = {}
@@ -814,3 +849,40 @@ def test_any_config_node_gives_a_contract_code(node, value):
         path = Path(tmp) / "c.json"
         path.write_text(_dumps(cfg))
         assert main(["run", str(path), "--out", tmp]) in range(5)
+
+
+# Each command's output file, which the out-path state below replaces by a directory.
+_OUTPUT_NAME = {"run": "summary.json", "compare": "comparison.json",
+                "convergence": "convergence.csv", "oracle-check": "oracle.json"}
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(sorted(_OUTPUT_NAME)),
+       config_state=st.sampled_from(["missing", "directory", "not_utf8", "valid"]),
+       out_state=st.sampled_from(["missing", "file", "output_is_directory"]))
+def test_any_file_system_state_gives_a_contract_code(command, config_state, out_state):
+    # permission-denied paths are not among the states: a root user may read and write them
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "c.json", Path(tmp) / "o"
+        if config_state == "directory":
+            config.mkdir()
+        elif config_state == "not_utf8":
+            config.write_bytes(b'{"horizon": \xff}')
+        elif config_state == "valid":
+            config.write_text(_dumps(_FUZZ_BASE))
+        if out_state == "file":
+            out.write_text("")
+        elif out_state == "output_is_directory":
+            (out / _OUTPUT_NAME[command]).mkdir(parents=True)
+        configs = [str(config)] * (2 if command == "compare" else 1)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main([command, *configs, "--out", str(out)])
+        err = stderr.getvalue()
+        assert code in range(5) and "Traceback" not in err
+        if (config_state, out_state) != ("valid", "missing"):
+            # one validation line, naming the path that failed
+            assert code == 2
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("validation: ")
+            assert str(config) in lines[0] or str(out) in lines[0]

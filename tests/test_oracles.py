@@ -1,6 +1,7 @@
 """Lattice DP oracle, stopping rules, closed forms."""
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,6 +115,23 @@ class TestStoppingRules:
                      HittingRule(0.0), HittingRule(0.01)):
             rv = stopping_rule_value(sol, sc, p, rule)
             assert rv.mean <= y0 + 3.0 * rv.se + slack
+
+    @pytest.mark.parametrize("rule", [FixedRule(index=25), HittingRule(epsilon=0.0)])
+    def test_a_rule_reads_barrier_rows_not_the_whole_barrier(self, fast_cfg, rule):
+        # the shaped barrier of this scenario is held as what evaluates its
+        # rows: beside the (M, N) drift steps the rule forms a few rows, not
+        # the (M, N+1) barrier
+        sc = stopping_drift_scenario(paths=10_000, steps=50)
+        p = generate_paths(sc)
+        sol = solve_projected(sc, p, fast_cfg)
+        m, n = sc.mc_paths, sc.grid.steps
+        tracemalloc.start()
+        try:
+            stopping_rule_value(sol, sc, p, rule)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= (n + 10) * m * 8
 
     def test_bad_index_rejected(self, solved):
         sc, p, sol = solved

@@ -29,7 +29,7 @@ from rbdsde import (
 from rbdsde.bdsde_solver import _reflect
 from rbdsde.diagnostics import pooled_se
 from rbdsde.reflect_one import penetration_statistic
-from rbdsde.reflect_two import LevelStat, _penetration
+from rbdsde.reflect_two import LevelStat
 from rbdsde.scenarios import constant_g_scenario, stopping_drift_scenario, two_barrier_scenario
 from tests.test_reflect_one import _hand_ensemble
 
@@ -200,6 +200,11 @@ class TestSweepKernel:
         reference = _full_array_step(a, lower, upper, m_dt, n_dt)
         for got, kernel, want in zip(public, (row, k_plus, k_minus), reference):
             assert got.tobytes() == kernel.tobytes() == want.tobytes()
+
+
+def _penetration(excess):
+    """Mean over paths of sup_i ((excess)^+)^2, over the whole (M, N+1) array."""
+    return float(np.mean(np.max(np.maximum(excess, 0.0), axis=1) ** 2))
 
 
 def _bit_equal(a, b):
