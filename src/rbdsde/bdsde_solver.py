@@ -197,9 +197,6 @@ def solve_backward(
     basis matrices are bit-identical."""
     m, n = s.mc_paths, s.grid.steps
     d, l = s.dims.d, s.dims.l
-    if p.dW.shape != (m, n, d) or p.dB.shape != (m, n, l):
-        raise ValueError("dimension mismatch between scenario and paths")
-
     dt = s.grid.dt
     times = s.grid.times
     rate = level * dt
@@ -219,23 +216,10 @@ def solve_backward(
     remaining_db = np.zeros((m, l)) if cfg.include_dB else None
 
     sides = grids.sides
-
-    def barrier_rows(i):
-        """Each present barrier's row at grid time i, formed once for the
-        step that reads it."""
-        return {side: grids.row(side, i) for side in sides}
-
-    # per path, the largest (L - Y)^+ and (Y - U)^+ over the rows solved so far
+    # per path, the largest (L - Y)^+ and (Y - U)^+ over the rows solved so
+    # far; the horizon row adds nothing, as _checked_grid holds L_T <= xi <= U_T
     shortfall = np.zeros(m)
     overshoot = np.zeros(m)
-
-    def track_penetration(i, barriers):
-        if "lower" in barriers:
-            np.maximum(shortfall, barriers["lower"] - y_all[i], out=shortfall)
-        if "upper" in barriers:
-            np.maximum(overshoot, y_all[i] - barriers["upper"], out=overshoot)
-
-    track_penetration(n, barrier_rows(n))
     shaped = s.obstacles.shaped_sides()
     # a driver of the state alone gives every Picard iteration the same row
     picard = min(picard_iters, 1) if s.driver.depends_on_state_only() else picard_iters
@@ -261,7 +245,7 @@ def solve_backward(
         w_now = p.W_state[:, i, :]
         if remaining_db is not None:
             np.add(remaining_db, d_b, out=remaining_db)
-        barriers = barrier_rows(i)
+        barriers = {side: grids.row(side, i) for side in sides}
         basis = build_basis(cfg, w_now, remaining_db, [barriers[side] for side in shaped])
         # The last design goes only once this basis is built.  Freed before,
         # its memory joined the free top of the heap, which the allocator
@@ -270,13 +254,9 @@ def solve_backward(
         # ladder with 9 columns, 112k against 10k in a 100k-path sweep when
         # freed with the rest of its step.
         previous = None
-        factored = None if factors is None else factors.get(i)
-        if factored is None:
-            design = Design(basis, cfg.ridge)
-            if factors is not None:
-                factors[i] = design.scale, design.factor, design.ridge_floor
-        else:
-            design = Design._reusing(basis, factored)
+        design = Design(basis, cfg.ridge, None if factors is None else factors.get(i))
+        if factors is not None:
+            factors[i] = design.scale, design.factor, design.ridge_floor
 
         # Stage 1: rough continuation fit, reused as a centring control for
         # the gradient targets and to seed the drift refinement.  Targets
@@ -310,7 +290,10 @@ def solve_backward(
                  k_plus[i + 1], k_minus[i + 1])
         if not np.all(np.isfinite(y_now)):
             raise NonFiniteError(f"solver produced non-finite values at step {i}")
-        track_penetration(i, barriers)
+        if "lower" in barriers:
+            np.maximum(shortfall, barriers["lower"] - y_now, out=shortfall)
+        if "upper" in barriers:
+            np.maximum(overshoot, y_now - barriers["upper"], out=overshoot)
         previous = design
 
     for i in range(n - 1, -1, -1):

@@ -177,15 +177,20 @@ class Design:
     With ``ridge == 0`` a zero or dependent column raises instead of giving
     an arbitrary fit; with ``ridge > 0`` a ridge below the rounding of the
     Gram sums is raised to the smallest one they resolve
-    (``ridge_floor``)."""
+    (``ridge_floor``).
+
+    ``factored`` is the ``(scale, factor, ridge_floor)`` of an earlier
+    design on a bit-identical matrix and the same ridge, which a ladder
+    stores per step; with it the Gram is not formed again."""
 
     matrix: np.ndarray
     ridge: InitVar[float] = 0.0
+    factored: InitVar[tuple[np.ndarray, np.ndarray, bool] | None] = None
     scale: np.ndarray = field(init=False)
     factor: np.ndarray = field(init=False)
     ridge_floor: bool = field(init=False)
 
-    def __post_init__(self, ridge: float):
+    def __post_init__(self, ridge: float, factored):
         matrix = np.asarray(self.matrix, dtype=float)
         m, b = matrix.shape
         if b > m:
@@ -193,44 +198,33 @@ class Design:
         if not 0 <= ridge < math.inf:
             raise ValueError(f"ridge must be >= 0 and finite, got {ridge!r}")
 
-        gram = matrix.T @ matrix
-        gram[np.diag_indices(b)] += ridge
-        diag = gram.diagonal()
-        if ridge == 0 and np.any(diag == 0):
-            raise ValueError(f"singular design: column {int(np.argmax(diag == 0))} is zero (ridge=0)")
-        scale = 1.0 / np.sqrt(diag)
-        scaled = gram * np.outer(scale, scale)
-        # A pivot of the unit-diagonal G whose square is within the rounding
-        # of the Gram sums, eps * max(M, B) (numpy lstsq's default rcond), is
-        # a dependent column.
-        tol = np.finfo(float).eps * max(m, b)
-        try:
-            factor = np.linalg.cholesky(scaled)
-            dependent = np.min(factor.diagonal()) ** 2 <= tol
-        except np.linalg.LinAlgError:
-            dependent = True
-        if dependent:
-            if ridge == 0:
-                raise ValueError(f"singular design: {b} columns are linearly dependent (ridge=0)")
-            # the requested ridge is below what the Gram sums resolve
-            factor = np.linalg.cholesky(scaled + tol * np.eye(b))
-        for name, value in (("matrix", matrix), ("scale", scale), ("factor", factor),
-                            ("ridge_floor", bool(dependent))):
-            object.__setattr__(self, name, value)
-
-    @classmethod
-    def _reusing(cls, matrix: np.ndarray, factored: tuple[np.ndarray, np.ndarray, bool]) -> Design:
-        """A design on ``matrix`` with the ``(scale, factor, ridge_floor)``
-        of an earlier design on a bit-identical matrix and the same ridge;
-        the Gram is not formed again."""
-        scale, factor, ridge_floor = factored
-        if factor.shape != (matrix.shape[1],) * 2:
+        if factored is None:
+            gram = matrix.T @ matrix
+            gram[np.diag_indices(b)] += ridge
+            diag = gram.diagonal()
+            if ridge == 0 and np.any(diag == 0):
+                raise ValueError(f"singular design: column {int(np.argmax(diag == 0))} is zero (ridge=0)")
+            scale = 1.0 / np.sqrt(diag)
+            scaled = gram * np.outer(scale, scale)
+            # A pivot of the unit-diagonal G whose square is within the
+            # rounding of the Gram sums, eps * max(M, B) (numpy lstsq's
+            # default rcond), is a dependent column.
+            tol = np.finfo(float).eps * max(m, b)
+            try:
+                factor = np.linalg.cholesky(scaled)
+                dependent = np.min(factor.diagonal()) ** 2 <= tol
+            except np.linalg.LinAlgError:
+                dependent = True
+            if dependent:
+                if ridge == 0:
+                    raise ValueError(f"singular design: {b} columns are linearly dependent (ridge=0)")
+                # the requested ridge is below what the Gram sums resolve
+                factor = np.linalg.cholesky(scaled + tol * np.eye(b))
+            factored = scale, factor, bool(dependent)
+        if factored[1].shape != (b, b):
             raise ValueError("stored factor does not match the design's columns")
-        design = object.__new__(cls)
-        for name, value in (("matrix", matrix), ("scale", scale), ("factor", factor),
-                            ("ridge_floor", ridge_floor)):
-            object.__setattr__(design, name, value)
-        return design
+        for name, value in zip(("matrix", "scale", "factor", "ridge_floor"), (matrix, *factored)):
+            object.__setattr__(self, name, value)
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -38,6 +38,17 @@ def z_se_per_step(sol: SolutionEnsemble, dt: float) -> np.ndarray:
     return meta.residual_rms[:, 2:] * math.sqrt(meta.basis_size / meta.n_paths) / dt
 
 
+def _comparison_epsilon(sol_a: SolutionEnsemble, sol_b: SolutionEnsemble,
+                        epsilon: float | None) -> float:
+    """The tolerance of a comparison, by default 3 pooled standard errors;
+    raises unless the two ensembles have one shape and one seed."""
+    if sol_a.Y.shape != sol_b.Y.shape:
+        raise ValueError("mismatched shapes between the two ensembles")
+    if sol_a.meta.seed != sol_b.meta.seed:
+        raise ValueError("ensembles come from different seeds, not shared paths")
+    return 3.0 * pooled_se(sol_a, sol_b) if epsilon is None else epsilon
+
+
 @dataclass(frozen=True)
 class ComparisonResult:
     violation_fraction: float
@@ -53,14 +64,9 @@ def check_comparison(
 ) -> ComparisonResult:
     """Fraction of grid points where the solution of the dominated data set
     exceeds the dominating one beyond epsilon; passes at <= 1%."""
-    if sol_a.Y.shape != sol_b.Y.shape:
-        raise ValueError("mismatched shapes between the two ensembles")
+    epsilon = _comparison_epsilon(sol_a, sol_b, epsilon)
     if sol_a.Y.shape[0] != shared_paths.n_paths:
         raise ValueError("ensembles were not solved on the given paths")
-    if sol_a.meta.seed != sol_b.meta.seed:
-        raise ValueError("ensembles come from different seeds, not shared paths")
-    if epsilon is None:
-        epsilon = 3.0 * pooled_se(sol_a, sol_b)
     fraction = float(np.mean(sol_a.Y > sol_b.Y + epsilon))
     return ComparisonResult(violation_fraction=fraction, epsilon=epsilon, passed=fraction <= 0.01)
 
@@ -74,11 +80,8 @@ def check_dK_comparison(
     """With a shared barrier on ``side``, the dominated solution A is pushed
     up at least as much by a lower barrier, dK+_A >= dK+_B - epsilon, and
     down no more by an upper one, dK-_A <= dK-_B + epsilon, on at least 99%
-    of steps."""
-    if sol_a.Y.shape != sol_b.Y.shape:
-        raise ValueError("mismatched shapes between the two ensembles")
-    if epsilon is None:
-        epsilon = 3.0 * pooled_se(sol_a, sol_b)
+    of steps.  The ensembles must come from the same seed."""
+    epsilon = _comparison_epsilon(sol_a, sol_b, epsilon)
     dk_a, dk_b = (np.diff(sol.k(side), axis=1) for sol in (sol_a, sol_b))
     wrong = dk_a < dk_b - epsilon if side == "lower" else dk_a > dk_b + epsilon
     fraction = float(np.mean(wrong))

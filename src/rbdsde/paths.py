@@ -1,8 +1,8 @@
 """Seeded generation of the two independent Brownian increment ensembles.
 
 Generation is counter-based: paths are split into fixed-size blocks and each
-block draws from its own jumped Philox sub-stream, so a parallel fill and a
-sequential fill produce bit-identical arrays.  The backward Brownian motion B
+block draws from its own jumped Philox sub-stream, so the arrays do not
+depend on the number of workers that fill them.  The backward Brownian motion B
 is simulated forward in time like W; its terminal-side role is honoured by
 the solver's measurability conventions, not by reversed simulation.
 """
@@ -122,12 +122,8 @@ def generate_paths(s: Scenario) -> NoisePaths:
             np.multiply(_path_major(draws), sqrt_dt, out=out[:, start:stop])
         buffers.put(buffer)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, blocks))
-    else:
-        for b in blocks:
-            fill(b)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(fill, blocks))
 
     return _noise_paths(dW, dB, s.seed)
 

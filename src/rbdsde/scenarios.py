@@ -114,14 +114,18 @@ def diagnostics_suite(paths: int = 10_000, steps: int = 50, seed: int = 42) -> d
     }
 
 
-def shift_terminal(s: Scenario, delta: float) -> Scenario:
-    """Scenario with terminal value xi + delta (perturbation helper)."""
-    base = s.terminal
+def _shifted(base: CoefficientSpec, delta: float) -> CoefficientSpec:
+    """The coefficient base + delta, with the Lipschitz constant of base."""
 
     def shifted(t, w, y, z):
         return base.evaluate(t, w, y, z) + delta
 
-    return replace(s, terminal=CoefficientSpec.hook(shifted, lip_const=base.lip_const))
+    return CoefficientSpec.hook(shifted, lip_const=base.lip_const)
+
+
+def shift_terminal(s: Scenario, delta: float) -> Scenario:
+    """Scenario with terminal value xi + delta (perturbation helper)."""
+    return replace(s, terminal=_shifted(s.terminal, delta))
 
 
 def shift_lower_obstacle(s: Scenario, delta: float) -> Scenario:
@@ -129,10 +133,4 @@ def shift_lower_obstacle(s: Scenario, delta: float) -> Scenario:
     terminal domination intact)."""
     if s.obstacles.lower is None:
         raise ValueError("the scenario declares no lower obstacle to shift")
-    base = s.obstacles.lower
-
-    def shifted(t, w, y, z):
-        return base.evaluate(t, w, y, z) + delta
-
-    lower = CoefficientSpec.hook(shifted, lip_const=base.lip_const)
-    return replace(s, obstacles=replace(s.obstacles, lower=lower))
+    return replace(s, obstacles=replace(s.obstacles, lower=_shifted(s.obstacles.lower, delta)))

@@ -312,8 +312,8 @@ class TestFitEval:
         w, db = _design(m=4097)
         cfg = RegressionConfig(degree_w=4)
         first = Design(build_basis(cfg, w, db), 1e-10)
-        reused = Design._reusing(build_basis(cfg, w, db),
-                                 (first.scale, first.factor, first.ridge_floor))
+        reused = Design(build_basis(cfg, w, db), 1e-10,
+                        factored=(first.scale, first.factor, first.ridge_floor))
         targets = np.random.default_rng(12).normal(size=(len(w), 2))
         fitted, fit = condexp_fit_eval(targets, reused)
         own_fitted, own_fit = condexp_fit_eval(targets, first)
@@ -322,8 +322,8 @@ class TestFitEval:
         assert fit.residual_norm.tobytes() == own_fit.residual_norm.tobytes()
         assert reused.ridge_floor == first.ridge_floor
         with pytest.raises(ValueError, match="does not match"):
-            Design._reusing(build_basis(RegressionConfig(degree_w=3), w, db),
-                            (first.scale, first.factor, first.ridge_floor))
+            Design(build_basis(RegressionConfig(degree_w=3), w, db), 1e-10,
+                   factored=(first.scale, first.factor, first.ridge_floor))
 
     def test_ridge_floor_is_recorded(self):
         # the dependent design of test_dependent_columns_with_ridge_fit_their_span
