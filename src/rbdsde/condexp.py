@@ -250,8 +250,11 @@ def condexp_fit_eval(targets: np.ndarray, design: Design) -> tuple[np.ndarray, R
         raise ValueError("targets and basis must share the sample dimension")
     rows = np.ascontiguousarray(y.T)
 
+    # BLAS may split a matrix-vector product's sum over the paths among its
+    # threads, so one row goes through einsum, which sums in one order
+    products = np.einsum("km,mb->kb", rows, design.matrix) if len(rows) == 1 else rows @ design.matrix
     scale = design.scale[:, None]
-    half = np.linalg.solve(design.factor, scale * (rows @ design.matrix).T)
+    half = np.linalg.solve(design.factor, scale * products.T)
     beta = scale * np.linalg.solve(design.factor.T, half)
 
     fitted_rows = beta.T @ design.matrix.T

@@ -1,11 +1,16 @@
 """Unreflected backward solver."""
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rbdsde
 from rbdsde import (
     CoefficientSpec,
     Dimensions,
@@ -228,6 +233,35 @@ class TestWorkingSet:
             assert solved[1].Y.tobytes() == solved[3].Y.tobytes()
         else:
             assert not np.array_equal(solved[1].Y, solved[3].Y)
+
+
+# One sweep of the 9-column bdsde_db basis on 60k paths, hashed: Y and Z of
+# a fit with one target row and of fits with several.
+_DIGEST_SCRIPT = """
+import hashlib
+import numpy as np
+from rbdsde import RegressionConfig, generate_paths, solve_bdsde
+from rbdsde.scenarios import constant_g_scenario
+sc = constant_g_scenario(paths=60_000, steps=3, beta=0.3)
+sol = solve_bdsde(sc, generate_paths(sc), RegressionConfig(degree_w=4, include_dB=True))
+assert sol.meta.basis_size == 9
+print(hashlib.sha256(np.ascontiguousarray(sol.Y).tobytes() + np.ascontiguousarray(sol.Z).tobytes()).hexdigest())
+"""
+
+
+def test_bits_do_not_depend_on_blas_threads():
+    # BLAS threads may split a matrix-vector product's sum over the paths,
+    # which would round it differently for each thread count
+    src = str(Path(rbdsde.__file__).resolve().parents[1])
+    digests = set()
+    for threads in ("1", "2", "4"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.add(proc.stdout.strip())
+    assert len(digests) == 1, digests
 
 
 class TestFailureModes:
