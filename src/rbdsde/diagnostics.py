@@ -102,20 +102,28 @@ def apriori_statistic(sol: SolutionEnsemble, s: Scenario) -> AprioriStatistic:
     """Solution energy against the data energy: the bound between them holds
     with an unknown constant, so suites assert ratio stability, not a value.
     The terminal and barrier data are read from the solver's obstacle grid,
-    and every barrier in it adds its term to the data energy."""
+    and every barrier in it adds its term to the data energy.  Y, Z and the
+    barriers are read one time row at a time."""
     grids = sol.obstacle_grid
     if grids is None:
         raise ValueError("the a priori statistic needs a solver's obstacle grid")
     dt = s.grid.dt
     times = s.grid.times
-    m = s.mc_paths
+    m, n = s.mc_paths, s.grid.steps
+
+    # per path: sup Y^2, sum |Z|^2 and, for each barrier, the sup of the
+    # excess of the zero process beyond it, (L^+) below and (U^-) above
+    sup_y_sq, z_sq = np.zeros(m), np.zeros(m)
+    sup_excess = {side: np.zeros(m) for side in grids.sides}
+    for i in range(n + 1):
+        np.maximum(sup_y_sq, np.square(sol.Y[:, i]), out=sup_y_sq)
+        if i < n:
+            z_sq += np.sum(np.square(sol.Z[:, i, :]), axis=1)
+        for side, sup in sup_excess.items():
+            np.maximum(sup, grids.excess(side, 0.0, i), out=sup)
 
     k_total = sol.K_plus[:, -1] + sol.K_minus[:, -1]
-    lhs = float(np.mean(
-        np.max(sol.Y**2, axis=1)
-        + np.sum(np.sum(sol.Z**2, axis=2), axis=1) * dt
-        + k_total**2
-    ))
+    lhs = float(np.mean(sup_y_sq + z_sq * dt + k_total**2))
 
     zero_w = np.zeros((1, s.dims.d))
     zero_y = np.zeros(1)
@@ -127,10 +135,8 @@ def apriori_statistic(sol: SolutionEnsemble, s: Scenario) -> AprioriStatistic:
         g0 = s.noise_coeff.evaluate(times[i], zero_w, zero_y, zero_z)
         g0_sq += float(np.sum(np.atleast_1d(g0[0] if g0.ndim == 1 else g0[0, :]) ** 2)) * dt
 
-    # sup over time of the squared excess of the zero process beyond each
-    # barrier: sup (L^+)^2 + sup (U^-)^2
-    obstacle_part = sum((np.max(np.maximum(grids.excess(side, 0.0), 0.0), axis=1) ** 2
-                         for side in grids.sides), np.zeros(m))
+    # sup (L^+)^2 + sup (U^-)^2
+    obstacle_part = sum((sup**2 for sup in sup_excess.values()), np.zeros(m))
     rhs = float(np.mean(grids.xi**2 + f0_sq + g0_sq + obstacle_part))
     return AprioriStatistic(lhs=lhs, rhs_data=rhs)
 

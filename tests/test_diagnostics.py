@@ -1,5 +1,6 @@
 """Structural checks: comparison, increments, energy and stability statistics."""
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from rbdsde.scenarios import (
     constant_scenario,
     diagnostics_suite,
     shift_terminal,
+    stopping_drift_scenario,
     stopping_put_scenario,
     two_barrier_scenario,
 )
@@ -83,6 +85,20 @@ class TestCheckDkComparison:
         assert not check_dK_comparison(sol_up, sol).passed
 
 
+@pytest.mark.parametrize("check", [
+    lambda a, b, p: check_comparison(a, b, p),
+    lambda a, b, p: check_dK_comparison(a, b),
+], ids=["Y", "dK"])
+def test_comparisons_refuse_ensembles_from_different_seeds(check, fast_cfg):
+    solved = []
+    for seed in (42, 7):
+        sc = stopping_drift_scenario(paths=2000, steps=10, seed=seed)
+        p = generate_paths(sc)
+        solved.append(solve_projected(sc, p, fast_cfg))
+    with pytest.raises(ValueError, match="ensembles come from different seeds, not shared paths"):
+        check(*solved, p)
+
+
 class TestAprioriStatistic:
 
     def test_zero_data_zero_statistic(self, fast_cfg):
@@ -140,6 +156,19 @@ class TestAprioriStatistic:
         a = apriori_statistic(sol, sc)
         b = apriori_statistic(sol, sc)
         assert a == b
+
+    def test_reads_one_time_row_at_a_time(self, binding_problem, fast_cfg):
+        sc, p = binding_problem
+        sol = solve_projected(sc, p, fast_cfg)
+        tracemalloc.start()
+        try:
+            apriori_statistic(sol, sc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a few per-path rows; the shaped barrier, Y^2 or |Z|^2 taken whole
+        # would each hold one (M, N+1) or (M, N) array
+        assert peak < 0.25 * sol.Y.nbytes
 
 
 class TestStabilityStatistic:
