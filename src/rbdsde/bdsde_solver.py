@@ -8,8 +8,9 @@ and noise coefficient G at the (i+1)-layer, then projects
 
 onto the regression basis, and finally refines the drift contribution by a
 short Picard iteration: Y_i = C_i + f(t_i, W_i, Y_i, Z_i) dt.  The step
-ends with the implicit penalty correction at the sweep's one level for every
-barrier: the projection at an infinite level, the identity with no barrier.
+ends with the implicit penalty correction at one scalar rate, the sweep's
+level times dt, for every barrier and path: the projection at an infinite
+level, the identity with no barrier.
 A solve reflects on every barrier its scenario declares, which
 ``_checked_grid`` evaluates and checks; ``solve_bdsde``, which ignores
 barriers, solves the scenario with its barriers removed.
@@ -45,51 +46,42 @@ class NonFiniteError(ValueError, RuntimeError):
     reports it with exit code 2; a RuntimeError for library callers."""
 
 
-def _toward(a, barrier, rate):
-    """The solution of y = a + rate*(barrier - y): the rate-weighted mean of
-    a and the barrier, or the barrier itself where the rate is infinite."""
-    infinite = np.isinf(rate)
-    if np.ndim(rate) == 0:
-        return barrier if infinite else (a + rate * barrier) / (1.0 + rate)
-    finite = np.where(infinite, 0.0, rate)
-    return np.where(infinite, barrier, (a + finite * barrier) / (1.0 + finite))
-
-
-def _reflect(y, lower, upper, m_dt, n_dt, dk_plus, dk_minus) -> None:
+def _reflect(y, lower, upper, rate, dk_plus, dk_minus) -> None:
     """The implicit step in place on rows of paths: ``y`` holds the
     candidate a on entry and the solution of
-    y = a + m_dt*(lower - y)^+ - n_dt*(y - upper)^+ on return.
+    y = a + rate*(lower - y)^+ - rate*(y - upper)^+ on return.
 
     Only the paths that hit a barrier are computed and written, into ``y``
-    and that side's push row; every other entry is left as it is.  An
-    absent barrier is None and nothing is done for its side.  A rate is a
-    scalar or a row; an infinite rate projects onto its barrier.  The
-    barriers must not cross and the rates must be >= 0 (not checked)."""
+    and that side's push row: y is the rate-weighted mean
+    (a + rate*barrier) / (1 + rate), or the barrier itself at an infinite
+    rate.  Every other entry is left as it is.  An absent barrier is None
+    and nothing is done for its side.  The barriers must not cross and the
+    rate must be one number >= 0 (not checked)."""
     # both sides find their paths from the candidate, before y changes
     below = None if lower is None else np.flatnonzero(y < lower)
     above = None if upper is None else np.flatnonzero(y > upper)
-    if below is not None:
-        a = y[below]
-        pushed = _toward(a, lower[below], m_dt if np.ndim(m_dt) == 0 else m_dt[below])
-        dk_plus[below] = pushed - a
-        y[below] = pushed
-    if above is not None:
-        a = y[above]
-        pushed = _toward(a, upper[above], n_dt if np.ndim(n_dt) == 0 else n_dt[above])
-        dk_minus[above] = a - pushed
-        y[above] = pushed
+    for hit, barrier, dk, up in ((below, lower, dk_plus, True), (above, upper, dk_minus, False)):
+        if hit is None:
+            continue
+        a, target = y[hit], barrier[hit]
+        pushed = target if np.isinf(rate) else (a + rate * target) / (1.0 + rate)
+        dk[hit] = pushed - a if up else a - pushed
+        y[hit] = pushed
 
 
-def implicit_double_step(a, l_val, u_val, m_dt, n_dt):
-    """Solve y = a + m_dt*(l_val - y)^+ - n_dt*(y - u_val)^+; returns
+def implicit_double_step(a, l_val, u_val, n_dt):
+    """Solve y = a + n_dt*(l_val - y)^+ - n_dt*(y - u_val)^+; returns
     (y, dK_plus, dK_minus).  At most one side is ever active, so the product
     dK_plus * dK_minus vanishes identically.
 
-    Scalars or broadcasting arrays.  An absent barrier is the scalar -inf
-    (lower) or +inf (upper); no arithmetic is done for its side.  A rate of
-    +inf projects onto its barrier.  The sweep runs the same in-place step,
-    without the checks made here.
+    a and the barriers are scalars or broadcasting arrays; the rate n_dt is
+    one number >= 0 for both barriers, and +inf projects onto them.  An
+    absent barrier is the scalar -inf (lower) or +inf (upper); no
+    arithmetic is done for its side.  The sweep runs the same in-place
+    step, without the checks made here.
     """
+    if np.ndim(n_dt) != 0 or not n_dt >= 0:  # NaN fails too
+        raise ValueError(f"the penalty rate must be one number >= 0, got {n_dt!r}")
     a = np.asarray(a, dtype=float)
     l_arr = np.asarray(l_val, dtype=float)
     u_arr = np.asarray(u_val, dtype=float)
@@ -98,11 +90,8 @@ def implicit_double_step(a, l_val, u_val, m_dt, n_dt):
     # an absent side cannot cross, so only two barriers are tested
     if has_lower and has_upper and np.any(l_arr >= u_arr):
         raise ValueError("barrier crossing: l_val >= u_val")
-    rates = [np.asarray(rate, dtype=float) for rate in (m_dt, n_dt)]
-    if not all(np.all(rate >= 0) for rate in rates):
-        raise ValueError("penalty rates must be >= 0")  # NaN fails too
 
-    shape = np.broadcast_shapes(a.shape, l_arr.shape, u_arr.shape, *(r.shape for r in rates))
+    shape = np.broadcast_shapes(a.shape, l_arr.shape, u_arr.shape)
 
     def row(x):
         return np.broadcast_to(x, shape).ravel()
@@ -110,7 +99,7 @@ def implicit_double_step(a, l_val, u_val, m_dt, n_dt):
     y = row(a).copy()
     dk_plus, dk_minus = np.zeros(y.size), np.zeros(y.size)
     _reflect(y, row(l_arr) if has_lower else None, row(u_arr) if has_upper else None,
-             *(r if r.ndim == 0 else row(r) for r in rates), dk_plus, dk_minus)
+             float(n_dt), dk_plus, dk_minus)
     if not shape:
         return float(y[0]), float(dk_plus[0]), float(dk_minus[0])
     return y.reshape(shape), dk_plus.reshape(shape), dk_minus.reshape(shape)
@@ -201,7 +190,7 @@ def solve_backward(
     times = s.grid.times
     rate = level * dt
     if not rate >= 0:
-        raise ValueError("penalty rates must be >= 0")  # NaN fails too
+        raise ValueError("the penalty rate must be >= 0")  # NaN fails too
 
     y_all = np.empty((n + 1, m))
     z_all = np.zeros((n, m, d))
@@ -286,8 +275,8 @@ def solve_backward(
             np.add(continuation, s.driver.evaluate(times[i], w_now, y_now, z_now) * dt, out=y_now)
 
         # interior barriers were checked not to cross by _checked_grid
-        _reflect(y_now, barriers.get("lower"), barriers.get("upper"), rate, rate,
-                 k_plus[i + 1], k_minus[i + 1])
+        _reflect(y_now, barriers.get("lower"), barriers.get("upper"), rate, k_plus[i + 1],
+                 k_minus[i + 1])
         if not np.all(np.isfinite(y_now)):
             raise NonFiniteError(f"solver produced non-finite values at step {i}")
         if "lower" in barriers:

@@ -238,15 +238,17 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _prepare(spec: RunSpec, paths: NoisePaths | None = None) -> NoisePaths:
-    """Validate the scenario and its regression basis size, then draw its
-    paths unless shared ones are given.  The solvers check the per-path
-    conditions that validation had to defer."""
+    """Check the regression basis size, then validate the scenario, then
+    draw its paths unless shared ones are given.  The size check comes
+    first: it is closed form, while validation evaluates each coefficient
+    on 4d + 1 probe states.  The solvers check the per-path conditions that
+    validation had to defer."""
     sc = spec.scenario
+    _determined_count(spec.regression, sc.dims.d, sc.dims.l, len(sc.obstacles.shaped_sides()),
+                      sc.mc_paths)
     report = validate_scenario(sc)
     if not report.ok:
         raise ConfigError(*report.violations)
-    _determined_count(spec.regression, sc.dims.d, sc.dims.l, len(sc.obstacles.shaped_sides()),
-                      sc.mc_paths)
     return paths if paths is not None else generate_paths(sc)
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bdsde_solver import _noise_matrix
 from .condexp import RegressionConfig
 from .model import Scenario, SolutionEnsemble
 from .paths import NoisePaths
@@ -38,15 +39,14 @@ def z_se_per_step(sol: SolutionEnsemble, dt: float) -> np.ndarray:
     return meta.residual_rms[:, 2:] * math.sqrt(meta.basis_size / meta.n_paths) / dt
 
 
-def _comparison_epsilon(sol_a: SolutionEnsemble, sol_b: SolutionEnsemble,
-                        epsilon: float | None) -> float:
-    """The tolerance of a comparison, by default 3 pooled standard errors;
-    raises unless the two ensembles have one shape and one seed."""
+def _comparison_epsilon(sol_a: SolutionEnsemble, sol_b: SolutionEnsemble) -> float:
+    """The tolerance of a comparison, 3 pooled standard errors; raises
+    unless the two ensembles have one shape and one seed."""
     if sol_a.Y.shape != sol_b.Y.shape:
         raise ValueError("mismatched shapes between the two ensembles")
     if sol_a.meta.seed != sol_b.meta.seed:
         raise ValueError("ensembles come from different seeds, not shared paths")
-    return 3.0 * pooled_se(sol_a, sol_b) if epsilon is None else epsilon
+    return 3.0 * pooled_se(sol_a, sol_b)
 
 
 @dataclass(frozen=True)
@@ -60,11 +60,11 @@ def check_comparison(
     sol_a: SolutionEnsemble,
     sol_b: SolutionEnsemble,
     shared_paths: NoisePaths,
-    epsilon: float | None = None,
 ) -> ComparisonResult:
     """Fraction of grid points where the solution of the dominated data set
-    exceeds the dominating one beyond epsilon; passes at <= 1%."""
-    epsilon = _comparison_epsilon(sol_a, sol_b, epsilon)
+    exceeds the dominating one beyond epsilon, 3 pooled standard errors;
+    passes at <= 1%."""
+    epsilon = _comparison_epsilon(sol_a, sol_b)
     if sol_a.Y.shape[0] != shared_paths.n_paths:
         raise ValueError("ensembles were not solved on the given paths")
     fraction = float(np.mean(sol_a.Y > sol_b.Y + epsilon))
@@ -74,14 +74,14 @@ def check_comparison(
 def check_dK_comparison(
     sol_a: SolutionEnsemble,
     sol_b: SolutionEnsemble,
-    epsilon: float | None = None,
     side: str = "lower",
 ) -> ComparisonResult:
     """With a shared barrier on ``side``, the dominated solution A is pushed
     up at least as much by a lower barrier, dK+_A >= dK+_B - epsilon, and
     down no more by an upper one, dK-_A <= dK-_B + epsilon, on at least 99%
-    of steps.  The ensembles must come from the same seed."""
-    epsilon = _comparison_epsilon(sol_a, sol_b, epsilon)
+    of steps, with epsilon 3 pooled standard errors.  The ensembles must
+    come from the same seed."""
+    epsilon = _comparison_epsilon(sol_a, sol_b)
     dk_a, dk_b = (np.diff(sol.k(side), axis=1) for sol in (sol_a, sol_b))
     wrong = dk_a < dk_b - epsilon if side == "lower" else dk_a > dk_b + epsilon
     fraction = float(np.mean(wrong))
@@ -130,10 +130,12 @@ def apriori_statistic(sol: SolutionEnsemble, s: Scenario) -> AprioriStatistic:
     zero_z = np.zeros((1, s.dims.d))
     f0_sq = sum(float(s.driver.evaluate(times[i], zero_w, zero_y, zero_z)[0]) ** 2
                 for i in range(s.grid.steps)) * dt
+    # G read as the sweep reads it: one value per path is shared by the l
+    # components, so each of them adds its square
     g0_sq = 0.0
     for i in range(s.grid.steps):
-        g0 = s.noise_coeff.evaluate(times[i], zero_w, zero_y, zero_z)
-        g0_sq += float(np.sum(np.atleast_1d(g0[0] if g0.ndim == 1 else g0[0, :]) ** 2)) * dt
+        g0 = _noise_matrix(s.noise_coeff, times[i], zero_w, zero_y, zero_z, s.dims.l)
+        g0_sq += float(np.sum(g0[0] ** 2)) * dt
 
     # sup (L^+)^2 + sup (U^-)^2
     obstacle_part = sum((sup**2 for sup in sup_excess.values()), np.zeros(m))

@@ -3,15 +3,15 @@ machinery of the lower barrier.
 
 The penalty is handled implicitly inside each backward step: the candidate
 value a (continuation plus drift) is corrected by solving the scalar
-piecewise-linear equation y = a + n*dt*(s - y)^+ in closed form.  This keeps
-arbitrarily large penalty rates usable; an explicit penalty in the driver
-would be stiff beyond n*dt ~ 1.  The step and the sweep are those of
-``bdsde_solver`` and the ladder that of ``reflect_two``.  Like every solver
-but ``solve_bdsde``, these reflect on every barrier the scenario declares,
-none, one on either side or both; they differ only in their level policy:
-one finite level, the infinite level, or the ladder.  The sup formula for K,
-like the stopping rules in ``oracles``, is lower-barrier only and refuses an
-ensemble solved with an upper barrier.
+piecewise-linear equation y = a + n*dt*(s - y)^+ in closed form, at one
+rate n*dt for every path.  This keeps arbitrarily large penalty rates
+usable; an explicit penalty in the driver would be stiff beyond n*dt ~ 1.
+The step and the sweep are those of ``bdsde_solver`` and the ladder that of
+``reflect_two``.  Like every solver but ``solve_bdsde``, these reflect on
+every barrier the scenario declares, none, one on either side or both; they
+differ only in their level policy: one finite level, the infinite level, or
+the ladder.  The sup formula for K, like the stopping rules in ``oracles``,
+is lower-barrier only and refuses an ensemble solved with an upper barrier.
 """
 from __future__ import annotations
 
@@ -28,10 +28,11 @@ from .reflect_two import PenalizationTrace, _run_ladder, _walk_rows
 def implicit_penalty_step(a, s_val, n_dt):
     """Solve y = a + n_dt*(s_val - y)^+ exactly; returns (y, dK).
 
-    Scalars or broadcasting arrays.  dK = n_dt*(s_val - y)^+ = y - a, zero on
-    the unconstrained branch a >= s_val.
+    a and s_val are scalars or broadcasting arrays, n_dt one number >= 0.
+    dK = n_dt*(s_val - y)^+ = y - a, zero on the unconstrained branch
+    a >= s_val.
     """
-    y, dk, _ = implicit_double_step(a, s_val, np.inf, n_dt, 0.0)
+    y, dk, _ = implicit_double_step(a, s_val, np.inf, n_dt)
     return y, dk
 
 

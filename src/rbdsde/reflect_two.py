@@ -3,16 +3,16 @@ which runs it on the barriers the scenario declares.
 
 Each backward step of ``bdsde_solver.solve_backward`` solves
 y = a + n_dt*(l - y)^+ - n_dt*(y - u)^+ in closed form (unique by
-monotonicity), with one rate n_dt = level * dt for both barriers.  An absent
-barrier is l = -inf or u = +inf and an infinite rate is the projection onto
-its barrier, so the one-barrier penalized and projected schemes are special
-cases of the same step.  The two barriers share one penalty ladder; the
-iterated limit (inner lower, outer upper) is collapsed onto one schedule,
-which preserves both monotone penetration decays.  An upper barrier alone
-is the mirror of a lower one: under Y -> -Y (xi -> -xi, f(y,z) -> -f(-y,-z),
-g(y,z) -> -g(-y,-z), L -> -U) the same sweep gives -Y, -Z and K- = K+
-exactly.  ``solve_double`` and ``reflect_one.solve_reflected`` are the same
-ladder call under two names.
+monotonicity), with one scalar rate n_dt = level * dt for both barriers and
+every path.  An absent barrier is l = -inf or u = +inf and an infinite rate
+is the projection onto its barrier, so the one-barrier penalized and
+projected schemes are special cases of the same step.  The two barriers
+share one penalty ladder; the iterated limit (inner lower, outer upper) is
+collapsed onto one schedule, which preserves both monotone penetration
+decays.  An upper barrier alone is the mirror of a lower one: under Y -> -Y
+(xi -> -xi, f(y,z) -> -f(-y,-z), g(y,z) -> -g(-y,-z), L -> -U) the same
+sweep gives -Y, -Z and K- = K+ exactly.  ``solve_double`` and
+``reflect_one.solve_reflected`` are the same ladder call under two names.
 """
 from __future__ import annotations
 

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from functools import reduce
 from pathlib import Path
@@ -714,6 +715,21 @@ def test_underdetermined_basis_exits_before_drawing_paths(tmp_path, capsys, monk
     assert (f"validation: underdetermined basis: {columns} columns but only {paths} samples"
             in capsys.readouterr().err)
     assert draws == []
+
+
+def test_underdetermined_basis_exits_before_the_probe_grid(tmp_path, capsys):
+    # validation's (4d + 1) x d probe grid, evaluated by each coefficient,
+    # held tens of MB here before the closed-form column count refused it
+    cfg = _base_config(paths=200, steps=4, dims={"d": 1000, "l": 1})
+    cfg_path = _write(tmp_path, "c.json", cfg)
+    tracemalloc.start()
+    try:
+        assert main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "underdetermined basis: 168170002 columns" in capsys.readouterr().err
+    assert peak < 5e6
 
 
 # Every parameter of each loadable kind, and the ones its constructor requires.

@@ -7,6 +7,7 @@ import pytest
 
 from rbdsde import (
     CoefficientSpec,
+    Dimensions,
     ObstacleSpec,
     check_comparison,
     check_dK_comparison,
@@ -19,6 +20,7 @@ from rbdsde import (
 from rbdsde.diagnostics import apriori_statistic, pooled_se, regression_se
 from rbdsde.model import ConfigError
 from rbdsde.scenarios import (
+    constant_g_scenario,
     constant_scenario,
     diagnostics_suite,
     shift_terminal,
@@ -120,6 +122,14 @@ class TestAprioriStatistic:
         stat = apriori_statistic(sol, sc)
         assert stat.lhs == pytest.approx(25.0, rel=1e-6)
         assert stat.rhs_data == pytest.approx(25.0, rel=1e-6)
+
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_shared_noise_adds_its_energy_once_per_component(self, l):
+        # G = beta, one value per path, is shared by the l components of B as
+        # the sweep shares it, so the data energy is l * beta^2 * T
+        sc = dataclasses.replace(constant_g_scenario(paths=500, steps=10), dims=Dimensions(l=l))
+        sol = solve_bdsde(sc, generate_paths(sc))
+        assert apriori_statistic(sol, sc).rhs_data == pytest.approx(l * 0.3 ** 2, rel=1e-12)
 
     def test_upper_barrier_below_zero_adds_its_negative_part(self, fast_cfg):
         # corridor [-3, -1] around a clamped W_T: sup (L^+)^2 = 0, sup (U^-)^2 = 1

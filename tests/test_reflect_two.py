@@ -34,11 +34,11 @@ from rbdsde.scenarios import constant_g_scenario, stopping_drift_scenario, two_b
 from tests.test_reflect_one import _hand_ensemble
 
 
-def _bisect_double(a, l, u, m_dt, n_dt):
+def _bisect_double(a, l, u, rate):
     lo, hi = min(a, l) - 1.0, max(a, u) + 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if a + m_dt * max(l - mid, 0.0) - n_dt * max(mid - u, 0.0) - mid > 0:
+        if a + rate * max(l - mid, 0.0) - rate * max(mid - u, 0.0) - mid > 0:
             lo = mid
         else:
             hi = mid
@@ -48,24 +48,30 @@ def _bisect_double(a, l, u, m_dt, n_dt):
 class TestImplicitDoubleStep:
 
     def test_interior_untouched(self):
-        assert implicit_double_step(0.0, -1.0, 1.0, 5.0, 7.0) == (0.0, 0.0, 0.0)
+        assert implicit_double_step(0.0, -1.0, 1.0, 5.0) == (0.0, 0.0, 0.0)
 
     def test_lower_branch_fixed_point(self):
-        y, dkp, dkm = implicit_double_step(-3.0, -1.0, 1.0, 1.0, 1.0)
+        y, dkp, dkm = implicit_double_step(-3.0, -1.0, 1.0, 1.0)
         assert y == pytest.approx(-2.0, abs=1e-12)
         assert dkp == pytest.approx(1.0, abs=1e-12)
         assert dkm == 0.0
-        assert y == pytest.approx(_bisect_double(-3.0, -1.0, 1.0, 1.0, 1.0), abs=1e-9)
+        assert y == pytest.approx(_bisect_double(-3.0, -1.0, 1.0, 1.0), abs=1e-9)
 
     def test_clamp_limit(self):
-        y, dkp, dkm = implicit_double_step(3.0, -1.0, 1.0, 1e6, 1e6)
+        y, dkp, dkm = implicit_double_step(3.0, -1.0, 1.0, 1e6)
         assert abs(y - 1.0) < 1e-5
         assert abs(dkm - 2.0) < 1e-5
         assert dkp == 0.0
 
     def test_barrier_crossing_rejected(self):
         with pytest.raises(ValueError, match="barrier crossing"):
-            implicit_double_step(0.0, 1.0, 1.0, 1.0, 1.0)
+            implicit_double_step(0.0, 1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("rate", [np.array([1.0, 2.0]), np.array([1.0]), -0.5, -np.inf,
+                                      np.nan, np.float64(np.nan)])
+    def test_rate_that_is_not_one_number_at_least_zero_rejected(self, rate):
+        with pytest.raises(ValueError, match="penalty rate must be one number >= 0"):
+            implicit_double_step(np.zeros(2), np.full(2, -1.0), np.ones(2), rate)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_equation_and_exclusivity_on_sampled_grid(self, seed):
@@ -73,21 +79,19 @@ class TestImplicitDoubleStep:
         a = rng.uniform(-6, 6, size=300)
         l = rng.uniform(-5, -0.5, size=300)
         u = rng.uniform(0.5, 5, size=300)
-        m_dt = rng.uniform(0, 50, size=300)
-        n_dt = rng.uniform(0, 50, size=300)
-        y, dkp, dkm = implicit_double_step(a, l, u, m_dt, n_dt)
-        resid = a + m_dt * np.maximum(l - y, 0.0) - n_dt * np.maximum(y - u, 0.0) - y
-        assert np.max(np.abs(resid)) < 1e-10
-        assert np.all(dkp * dkm == 0.0)
-        oracle = [_bisect_double(*args) for args in zip(a[:15], l[:15], u[:15], m_dt[:15], n_dt[:15])]
-        assert np.allclose(y[:15], oracle, atol=1e-8)
+        for rate in rng.uniform(0, 50, size=3):
+            y, dkp, dkm = implicit_double_step(a, l, u, rate)
+            resid = a + rate * np.maximum(l - y, 0.0) - rate * np.maximum(y - u, 0.0) - y
+            assert np.max(np.abs(resid)) < 1e-10
+            assert np.all(dkp * dkm == 0.0)
+            oracle = [_bisect_double(*args, rate) for args in zip(a[:15], l[:15], u[:15])]
+            assert np.allclose(y[:15], oracle, atol=1e-8)
 
 
 _N = 16
 _values = hnp.arrays(np.float64, _N, elements=st.floats(-10, 10))
 _gaps = hnp.arrays(np.float64, _N, elements=st.floats(1e-6, 10))
-_rates = hnp.arrays(np.float64, _N, elements=st.floats(0, 1e3))
-_rate = st.one_of(st.floats(0, 1e3), _rates)
+_rate = st.floats(0, 1e3)
 _shifts = hnp.arrays(np.float64, _N, elements=st.floats(0, 10))
 _fractions = hnp.arrays(np.float64, _N, elements=st.floats(0, 0.5))
 
@@ -97,18 +101,18 @@ class TestImplicitStepProperties:
     one-sided penalty solution and the projection."""
 
     @settings(max_examples=200, deadline=None)
-    @given(a=_values, l=_values, m_dt=_rate)
-    def test_absent_upper_is_the_one_sided_penalty(self, a, l, m_dt):
-        y, dkp, dkm = implicit_double_step(a, l, np.inf, m_dt, 1.0)
+    @given(a=_values, l=_values, rate=_rate)
+    def test_absent_upper_is_the_one_sided_penalty(self, a, l, rate):
+        y, dkp, dkm = implicit_double_step(a, l, np.inf, rate)
         below = a < l
-        assert np.array_equal(y, np.where(below, (a + m_dt * l) / (1 + m_dt), a))
+        assert np.array_equal(y, np.where(below, (a + rate * l) / (1 + rate), a))
         assert np.array_equal(dkp, np.where(below, y - a, 0.0))
         assert np.all(dkm == 0.0)
 
     @settings(max_examples=200, deadline=None)
-    @given(a=_values, l=_values, n_dt=_rate)
-    def test_infinite_rate_is_the_projection(self, a, l, n_dt):
-        y, dkp, dkm = implicit_double_step(a, l, np.inf, np.inf, n_dt)
+    @given(a=_values, l=_values)
+    def test_infinite_rate_is_the_projection(self, a, l):
+        y, dkp, dkm = implicit_double_step(a, l, np.inf, np.inf)
         assert np.array_equal(y, np.maximum(a, l))
         assert np.array_equal(dkp, np.maximum(l - a, 0.0))
         assert np.all(dkm == 0.0)
@@ -116,61 +120,52 @@ class TestImplicitStepProperties:
     @settings(max_examples=200, deadline=None)
     @given(a=_values, l=_values, gap=_gaps)
     def test_two_infinite_rates_clip_to_the_corridor(self, a, l, gap):
-        y, dkp, dkm = implicit_double_step(a, l, l + gap, np.inf, np.inf)
+        y, dkp, dkm = implicit_double_step(a, l, l + gap, np.inf)
         assert np.array_equal(y, np.minimum(np.maximum(a, l), l + gap))
         assert np.array_equal(dkp - dkm, y - a)
 
-    @settings(max_examples=200, deadline=None)
-    @given(a=_values, l=_values, gap=_gaps, m_dt=_rates, infinite=hnp.arrays(bool, _N))
-    def test_per_entry_infinite_rates_project_those_entries(self, a, l, gap, m_dt, infinite):
-        rates = np.where(infinite, np.inf, m_dt)
-        y, _, _ = implicit_double_step(a, l, l + gap, rates, 1.0)
-        finite_y, _, _ = implicit_double_step(a, l, l + gap, m_dt, 1.0)
-        projected = np.where(a < l, l, finite_y)
-        assert np.array_equal(y, np.where(infinite, projected, finite_y))
-
     @settings(max_examples=300, deadline=None)
-    @given(a=_values, l=_values, gap=_gaps, m_dt=_rate, n_dt=_rate)
-    def test_fixed_point_and_exclusive_pushes(self, a, l, gap, m_dt, n_dt):
+    @given(a=_values, l=_values, gap=_gaps, rate=_rate)
+    def test_fixed_point_and_exclusive_pushes(self, a, l, gap, rate):
         u = l + gap
-        y, dkp, dkm = implicit_double_step(a, l, u, m_dt, n_dt)
-        resid = a + m_dt * np.maximum(l - y, 0.0) - n_dt * np.maximum(y - u, 0.0) - y
+        y, dkp, dkm = implicit_double_step(a, l, u, rate)
+        resid = a + rate * np.maximum(l - y, 0.0) - rate * np.maximum(y - u, 0.0) - y
         assert np.max(np.abs(resid)) <= 1e-10
         assert np.all(dkp * dkm == 0.0)
 
     @settings(max_examples=200, deadline=None)
-    @given(a=_values, l=_values, gap=_gaps, m_dt=_rate, n_dt=_rate, da=_shifts,
-           dl=_fractions, du=_shifts, dm=_rates, dn=_rates)
-    def test_monotone_in_every_argument(self, a, l, gap, m_dt, n_dt, da, dl, du, dm, dn):
-        # y rises with a, either barrier and the lower rate, and falls with
-        # the upper rate; the shifted lower barrier stays below the upper one
+    @given(a=_values, l=_values, gap=_gaps, rate=_rate, da=_shifts, dl=_fractions, du=_shifts,
+           dr=_rate)
+    def test_monotone_in_every_argument(self, a, l, gap, rate, da, dl, du, dr):
+        # y rises with a and either barrier; a larger rate pushes y up where
+        # a is below the lower barrier and down where it is above the upper
+        # one.  The shifted lower barrier stays below the upper one.
         u = l + gap
-        y, _, _ = implicit_double_step(a, l, u, m_dt, n_dt)
+        y, _, _ = implicit_double_step(a, l, u, rate)
         tol = 1e-12  # rounding of values up to 30
-        for shifted in (implicit_double_step(a + da, l, u, m_dt, n_dt),
-                        implicit_double_step(a, l + dl * gap, u, m_dt, n_dt),
-                        implicit_double_step(a, l, u + du, m_dt, n_dt),
-                        implicit_double_step(a, l, u, m_dt + dm, n_dt)):
+        for shifted in (implicit_double_step(a + da, l, u, rate),
+                        implicit_double_step(a, l + dl * gap, u, rate),
+                        implicit_double_step(a, l, u + du, rate)):
             assert np.all(shifted[0] >= y - tol)
-        assert np.all(implicit_double_step(a, l, u, m_dt, n_dt + dn)[0] <= y + tol)
+        stiffer = implicit_double_step(a, l, u, rate + dr)[0]
+        assert np.all(stiffer[a < l] >= y[a < l] - tol)
+        assert np.all(stiffer[a > u] <= y[a > u] + tol)
 
 
-def _full_array_step(a, l, u, m_dt, n_dt):
+def _full_array_step(a, l, u, rate):
     """Reference: the step computed on every entry with np.where, the
     arithmetic of the sweep before it touched only the paths that hit."""
 
-    def toward(x, barrier, rate, hit):
-        infinite = np.isinf(rate)
-        finite = np.where(infinite, 0.0, rate)
-        with np.errstate(invalid="ignore", over="ignore"):
-            return np.where(hit, np.where(infinite, barrier, (x + finite * barrier) / (1.0 + finite)), x)
+    def toward(x, barrier, hit):
+        pushed = barrier if np.isinf(rate) else (x + rate * barrier) / (1.0 + rate)
+        return np.where(hit, pushed, x)
 
     y, dk_plus, dk_minus = a, np.zeros_like(a), np.zeros_like(a)
     if l is not None:
-        y = toward(a, l, m_dt, a < l)
+        y = toward(a, l, a < l)
         dk_plus = y - a
     if u is not None:
-        pushed = toward(y, u, n_dt, a > u)
+        pushed = toward(y, u, a > u)
         dk_minus = y - pushed
         y = pushed
     return y, dk_plus, dk_minus
@@ -180,24 +175,19 @@ class TestSweepKernel:
 
     @settings(max_examples=300, deadline=None)
     @given(a=_values, l=_values, gap=_gaps, ties=hnp.arrays(np.int8, _N, elements=st.integers(0, 2)),
-           m_dt=_rate, n_dt=_rate, infinite_m=hnp.arrays(bool, _N), infinite_n=hnp.arrays(bool, _N),
-           sides=st.sampled_from(["both", "lower", "upper"]))
-    def test_public_step_is_the_sweep_kernel(self, a, l, gap, ties, m_dt, n_dt, infinite_m,
-                                             infinite_n, sides):
+           rate=st.one_of(_rate, st.just(np.inf)), sides=st.sampled_from(["both", "lower", "upper"]))
+    def test_public_step_is_the_sweep_kernel(self, a, l, gap, ties, rate, sides):
         u = l + gap
         a = np.select([ties == 1, ties == 2], [l, u], a)  # ties a == L and a == U
-        # a rate stays the sweep's scalar unless some entries are infinite
-        m_dt = np.where(infinite_m, np.inf, m_dt) if infinite_m.any() else m_dt
-        n_dt = np.where(infinite_n, np.inf, n_dt) if infinite_n.any() else n_dt
         lower = None if sides == "upper" else l
         upper = None if sides == "lower" else u
         public = implicit_double_step(a, -np.inf if lower is None else lower,
-                                      np.inf if upper is None else upper, m_dt, n_dt)
+                                      np.inf if upper is None else upper, rate)
         # the sweep's call: the candidate row is solved in place and the
         # pushes go into zeroed rows of K
         row, k_plus, k_minus = a.copy(), np.zeros(_N), np.zeros(_N)
-        _reflect(row, lower, upper, m_dt, n_dt, k_plus, k_minus)
-        reference = _full_array_step(a, lower, upper, m_dt, n_dt)
+        _reflect(row, lower, upper, rate, k_plus, k_minus)
+        reference = _full_array_step(a, lower, upper, rate)
         for got, kernel, want in zip(public, (row, k_plus, k_minus), reference):
             assert got.tobytes() == kernel.tobytes() == want.tobytes()
 
