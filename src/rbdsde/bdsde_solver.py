@@ -144,9 +144,10 @@ def coefficient_steps(sol: SolutionEnsemble, s: Scenario, p: NoisePaths, lag: in
     m, n = s.mc_paths, s.grid.steps
     times = s.grid.times
     steps = np.empty((n, m))
+    w = np.empty((m, s.dims.d))
     for j in range(n):
         k = j + lag
-        y, w = sol.Y[:, k], p.W_state[:, k, :]
+        y, w = sol.Y[:, k], p.w_row(k, out=w)
         z = sol.Z[:, k, :] if k < n else np.zeros((m, s.dims.d))
         f = s.driver.evaluate(times[k], w, y, z)
         g = _noise_matrix(s.noise_coeff, times[k], w, y, z, s.dims.l)
@@ -215,26 +216,30 @@ def solve_backward(
 
     previous = None  # the last step's design
 
-    def step(i: int) -> None:
-        """Solve row i of Y, Z and K from row i + 1.  The targets, fitted
-        rows and residuals the step forms are released on return, and its
-        design, kept in ``previous``, as soon as the next step has built its
-        basis."""
+    def step(i: int, w: np.ndarray) -> None:
+        """Solve row i of Y, Z and K from row i + 1.  ``w`` holds W's row
+        at t_{i+1} on entry, which only the step's targets read, and at t_i
+        from then on.  The targets, fitted rows and residuals the step forms
+        are released on return, and its design, kept in ``previous``, as
+        soon as the next step has built its basis."""
         nonlocal previous
         t_next = times[i + 1]
-        w_next = p.W_state[:, i + 1, :]
         y_next = y_all[i + 1]
         z_next = z_all[i + 1] if i + 1 < n else np.zeros((m, d))
         d_w, d_b = p.dW[:, i, :], p.dB[:, i, :]
 
-        f_next = s.driver.evaluate(t_next, w_next, y_next, z_next)
-        continuation_target = y_next + np.einsum(
-            "ml,ml->m", _noise_matrix(s.noise_coeff, t_next, w_next, y_next, z_next, l), d_b)
+        # Stage 1's two targets, the continuation target and the drift at
+        # t_{i+1}, as the rows of one array, the layout the fit multiplies in
+        targets = np.empty((2, m))
+        continuation_target = np.add(y_next, np.einsum(
+            "ml,ml->m", _noise_matrix(s.noise_coeff, t_next, w, y_next, z_next, l), d_b),
+            out=targets[0])
+        targets[1] = s.driver.evaluate(t_next, w, y_next, z_next)
 
-        w_now = p.W_state[:, i, :]
+        w_now = p.w_row(i, out=w)
         if remaining_db is not None:
             np.add(remaining_db, d_b, out=remaining_db)
-        barriers = {side: grids.row(side, i) for side in sides}
+        barriers = {side: grids.row(side, i, w_now) for side in sides}
         basis = build_basis(cfg, w_now, remaining_db, [barriers[side] for side in shaped])
         # The last design goes only once this basis is built.  Freed before,
         # its memory joined the free top of the heap, which the allocator
@@ -248,9 +253,8 @@ def solve_backward(
             factors[i] = design.scale, design.factor, design.ridge_floor
 
         # Stage 1: rough continuation fit, reused as a centring control for
-        # the gradient targets and to seed the drift refinement.  Targets
-        # are stacked as rows, the layout the fit multiplies in.
-        rough, rough_fit = condexp_fit_eval(np.stack([continuation_target, f_next]).T, design)
+        # the gradient targets and to seed the drift refinement.
+        rough, rough_fit = condexp_fit_eval(targets.T, design)
 
         # Stage 2: Z from the centred increments; centring removes the
         # conditional mean, which otherwise dominates the target variance.
@@ -260,8 +264,10 @@ def solve_backward(
         np.divide(z_fitted, dt, out=z_now)
 
         # Stage 3: final continuation with the martingale part Z.dW taken
-        # out of the target (zero conditional mean, most of the variance).
-        controlled = continuation_target - np.einsum("md,md->m", z_now, d_w)
+        # out of the target (zero conditional mean, most of the variance),
+        # written over the drift target, which stage 1 has read.
+        controlled = np.subtract(continuation_target, np.einsum("md,md->m", z_now, d_w),
+                                 out=targets[1])
         continuation, cont_fit = condexp_fit_eval(controlled, design)
 
         residual_rms[i, 0] = cont_fit.residual_norm[0] / np.sqrt(m)
@@ -285,8 +291,11 @@ def solve_backward(
             np.maximum(overshoot, y_now - barriers["upper"], out=overshoot)
         previous = design
 
+    # one row of W, allocated once: each step reads W_{i+1} there and then
+    # forms W_i over it from W's marks, for itself and the next step
+    w = p.w_row(n, out=np.empty((m, d)))
     for i in range(n - 1, -1, -1):
-        step(i)
+        step(i, w)
 
     # running sums from K_0 = 0, one contiguous row at a time: the
     # sequential sums of np.cumsum(axis=0) without its strided pass

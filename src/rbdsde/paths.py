@@ -9,6 +9,7 @@ the solver's measurability conventions, not by reversed simulation.
 from __future__ import annotations
 
 import logging
+import math
 import os
 import queue
 from concurrent.futures import ThreadPoolExecutor
@@ -39,23 +40,119 @@ def worker_count() -> int:
         return 1
 
 
+def _advance(base, increments: np.ndarray, start: int, stop: int, out: np.ndarray) -> np.ndarray:
+    """The running sum's row at grid time ``stop`` into ``out``, from its row
+    at ``start`` in ``base`` (``out`` may be ``base``; the row at 0 may be
+    the number 0.0): increment rows start to stop - 1 of the (N, M, k)
+    ``increments`` added one at a time, the first copied, as ``np.cumsum``
+    forms it."""
+    if start == stop:
+        out[...] = base
+    for j in range(start, stop):
+        if j == 0:
+            out[...] = increments[0]
+        else:
+            np.add(base if j == start else out, increments[j], out=out)
+    return out
+
+
+def _cumulative(increments: np.ndarray) -> np.ndarray:
+    """Running sums over time of (N, M, k) increments, from 0: the rows of
+    ``np.cumsum(axis=0)`` after a zero row, each made from the last by one
+    whole-row add."""
+    n, m, k = increments.shape
+    state = np.empty((n + 1, m, k))
+    state[0] = 0.0
+    for i in range(n):
+        _advance(state[i], increments, i, i + 1, state[i + 1])
+    return state
+
+
+@dataclass(frozen=True, eq=False)
+class _WRows:
+    """The state of W formed where it is read, from the (N, M, d) time-major
+    increments and the marks: the rows of the forward running sum at every
+    ``stride``-th grid time down from the horizon, N, N - stride, ... > 0,
+    with stride = isqrt(N + 1) (square-root checkpointing; W_0 = 0 needs no
+    mark).  A row is formed from the mark at or below it, or from W_0, by
+    the running sum's own adds, fewer than ``stride`` of them, so its bits
+    are those of ``NoisePaths.W_state[:, i]``."""
+
+    increments: np.ndarray  # (N, M, d)
+    stride: int
+    first: int              # the grid time of the lowest mark
+    marks: np.ndarray       # (ceil(N / stride), M, d), lowest first, read-only
+
+    @classmethod
+    def of(cls, increments: np.ndarray) -> "_WRows":
+        n, m, d = increments.shape
+        stride = math.isqrt(n + 1)
+        marks = np.empty(((n - 1) // stride + 1, m, d))
+        first = n - (len(marks) - 1) * stride
+        base, start = 0.0, 0
+        for j, at in enumerate(range(first, n + 1, stride)):
+            base, start = _advance(base, increments, start, at, marks[j]), at
+        marks.flags.writeable = False
+        return cls(increments, stride, first, marks)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(M, N+1), the paths and grid times of the state."""
+        n, m, _ = self.increments.shape
+        return m, n + 1
+
+    def row(self, i: int, out: np.ndarray | None = None) -> np.ndarray:
+        """(M, d), W at grid time i: written into ``out`` if given, else a
+        new array, or the read-only mark where i has one."""
+        m, n_plus_1 = self.shape
+        if not 0 <= i < n_plus_1:
+            raise IndexError(f"grid time {i} is not in [0, {n_plus_1 - 1}]")
+        j = (i - self.first) // self.stride  # the mark at or below i; -1 below the lowest
+        base, start = (self.marks[j], self.first + j * self.stride) if j >= 0 else (0.0, 0)
+        if out is None:
+            if j >= 0 and start == i:
+                return base
+            out = np.empty((m, self.increments.shape[2]))
+        return _advance(base, self.increments, start, i, out)
+
+
 @dataclass(frozen=True, eq=False)
 class NoisePaths:
-    """Increment arrays of both Brownian motions and the state of W.
+    """Increment arrays of both Brownian motions.
 
     Indexed path first, stored time first: each array is a transposed view
-    of a C-ordered (N, M, k) or (N+1, M, k) buffer, so the M x k slice of
-    one grid time, ``dW[:, i, :]``, is contiguous.  The state of B is not
-    stored, because the solver reads B only through its increments."""
+    of a C-ordered (N, M, k) buffer, so the M x k slice of one grid time,
+    ``dW[:, i, :]``, is contiguous.  Neither state is stored whole.  Of W,
+    the paths keep the rows at every isqrt(N+1)-th grid time down from the
+    horizon, summed once when the paths are made (8 rows of 51 at N = 50),
+    and ``w_row(i)`` forms any row from the kept one below it.  The state
+    of B is summed only when read, because the solver reads B through its
+    increments."""
 
     dW: np.ndarray       # (M, N, d)
     dB: np.ndarray       # (M, N, l)
-    W_state: np.ndarray  # (M, N+1, d), W_0 = 0
     seed: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "_w", _WRows.of(_path_major(self.dW)))
 
     @property
     def n_paths(self) -> int:
         return self.dW.shape[0]
+
+    def w_row(self, i: int, out: np.ndarray | None = None) -> np.ndarray:
+        """(M, d), W at grid time i, bit-identical to ``W_state[:, i]``, in
+        fewer than isqrt(N+1) row adds.  Written into ``out`` if given, so a
+        reader of many rows reuses one buffer; else a new array, or a
+        read-only view where the row is a kept one."""
+        return self._w.row(i, out)
+
+    @property
+    def W_state(self) -> np.ndarray:
+        """(M, N+1, d), W_0 = 0: the running sums of ``dW``, formed anew on
+        every read, in the layout of ``dW``.  The library reads W through
+        ``w_row``."""
+        return _path_major(_cumulative(_path_major(self.dW)))
 
     @property
     def B_state(self) -> np.ndarray:
@@ -69,23 +166,9 @@ def _path_major(time_major: np.ndarray) -> np.ndarray:
     return time_major.transpose(1, 0, 2)
 
 
-def _cumulative(increments: np.ndarray) -> np.ndarray:
-    """Running sums over time of (N, M, k) increments, from 0.  Each state
-    row is the previous row plus one increment row: the sequential sums of
-    ``np.cumsum(axis=0)``, made one contiguous row at a time."""
-    n, m, k = increments.shape
-    state = np.empty((n + 1, m, k))
-    state[0] = 0.0
-    state[1] = increments[0]
-    for i in range(1, n):
-        np.add(state[i], increments[i], out=state[i + 1])
-    return state
-
-
 def _noise_paths(dW: np.ndarray, dB: np.ndarray, seed: int) -> NoisePaths:
     """Paths over time-major (N, M, k) increments."""
-    return NoisePaths(dW=_path_major(dW), dB=_path_major(dB), W_state=_path_major(_cumulative(dW)),
-                      seed=seed)
+    return NoisePaths(dW=_path_major(dW), dB=_path_major(dB), seed=seed)
 
 
 def generate_paths(s: Scenario) -> NoisePaths:
@@ -125,6 +208,7 @@ def generate_paths(s: Scenario) -> NoisePaths:
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(fill, blocks))
 
+    buffers = None  # the draw buffers go before W's marks are summed
     return _noise_paths(dW, dB, s.seed)
 
 
@@ -142,27 +226,34 @@ def coarsen(p: NoisePaths, k: int) -> NoisePaths:
 @dataclass(frozen=True, eq=False)
 class _ShapedRows:
     """A barrier that is not constant, held as what evaluates it along the
-    paths: its spec, the grid times and the state of W.  A row is evaluated
-    each time it is read, so the spec must be a pure function of (t, W_t)."""
+    paths: its spec, the grid times and what forms W's rows, the W
+    increments and marks of ``_WRows`` (not the paths, so a grid does not
+    keep dB alive).  A row is evaluated each time it is read, so the spec
+    must be a pure function of (t, W_t)."""
 
     spec: CoefficientSpec
     times: np.ndarray
-    w_state: np.ndarray  # (M, N+1, d)
+    w: _WRows
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.w_state.shape[:2]
+        return self.w.shape
 
-    def row(self, i: int) -> np.ndarray:
-        """The (M,) values at grid time i."""
-        return self.spec.evaluate(self.times[i], self.w_state[:, i, :])
+    def row(self, i: int, w: np.ndarray | None = None) -> np.ndarray:
+        """The (M,) values at grid time i; ``w``, if given, is W's row
+        there, which is then not formed again."""
+        return self.spec.evaluate(self.times[i], self.w.row(i) if w is None else w)
 
     def whole(self) -> np.ndarray:
-        """The (M, N+1) values, filled one contiguous time row at a time."""
+        """The (M, N+1) values, filled one contiguous time row at a time
+        from W's forward running sum, formed once in one row buffer."""
         m, n_plus_1 = self.shape
         out = np.empty((n_plus_1, m))
+        w = np.zeros((m, self.w.increments.shape[2]))
         for i in range(n_plus_1):
-            out[i] = self.row(i)
+            if i:
+                _advance(w, self.w.increments, i - 1, i, w)
+            out[i] = self.row(i, w)
         return out.T
 
 
@@ -196,9 +287,11 @@ class ObstacleGrid:
     """Terminal and barrier values along the generated paths; the per-path
     conditions that validation cannot decide are read from them.  A constant
     barrier is a read-only view of one value, and a barrier that is not
-    constant is evaluated one time row where it is read: ``row(side, i)``
-    forms one row, and ``lower`` and ``upper`` form the whole (M, N+1)
-    array on every read.  A grid is for reading only."""
+    constant is evaluated one time row where it is read, from W's row
+    there: ``row(side, i)`` forms one row, from the row of W it is handed
+    or else from W's nearest mark below, and ``lower`` and ``upper`` form
+    the whole (M, N+1) array on every read.  A grid holds W's increments
+    and marks only while it holds such a barrier, and is for reading only."""
 
     xi: np.ndarray                          # (M,)
     lower: np.ndarray | None = _Barrier()   # (M, N+1)
@@ -213,10 +306,12 @@ class ObstacleGrid:
         """The sides, ``"lower"`` then ``"upper"``, whose barrier is present."""
         return tuple(side for side in ("lower", "upper") if self._held(side) is not None)
 
-    def row(self, side: str, i: int) -> np.ndarray:
-        """The (M,) barrier values on ``side`` at grid time i."""
+    def row(self, side: str, i: int, w: np.ndarray | None = None) -> np.ndarray:
+        """The (M,) barrier values on ``side`` at grid time i.  ``w``, if
+        given, is W's (M, d) row at time i, which a barrier that is not
+        constant then evaluates without forming it."""
         held = self._held(side)
-        return held.row(i) if isinstance(held, _ShapedRows) else held[:, i]
+        return held.row(i, w) if isinstance(held, _ShapedRows) else held[:, i]
 
     def excess(self, side: str, y, i: int | None = None) -> np.ndarray:
         """How far the process y lies beyond the barrier on ``side``: L - y
@@ -261,16 +356,16 @@ class ObstacleGrid:
             raise ConfigError(*msgs)
 
 
-def _eval_on_grid(spec, times: np.ndarray, w_state: np.ndarray) -> np.ndarray | _ShapedRows:
+def _eval_on_grid(spec, times: np.ndarray, w: _WRows) -> np.ndarray | _ShapedRows:
     """A barrier along the paths, as ObstacleGrid holds it.  A constant-like
     spec is evaluated at one state and returned as a read-only (M, N+1)
     view of that value; any other spec is returned as the ``_ShapedRows``
     that evaluate its time rows where they are read."""
-    m, n_plus_1, _ = w_state.shape
+    m, n_plus_1 = w.shape
     if spec.kind in CONSTANT_KINDS:
-        value = spec.evaluate(times[0], w_state[:1, 0, :])  # the first path's, shape (1,)
+        value = spec.evaluate(times[0], np.zeros((1, w.increments.shape[2])))  # at W_0 = 0, shape (1,)
         return np.broadcast_to(value[:, None], (m, n_plus_1))
-    return _ShapedRows(spec, times, w_state)
+    return _ShapedRows(spec, times, w)
 
 
 def obstacle_on_grid(s: Scenario, p: NoisePaths) -> ObstacleGrid:
@@ -283,8 +378,8 @@ def obstacle_on_grid(s: Scenario, p: NoisePaths) -> ObstacleGrid:
 
     times = s.grid.times
     n = s.grid.steps
-    xi = s.terminal.evaluate(s.grid.horizon, p.W_state[:, n, :])
+    xi = s.terminal.evaluate(s.grid.horizon, p.w_row(n))
 
-    barriers = {side: _eval_on_grid(getattr(s.obstacles, side), times, p.W_state)
+    barriers = {side: _eval_on_grid(getattr(s.obstacles, side), times, p._w)
                 for side in s.obstacles.sides}
     return ObstacleGrid(xi=xi, lower=barriers.get("lower"), upper=barriers.get("upper"))

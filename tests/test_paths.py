@@ -1,6 +1,8 @@
 """Noise-path generation and obstacle grids."""
 import dataclasses
+import json
 import logging
+import math
 import sys
 import tracemalloc
 
@@ -19,6 +21,7 @@ from rbdsde import (
     PenaltySchedule,
     RegressionConfig,
     apriori_statistic,
+    check_comparison,
     generate_paths,
     obstacle_on_grid,
     skorohod_sup_formula,
@@ -29,6 +32,7 @@ from rbdsde import (
     solve_reflected,
     stopping_rule_value,
 )
+from rbdsde import cli
 from rbdsde.bdsde_solver import _checked_grid, solve_backward
 from rbdsde.model import ConfigError
 from rbdsde import paths as paths_module
@@ -222,8 +226,8 @@ class TestStoredArrays:
     """Paths and grids hold only what their readers need: the state of B is
     summed when it is read, and a constant barrier is one stored value."""
 
-    def test_noise_paths_store_no_b_state(self):
-        assert {f.name for f in dataclasses.fields(NoisePaths)} == {"dW", "dB", "W_state", "seed"}
+    def test_noise_paths_store_no_state_array(self):
+        assert {f.name for f in dataclasses.fields(NoisePaths)} == {"dW", "dB", "seed"}
 
     def test_b_state_is_the_forward_running_sum_of_db(self):
         sc = dataclasses.replace(constant_scenario(paths=5001, steps=9, seed=5), dims=Dimensions(l=2))
@@ -547,3 +551,114 @@ class TestSolvedGridConsumers:
             skorohod_sup_formula(two_barrier, corridor, corridor_paths)
         with pytest.raises(ValueError, match="stopping rules ignore K- of an upper obstacle"):
             stopping_rule_value(two_barrier, corridor, corridor_paths, FixedRule(index=0))
+
+
+def _running_sum_rows(increments):
+    """W_0 = 0, W_1 = dW_0, W_{i+1} = W_i + dW_i: the forward running sum
+    of (N, M, d) increments, one (M, d) row per grid time."""
+    rows = [np.zeros(increments.shape[1:])]
+    for j, increment in enumerate(increments):
+        rows.append(increment.copy() if j == 0 else rows[-1] + increment)
+    return rows
+
+
+class TestWRows:
+    """W is kept as a few rows of its running sum; every other row is formed
+    from the kept one below it with the running sum's own adds."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 64), d=st.integers(1, 3), m=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_every_row_is_the_forward_running_sum(self, n, d, m, seed):
+        increments = np.random.default_rng(seed).normal(scale=0.1, size=(n, m, d))
+        p = NoisePaths(dW=increments.transpose(1, 0, 2), dB=np.zeros((m, n, 1)), seed=seed)
+        mirrored = dataclasses.replace(p, dW=-p.dW, dB=-p.dB)
+        out = np.empty((m, d))
+        for i, expected in enumerate(_running_sum_rows(increments)):
+            row = p.w_row(i)
+            assert row.shape == (m, d) and row.tobytes() == expected.tobytes(), i
+            assert p.w_row(i, out=out) is out and out.tobytes() == expected.tobytes(), i
+            # W_0 is +0.0 on both paths; every later row is the exact negative
+            flipped = mirrored.w_row(i)
+            assert flipped.tobytes() == (-expected).tobytes() if i else np.all(flipped == 0.0), i
+            if not row.flags.writeable:  # a kept row, handed out as it is held
+                with pytest.raises(ValueError):
+                    row[...] = 0.0
+        marks = p._w.marks
+        assert len(marks) == -(-n // math.isqrt(n + 1))
+        with pytest.raises(ValueError):
+            marks[...] = 0.0
+        with pytest.raises(IndexError):
+            p.w_row(n + 1)
+        with pytest.raises(IndexError):
+            p.w_row(-1)
+
+    def test_generation_holds_the_increments_and_the_kept_rows(self):
+        # no (M, N+1, d) state: the traced peak stays below dW, dB, the
+        # draw buffers, the kept rows of W and one more row together
+        m, n = 20_000, 50
+        sc = constant_scenario(paths=m, steps=n)
+        tracemalloc.start()
+        try:
+            generate_paths(sc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        workers = min(worker_count(), -(-m // 4096))
+        kept = -(-n // math.isqrt(n + 1))
+        assert kept == 8
+        assert peak < 8 * (2 * n * m + workers * 4096 * n + kept * m + m)
+
+
+_PUT = {"kind": "payoff_put", "params": {"strike": 0.5}}
+
+
+def _put_config(driver: float) -> dict:
+    return {
+        "horizon": 1.0, "steps": 12, "paths": 2000, "seed": 42, "dims": {"d": 1, "l": 1},
+        "terminal": _PUT,
+        "driver": {"kind": "constant", "params": {"value": driver}},
+        "noise": {"kind": "constant", "params": {"value": 0.2}},
+        "obstacle": {"lower": _PUT, "upper": "absent"},
+        "penalty": {"geometric": {"base": 4.0, "count": 7}, "tol": 1e-4},
+        "regression": {"degree_w": 2, "include_dB": True, "ridge": 1e-10},
+        "picard_iters": 2,
+    }
+
+
+class TestNoWholeW:
+    """No library path forms the whole (M, N+1, d) state of W."""
+
+    @pytest.fixture(autouse=True)
+    def whole_w_raises(self, monkeypatch):
+        def whole(_):
+            raise AssertionError("the whole state of W was formed")
+
+        monkeypatch.setattr(NoisePaths, "W_state", property(whole))
+
+    def test_solvers_and_diagnostics(self):
+        put = CoefficientSpec.payoff_put(0.5)
+        sc = dataclasses.replace(stopping_drift_scenario(paths=2000, steps=10), terminal=put,
+                                 obstacles=ObstacleSpec(lower=put))
+        p = generate_paths(sc)
+        solve_bdsde(sc, p)
+        sol, _ = solve_reflected(sc, p)
+        corridor = two_barrier_scenario(paths=2000, steps=10)
+        solve_double(corridor, generate_paths(corridor))
+        skorohod_sup_formula(sol, sc, p)
+        apriori_statistic(sol, sc)
+        for rule in (FixedRule(index=3), HittingRule(epsilon=1e-3)):
+            stopping_rule_value(sol, sc, p, rule)
+        lower, _ = solve_reflected(dataclasses.replace(sc, driver=CoefficientSpec.constant(-1.0)), p)
+        assert check_comparison(lower, sol, p).passed
+        coarse = dataclasses.replace(sc, grid=dataclasses.replace(sc.grid, steps=5))
+        solve_reflected(coarse, coarsen(p, 2))
+
+    def test_cli_commands(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(json.dumps(_put_config(-0.5)))
+        b.write_text(json.dumps(_put_config(0.0)))
+        assert cli.main(["run", str(a), "--out", str(tmp_path / "run")]) == 0
+        assert cli.main(["compare", str(a), str(b), "--out", str(tmp_path / "compare")]) == 0
+        assert cli.main(["convergence", str(a), "--grid-refinement",
+                         "--out", str(tmp_path / "convergence")]) == 0

@@ -356,7 +356,7 @@ class TestSolveDouble:
         # swaps the two reflection processes
         sc = two_barrier_scenario(paths=10_000, steps=25)
         p = generate_paths(sc)
-        flipped = dataclasses.replace(p, dW=-p.dW, dB=-p.dB, W_state=-p.W_state)
+        flipped = dataclasses.replace(p, dW=-p.dW, dB=-p.dB)
         sol, _ = solve_double(sc, p, fast_cfg)
         mirrored, _ = solve_double(sc, flipped, fast_cfg)
         assert np.allclose(sol.Y, -mirrored.Y, atol=1e-9)
