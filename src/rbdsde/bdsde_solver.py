@@ -46,39 +46,44 @@ class NonFiniteError(ValueError, RuntimeError):
     reports it with exit code 2; a RuntimeError for library callers."""
 
 
-def _reflect(y, lower, upper, rate, dk_plus, dk_minus) -> None:
+def _reflect(y, lower, upper, rate, dk) -> None:
     """The implicit step in place on rows of paths: ``y`` holds the
     candidate a on entry and the solution of
     y = a + rate*(lower - y)^+ - rate*(y - upper)^+ on return.
 
     Only the paths that hit a barrier are computed and written, into ``y``
-    and that side's push row: y is the rate-weighted mean
-    (a + rate*barrier) / (1 + rate), or the barrier itself at an infinite
-    rate.  Every other entry is left as it is.  An absent barrier is None
-    and nothing is done for its side.  The barriers must not cross and the
-    rate must be one number >= 0 (not checked)."""
+    and ``dk``: y is the rate-weighted mean (a + rate*barrier) / (1 + rate),
+    or the barrier itself at an infinite rate, and ``dk`` gets the signed
+    push y - a, positive below the lower barrier and negative above the
+    upper one.  A push never points away from its barrier: where the mean
+    rounds past the candidate, y stays at a and the push is zero.  Every
+    other entry is left as it is.  An absent barrier is None and nothing is
+    done for its side.  The barriers must not cross and the rate must be
+    one number >= 0 (not checked)."""
     # both sides find their paths from the candidate, before y changes
     below = None if lower is None else np.flatnonzero(y < lower)
     above = None if upper is None else np.flatnonzero(y > upper)
-    for hit, barrier, dk, up in ((below, lower, dk_plus, True), (above, upper, dk_minus, False)):
+    for hit, barrier, toward in ((below, lower, np.maximum), (above, upper, np.minimum)):
         if hit is None:
             continue
         a, target = y[hit], barrier[hit]
-        pushed = target if np.isinf(rate) else (a + rate * target) / (1.0 + rate)
-        dk[hit] = pushed - a if up else a - pushed
+        pushed = target if np.isinf(rate) else toward((a + rate * target) / (1.0 + rate), a)
+        dk[hit] = pushed - a
         y[hit] = pushed
 
 
 def implicit_double_step(a, l_val, u_val, n_dt):
     """Solve y = a + n_dt*(l_val - y)^+ - n_dt*(y - u_val)^+; returns
-    (y, dK_plus, dK_minus).  At most one side is ever active, so the product
+    (y, dK_plus, dK_minus), the positive and negative parts of the one
+    signed push y - a.  At most one side is ever active, so the product
     dK_plus * dK_minus vanishes identically.
 
     a and the barriers are scalars or broadcasting arrays; the rate n_dt is
     one number >= 0 for both barriers, and +inf projects onto them.  An
     absent barrier is the scalar -inf (lower) or +inf (upper); no
     arithmetic is done for its side.  The sweep runs the same in-place
-    step, without the checks made here.
+    step, ``_reflect``, without the checks made here, and stores the signed
+    push; a push that would round past the candidate is zero.
     """
     if np.ndim(n_dt) != 0 or not n_dt >= 0:  # NaN fails too
         raise ValueError(f"the penalty rate must be one number >= 0, got {n_dt!r}")
@@ -97,9 +102,10 @@ def implicit_double_step(a, l_val, u_val, n_dt):
         return np.broadcast_to(x, shape).ravel()
 
     y = row(a).copy()
-    dk_plus, dk_minus = np.zeros(y.size), np.zeros(y.size)
+    dk = np.zeros(y.size)
     _reflect(y, row(l_arr) if has_lower else None, row(u_arr) if has_upper else None,
-             float(n_dt), dk_plus, dk_minus)
+             float(n_dt), dk)
+    dk_plus, dk_minus = np.maximum(dk, 0.0), np.maximum(-dk, 0.0)
     if not shape:
         return float(y[0]), float(dk_plus[0]), float(dk_minus[0])
     return y.reshape(shape), dk_plus.reshape(shape), dk_minus.reshape(shape)
@@ -172,13 +178,16 @@ def solve_backward(
     the design.  Each step forms each barrier's row once, for its basis,
     its reflection and the penetration.
 
-    The sweep stores Y, Z and K time first, one contiguous row per grid
-    time, and returns them as (M, ...) views.  Each step's design is
-    factored once and serves its three fits.  K of a side without a
-    barrier in ``grids`` is a zero array the sweep never writes, so its
-    pages are never touched.  The penetration of each barrier, the mean
-    over paths of the squared largest excess beyond it, is kept as a
-    running per-path maximum and reported in ``meta``.
+    The sweep stores Y, Z and the signed reflection increments dK time
+    first, one contiguous row per grid time or step, and returns them as
+    (M, ...) views.  Step i writes its pushes, dK+ - dK-, into row i of dK;
+    K+ and K- are formed from it where they are read (see
+    ``SolutionEnsemble``).  Without a barrier in ``grids``, dK is a zero
+    array the sweep never writes, so its pages are never touched.  Each
+    step's design is factored once and serves its three fits.  The
+    penetration of each barrier, the mean over paths of the squared largest
+    excess beyond it, is kept as a running per-path maximum and reported in
+    ``meta``.
 
     ``factors`` is for sweeps that share their designs, the levels of one
     ladder: it maps a step index to that step's design factorization, which
@@ -195,10 +204,8 @@ def solve_backward(
 
     y_all = np.empty((n + 1, m))
     z_all = np.zeros((n, m, d))
-    # the pushes of step i go to row i + 1 of a present side's K and are
-    # summed in place; an absent side's K is never written
-    k_plus = np.zeros((n + 1, m))
-    k_minus = np.zeros((n + 1, m))
+    # the signed pushes of step i go to row i; with no barrier it is never written
+    dk_all = np.zeros((n, m))
     residual_rms = np.zeros((n, 2 + d))
 
     y_all[n] = grids.xi
@@ -217,11 +224,11 @@ def solve_backward(
     previous = None  # the last step's design
 
     def step(i: int, w: np.ndarray) -> None:
-        """Solve row i of Y, Z and K from row i + 1.  ``w`` holds W's row
-        at t_{i+1} on entry, which only the step's targets read, and at t_i
-        from then on.  The targets, fitted rows and residuals the step forms
-        are released on return, and its design, kept in ``previous``, as
-        soon as the next step has built its basis."""
+        """Solve row i of Y, Z and dK from row i + 1 of Y and Z.  ``w``
+        holds W's row at t_{i+1} on entry, which only the step's targets
+        read, and at t_i from then on.  The targets, fitted rows and
+        residuals the step forms are released on return, and its design,
+        kept in ``previous``, as soon as the next step has built its basis."""
         nonlocal previous
         t_next = times[i + 1]
         y_next = y_all[i + 1]
@@ -281,8 +288,7 @@ def solve_backward(
             np.add(continuation, s.driver.evaluate(times[i], w_now, y_now, z_now) * dt, out=y_now)
 
         # interior barriers were checked not to cross by _checked_grid
-        _reflect(y_now, barriers.get("lower"), barriers.get("upper"), rate, k_plus[i + 1],
-                 k_minus[i + 1])
+        _reflect(y_now, barriers.get("lower"), barriers.get("upper"), rate, dk_all[i])
         if not np.all(np.isfinite(y_now)):
             raise NonFiniteError(f"solver produced non-finite values at step {i}")
         if "lower" in barriers:
@@ -297,13 +303,6 @@ def solve_backward(
     for i in range(n - 1, -1, -1):
         step(i, w)
 
-    # running sums from K_0 = 0, one contiguous row at a time: the
-    # sequential sums of np.cumsum(axis=0) without its strided pass
-    for k, side in ((k_plus, "lower"), (k_minus, "upper")):
-        if side in sides:
-            for i in range(n):
-                np.add(k[i], k[i + 1], out=k[i + 1])
-
     one_barrier = "projected" if np.isinf(level) else "penalized"
     meta = SolveMeta(
         scheme=("plain", one_barrier, "double")[len(sides)],
@@ -316,8 +315,8 @@ def solve_backward(
         penetration_lower=float(np.mean(shortfall ** 2)),
         penetration_upper=float(np.mean(overshoot ** 2)),
     )
-    return SolutionEnsemble(Y=y_all.T, Z=z_all.transpose(1, 0, 2), K_plus=k_plus.T,
-                            K_minus=k_minus.T, meta=meta, obstacle_grid=grids)
+    return SolutionEnsemble(Y=y_all.T, Z=z_all.transpose(1, 0, 2), dK=dk_all.T, meta=meta,
+                            obstacle_grid=grids)
 
 
 def solve_bdsde(

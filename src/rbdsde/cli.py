@@ -258,9 +258,10 @@ def _solve_for_config(spec: RunSpec, paths):
                         schedule=spec.schedule)
 
 
-def _write_timeseries(path: Path, sc: Scenario, sol, walks: dict) -> None:
+def _write_timeseries(path: Path, sc: Scenario, sol, k: dict, walks: dict) -> None:
     """Per grid time: Y, Z and K means and each side's mean squared excess,
-    read off that side's row walk; a side without a barrier writes 0."""
+    read off that side's row walk; a side without a barrier writes 0.  ``k``
+    holds each side's K, formed once by the caller."""
     times = sc.grid.times
     m, n = sc.mc_paths, sc.grid.steps
     header = ["t", "Y_mean", "Y_se"]
@@ -275,10 +276,10 @@ def _write_timeseries(path: Path, sc: Scenario, sol, walks: dict) -> None:
             y_i = sol.Y[:, i]
             row = [_fmt(times[i]), _fmt(y_i.mean()), _fmt(y_i.std(ddof=1) / np.sqrt(m))]
             if i < n:
-                row += [_fmt(sol.Z[:, i, k].mean()) for k in range(sc.dims.d)]
+                row += [_fmt(sol.Z[:, i, c].mean()) for c in range(sc.dims.d)]
             else:
                 row += [""] * sc.dims.d
-            row += [_fmt(sol.K_plus[:, i].mean()), _fmt(sol.K_minus[:, i].mean())]
+            row += [_fmt(k[side][:, i].mean()) for side in ("lower", "upper")]
             row += [_fmt(column[i]) for column in columns]
             writer.writerow(row)
 
@@ -293,8 +294,11 @@ def cmd_run(config_path: str, out: Path) -> int:
     sol, trace = _solve_for_config(spec, _prepare(spec))
     grids = sol.obstacle_grid
     se = diagnostics.regression_se(sol)
+    # each side's K, formed once the solve has released the paths, serves
+    # every reader below
+    k = {side: sol.k(side) for side in ("lower", "upper")}
     # one walk over the time rows per side; a side without a barrier checks only its K
-    walks = {side: _walk_rows(sol.Y, sol.k(side), grids if side in grids.sides else None,
+    walks = {side: _walk_rows(sol.Y, k[side], grids if side in grids.sides else None,
                               side, 3.0 * se) for side in ("lower", "upper")}
 
     y0 = sol.Y[:, 0]
@@ -305,7 +309,7 @@ def cmd_run(config_path: str, out: Path) -> int:
     for side in grids.sides:
         walk, suffix = walks[side], _SUFFIX[side]
         mean_res = float(np.abs(walk.flat_off).mean())
-        tol = 5.0 * sc.grid.dt * float(sol.k(side)[:, -1].mean())
+        tol = 5.0 * sc.grid.dt * float(k[side][:, -1].mean())
         verdicts["skorohod" + suffix] = {
             "mean_abs_residual": mean_res,
             "tolerance": tol,
@@ -322,8 +326,8 @@ def cmd_run(config_path: str, out: Path) -> int:
         "converged": trace.converged,
         "Y0_mean": float(y0.mean()),
         "Y0_se": float(y0.std(ddof=1) / np.sqrt(sc.mc_paths)),
-        "mean_K_plus_T": float(sol.K_plus[:, -1].mean()),
-        "mean_K_minus_T": float(sol.K_minus[:, -1].mean()),
+        "mean_K_plus_T": float(k["lower"][:, -1].mean()),
+        "mean_K_minus_T": float(k["upper"][:, -1].mean()),
         "penetration_trace": [asdict(stat) for stat in trace.levels],
         "diagnostics": verdicts,
         "meta": {
@@ -336,7 +340,7 @@ def cmd_run(config_path: str, out: Path) -> int:
         },
     }
     _write_json(out / "summary.json", summary)
-    _write_timeseries(out / "timeseries.csv", sc, sol, walks)
+    _write_timeseries(out / "timeseries.csv", sc, sol, k, walks)
     return 0 if trace.converged else 3
 
 
@@ -405,7 +409,8 @@ def cmd_convergence(config_path: str, out: Path, grid_refinement: bool = False) 
             sub_sol = sol if k == 1 else _solve_for_config(coarse, coarsen(paths, k))[0]
             max_step = np.max(np.abs(np.diff(sub_sol.Y, axis=1)), axis=1)
             rows.append(["grid", str(steps), "", "", _fmt(sub_sol.Y[:, 0].mean()),
-                         _fmt(sub_sol.K_plus[:, -1].mean()), _fmt(sub_sol.K_minus[:, -1].mean()),
+                         _fmt(sub_sol.k_terminal("lower").mean()),
+                         _fmt(sub_sol.k_terminal("upper").mean()),
                          _fmt(np.median(max_step))])
 
     with (out / "convergence.csv").open("w", newline="") as fh:

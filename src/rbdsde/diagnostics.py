@@ -103,7 +103,7 @@ def apriori_statistic(sol: SolutionEnsemble, s: Scenario) -> AprioriStatistic:
     with an unknown constant, so suites assert ratio stability, not a value.
     The terminal and barrier data are read from the solver's obstacle grid,
     and every barrier in it adds its term to the data energy.  Y, Z and the
-    barriers are read one time row at a time."""
+    barriers are read one time row at a time, and of K only K_T is formed."""
     grids = sol.obstacle_grid
     if grids is None:
         raise ValueError("the a priori statistic needs a solver's obstacle grid")
@@ -122,7 +122,7 @@ def apriori_statistic(sol: SolutionEnsemble, s: Scenario) -> AprioriStatistic:
         for side, sup in sup_excess.items():
             np.maximum(sup, grids.excess(side, 0.0, i), out=sup)
 
-    k_total = sol.K_plus[:, -1] + sol.K_minus[:, -1]
+    k_total = sol.k_terminal("lower") + sol.k_terminal("upper")
     lhs = float(np.mean(sup_y_sq + z_sq * dt + k_total**2))
 
     zero_w = np.zeros((1, s.dims.d))

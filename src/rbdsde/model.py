@@ -291,14 +291,21 @@ class SolveMeta:
 
 @dataclass(frozen=True, eq=False)
 class SolutionEnsemble:
-    """Per-path solution arrays: Y is M x (N+1), Z is M x N x d, and the two
-    reflection processes are M x (N+1), nondecreasing from zero.  A solver
-    also returns the terminal values and barriers it solved against."""
+    """Per-path solution arrays: Y is M x (N+1), Z is M x N x d, and dK is
+    M x N, the signed reflection increments: dK[:, j] = dK+_j - dK-_j, the
+    push of step j, positive up from the lower barrier and negative down
+    from the upper one (at most one side pushes a path in a step).  A solver
+    also returns the terminal values and barriers it solved against.
+
+    The reflection processes K+ and K-, M x (N+1) and nondecreasing from
+    zero, are not stored: each read of ``K_plus``, ``K_minus`` or ``k`` forms
+    a new array, K_0 = 0 and K_{j+1} = K_j + max(+-dK_j, 0), one time row
+    after another.  Read it once; ``k_terminal`` forms K_T alone.  The K
+    of a side without a barrier in ``obstacle_grid`` is zero."""
 
     Y: np.ndarray
     Z: np.ndarray
-    K_plus: np.ndarray
-    K_minus: np.ndarray
+    dK: np.ndarray
     meta: SolveMeta
     obstacle_grid: ObstacleGrid | None = None
 
@@ -306,13 +313,44 @@ class SolutionEnsemble:
         m, n_plus_1 = self.Y.shape
         if self.Z.shape[0] != m or self.Z.shape[1] != n_plus_1 - 1:
             raise ValueError("Z shape inconsistent with Y")
-        if self.K_plus.shape != (m, n_plus_1) or self.K_minus.shape != (m, n_plus_1):
-            raise ValueError("K arrays must match Y's shape")
+        if self.dK.shape != (m, n_plus_1 - 1):
+            raise ValueError("dK shape inconsistent with Y")
+
+    def _pushes(self, side: str):
+        """The pushes of ``side`` step by step, max(dK_j, 0) below and
+        max(-dK_j, 0) above, each an M row overwritten by the next.  A side
+        without a barrier in ``obstacle_grid`` has none."""
+        if self.obstacle_grid is not None and side not in self.obstacle_grid.sides:
+            return
+        push = np.empty(self.dK.shape[0])
+        for row in self.dK.T:
+            yield np.maximum(row if side == "lower" else np.negative(row, out=push), 0.0, out=push)
 
     def k(self, side: str) -> np.ndarray:
-        """The reflection process of the barrier on ``side``: K+ pushes up
-        from the lower barrier, K- down from the upper one."""
-        return self.K_plus if side == "lower" else self.K_minus
+        """The reflection process of the barrier on ``side``, formed on each
+        call: K+ pushes up from the lower barrier, K- down from the upper
+        one.  Held time first, so each ``[:, i]`` is a contiguous row."""
+        m, n = self.dK.shape
+        k = np.zeros((n + 1, m))
+        for j, push in enumerate(self._pushes(side)):
+            np.add(k[j], push, out=k[j + 1])
+        return k.T
+
+    def k_terminal(self, side: str) -> np.ndarray:
+        """K_T of ``side`` per path, ``k(side)[:, -1]`` made by the same adds
+        into one M vector."""
+        total = np.zeros(self.dK.shape[0])
+        for push in self._pushes(side):
+            np.add(total, push, out=total)
+        return total
+
+    @property
+    def K_plus(self) -> np.ndarray:
+        return self.k("lower")
+
+    @property
+    def K_minus(self) -> np.ndarray:
+        return self.k("upper")
 
 
 @dataclass(frozen=True)

@@ -65,7 +65,8 @@ def _run_ladder(
     The levels share what does not depend on the level: the first sweep
     factors each step's design and the later ones reuse the factor (B + B^2
     numbers per step, released on return), and each sweep reports its
-    penetration, so no (M, N+1) array is formed to measure it."""
+    penetration and gives K_T alone, so no (M, N+1) array is formed to
+    measure a level."""
     cfg = cfg or RegressionConfig()
     grids = _checked_grid(s, p)
     if not grids.sides:
@@ -83,8 +84,8 @@ def _run_ladder(
         stat = LevelStat(
             level=level, penetration_lower=sol.meta.penetration_lower,
             penetration_upper=sol.meta.penetration_upper,
-            mean_k_plus_T=float(sol.K_plus[:, -1].mean()),
-            mean_k_minus_T=float(sol.K_minus[:, -1].mean()),
+            mean_k_plus_T=float(sol.k_terminal("lower").mean()),
+            mean_k_minus_T=float(sol.k_terminal("upper").mean()),
         )
         stats.append(stat)
         if stat.penetration_lower <= tol and stat.penetration_upper <= tol:

@@ -14,6 +14,7 @@ import rbdsde
 from rbdsde import (
     CoefficientSpec,
     Dimensions,
+    ObstacleSpec,
     RegressionConfig,
     check_comparison,
     generate_paths,
@@ -29,6 +30,7 @@ from rbdsde.scenarios import (
     linear_drift_scenario,
     shift_terminal,
     stopping_drift_scenario,
+    two_barrier_scenario,
 )
 
 
@@ -181,6 +183,32 @@ class TestLayout:
             assert np.all(k == 0.0) and not np.any(np.signbit(k))
             assert all(k[:, i].flags.c_contiguous for i in range(7))
 
+    @pytest.mark.parametrize("level", [50.0, np.inf], ids=["penalized", "projected"])
+    @pytest.mark.parametrize("sides", ["lower", "upper", "both"])
+    def test_k_formed_on_read_is_the_cumsum_of_the_pushes(self, sides, level):
+        if sides == "lower":
+            sc = stopping_drift_scenario(paths=1000, steps=8)
+        else:
+            # the drift pushes onto the upper barrier, the noise onto the lower
+            sc = two_barrier_scenario(paths=1000, steps=8, width=0.8, drift=0.6)
+            if sides == "upper":
+                sc = dataclasses.replace(sc, obstacles=ObstacleSpec(upper=sc.obstacles.upper))
+        p = generate_paths(sc)
+        sol = solve_backward(sc, p, RegressionConfig(degree_w=2), 2, _checked_grid(sc, p), level)
+        assert sol.dK.shape == (1000, 8)
+        assert all(sol.dK[:, j].flags.c_contiguous for j in range(8))
+        signs = {"lower": 1.0, "upper": -1.0}
+        for side in ("lower", "upper"):
+            pushes = np.maximum(signs[side] * sol.dK, 0.0)
+            assert np.any(pushes) == (side in sol.obstacle_grid.sides), side
+            whole = np.cumsum(np.concatenate([np.zeros((1000, 1)), pushes], axis=1), axis=1)
+            k = sol.k(side)
+            assert k.tobytes() == whole.tobytes(), side
+            assert all(k[:, i].flags.c_contiguous for i in range(9))
+            assert sol.k_terminal(side).tobytes() == whole[:, -1].tobytes(), side
+        assert sol.K_plus.tobytes() == sol.k("lower").tobytes()
+        assert sol.K_minus.tobytes() == sol.k("upper").tobytes()
+
 
 class TestWorkingSet:
     """A sweep holds one step's work at a time."""
@@ -200,11 +228,28 @@ class TestWorkingSet:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        held = peak - sum(a.nbytes for a in (sol.Y, sol.Z, sol.K_plus, sol.K_minus))
+        held = peak - sum(a.nbytes for a in (sol.Y, sol.Z, sol.dK))
         # a design of 9 columns; a sweep that builds each basis while it
         # still holds the last step's design and rows reads about 30 rows
         assert sol.meta.basis_size == 9
         assert held < (sol.meta.basis_size + self.STEP_ROWS) * sc.mc_paths * 8
+
+    def test_corridor_holds_one_increments_array(self):
+        # K+ and K- are formed where they are read: the sweep writes one
+        # signed increment per path and step, and no running sum
+        sc = two_barrier_scenario(paths=20_000, steps=20, width=0.8, drift=0.6)
+        p = generate_paths(sc)
+        grids = _checked_grid(sc, p)
+        tracemalloc.start()
+        try:
+            sol = solve_backward(sc, p, RegressionConfig(degree_w=1, include_dB=True), 2, grids, 50.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.any(sol.dK > 0.0) and np.any(sol.dK < 0.0)
+        row = sc.mc_paths * 8
+        held = peak - sol.Y.nbytes - sol.Z.nbytes
+        assert held < sol.dK.nbytes + (sol.meta.basis_size + self.STEP_ROWS) * row
 
     @pytest.mark.parametrize("driver, state_only", [
         (CoefficientSpec.linear(a_w=0.5, c=0.1), True),

@@ -519,17 +519,18 @@ class TestBarrierSets:
             assert reflect_two._walk_rows(y, k, grid).k_nondecreasing_from_zero is verdict
 
     def test_k_check_reads_the_side_without_a_barrier(self, tmp_path, monkeypatch):
-        solve = cli.solve_double
+        form = rbdsde.SolutionEnsemble.k
 
-        def falling_k_minus(*args, **kwargs):
-            sol, trace = solve(*args, **kwargs)
-            sol.K_minus[0, 3] = 1.0  # K- rises at step 3 and falls back at step 4
-            return sol, trace
+        def falling_k_minus(sol, side):
+            k = form(sol, side)
+            if side == "upper":
+                k[0, 3] = 1.0  # K- rises at step 3 and falls back at step 4
+            return k
 
         path = _write(tmp_path, "c.json", _linear_config("lower"))
         verdict = {}
-        for name, solver in (("kept", solve), ("corrupted", falling_k_minus)):
-            monkeypatch.setattr(cli, "solve_double", solver)
+        for name, former in (("kept", form), ("corrupted", falling_k_minus)):
+            monkeypatch.setattr(rbdsde.SolutionEnsemble, "k", former)
             assert main(["run", path, "--out", str(tmp_path / name)]) == 0
             summary = json.loads((tmp_path / name / "summary.json").read_text())
             assert "skorohod_upper" not in summary["diagnostics"]

@@ -302,22 +302,24 @@ def test_ladder_holds_one_ensemble_at_a_time():
     schedule = PenaltySchedule(levels=(1.0, 10.0, 100.0), penetration_tol=0.0)
     ladder_peak, (sol, trace) = _traced_peak(lambda: solve_reflected(sc, p, cfg, schedule=schedule))
     sweep_peak, _ = _traced_peak(lambda: solve_penalized(sc, p, cfg, level=1.0))
-    ensemble = sol.Y.nbytes + sol.Z.nbytes + sol.K_plus.nbytes + sol.K_minus.nbytes
+    ensemble = sol.Y.nbytes + sol.Z.nbytes + sol.dK.nbytes
     assert len(trace.levels) == 3
     assert ladder_peak <= sweep_peak + ensemble / 2
 
 
-def _hand_ensemble(y, k_plus):
+def _hand_ensemble(y, k_plus, k_minus=None):
+    """One path with the given Y, K+ and K- (zero unless given), stored as
+    the signed increments dK+ - dK-."""
     y = np.asarray(y, dtype=float)[None, :]
-    k = np.asarray(k_plus, dtype=float)[None, :]
+    dk = np.diff(np.asarray(k_plus, dtype=float)[None, :], axis=1)
+    if k_minus is not None:
+        dk = dk - np.diff(np.asarray(k_minus, dtype=float)[None, :], axis=1)
     n = y.shape[1] - 1
     meta = SolveMeta(
         scheme="hand", seed=0, n_paths=1, basis_size=1, picard_iters=0,
         regression=RegressionConfig(), residual_rms=np.zeros((n, 3)),
     )
-    return SolutionEnsemble(
-        Y=y, Z=np.zeros((1, n, 1)), K_plus=k, K_minus=np.zeros_like(k), meta=meta,
-    )
+    return SolutionEnsemble(Y=y, Z=np.zeros((1, n, 1)), dK=dk, meta=meta)
 
 
 class TestSkorohodResidual:

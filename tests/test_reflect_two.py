@@ -1,6 +1,7 @@
 """Two-barrier double penalization."""
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from rbdsde import (
     PenaltySchedule,
     RegressionConfig,
     Scenario,
+    SolutionEnsemble,
     TimeGrid,
     double_skorohod_residuals,
     generate_paths,
@@ -31,6 +33,7 @@ from rbdsde.diagnostics import pooled_se
 from rbdsde.reflect_one import penetration_statistic
 from rbdsde.reflect_two import LevelStat
 from rbdsde.scenarios import constant_g_scenario, stopping_drift_scenario, two_barrier_scenario
+from tests import test_bdsde_solver
 from tests.test_reflect_one import _hand_ensemble
 
 
@@ -105,7 +108,7 @@ class TestImplicitStepProperties:
     def test_absent_upper_is_the_one_sided_penalty(self, a, l, rate):
         y, dkp, dkm = implicit_double_step(a, l, np.inf, rate)
         below = a < l
-        assert np.array_equal(y, np.where(below, (a + rate * l) / (1 + rate), a))
+        assert np.array_equal(y, np.where(below, np.maximum((a + rate * l) / (1 + rate), a), a))
         assert np.array_equal(dkp, np.where(below, y - a, 0.0))
         assert np.all(dkm == 0.0)
 
@@ -154,18 +157,20 @@ class TestImplicitStepProperties:
 
 def _full_array_step(a, l, u, rate):
     """Reference: the step computed on every entry with np.where, the
-    arithmetic of the sweep before it touched only the paths that hit."""
+    arithmetic of the sweep before it touched only the paths that hit.  A
+    push that rounds past the candidate is clamped to it: y never moves
+    away from the barrier that pushes it."""
 
-    def toward(x, barrier, hit):
-        pushed = barrier if np.isinf(rate) else (x + rate * barrier) / (1.0 + rate)
+    def toward(x, barrier, hit, clamp):
+        pushed = barrier if np.isinf(rate) else clamp((x + rate * barrier) / (1.0 + rate), x)
         return np.where(hit, pushed, x)
 
     y, dk_plus, dk_minus = a, np.zeros_like(a), np.zeros_like(a)
     if l is not None:
-        y = toward(a, l, a < l)
+        y = toward(a, l, a < l, np.maximum)
         dk_plus = y - a
     if u is not None:
-        pushed = toward(y, u, a > u)
+        pushed = toward(y, u, a > u, np.minimum)
         dk_minus = y - pushed
         y = pushed
     return y, dk_plus, dk_minus
@@ -184,12 +189,50 @@ class TestSweepKernel:
         public = implicit_double_step(a, -np.inf if lower is None else lower,
                                       np.inf if upper is None else upper, rate)
         # the sweep's call: the candidate row is solved in place and the
-        # pushes go into zeroed rows of K
-        row, k_plus, k_minus = a.copy(), np.zeros(_N), np.zeros(_N)
-        _reflect(row, lower, upper, rate, k_plus, k_minus)
+        # signed pushes go into a zeroed row of dK
+        row, dk = a.copy(), np.zeros(_N)
+        _reflect(row, lower, upper, rate, dk)
+        kernel = row, np.maximum(dk, 0.0), np.maximum(-dk, 0.0)
         reference = _full_array_step(a, lower, upper, rate)
-        for got, kernel, want in zip(public, (row, k_plus, k_minus), reference):
-            assert got.tobytes() == kernel.tobytes() == want.tobytes()
+        for got, swept, want in zip(public, kernel, reference):
+            assert got.tobytes() == swept.tobytes() == want.tobytes()
+
+
+class TestPushDirection:
+    """At a small rate the rate-weighted mean of a candidate a few ulps
+    beyond a barrier can round past the candidate; the push is clamped to
+    zero there, so it never points away from its barrier."""
+
+    _RATE = 0.02
+
+    def _near(self, side):
+        barrier = np.random.default_rng(0).uniform(-5.0, 5.0, 200_000)
+        outward = -np.inf if side == "lower" else np.inf
+        return barrier, np.nextafter(np.nextafter(barrier, outward), outward)
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_public_step(self, side):
+        barrier, a = self._near(side)
+        if side == "lower":
+            y, push, other = implicit_double_step(a, barrier, np.inf, self._RATE)
+            assert np.all(y >= a) and np.all(y <= barrier)
+        else:
+            y, other, push = implicit_double_step(a, -np.inf, barrier, self._RATE)
+            assert np.all(y <= a) and np.all(y >= barrier)
+        assert np.all(push >= 0.0) and not np.any(other)
+        assert np.array_equal(np.abs(y - a), push)
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_sweep_kernel(self, side):
+        barrier, a = self._near(side)
+        row, dk = a.copy(), np.zeros(a.size)
+        if side == "lower":
+            _reflect(row, barrier, None, self._RATE, dk)
+            assert np.all(dk >= 0.0) and np.all(row >= a)
+        else:
+            _reflect(row, None, barrier, self._RATE, dk)
+            assert np.all(dk <= 0.0) and np.all(row <= a)
+        assert np.array_equal(row - a, dk)
 
 
 def _penetration(excess):
@@ -295,6 +338,36 @@ class TestSweepPenetration:
 
 
 class TestSolveDouble:
+
+    def test_ladder_forms_no_whole_k(self, monkeypatch):
+        # every level runs; each reads only K_T of its sweep
+        sc = two_barrier_scenario(paths=20_000, steps=20, width=0.8, drift=0.6)
+        p = generate_paths(sc)
+        cfg = RegressionConfig(degree_w=1, include_dB=True)
+        schedule = PenaltySchedule(levels=(1.0, 10.0, 100.0), penetration_tol=0.0)
+        formed = []
+        form = SolutionEnsemble.k
+
+        def counted(sol, side):
+            formed.append(side)
+            return form(sol, side)
+
+        monkeypatch.setattr(SolutionEnsemble, "k", counted)
+        tracemalloc.start()
+        try:
+            sol, trace = solve_double(sc, p, cfg, schedule=schedule)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(trace.levels) == 3 and formed == []
+        last = trace.levels[-1]
+        assert last.mean_k_plus_T == float(sol.K_plus[:, -1].mean()) > 0.0
+        assert last.mean_k_minus_T == float(sol.K_minus[:, -1].mean()) > 0.0
+        # beside Y and Z: the increments, one design, a step's working rows and xi
+        row = sc.mc_paths * 8
+        held = peak - sol.Y.nbytes - sol.Z.nbytes
+        step_rows = test_bdsde_solver.TestWorkingSet.STEP_ROWS
+        assert held < sol.dK.nbytes + (sol.meta.basis_size + step_rows + 1) * row
 
     def test_lower_only_is_the_one_barrier_ladder(self, fast_cfg):
         sc = stopping_drift_scenario(paths=1000, steps=8)
@@ -407,8 +480,7 @@ class TestDoubleSkorohodResiduals:
 
     def test_hand_built_upper_contact(self):
         # Y rides the upper barrier where K_minus increases
-        sol = _hand_ensemble([2.0, 0.0, 0.0], [0.0, 0.0, 0.0])
-        sol = dataclasses.replace(sol, K_minus=np.array([[0.0, 1.0, 1.0]]))
+        sol = _hand_ensemble([2.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 1.0])
         lower = np.full((1, 3), -3.0)
         upper = np.array([[2.0, 1.0, 1.0]])
         lres, ures = double_skorohod_residuals(sol, lower, upper)
