@@ -40,6 +40,7 @@ from .oracles import (
     stopping_rule_value,
 )
 from .paths import NoisePaths, ObstacleGrid, generate_paths, obstacle_on_grid
+from .pushes import SignedPushes
 from .reflect_one import (
     implicit_penalty_step,
     penetration_statistic,
@@ -69,6 +70,7 @@ __all__ = [
     "RegressionConfig",
     "RegressionFit",
     "Scenario",
+    "SignedPushes",
     "SolutionEnsemble",
     "SolveMeta",
     "TimeGrid",

@@ -39,6 +39,7 @@ import numpy as np
 from .condexp import Design, RegressionConfig, build_basis, condexp_fit_eval
 from .model import ObstacleSpec, Scenario, SolutionEnsemble, SolveMeta
 from .paths import NoisePaths, ObstacleGrid, obstacle_on_grid
+from .pushes import SignedPushes
 
 
 class NonFiniteError(ValueError, RuntimeError):
@@ -46,30 +47,44 @@ class NonFiniteError(ValueError, RuntimeError):
     reports it with exit code 2; a RuntimeError for library callers."""
 
 
-def _reflect(y, lower, upper, rate, dk) -> None:
-    """The implicit step in place on rows of paths: ``y`` holds the
+def _reflect(y, lower, upper, rate):
+    """The implicit step in place on a row of paths: ``y`` holds the
     candidate a on entry and the solution of
-    y = a + rate*(lower - y)^+ - rate*(y - upper)^+ on return.
+    y = a + rate*(lower - y)^+ - rate*(y - upper)^+ on return.  Returns the
+    step's pushes as the sweep stores them (``SignedPushes.put``): the
+    contact mask, the paths beyond a barrier, and their signed pushes y - a
+    in path order, positive below the lower barrier and negative above the
+    upper one.
 
-    Only the paths that hit a barrier are computed and written, into ``y``
-    and ``dk``: y is the rate-weighted mean (a + rate*barrier) / (1 + rate),
-    or the barrier itself at an infinite rate, and ``dk`` gets the signed
-    push y - a, positive below the lower barrier and negative above the
-    upper one.  A push never points away from its barrier: where the mean
-    rounds past the candidate, y stays at a and the push is zero.  Every
-    other entry is left as it is.  An absent barrier is None and nothing is
-    done for its side.  The barriers must not cross and the rate must be
-    one number >= 0 (not checked)."""
+    Only the paths in contact are computed and written: y is the
+    rate-weighted mean (a + rate*barrier) / (1 + rate), or the barrier
+    itself at an infinite rate.  A push never points away from its barrier:
+    where the mean rounds past the candidate, y stays at a and the push is
+    zero.  An absent barrier is None and nothing is done for its side.  The
+    barriers must not cross and the rate must be one number >= 0 (not
+    checked)."""
     # both sides find their paths from the candidate, before y changes
-    below = None if lower is None else np.flatnonzero(y < lower)
-    above = None if upper is None else np.flatnonzero(y > upper)
-    for hit, barrier, toward in ((below, lower, np.maximum), (above, upper, np.minimum)):
-        if hit is None:
+    below = None if lower is None else y < lower
+    above = None if upper is None else y > upper
+    hits, pushes = [], []
+    for beyond, barrier, toward in ((below, lower, np.maximum), (above, upper, np.minimum)):
+        if beyond is None:
             continue
+        hit = np.flatnonzero(beyond)
         a, target = y[hit], barrier[hit]
         pushed = target if np.isinf(rate) else toward((a + rate * target) / (1.0 + rate), a)
-        dk[hit] = pushed - a
         y[hit] = pushed
+        hits.append(hit)
+        # into the candidates' buffer: a fresh array per step, kept by the
+        # store among the step's freed temporaries, raised the ladder's peak
+        pushes.append(np.subtract(pushed, a, out=a))
+    if not hits:
+        return np.zeros(y.size, dtype=bool), np.empty(0)
+    if len(hits) == 1:
+        return (below if above is None else above), pushes[0]
+    # the sides' paths are disjoint and each in order: a stable sort merges them
+    order = np.argsort(np.concatenate(hits), kind="stable")
+    return below | above, np.concatenate(pushes)[order]
 
 
 def implicit_double_step(a, l_val, u_val, n_dt):
@@ -83,7 +98,8 @@ def implicit_double_step(a, l_val, u_val, n_dt):
     absent barrier is the scalar -inf (lower) or +inf (upper); no
     arithmetic is done for its side.  The sweep runs the same in-place
     step, ``_reflect``, without the checks made here, and stores the signed
-    push; a push that would round past the candidate is zero.
+    pushes of the paths in contact, with their contact mask, in its
+    ``SignedPushes``; a push that would round past the candidate is zero.
     """
     if np.ndim(n_dt) != 0 or not n_dt >= 0:  # NaN fails too
         raise ValueError(f"the penalty rate must be one number >= 0, got {n_dt!r}")
@@ -102,9 +118,10 @@ def implicit_double_step(a, l_val, u_val, n_dt):
         return np.broadcast_to(x, shape).ravel()
 
     y = row(a).copy()
+    contact, push = _reflect(y, row(l_arr) if has_lower else None,
+                             row(u_arr) if has_upper else None, float(n_dt))
     dk = np.zeros(y.size)
-    _reflect(y, row(l_arr) if has_lower else None, row(u_arr) if has_upper else None,
-             float(n_dt), dk)
+    dk[contact] = push
     dk_plus, dk_minus = np.maximum(dk, 0.0), np.maximum(-dk, 0.0)
     if not shape:
         return float(y[0]), float(dk_plus[0]), float(dk_minus[0])
@@ -178,12 +195,13 @@ def solve_backward(
     the design.  Each step forms each barrier's row once, for its basis,
     its reflection and the penetration.
 
-    The sweep stores Y, Z and the signed reflection increments dK time
-    first, one contiguous row per grid time or step, and returns them as
-    (M, ...) views.  Step i writes its pushes, dK+ - dK-, into row i of dK;
-    K+ and K- are formed from it where they are read (see
-    ``SolutionEnsemble``).  Without a barrier in ``grids``, dK is a zero
-    array the sweep never writes, so its pages are never touched.  Each
+    The sweep stores Y and Z time first, one contiguous row per grid time
+    or step, and returns them as (M, ...) views.  The reflection of step i
+    returns the paths in contact and their signed pushes, dK+ - dK-, and
+    ``SignedPushes`` keeps them as step i's packed contact bits and the
+    pushes in path order; dK, K+ and K- are formed from that store where
+    they are read (see ``SolutionEnsemble``).  Without a barrier in
+    ``grids`` the sweep allocates no store.  Each
     step's design is factored once and serves its three fits.  The
     penetration of each barrier, the mean over paths of the squared largest
     excess beyond it, is kept as a running per-path maximum and reported in
@@ -204,8 +222,6 @@ def solve_backward(
 
     y_all = np.empty((n + 1, m))
     z_all = np.zeros((n, m, d))
-    # the signed pushes of step i go to row i; with no barrier it is never written
-    dk_all = np.zeros((n, m))
     residual_rms = np.zeros((n, 2 + d))
 
     y_all[n] = grids.xi
@@ -213,6 +229,8 @@ def solve_backward(
     remaining_db = np.zeros((m, l)) if cfg.include_dB else None
 
     sides = grids.sides
+    # each step's contact and pushes; with no barrier there is no store
+    pushes = SignedPushes(m, n) if sides else None
     # per path, the largest (L - Y)^+ and (Y - U)^+ over the rows solved so
     # far; the horizon row adds nothing, as _checked_grid holds L_T <= xi <= U_T
     shortfall = np.zeros(m)
@@ -224,11 +242,12 @@ def solve_backward(
     previous = None  # the last step's design
 
     def step(i: int, w: np.ndarray) -> None:
-        """Solve row i of Y, Z and dK from row i + 1 of Y and Z.  ``w``
-        holds W's row at t_{i+1} on entry, which only the step's targets
-        read, and at t_i from then on.  The targets, fitted rows and
-        residuals the step forms are released on return, and its design,
-        kept in ``previous``, as soon as the next step has built its basis."""
+        """Solve row i of Y and Z, and step i's pushes, from row i + 1 of Y
+        and Z.  ``w`` holds W's row at t_{i+1} on entry, which only the
+        step's targets read, and at t_i from then on.  The targets, fitted
+        rows and residuals the step forms are released on return, and its
+        design, kept in ``previous``, as soon as the next step has built its
+        basis."""
         nonlocal previous
         t_next = times[i + 1]
         y_next = y_all[i + 1]
@@ -288,7 +307,8 @@ def solve_backward(
             np.add(continuation, s.driver.evaluate(times[i], w_now, y_now, z_now) * dt, out=y_now)
 
         # interior barriers were checked not to cross by _checked_grid
-        _reflect(y_now, barriers.get("lower"), barriers.get("upper"), rate, dk_all[i])
+        if pushes is not None:
+            pushes.put(i, *_reflect(y_now, barriers.get("lower"), barriers.get("upper"), rate))
         if not np.all(np.isfinite(y_now)):
             raise NonFiniteError(f"solver produced non-finite values at step {i}")
         if "lower" in barriers:
@@ -315,7 +335,7 @@ def solve_backward(
         penetration_lower=float(np.mean(shortfall ** 2)),
         penetration_upper=float(np.mean(overshoot ** 2)),
     )
-    return SolutionEnsemble(Y=y_all.T, Z=z_all.transpose(1, 0, 2), dK=dk_all.T, meta=meta,
+    return SolutionEnsemble(Y=y_all.T, Z=z_all.transpose(1, 0, 2), pushes=pushes, meta=meta,
                             obstacle_grid=grids)
 
 

@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .condexp import RegressionConfig
+from .pushes import SignedPushes
 
 if TYPE_CHECKING:
     from .paths import ObstacleGrid
@@ -291,21 +292,26 @@ class SolveMeta:
 
 @dataclass(frozen=True, eq=False)
 class SolutionEnsemble:
-    """Per-path solution arrays: Y is M x (N+1), Z is M x N x d, and dK is
-    M x N, the signed reflection increments: dK[:, j] = dK+_j - dK-_j, the
-    push of step j, positive up from the lower barrier and negative down
-    from the upper one (at most one side pushes a path in a step).  A solver
-    also returns the terminal values and barriers it solved against.
+    """Per-path solution arrays: Y is M x (N+1) and Z is M x N x d.  The
+    signed reflection increments dK_j = dK+_j - dK-_j, the push of step j,
+    positive up from the lower barrier and negative down from the upper one
+    (at most one side pushes a path in a step), are held in ``pushes``, a
+    ``SignedPushes`` store of the paths each step pushed and their pushes,
+    or None where nothing can push, a solve without a barrier.  A hand-built
+    ensemble passes ``pushes=SignedPushes.of(dk)``.  A solver also returns
+    the terminal values and barriers it solved against.
 
-    The reflection processes K+ and K-, M x (N+1) and nondecreasing from
-    zero, are not stored: each read of ``K_plus``, ``K_minus`` or ``k`` forms
-    a new array, K_0 = 0 and K_{j+1} = K_j + max(+-dK_j, 0), one time row
-    after another.  Read it once; ``k_terminal`` forms K_T alone.  The K
-    of a side without a barrier in ``obstacle_grid`` is zero."""
+    Nothing dense of the reflection is stored: each read of ``dK`` forms
+    the M x N array, and each read of ``K_plus``, ``K_minus`` or ``k`` forms
+    the reflection process, M x (N+1) and nondecreasing from zero, K_0 = 0
+    and K_{j+1} = K_j + max(+-dK_j, 0), one time row after another, adding
+    only at the paths step j pushed.  Read it once; ``k_terminal`` forms
+    K_T alone.  The K of a side without a barrier in ``obstacle_grid`` is
+    zero."""
 
     Y: np.ndarray
     Z: np.ndarray
-    dK: np.ndarray
+    pushes: SignedPushes | None
     meta: SolveMeta
     obstacle_grid: ObstacleGrid | None = None
 
@@ -313,35 +319,49 @@ class SolutionEnsemble:
         m, n_plus_1 = self.Y.shape
         if self.Z.shape[0] != m or self.Z.shape[1] != n_plus_1 - 1:
             raise ValueError("Z shape inconsistent with Y")
-        if self.dK.shape != (m, n_plus_1 - 1):
-            raise ValueError("dK shape inconsistent with Y")
+        if self.pushes is not None and (self.pushes.m, len(self.pushes.values)) != (m, n_plus_1 - 1):
+            raise ValueError("pushes shape inconsistent with Y")
+
+    @property
+    def dK(self) -> np.ndarray:
+        """The M x N signed pushes, formed on each read; ``[:, j]`` is a
+        contiguous row."""
+        if self.pushes is None:
+            m, n_plus_1 = self.Y.shape
+            return np.zeros((n_plus_1 - 1, m)).T
+        return self.pushes.dense()
 
     def _pushes(self, side: str):
-        """The pushes of ``side`` step by step, max(dK_j, 0) below and
-        max(-dK_j, 0) above, each an M row overwritten by the next.  A side
-        without a barrier in ``obstacle_grid`` has none."""
-        if self.obstacle_grid is not None and side not in self.obstacle_grid.sides:
+        """Per step j, the paths a barrier pushed and the push of ``side``
+        there, max(dK_j, 0) below and max(-dK_j, 0) above, in one buffer
+        overwritten by the next step's.  A side without a barrier in
+        ``obstacle_grid`` has none."""
+        if self.pushes is None or (self.obstacle_grid is not None
+                                   and side not in self.obstacle_grid.sides):
             return
-        push = np.empty(self.dK.shape[0])
-        for row in self.dK.T:
-            yield np.maximum(row if side == "lower" else np.negative(row, out=push), 0.0, out=push)
+        buffer = np.empty(self.Y.shape[0])
+        for j, values in enumerate(self.pushes.values):
+            push = buffer[:values.size]
+            np.maximum(values if side == "lower" else np.negative(values, out=push), 0.0, out=push)
+            yield self.pushes.paths(j), push
 
     def k(self, side: str) -> np.ndarray:
         """The reflection process of the barrier on ``side``, formed on each
         call: K+ pushes up from the lower barrier, K- down from the upper
         one.  Held time first, so each ``[:, i]`` is a contiguous row."""
-        m, n = self.dK.shape
-        k = np.zeros((n + 1, m))
-        for j, push in enumerate(self._pushes(side)):
-            np.add(k[j], push, out=k[j + 1])
+        m, n_plus_1 = self.Y.shape
+        k = np.zeros((n_plus_1, m))
+        for j, (paths, push) in enumerate(self._pushes(side)):
+            k[j + 1] = k[j]
+            np.add.at(k[j + 1], paths, push)
         return k.T
 
     def k_terminal(self, side: str) -> np.ndarray:
         """K_T of ``side`` per path, ``k(side)[:, -1]`` made by the same adds
         into one M vector."""
-        total = np.zeros(self.dK.shape[0])
-        for push in self._pushes(side):
-            np.add(total, push, out=total)
+        total = np.zeros(self.Y.shape[0])
+        for paths, push in self._pushes(side):
+            np.add.at(total, paths, push)
         return total
 
     @property

@@ -61,9 +61,9 @@ def solve_projected(
 
 def penetration_statistic(sol: SolutionEnsemble, lower: np.ndarray) -> float:
     """Mean over paths of sup_i ((Y - S)^-)^2, the obstacle-violation measure
-    driven to zero by the schedule."""
+    driven to zero by the schedule.  Reads Y and the barrier, not K."""
     grid = ObstacleGrid(xi=sol.Y[:, -1], lower=lower)
-    return float(np.mean(_walk_rows(sol.Y, sol.K_plus, grid).sup_excess ** 2))
+    return float(np.mean(_walk_rows(sol.Y, None, grid).sup_excess ** 2))
 
 
 def solve_reflected(

@@ -119,14 +119,17 @@ def _walk_rows(y, k, grid: ObstacleGrid | None = None, side: str = "lower",
     once.  Returns, per path, the flat-off sum sum_i -excess_i * dK_i and the
     largest positive excess; per grid time, the mean squared positive excess;
     the count of excesses above ``slack``; and whether K starts at zero and
-    never falls, the one check made without a barrier.  Sums run row after
-    row, as numpy sums the time axis of the solver's time-major arrays."""
-    y_rows, k_rows = y.T, k.T
-    rows, m = len(k_rows), y_rows.shape[1]
+    never falls, the one check made without a barrier.  With ``k`` None the
+    K-only results, the flat-off sum and the K check, are None and nothing
+    of K is read.  Sums run row after row, as numpy sums the time axis of
+    the solver's time-major arrays."""
+    y_rows = y.T
+    k_rows = None if k is None else k.T
+    rows, m = y_rows.shape
     flat, sup, mean_sq, above = np.zeros(m), np.zeros(m), np.zeros(rows), 0
-    monotone = bool(np.all(k_rows[0] == 0.0))
+    monotone = k is not None and bool(np.all(k_rows[0] == 0.0))
     for i in range(rows):
-        dk = k_rows[i + 1] - k_rows[i] if i + 1 < rows else None
+        dk = k_rows[i + 1] - k_rows[i] if k is not None and i + 1 < rows else None
         monotone = monotone and (dk is None or bool(np.all(dk >= 0)))
         if grid is None:
             continue
@@ -137,6 +140,8 @@ def _walk_rows(y, k, grid: ObstacleGrid | None = None, side: str = "lower",
         positive = np.maximum(excess, 0.0, out=excess)
         np.maximum(sup, positive, out=sup)
         mean_sq[i] = np.mean(np.square(positive, out=positive))
+    if k is None:
+        return _RowWalk(None, sup, mean_sq, above, None)
     return _RowWalk(np.negative(flat, out=flat), sup, mean_sq, above, monotone)
 
 

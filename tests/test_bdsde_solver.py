@@ -228,15 +228,19 @@ class TestWorkingSet:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        held = peak - sum(a.nbytes for a in (sol.Y, sol.Z, sol.dK))
+        # without a barrier nothing can push, and no store is allocated
+        assert sol.pushes is None
+        assert sol.dK.shape == (sc.mc_paths, sc.grid.steps) and not np.any(sol.dK)
+        held = peak - sol.Y.nbytes - sol.Z.nbytes
         # a design of 9 columns; a sweep that builds each basis while it
         # still holds the last step's design and rows reads about 30 rows
         assert sol.meta.basis_size == 9
         assert held < (sol.meta.basis_size + self.STEP_ROWS) * sc.mc_paths * 8
 
-    def test_corridor_holds_one_increments_array(self):
-        # K+ and K- are formed where they are read: the sweep writes one
-        # signed increment per path and step, and no running sum
+    def test_corridor_holds_only_the_pushes(self):
+        # K+ and K- are formed where they are read: the sweep keeps the
+        # signed push of each path and step a barrier pushed, and one
+        # contact bit per path and step, but no running sum or dense dK
         sc = two_barrier_scenario(paths=20_000, steps=20, width=0.8, drift=0.6)
         p = generate_paths(sc)
         grids = _checked_grid(sc, p)
@@ -246,10 +250,18 @@ class TestWorkingSet:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert np.any(sol.dK > 0.0) and np.any(sol.dK < 0.0)
-        row = sc.mc_paths * 8
+        dk = sol.dK
+        assert np.any(dk > 0.0) and np.any(dk < 0.0)
+        m, n = dk.shape
+        pushed = np.count_nonzero(dk)
+        assert sol.pushes.nbytes == pushed * 8 + n * m // 8
+        # the corridor pushes about 3.5 % of its path-steps, so the store
+        # holds about a twentieth of a dense (M, N) array
+        assert pushed < 0.05 * m * n
+        assert sol.pushes.nbytes < 0.1 * m * n * 8
+        row = m * 8
         held = peak - sol.Y.nbytes - sol.Z.nbytes
-        assert held < sol.dK.nbytes + (sol.meta.basis_size + self.STEP_ROWS) * row
+        assert held < sol.pushes.nbytes + (sol.meta.basis_size + self.STEP_ROWS) * row
 
     @pytest.mark.parametrize("driver, state_only", [
         (CoefficientSpec.linear(a_w=0.5, c=0.1), True),

@@ -3,12 +3,19 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rbdsde import (
     CoefficientSpec,
     Dimensions,
     ObstacleSpec,
     PenaltySchedule,
+    RegressionConfig,
+    SignedPushes,
+    SolutionEnsemble,
+    SolveMeta,
     TimeGrid,
     validate_scenario,
 )
@@ -190,3 +197,50 @@ class TestValidateScenario:
     def test_pure_and_idempotent(self):
         sc = two_barrier_scenario()
         assert validate_scenario(sc) == validate_scenario(sc)
+
+
+_ZEROS = st.sampled_from([0.0, -0.0])
+_NONZERO = st.floats(-1e6, 1e6, allow_nan=False).filter(bool)
+# per entry: no contact, about one in five, or every path and step
+_ENTRIES = {"none": _ZEROS, "sparse": st.one_of(_ZEROS, _ZEROS, _ZEROS, _ZEROS, _NONZERO),
+            "full": _NONZERO}
+
+
+@st.composite
+def _dense_pushes(draw):
+    m = draw(st.one_of(st.just(1), st.integers(2, 20)))
+    n = draw(st.integers(1, 6))
+    contact = draw(st.sampled_from(sorted(_ENTRIES)))
+    return draw(hnp.arrays(float, (m, n), elements=_ENTRIES[contact]))
+
+
+class TestSignedPushes:
+
+    @settings(max_examples=200, deadline=None)
+    @given(dk=_dense_pushes())
+    def test_store_reads_back_the_dense_pushes(self, dk):
+        m, n = dk.shape
+        meta = SolveMeta(scheme="hand", seed=0, n_paths=m, basis_size=1, picard_iters=0,
+                         regression=RegressionConfig(), residual_rms=np.zeros((n, 3)))
+        pushes = SignedPushes.of(dk)
+        sol = SolutionEnsemble(Y=np.zeros((m, n + 1)), Z=np.zeros((m, n, 1)), pushes=pushes, meta=meta)
+        # each nonzero push is held, with one contact bit per path and step;
+        # a zero, +0.0 or -0.0, reads back as +0.0
+        assert pushes.nbytes == np.count_nonzero(dk) * 8 + n * ((m + 7) // 8)
+        assert np.array_equal(sol.dK, dk)
+        assert sol.dK.tobytes() == (dk + 0.0).tobytes()
+        for side, sign in (("lower", 1.0), ("upper", -1.0)):
+            steps = np.maximum(sign * dk, 0.0)
+            reference = np.cumsum(np.concatenate([np.zeros((m, 1)), steps], axis=1), axis=1)
+            assert sol.k(side).tobytes() == reference.tobytes(), side
+            assert sol.k_terminal(side).tobytes() == reference[:, -1].tobytes(), side
+
+    def test_shape_must_match_y(self):
+        meta = SolveMeta(scheme="hand", seed=0, n_paths=9, basis_size=1, picard_iters=0,
+                         regression=RegressionConfig(), residual_rms=np.zeros((3, 3)))
+        # a store of too few steps, and one of as many contact bytes but
+        # more paths
+        for dk in (np.zeros((9, 2)), np.zeros((16, 3))):
+            with pytest.raises(ValueError, match="pushes shape inconsistent with Y"):
+                SolutionEnsemble(Y=np.zeros((9, 4)), Z=np.zeros((9, 3, 1)),
+                                 pushes=SignedPushes.of(dk), meta=meta)

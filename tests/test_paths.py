@@ -267,7 +267,7 @@ class TestStoredArrays:
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        results = sum(a.nbytes for a in (sol.Y, sol.Z, sol.dK))
+        results = sol.Y.nbytes + sol.Z.nbytes + sol.pushes.nbytes
         row = sc.mc_paths * 8
         # beside the results, a solve holds one design, its step's working
         # rows, xi, the step's barrier row and the running penetration

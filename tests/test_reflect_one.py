@@ -12,6 +12,7 @@ from rbdsde import (
     Dimensions,
     ObstacleSpec,
     PenaltySchedule,
+    SignedPushes,
     SolutionEnsemble,
     SolveMeta,
     RegressionConfig,
@@ -302,14 +303,14 @@ def test_ladder_holds_one_ensemble_at_a_time():
     schedule = PenaltySchedule(levels=(1.0, 10.0, 100.0), penetration_tol=0.0)
     ladder_peak, (sol, trace) = _traced_peak(lambda: solve_reflected(sc, p, cfg, schedule=schedule))
     sweep_peak, _ = _traced_peak(lambda: solve_penalized(sc, p, cfg, level=1.0))
-    ensemble = sol.Y.nbytes + sol.Z.nbytes + sol.dK.nbytes
+    ensemble = sol.Y.nbytes + sol.Z.nbytes + sol.pushes.nbytes
     assert len(trace.levels) == 3
     assert ladder_peak <= sweep_peak + ensemble / 2
 
 
 def _hand_ensemble(y, k_plus, k_minus=None):
     """One path with the given Y, K+ and K- (zero unless given), stored as
-    the signed increments dK+ - dK-."""
+    the signed increments dK+ - dK-, compacted by the store's constructor."""
     y = np.asarray(y, dtype=float)[None, :]
     dk = np.diff(np.asarray(k_plus, dtype=float)[None, :], axis=1)
     if k_minus is not None:
@@ -319,7 +320,7 @@ def _hand_ensemble(y, k_plus, k_minus=None):
         scheme="hand", seed=0, n_paths=1, basis_size=1, picard_iters=0,
         regression=RegressionConfig(), residual_rms=np.zeros((n, 3)),
     )
-    return SolutionEnsemble(Y=y, Z=np.zeros((1, n, 1)), dK=dk, meta=meta)
+    return SolutionEnsemble(Y=y, Z=np.zeros((1, n, 1)), pushes=SignedPushes.of(dk), meta=meta)
 
 
 class TestSkorohodResidual:
@@ -390,3 +391,18 @@ class TestPenetrationStatistic:
         sol = _hand_ensemble([1.0, 2.0, 5.0], [0.0, 0.0, 0.0])
         obstacle = np.array([[1.5, 2.0, 2.0]])
         assert penetration_statistic(sol, obstacle) == pytest.approx(0.25)
+
+    def test_reads_no_whole_k(self):
+        # Y and the barrier are walked row by row; K+ is not formed
+        sc = stopping_drift_scenario(paths=20_000, steps=20)
+        p = generate_paths(sc)
+        sol = solve_penalized(sc, p, RegressionConfig(degree_w=2, include_dB=False), level=50.0)
+        lower = obstacle_on_grid(sc, p).lower
+        tracemalloc.start()
+        try:
+            statistic = penetration_statistic(sol, lower)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert statistic == pytest.approx(sol.meta.penetration_lower) and statistic > 0.0
+        assert peak < sol.Y.nbytes

@@ -189,9 +189,10 @@ class TestSweepKernel:
         public = implicit_double_step(a, -np.inf if lower is None else lower,
                                       np.inf if upper is None else upper, rate)
         # the sweep's call: the candidate row is solved in place and the
-        # signed pushes go into a zeroed row of dK
+        # pushes of the paths in contact come back in path order
         row, dk = a.copy(), np.zeros(_N)
-        _reflect(row, lower, upper, rate, dk)
+        contact, push = _reflect(row, lower, upper, rate)
+        dk[contact] = push
         kernel = row, np.maximum(dk, 0.0), np.maximum(-dk, 0.0)
         reference = _full_array_step(a, lower, upper, rate)
         for got, swept, want in zip(public, kernel, reference):
@@ -227,11 +228,15 @@ class TestPushDirection:
         barrier, a = self._near(side)
         row, dk = a.copy(), np.zeros(a.size)
         if side == "lower":
-            _reflect(row, barrier, None, self._RATE, dk)
+            contact, push = _reflect(row, barrier, None, self._RATE)
+            dk[contact] = push
             assert np.all(dk >= 0.0) and np.all(row >= a)
         else:
-            _reflect(row, None, barrier, self._RATE, dk)
+            contact, push = _reflect(row, None, barrier, self._RATE)
+            dk[contact] = push
             assert np.all(dk <= 0.0) and np.all(row <= a)
+        # every candidate lies beyond its barrier
+        assert np.all(contact)
         assert np.array_equal(row - a, dk)
 
 
@@ -363,11 +368,11 @@ class TestSolveDouble:
         last = trace.levels[-1]
         assert last.mean_k_plus_T == float(sol.K_plus[:, -1].mean()) > 0.0
         assert last.mean_k_minus_T == float(sol.K_minus[:, -1].mean()) > 0.0
-        # beside Y and Z: the increments, one design, a step's working rows and xi
+        # beside Y and Z: the pushes' store, one design, a step's working rows and xi
         row = sc.mc_paths * 8
         held = peak - sol.Y.nbytes - sol.Z.nbytes
         step_rows = test_bdsde_solver.TestWorkingSet.STEP_ROWS
-        assert held < sol.dK.nbytes + (sol.meta.basis_size + step_rows + 1) * row
+        assert held < sol.pushes.nbytes + (sol.meta.basis_size + step_rows + 1) * row
 
     def test_lower_only_is_the_one_barrier_ladder(self, fast_cfg):
         sc = stopping_drift_scenario(paths=1000, steps=8)
