@@ -32,13 +32,13 @@ step and lose it at the rate sqrt(dt/T).
 """
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .condexp import Design, RegressionConfig, build_basis, condexp_fit_eval
+from .condexp import Design, RegressionConfig, build_basis, condexp_fit_eval, fitted_rows
 from .model import ObstacleSpec, Scenario, SolutionEnsemble, SolveMeta
-from .paths import NoisePaths, ObstacleGrid, obstacle_on_grid
+from .paths import NoisePaths, ObstacleGrid, _WRows, obstacle_on_grid
 from .pushes import SignedPushes
 
 
@@ -159,22 +159,112 @@ def _noise_matrix(spec, t, w, y, z, l: int) -> np.ndarray:
     return out
 
 
-def coefficient_steps(sol: SolutionEnsemble, s: Scenario, p: NoisePaths, lag: int) -> np.ndarray:
+class _BasisWalk:
+    """The regression state of the backward sweep, walked from the horizon
+    down.  ``advance(i)``, called for i = N-1, ..., 0 in turn, forms W's
+    row at t_i over the one (M, d) row ``w`` (which holds W_{i+1} until
+    then), adds dB_i to B_T - B_{t_i} (with ``cfg.include_dB``) and returns
+    each barrier's row; ``basis`` then builds step i's basis, the shaped
+    sides' rows among its columns, for all paths or a block of them.  The
+    sweep and every later read of Z walk this way, so both build each basis
+    from the same inputs by the same operations."""
+
+    def __init__(self, cfg: RegressionConfig, w: _WRows, db: np.ndarray | None,
+                 grids: ObstacleGrid, shaped: tuple[str, ...]):
+        m, n_plus_1 = w.shape
+        self.cfg, self.w_rows, self.db, self.grids, self.shaped = cfg, w, db, grids, shaped
+        self.w = w.row(n_plus_1 - 1, out=np.empty((m, w.increments.shape[2])))
+        self.remaining_db = np.zeros((m, db.shape[2])) if cfg.include_dB else None
+
+    def advance(self, i: int) -> dict:
+        """Step to grid time i; returns the barrier rows there, by side."""
+        w_now = self.w_rows.row(i, out=self.w)
+        if self.remaining_db is not None:
+            np.add(self.remaining_db, self.db[:, i, :], out=self.remaining_db)
+        return {side: self.grids.row(side, i, w_now) for side in self.grids.sides}
+
+    def basis(self, barriers: dict, paths: slice = slice(None)) -> np.ndarray:
+        """The basis of the step last advanced to, on ``paths``."""
+        db = None if self.remaining_db is None else self.remaining_db[paths]
+        return build_basis(self.cfg, self.w[paths], db,
+                           [barriers[side][paths] for side in self.shaped])
+
+
+@dataclass(frozen=True, eq=False)
+class ZFits:
+    """The Z of a sweep, held as what forms it again: per step i the
+    z-fit's (B, d) coefficients beta_i, and the sweep's inputs to step i's
+    basis A_i, which it keeps alive: W's increments and marks, dB when the
+    basis has dB columns, the obstacle grid and its shaped sides.  Z_i is
+    the fitted value A_i beta_i / dt, formed by the sweep's product and
+    division, so each row has the sweep's bits."""
+
+    coefficients: list       # per step, (B, d)
+    cfg: RegressionConfig
+    dt: float
+    w: _WRows
+    db: np.ndarray | None    # (M, N, l), or None without dB columns
+    grids: ObstacleGrid
+    shaped: tuple[str, ...]
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        """(M, N, d)."""
+        n, m, d = self.w.increments.shape
+        return m, n, d
+
+    @property
+    def nbytes(self) -> int:
+        """The bytes of the coefficients; the arrays the store keeps alive
+        are the paths'."""
+        return sum(beta.nbytes for beta in self.coefficients)
+
+    def rows(self):
+        """Z's (M, d) rows, from step N-1 back to step 0, as (i, row), each
+        in one buffer that the next row overwrites.  Each row rebuilds its
+        step's basis one block of paths at a time and forms the fitted
+        values as the sweep's fit did, through ``fitted_rows`` on the same
+        blocks, then divides by dt as the sweep did: each row has the
+        sweep's bits, and a read holds one block's basis."""
+        m, n, d = self.shape
+        walk = _BasisWalk(self.cfg, self.w, self.db, self.grids, self.shaped)
+        row = np.empty((m, d))
+        for i in range(n - 1, -1, -1):
+            barriers = walk.advance(i)
+            fitted_rows(self.coefficients[i], m, lambda paths: walk.basis(barriers, paths), out=row.T)
+            np.divide(row, self.dt, out=row)
+            del barriers  # not held while the next row's walk advances
+            yield i, row
+
+
+def coefficient_steps(sol: SolutionEnsemble, s: Scenario, p: NoisePaths, lag: int,
+                      martingale: bool = False) -> np.ndarray:
     """F dt + G . dB_j for each path and step j, with the driver F and the
     noise coefficient G re-evaluated along the solution at grid index
-    j + lag (0 or 1); Z after the last step is taken as zero.  Returns M x N,
-    a view of N contiguous step rows."""
-    m, n = s.mc_paths, s.grid.steps
+    j + lag (0 or 1); Z after the last step is taken as zero.  With
+    ``martingale`` each step also has Z_j . dW_j subtracted.  Returns M x N,
+    a view of N contiguous step rows, filled from the last step back as Z's
+    rows are read, each row once."""
+    m, n, d = s.mc_paths, s.grid.steps, s.dims.d
     times = s.grid.times
     steps = np.empty((n, m))
-    w = np.empty((m, s.dims.d))
-    for j in range(n):
+    w = np.empty((m, d))
+
+    def fill(j: int, z: np.ndarray) -> None:
         k = j + lag
-        y, w = sol.Y[:, k], p.w_row(k, out=w)
-        z = sol.Z[:, k, :] if k < n else np.zeros((m, s.dims.d))
-        f = s.driver.evaluate(times[k], w, y, z)
-        g = _noise_matrix(s.noise_coeff, times[k], w, y, z, s.dims.l)
-        steps[j] = f * s.grid.dt + np.einsum("ml,ml->m", g, p.dB[:, j, :])
+        y, w_k = sol.Y[:, k], p.w_row(k, out=w)
+        # F and G are not bound to names, so neither is held while the
+        # next row of Z is formed
+        steps[j] = s.driver.evaluate(times[k], w_k, y, z) * s.grid.dt + np.einsum(
+            "ml,ml->m", _noise_matrix(s.noise_coeff, times[k], w_k, y, z, s.dims.l), p.dB[:, j, :])
+
+    if lag:
+        fill(n - 1, np.zeros((m, d)))
+    for i, z in sol.z_rows():
+        if i >= lag:
+            fill(i - lag, z)
+        if martingale:
+            steps[i] -= np.einsum("md,md->m", z, p.dW[:, i, :])
     return steps.T
 
 
@@ -195,8 +285,11 @@ def solve_backward(
     the design.  Each step forms each barrier's row once, for its basis,
     its reflection and the penetration.
 
-    The sweep stores Y and Z time first, one contiguous row per grid time
-    or step, and returns them as (M, ...) views.  The reflection of step i
+    The sweep stores Y time first, one contiguous row per grid time, and
+    returns it as an (M, N+1) view.  Of Z it holds one row, and stores each
+    step's z-fit coefficients in a ``ZFits``, from which the ensemble forms
+    Z where it is read; the ensemble keeps the W increments and marks
+    alive, and dB when the basis has dB columns.  The reflection of step i
     returns the paths in contact and their signed pushes, dK+ - dK-, and
     ``SignedPushes`` keeps them as step i's packed contact bits and the
     pushes in path order; dK, K+ and K- are formed from that store where
@@ -221,37 +314,39 @@ def solve_backward(
         raise ValueError("the penalty rate must be >= 0")  # NaN fails too
 
     y_all = np.empty((n + 1, m))
-    z_all = np.zeros((n, m, d))
     residual_rms = np.zeros((n, 2 + d))
 
     y_all[n] = grids.xi
-    # B_T - B_{t_i}, summed backward one increment per step
-    remaining_db = np.zeros((m, l)) if cfg.include_dB else None
-
     sides = grids.sides
+    # W's row, B_T - B_{t_i} and each step's basis
+    walk = _BasisWalk(cfg, p._w, p.dB if cfg.include_dB else None, grids,
+                      s.obstacles.shaped_sides())
+    # one row of Z: Z_{i+1} on entry to step i, read by its targets, then
+    # Z_i; of Z the sweep keeps each step's z-fit coefficients
+    z_row = np.zeros((m, d))
+    z_coefficients = [None] * n
     # each step's contact and pushes; with no barrier there is no store
     pushes = SignedPushes(m, n) if sides else None
-    # per path, the largest (L - Y)^+ and (Y - U)^+ over the rows solved so
-    # far; the horizon row adds nothing, as _checked_grid holds L_T <= xi <= U_T
-    shortfall = np.zeros(m)
-    overshoot = np.zeros(m)
-    shaped = s.obstacles.shaped_sides()
+    # per path and barrier, the largest (L - Y)^+ or (Y - U)^+ over the rows
+    # solved so far; the horizon row adds nothing, as _checked_grid holds
+    # L_T <= xi <= U_T
+    excess = {side: np.zeros(m) for side in sides}
     # a driver of the state alone gives every Picard iteration the same row
     picard = min(picard_iters, 1) if s.driver.depends_on_state_only() else picard_iters
 
     previous = None  # the last step's design
 
-    def step(i: int, w: np.ndarray) -> None:
-        """Solve row i of Y and Z, and step i's pushes, from row i + 1 of Y
-        and Z.  ``w`` holds W's row at t_{i+1} on entry, which only the
-        step's targets read, and at t_i from then on.  The targets, fitted
-        rows and residuals the step forms are released on return, and its
-        design, kept in ``previous``, as soon as the next step has built its
-        basis."""
+    def step(i: int) -> None:
+        """Solve row i of Y, Z's row at t_i and step i's pushes, from row
+        i + 1 of Y and Z.  The walk's row of W and ``z_row`` hold W_{i+1}
+        and Z_{i+1} on entry, which only the step's targets read, and W_i
+        and Z_i from then on.  The targets, fitted rows and residuals the
+        step forms are released on return, and its design, kept in
+        ``previous``, as soon as the next step has built its basis."""
         nonlocal previous
         t_next = times[i + 1]
         y_next = y_all[i + 1]
-        z_next = z_all[i + 1] if i + 1 < n else np.zeros((m, d))
+        w, z_next = walk.w, z_row
         d_w, d_b = p.dW[:, i, :], p.dB[:, i, :]
 
         # Stage 1's two targets, the continuation target and the drift at
@@ -262,11 +357,9 @@ def solve_backward(
             out=targets[0])
         targets[1] = s.driver.evaluate(t_next, w, y_next, z_next)
 
-        w_now = p.w_row(i, out=w)
-        if remaining_db is not None:
-            np.add(remaining_db, d_b, out=remaining_db)
-        barriers = {side: grids.row(side, i, w_now) for side in sides}
-        basis = build_basis(cfg, w_now, remaining_db, [barriers[side] for side in shaped])
+        barriers = walk.advance(i)
+        basis = walk.basis(barriers)
+        w_now = walk.w
         # The last design goes only once this basis is built.  Freed before,
         # its memory joined the free top of the heap, which the allocator
         # returned to the system, and the next basis was faulted in again:
@@ -286,8 +379,8 @@ def solve_backward(
         # conditional mean, which otherwise dominates the target variance.
         z_targets = (continuation_target - rough[:, 0])[:, None] * d_w
         z_fitted, z_fit = condexp_fit_eval(z_targets, design)
-        z_now = z_all[i]
-        np.divide(z_fitted, dt, out=z_now)
+        z_now = np.divide(z_fitted, dt, out=z_row)
+        z_coefficients[i] = z_fit.coefficients
 
         # Stage 3: final continuation with the martingale part Z.dW taken
         # out of the target (zero conditional mean, most of the variance),
@@ -311,17 +404,13 @@ def solve_backward(
             pushes.put(i, *_reflect(y_now, barriers.get("lower"), barriers.get("upper"), rate))
         if not np.all(np.isfinite(y_now)):
             raise NonFiniteError(f"solver produced non-finite values at step {i}")
-        if "lower" in barriers:
-            np.maximum(shortfall, barriers["lower"] - y_now, out=shortfall)
-        if "upper" in barriers:
-            np.maximum(overshoot, y_now - barriers["upper"], out=overshoot)
+        for side, sup in excess.items():
+            beyond = barriers[side] - y_now if side == "lower" else y_now - barriers[side]
+            np.maximum(sup, beyond, out=sup)
         previous = design
 
-    # one row of W, allocated once: each step reads W_{i+1} there and then
-    # forms W_i over it from W's marks, for itself and the next step
-    w = p.w_row(n, out=np.empty((m, d)))
     for i in range(n - 1, -1, -1):
-        step(i, w)
+        step(i)
 
     one_barrier = "projected" if np.isinf(level) else "penalized"
     meta = SolveMeta(
@@ -332,11 +421,10 @@ def solve_backward(
         picard_iters=picard_iters,
         regression=cfg,
         residual_rms=residual_rms,
-        penetration_lower=float(np.mean(shortfall ** 2)),
-        penetration_upper=float(np.mean(overshoot ** 2)),
+        **{f"penetration_{side}": float(np.mean(sup ** 2)) for side, sup in excess.items()},
     )
-    return SolutionEnsemble(Y=y_all.T, Z=z_all.transpose(1, 0, 2), pushes=pushes, meta=meta,
-                            obstacle_grid=grids)
+    z = ZFits(z_coefficients, cfg, dt, walk.w_rows, walk.db, grids, walk.shaped)
+    return SolutionEnsemble(Y=y_all.T, z_store=z, pushes=pushes, meta=meta, obstacle_grid=grids)
 
 
 def solve_bdsde(
@@ -346,6 +434,8 @@ def solve_bdsde(
     picard_iters: int = 2,
 ) -> SolutionEnsemble:
     """Solve the unreflected terminal-value equation; obstacles, if any, are
-    ignored and both reflection processes come back identically zero."""
+    ignored and both reflection processes come back identically zero.  The
+    ensemble keeps the increments of ``p`` alive, to form Z where it is
+    read (``ZFits``)."""
     s = replace(s, obstacles=ObstacleSpec())
     return solve_backward(s, p, cfg or RegressionConfig(), picard_iters, _checked_grid(s, p))

@@ -258,16 +258,20 @@ def _solve_for_config(spec: RunSpec, paths):
                         schedule=spec.schedule)
 
 
-def _write_timeseries(path: Path, sc: Scenario, sol, k: dict, walks: dict) -> None:
+def _write_timeseries(path: Path, sc: Scenario, sol, walks: dict) -> None:
     """Per grid time: Y, Z and K means and each side's mean squared excess,
-    read off that side's row walk; a side without a barrier writes 0.  ``k``
-    holds each side's K, formed once by the caller."""
+    read off that side's row walk with K's means; a side without a barrier
+    writes 0.  Z's rows are read once, from the last step back."""
     times = sc.grid.times
     m, n = sc.mc_paths, sc.grid.steps
     header = ["t", "Y_mean", "Y_se"]
     header += [f"Z_mean_{k}" for k in range(sc.dims.d)]
     header += ["K_plus_mean", "K_minus_mean", "penetration_lower", "penetration_upper"]
-    columns = [walks[side].mean_sq_excess for side in ("lower", "upper")]
+    z_means = [[""] * sc.dims.d for _ in range(n + 1)]
+    for i, z in sol.z_rows():
+        z_means[i] = [_fmt(z[:, c].mean()) for c in range(sc.dims.d)]
+    columns = [walks[side].mean_k for side in ("lower", "upper")]
+    columns += [walks[side].mean_sq_excess for side in ("lower", "upper")]
 
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -275,11 +279,7 @@ def _write_timeseries(path: Path, sc: Scenario, sol, k: dict, walks: dict) -> No
         for i in range(n + 1):
             y_i = sol.Y[:, i]
             row = [_fmt(times[i]), _fmt(y_i.mean()), _fmt(y_i.std(ddof=1) / np.sqrt(m))]
-            if i < n:
-                row += [_fmt(sol.Z[:, i, c].mean()) for c in range(sc.dims.d)]
-            else:
-                row += [""] * sc.dims.d
-            row += [_fmt(k[side][:, i].mean()) for side in ("lower", "upper")]
+            row += z_means[i]
             row += [_fmt(column[i]) for column in columns]
             writer.writerow(row)
 
@@ -294,11 +294,9 @@ def cmd_run(config_path: str, out: Path) -> int:
     sol, trace = _solve_for_config(spec, _prepare(spec))
     grids = sol.obstacle_grid
     se = diagnostics.regression_se(sol)
-    # each side's K, formed once the solve has released the paths, serves
-    # every reader below
-    k = {side: sol.k(side) for side in ("lower", "upper")}
-    # one walk over the time rows per side; a side without a barrier checks only its K
-    walks = {side: _walk_rows(sol.Y, k[side], grids if side in grids.sides else None,
+    # one walk over the time rows of Y and K per side, which serves every
+    # reader of K below; a side without a barrier checks only its K
+    walks = {side: _walk_rows(sol.Y, sol.k_rows(side), grids if side in grids.sides else None,
                               side, 3.0 * se) for side in ("lower", "upper")}
 
     y0 = sol.Y[:, 0]
@@ -309,7 +307,7 @@ def cmd_run(config_path: str, out: Path) -> int:
     for side in grids.sides:
         walk, suffix = walks[side], _SUFFIX[side]
         mean_res = float(np.abs(walk.flat_off).mean())
-        tol = 5.0 * sc.grid.dt * float(k[side][:, -1].mean())
+        tol = 5.0 * sc.grid.dt * float(walk.mean_k[-1])
         verdicts["skorohod" + suffix] = {
             "mean_abs_residual": mean_res,
             "tolerance": tol,
@@ -326,8 +324,8 @@ def cmd_run(config_path: str, out: Path) -> int:
         "converged": trace.converged,
         "Y0_mean": float(y0.mean()),
         "Y0_se": float(y0.std(ddof=1) / np.sqrt(sc.mc_paths)),
-        "mean_K_plus_T": float(k["lower"][:, -1].mean()),
-        "mean_K_minus_T": float(k["upper"][:, -1].mean()),
+        "mean_K_plus_T": float(walks["lower"].mean_k[-1]),
+        "mean_K_minus_T": float(walks["upper"].mean_k[-1]),
         "penetration_trace": [asdict(stat) for stat in trace.levels],
         "diagnostics": verdicts,
         "meta": {
@@ -340,7 +338,7 @@ def cmd_run(config_path: str, out: Path) -> int:
         },
     }
     _write_json(out / "summary.json", summary)
-    _write_timeseries(out / "timeseries.csv", sc, sol, k, walks)
+    _write_timeseries(out / "timeseries.csv", sc, sol, walks)
     return 0 if trace.converged else 3
 
 

@@ -231,6 +231,38 @@ class Design:
         return self.matrix.shape
 
 
+# Every fitted-rows product is formed over this many blocks of paths, or
+# fewer, each a multiple of 64 paths long but for the last
+_PATH_BLOCKS = 16
+
+
+def path_blocks(m: int, b: int) -> list[slice]:
+    """The slices of M paths over which a fitted-rows product on B columns
+    is formed: about M/16 paths each, at least B, rounded up to a multiple
+    of 64.  A last block shorter than B joins the one before it, so that
+    with M >= B no block's basis is underdetermined."""
+    size = 64 * -(-max(-(-m // _PATH_BLOCKS), b) // 64)
+    starts = list(range(0, m, size))
+    if len(starts) > 1 and m - starts[-1] < b:
+        starts.pop()
+    return [slice(start, stop) for start, stop in zip(starts, starts[1:] + [m])]
+
+
+def fitted_rows(beta: np.ndarray, m: int, basis, out: np.ndarray | None = None) -> np.ndarray:
+    """The fitted values of (B, k) coefficients on M paths, as a (k, M)
+    array, ``out`` if given.  ``basis(paths)`` returns the design matrix's
+    rows on a slice of ``path_blocks(m, B)``, and each block's product is
+    formed on its own.  Every fit forms its fitted values here, on its
+    design's rows, and so does every later read of a stored fit, on a basis
+    it builds for one block at a time: the same products on the same
+    blocks, so a read has the fit's bits and holds one block's basis."""
+    if out is None:
+        out = np.empty((beta.shape[1], m))
+    for paths in path_blocks(m, beta.shape[0]):
+        out[:, paths] = beta.T @ basis(paths).T
+    return out
+
+
 def condexp_fit_eval(targets: np.ndarray, design: Design) -> tuple[np.ndarray, RegressionFit]:
     """Project targets onto the design's columns by (ridge) least squares,
     min |A beta - y|^2 + ridge |beta|^2.
@@ -257,10 +289,10 @@ def condexp_fit_eval(targets: np.ndarray, design: Design) -> tuple[np.ndarray, R
     half = np.linalg.solve(design.factor, scale * products.T)
     beta = scale * np.linalg.solve(design.factor.T, half)
 
-    fitted_rows = beta.T @ design.matrix.T
-    residual = rows - fitted_rows
+    fitted = fitted_rows(beta, rows.shape[1], lambda paths: design.matrix[paths])
+    residual = rows - fitted
     residual_norm = np.sqrt(np.einsum("ji,ji->j", residual, residual))
-    fitted = fitted_rows.T
+    fitted = fitted.T
     fit = RegressionFit(
         coefficients=beta[:, 0] if squeeze else beta,
         residual_norm=residual_norm,

@@ -80,11 +80,18 @@ def check_dK_comparison(
     up at least as much by a lower barrier, dK+_A >= dK+_B - epsilon, and
     down no more by an upper one, dK-_A <= dK-_B + epsilon, on at least 99%
     of steps, with epsilon 3 pooled standard errors.  The ensembles must
-    come from the same seed."""
+    come from the same seed.  K is read one time row at a time."""
     epsilon = _comparison_epsilon(sol_a, sol_b)
-    dk_a, dk_b = (np.diff(sol.k(side), axis=1) for sol in (sol_a, sol_b))
-    wrong = dk_a < dk_b - epsilon if side == "lower" else dk_a > dk_b + epsilon
-    fraction = float(np.mean(wrong))
+    # the pushes of step j as K_{j+1} - K_j, from K's rows read in turn
+    rows = zip(sol_a.k_rows(side), sol_b.k_rows(side))
+    k_a, k_b = next(rows)
+    wrong = 0
+    for next_a, next_b in rows:
+        dk_a, dk_b = next_a - k_a, next_b - k_b
+        wrong += np.count_nonzero(dk_a < dk_b - epsilon if side == "lower" else dk_a > dk_b + epsilon)
+        k_a, k_b = next_a, next_b
+    m, n_plus_1 = sol_a.Y.shape
+    fraction = float(wrong / (m * (n_plus_1 - 1)))
     return ComparisonResult(violation_fraction=fraction, epsilon=epsilon, passed=fraction <= 0.01)
 
 
@@ -102,8 +109,9 @@ def apriori_statistic(sol: SolutionEnsemble, s: Scenario) -> AprioriStatistic:
     """Solution energy against the data energy: the bound between them holds
     with an unknown constant, so suites assert ratio stability, not a value.
     The terminal and barrier data are read from the solver's obstacle grid,
-    and every barrier in it adds its term to the data energy.  Y, Z and the
-    barriers are read one time row at a time, and of K only K_T is formed."""
+    and every barrier in it adds its term to the data energy.  Y, Z and
+    the barriers are read one time row at a time (Z from the last step
+    back), and of K only K_T is formed."""
     grids = sol.obstacle_grid
     if grids is None:
         raise ValueError("the a priori statistic needs a solver's obstacle grid")
@@ -115,10 +123,10 @@ def apriori_statistic(sol: SolutionEnsemble, s: Scenario) -> AprioriStatistic:
     # excess of the zero process beyond it, (L^+) below and (U^-) above
     sup_y_sq, z_sq = np.zeros(m), np.zeros(m)
     sup_excess = {side: np.zeros(m) for side in grids.sides}
+    for _, z in sol.z_rows():
+        z_sq += np.sum(np.square(z), axis=1)
     for i in range(n + 1):
         np.maximum(sup_y_sq, np.square(sol.Y[:, i]), out=sup_y_sq)
-        if i < n:
-            z_sq += np.sum(np.square(sol.Z[:, i, :]), axis=1)
         for side, sup in sup_excess.items():
             np.maximum(sup, grids.excess(side, 0.0, i), out=sup)
 

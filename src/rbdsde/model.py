@@ -7,6 +7,7 @@ after construction and safe to share across threads.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
@@ -17,6 +18,7 @@ from .condexp import RegressionConfig
 from .pushes import SignedPushes
 
 if TYPE_CHECKING:
+    from .bdsde_solver import ZFits
     from .paths import ObstacleGrid
 
 # Coefficient kinds loadable from CLI configs.  "hook" is library-only.
@@ -290,37 +292,77 @@ class SolveMeta:
     penetration_upper: float = 0.0
 
 
+class _DenseZ:
+    """A Z held whole, (M, N, d), read by ``SolutionEnsemble`` like the
+    solver's ``ZFits``: for hand-built ensembles."""
+
+    def __init__(self, z):
+        self.z = np.asarray(z, dtype=float)
+        self.shape = self.z.shape
+        self.nbytes = self.z.nbytes
+
+    def rows(self):
+        for i in range(self.shape[1] - 1, -1, -1):
+            yield i, self.z[:, i, :]
+
+
 @dataclass(frozen=True, eq=False)
 class SolutionEnsemble:
-    """Per-path solution arrays: Y is M x (N+1) and Z is M x N x d.  The
-    signed reflection increments dK_j = dK+_j - dK-_j, the push of step j,
-    positive up from the lower barrier and negative down from the upper one
-    (at most one side pushes a path in a step), are held in ``pushes``, a
-    ``SignedPushes`` store of the paths each step pushed and their pushes,
-    or None where nothing can push, a solve without a barrier.  A hand-built
-    ensemble passes ``pushes=SignedPushes.of(dk)``.  A solver also returns
-    the terminal values and barriers it solved against.
+    """Per-path solution of a solve.  Y is stored, M x (N+1).  Z, M x N x d,
+    is held in ``z_store``: a solver's ``bdsde_solver.ZFits``, each step's
+    z-fit coefficients, from which each read of ``Z`` forms the whole array
+    and rebuilds each step's regression basis (``z_rows`` forms one row at
+    a time), and which keeps the paths' W increments and marks alive, and
+    dB when the basis has dB columns.  ``from_dense`` builds an ensemble on
+    a whole Z.  The signed reflection increments dK_j = dK+_j - dK-_j, the
+    push of step j, positive up from the lower barrier and negative down
+    from the upper one (at most one side pushes a path in a step), are held
+    in ``pushes``, a ``SignedPushes`` store of the paths each step pushed
+    and their pushes, or None where nothing can push, a solve without a
+    barrier.  A hand-built ensemble passes ``pushes=SignedPushes.of(dk)``.
+    A solver also returns the terminal values and barriers it solved
+    against.
 
-    Nothing dense of the reflection is stored: each read of ``dK`` forms
-    the M x N array, and each read of ``K_plus``, ``K_minus`` or ``k`` forms
-    the reflection process, M x (N+1) and nondecreasing from zero, K_0 = 0
-    and K_{j+1} = K_j + max(+-dK_j, 0), one time row after another, adding
-    only at the paths step j pushed.  Read it once; ``k_terminal`` forms
-    K_T alone.  The K of a side without a barrier in ``obstacle_grid`` is
-    zero."""
+    Nothing dense of Z or of the reflection is stored: each read of ``Z``
+    or ``dK`` forms the array, and each read of ``K_plus``, ``K_minus`` or
+    ``k`` forms the reflection process, M x (N+1) and nondecreasing from
+    zero, K_0 = 0 and K_{j+1} = K_j + max(+-dK_j, 0), one time row after
+    another (``k_rows``), adding only at the paths step j pushed.  Read
+    them once; ``k_terminal`` forms K_T alone.  The K of a side without a
+    barrier in ``obstacle_grid`` is zero."""
 
     Y: np.ndarray
-    Z: np.ndarray
+    z_store: ZFits | _DenseZ
     pushes: SignedPushes | None
     meta: SolveMeta
     obstacle_grid: ObstacleGrid | None = None
 
     def __post_init__(self):
         m, n_plus_1 = self.Y.shape
-        if self.Z.shape[0] != m or self.Z.shape[1] != n_plus_1 - 1:
+        if self.z_store.shape[:2] != (m, n_plus_1 - 1):
             raise ValueError("Z shape inconsistent with Y")
         if self.pushes is not None and (self.pushes.m, len(self.pushes.values)) != (m, n_plus_1 - 1):
             raise ValueError("pushes shape inconsistent with Y")
+
+    @classmethod
+    def from_dense(cls, Y, Z, pushes, meta, obstacle_grid=None) -> "SolutionEnsemble":
+        """An ensemble on a whole M x N x d Z, for hand-built ensembles."""
+        return cls(Y, _DenseZ(Z), pushes, meta, obstacle_grid)
+
+    @property
+    def Z(self) -> np.ndarray:
+        """The M x N x d array, formed on each read, one basis per step;
+        ``[:, i, :]`` is a contiguous row."""
+        m, n, d = self.z_store.shape
+        z = np.empty((n, m, d))
+        for i, row in self.z_rows():
+            z[i] = row
+        return z.transpose(1, 0, 2)
+
+    def z_rows(self):
+        """Z's (M, d) rows from step N-1 back to step 0, as (i, row); a row
+        is valid until the next one is read."""
+        return self.z_store.rows()
 
     @property
     def dK(self) -> np.ndarray:
@@ -345,15 +387,26 @@ class SolutionEnsemble:
             np.maximum(values if side == "lower" else np.negative(values, out=push), 0.0, out=push)
             yield self.pushes.paths(j), push
 
+    def k_rows(self, side: str):
+        """The reflection process of the barrier on ``side``, K_0 = 0 to
+        K_N, one time row after another, each a new (M,) array."""
+        row = np.zeros(self.Y.shape[0])
+        yield row
+        steps = self._pushes(side)  # nothing for a side that never pushes
+        for _ in range(self.Y.shape[1] - 1):
+            row = row.copy()
+            for paths, push in itertools.islice(steps, 1):
+                np.add.at(row, paths, push)
+            yield row
+
     def k(self, side: str) -> np.ndarray:
         """The reflection process of the barrier on ``side``, formed on each
         call: K+ pushes up from the lower barrier, K- down from the upper
         one.  Held time first, so each ``[:, i]`` is a contiguous row."""
         m, n_plus_1 = self.Y.shape
-        k = np.zeros((n_plus_1, m))
-        for j, (paths, push) in enumerate(self._pushes(side)):
-            k[j + 1] = k[j]
-            np.add.at(k[j + 1], paths, push)
+        k = np.empty((n_plus_1, m))
+        for j, row in enumerate(self.k_rows(side)):
+            k[j] = row
         return k.T
 
     def k_terminal(self, side: str) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Independent reference solutions: closed forms, a recombining-lattice
-dynamic-programming value for the g = 0 specialisation, and stopping-rule
-lower bounds for the optimal-stopping representation of the reflected
-solution.
+dynamic-programming value for the g = 0 specialisation (one barrier, or a
+corridor of two), and stopping-rule lower bounds for the optimal-stopping
+representation of the one-barrier reflected solution.
 
 The lattice walks +-sqrt(dt) with probability 1/2 each, an entirely different
 discretisation from the Monte Carlo regression solver, which is what makes it
@@ -25,8 +25,20 @@ from .paths import NoisePaths
 STOPPING_PUT_DP_VALUE = 0.3989
 
 
-def lattice_scope_problem(s: Scenario) -> str | None:
-    """Why the lattice oracle cannot value ``s``, or None when it can."""
+def _lattice_levels(s: Scenario, lattice_steps: int):
+    """The lattice's levels k = lattice_steps - 1, ..., 0 below the
+    horizon, as (t, w): level k has k+1 nodes at w = (2j - k) sqrt(dt),
+    an M x 1 column."""
+    dt = s.grid.horizon / lattice_steps
+    sqrt_dt = math.sqrt(dt)
+    for k in range(lattice_steps - 1, -1, -1):
+        yield k * dt, ((2.0 * np.arange(k + 1) - k) * sqrt_dt)[:, None]
+
+
+def lattice_scope_problem(s: Scenario, lattice_steps: int = 2000) -> str | None:
+    """Why the lattice oracle cannot value ``s``, or None when it can.
+    With two barriers, they must not cross (L < U) at any node of the
+    ``lattice_steps``-step lattice below the horizon."""
     if s.noise_coeff.kind != "zero":
         return "the lattice oracle needs g = 0"
     if s.dims.d != 1:
@@ -35,19 +47,25 @@ def lattice_scope_problem(s: Scenario) -> str | None:
         s.driver.kind == "linear" and all(v == 0.0 for v in s.driver.param("a_z")))
     if not linear_in_y:
         return "the driver must be at most linear in y"
-    if s.obstacles.upper is not None:
-        return "the lattice oracle handles a lower obstacle only"
+    lower, upper = s.obstacles.lower, s.obstacles.upper
+    if lower is not None and upper is not None and any(
+            np.any(lower.evaluate(t, w) >= upper.evaluate(t, w))
+            for t, w in _lattice_levels(s, lattice_steps)):
+        return "the barriers cross (L >= U) at lattice nodes"
     return None
 
 
 def dp_stopping_value(s: Scenario, lattice_steps: int = 2000) -> float:
-    """Value at (t=0, W_0=0) by backward induction over all stopping
-    strategies on a recombining binomial lattice for W."""
-    problem = lattice_scope_problem(s)
-    if problem is not None:
-        raise ValueError(f"unsupported scenario: {problem}")
+    """Value at (t=0, W_0=0) by backward induction on a recombining
+    binomial lattice for W: over all stopping strategies, max(L, .) at
+    each node, for a lower barrier; min(U, .) for an upper one; and
+    min(U, max(L, .)) for a corridor, the discrete Dynkin game, whose
+    value is the doubly reflected solution (Cvitanic & Karatzas 1996)."""
     if lattice_steps < 1:
         raise ValueError("lattice_steps must be >= 1")
+    problem = lattice_scope_problem(s, lattice_steps)
+    if problem is not None:
+        raise ValueError(f"unsupported scenario: {problem}")
 
     dt = s.grid.horizon / lattice_steps
     sqrt_dt = math.sqrt(dt)
@@ -56,16 +74,15 @@ def dp_stopping_value(s: Scenario, lattice_steps: int = 2000) -> float:
     w = (2.0 * np.arange(lattice_steps + 1) - lattice_steps) * sqrt_dt
     values = s.terminal.evaluate(s.grid.horizon, w[:, None])
 
-    for k in range(lattice_steps - 1, -1, -1):
-        w = (2.0 * np.arange(k + 1) - k) * sqrt_dt
-        t = k * dt
+    for t, w_col in _lattice_levels(s, lattice_steps):
         cont = 0.5 * (values[:-1] + values[1:])
-        w_col = w[:, None]
         # two fixed-point passes resolve the y-dependence of the drift
         y_val = cont + s.driver.evaluate(t, w_col, cont, None) * dt
         y_val = cont + s.driver.evaluate(t, w_col, y_val, None) * dt
         if s.obstacles.lower is not None:
             y_val = np.maximum(s.obstacles.lower.evaluate(t, w_col), y_val)
+        if s.obstacles.upper is not None:
+            y_val = np.minimum(s.obstacles.upper.evaluate(t, w_col), y_val)
         values = y_val
 
     return float(values[0])

@@ -127,13 +127,19 @@ class NoisePaths:
     horizon, summed once when the paths are made (8 rows of 51 at N = 50),
     and ``w_row(i)`` forms any row from the kept one below it.  The state
     of B is summed only when read, because the solver reads B through its
-    increments."""
+    increments.  Both arrays are read-only views: W's kept rows are summed
+    from ``dW`` once, and a solution ensemble keeps the increments alive to
+    form Z again, so neither may change after the paths are made."""
 
     dW: np.ndarray       # (M, N, d)
     dB: np.ndarray       # (M, N, l)
     seed: int
 
     def __post_init__(self):
+        for name in ("dW", "dB"):
+            view = getattr(self, name).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
         object.__setattr__(self, "_w", _WRows.of(_path_major(self.dW)))
 
     @property

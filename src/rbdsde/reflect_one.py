@@ -44,7 +44,9 @@ def solve_penalized(
     level: float = 1.0,
 ) -> SolutionEnsemble:
     """One backward sweep penalizing every declared barrier at the fixed
-    rate ``level``; the per-step correction uses n_dt = level * dt."""
+    rate ``level``; the per-step correction uses n_dt = level * dt.  The
+    ensemble keeps the increments of ``p`` alive, to form Z where it is
+    read."""
     return solve_backward(s, p, cfg or RegressionConfig(), picard_iters, _checked_grid(s, p), level)
 
 
@@ -55,7 +57,9 @@ def solve_projected(
     picard_iters: int = 2,
 ) -> SolutionEnsemble:
     """Infinite-penalty limit: per step Y_i = min(U_i, max(a, L_i)) over the
-    declared barriers, and dK+ = (L_i - a)^+, dK- = (a - U_i)^+."""
+    declared barriers, and dK+ = (L_i - a)^+, dK- = (a - U_i)^+.  The
+    ensemble keeps the increments of ``p`` alive, to form Z where it is
+    read."""
     return solve_backward(s, p, cfg or RegressionConfig(), picard_iters, _checked_grid(s, p))
 
 
@@ -75,14 +79,17 @@ def solve_reflected(
 ) -> tuple[SolutionEnsemble, PenalizationTrace]:
     """Run the penalty ladder until the penetration statistic reaches the
     schedule tolerance; never aborts on exhaustion, it flags instead.  The
-    same call as ``reflect_two.solve_double``, kept under its own name."""
+    ensemble keeps the increments of ``p`` alive, to form Z where it is
+    read.  The same call as ``reflect_two.solve_double``, kept under its
+    own name."""
     return _run_ladder(s, p, cfg, picard_iters, schedule)
 
 
 def skorohod_residual(sol: SolutionEnsemble, obstacle: np.ndarray) -> np.ndarray:
     """Per-path sum of (Y_i - S_i) * (K_{i+1} - K_i): the flat-off-the-barrier
     condition, zero up to the penalty slack once converged."""
-    return _walk_rows(sol.Y, sol.K_plus, ObstacleGrid(xi=sol.Y[:, -1], lower=obstacle)).flat_off
+    grid = ObstacleGrid(xi=sol.Y[:, -1], lower=obstacle)
+    return _walk_rows(sol.Y, sol.k_rows("lower"), grid).flat_off
 
 
 def skorohod_sup_formula(sol: SolutionEnsemble, s: Scenario, p: NoisePaths) -> np.ndarray:
@@ -98,7 +105,7 @@ def skorohod_sup_formula(sol: SolutionEnsemble, s: Scenario, p: NoisePaths) -> n
                              "the sup formula ignores K- of an upper obstacle")
 
     # step_j = F_{j+1} dt + G_{j+1} . dB_j - Z_j . dW_j, pathwise
-    steps = coefficient_steps(sol, s, p, lag=1) - np.einsum("mnd,mnd->mn", sol.Z, p.dW)
+    steps = coefficient_steps(sol, s, p, lag=1, martingale=True)
 
     tails = np.zeros((m, n + 1))
     tails[:, :n] = np.cumsum(steps[:, ::-1], axis=1)[:, ::-1]

@@ -105,31 +105,43 @@ def solve_double(
     """Solve with every barrier the scenario declares, none, one on either
     side or both: level k of one penalty ladder penalizes each of them at
     the same rate.  Without a barrier this is ``solve_bdsde`` with an empty
-    trace.  The same call as ``solve_reflected``, kept under its own name."""
+    trace.  The ensemble keeps the increments of ``p`` alive, to form Z
+    where it is read.  The same call as ``solve_reflected``, kept under its
+    own name."""
     return _run_ladder(s, p, cfg, picard_iters, schedule)
 
 
 _RowWalk = namedtuple("_RowWalk", "flat_off sup_excess mean_sq_excess above_slack "
-                                   "k_nondecreasing_from_zero")
+                                   "k_nondecreasing_from_zero mean_k")
 
 
-def _walk_rows(y, k, grid: ObstacleGrid | None = None, side: str = "lower",
+def _walk_rows(y, k_rows, grid: ObstacleGrid | None = None, side: str = "lower",
                slack: float = np.inf) -> _RowWalk:
     """Walk the rows of Y, one side's K and that side's barrier in ``grid``
-    once.  Returns, per path, the flat-off sum sum_i -excess_i * dK_i and the
-    largest positive excess; per grid time, the mean squared positive excess;
-    the count of excesses above ``slack``; and whether K starts at zero and
-    never falls, the one check made without a barrier.  With ``k`` None the
-    K-only results, the flat-off sum and the K check, are None and nothing
-    of K is read.  Sums run row after row, as numpy sums the time axis of
-    the solver's time-major arrays."""
+    once; ``k_rows`` gives K's time rows in order, as
+    ``SolutionEnsemble.k_rows`` does.  Returns, per path, the flat-off sum
+    sum_i -excess_i * dK_i and the largest positive excess; per grid time,
+    the mean squared positive excess and K's mean; the count of excesses
+    above ``slack``; and whether K starts at zero and never falls, the one
+    check made without a barrier.  With ``k_rows`` None the K-only
+    results, the flat-off sum, the K check and K's means, are None and
+    nothing of K is read.  Sums run row after row, as numpy sums the time
+    axis of the solver's time-major arrays."""
     y_rows = y.T
-    k_rows = None if k is None else k.T
     rows, m = y_rows.shape
     flat, sup, mean_sq, above = np.zeros(m), np.zeros(m), np.zeros(rows), 0
-    monotone = k is not None and bool(np.all(k_rows[0] == 0.0))
+    k_rows = None if k_rows is None else iter(k_rows)
+    k_now = None if k_rows is None else next(k_rows)
+    mean_k = None if k_rows is None else np.zeros(rows)
+    monotone = k_rows is not None and bool(np.all(k_now == 0.0))
     for i in range(rows):
-        dk = k_rows[i + 1] - k_rows[i] if k is not None and i + 1 < rows else None
+        dk = None
+        if k_rows is not None:
+            mean_k[i] = k_now.mean()
+            if i + 1 < rows:
+                k_next = next(k_rows)
+                dk = k_next - k_now
+                k_now = k_next
         monotone = monotone and (dk is None or bool(np.all(dk >= 0)))
         if grid is None:
             continue
@@ -140,9 +152,9 @@ def _walk_rows(y, k, grid: ObstacleGrid | None = None, side: str = "lower",
         positive = np.maximum(excess, 0.0, out=excess)
         np.maximum(sup, positive, out=sup)
         mean_sq[i] = np.mean(np.square(positive, out=positive))
-    if k is None:
-        return _RowWalk(None, sup, mean_sq, above, None)
-    return _RowWalk(np.negative(flat, out=flat), sup, mean_sq, above, monotone)
+    if k_rows is None:
+        return _RowWalk(None, sup, mean_sq, above, None, None)
+    return _RowWalk(np.negative(flat, out=flat), sup, mean_sq, above, monotone, mean_k)
 
 
 def double_skorohod_residuals(
@@ -151,4 +163,5 @@ def double_skorohod_residuals(
     """Per-path flat-off-the-barrier sums for both reflection processes:
     sum (Y - L) dK_plus and sum (U - Y) dK_minus."""
     grid = ObstacleGrid(xi=sol.Y[:, -1], lower=lower, upper=upper)
-    return tuple(_walk_rows(sol.Y, sol.k(side), grid, side).flat_off for side in ("lower", "upper"))
+    return tuple(_walk_rows(sol.Y, sol.k_rows(side), grid, side).flat_off
+                 for side in ("lower", "upper"))

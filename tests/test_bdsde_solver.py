@@ -22,6 +22,7 @@ from rbdsde import (
     solve_bdsde,
     solve_reflected,
 )
+from rbdsde import bdsde_solver
 from rbdsde.bdsde_solver import _checked_grid, _noise_matrix, solve_backward
 from rbdsde.diagnostics import z_se_per_step
 from rbdsde.scenarios import (
@@ -210,6 +211,82 @@ class TestLayout:
         assert sol.K_minus.tobytes() == sol.k("upper").tobytes()
 
 
+def _z_corridor():
+    """A corridor in d = l = 2 with a shaped lower barrier, dB columns and a
+    driver of Z, solved at level 50: every input of a step's basis."""
+    sc = dataclasses.replace(
+        two_barrier_scenario(paths=3000, steps=6, width=0.8, drift=0.6),
+        dims=Dimensions(d=2, l=2),
+        driver=CoefficientSpec.linear(a_y=-0.2, a_z=(0.3, -0.1), c=0.6),
+        noise_coeff=CoefficientSpec.constant(0.2),
+        obstacles=ObstacleSpec(lower=CoefficientSpec.clamp(-2.0, -0.9),
+                               upper=CoefficientSpec.constant(0.8)))
+    return sc, RegressionConfig(degree_w=2, include_dB=True), 50.0
+
+
+class TestZStore:
+    """Z is held as each step's z-fit coefficients and formed where it is
+    read, by the sweep's basis walk and fitted-rows product."""
+
+    @pytest.mark.parametrize("case", ["constant_g", "corridor"])
+    def test_every_read_has_the_sweep_bits(self, monkeypatch, case):
+        if case == "constant_g":
+            # 5000 paths: the last of the path blocks is a partial one
+            sc = constant_g_scenario(paths=5000, steps=6, beta=0.3)
+            cfg, level = RegressionConfig(degree_w=4, include_dB=True), np.inf
+        else:
+            sc, cfg, level = _z_corridor()
+        p = generate_paths(sc)
+        fitted = []
+        fit = bdsde_solver.condexp_fit_eval
+
+        def recording(targets, design):
+            result = fit(targets, design)
+            fitted.append(result[0].copy())
+            return result
+
+        monkeypatch.setattr(bdsde_solver, "condexp_fit_eval", recording)
+        sol = solve_backward(sc, p, cfg, 2, _checked_grid(sc, p), level)
+        monkeypatch.undo()
+        n, dt = sc.grid.steps, sc.grid.dt
+        # each step fits rough, Z and continuation in turn, from the last step back
+        swept = {n - 1 - k: np.divide(z, dt) for k, z in enumerate(fitted[1::3])}
+        z = sol.Z
+        assert z.shape == (sc.mc_paths, n, sc.dims.d)
+        read = [i for i, row in sol.z_rows()
+                if row.tobytes() == swept[i].tobytes() == z[:, i, :].tobytes()]
+        assert read == list(range(n - 1, -1, -1))
+
+    def test_the_paths_a_store_keeps_are_read_only(self):
+        sc, cfg, level = _z_corridor()
+        p = generate_paths(sc)
+        sol = solve_backward(sc, p, cfg, 2, _checked_grid(sc, p), level)
+        for kept in (p.dW, p.dB, sol.z_store.w.increments, sol.z_store.db):
+            with pytest.raises(ValueError, match="read-only"):
+                kept[0, 0, 0] = 1.0
+
+    def test_store_keeps_the_coefficients_and_what_forms_the_basis(self):
+        sc, cfg, level = _z_corridor()
+        p = generate_paths(sc)
+        sol = solve_backward(sc, p, cfg, 2, _checked_grid(sc, p), level)
+        store = sol.z_store
+        assert len(store.coefficients) == sc.grid.steps
+        assert all(beta.shape == (sol.meta.basis_size, sc.dims.d) for beta in store.coefficients)
+        assert store.w is p._w and store.db is p.dB and store.shaped == ("lower",)
+        # without dB columns the store does not keep dB alive
+        plain = solve_bdsde(sc, p, RegressionConfig(degree_w=2, include_dB=False))
+        assert plain.z_store.db is None and plain.z_store.shaped == ()
+
+    def test_hand_built_dense_z_reads_back(self):
+        sc = constant_g_scenario(paths=200, steps=4)
+        sol = solve_bdsde(sc, generate_paths(sc))
+        dense = rbdsde.SolutionEnsemble.from_dense(sol.Y, sol.Z, sol.pushes, sol.meta)
+        assert dense.Z.tobytes() == sol.Z.tobytes()
+        assert dense.z_store.nbytes == sol.Z.nbytes
+        with pytest.raises(ValueError, match="Z shape inconsistent with Y"):
+            rbdsde.SolutionEnsemble.from_dense(sol.Y, sol.Z[:, 1:], sol.pushes, sol.meta)
+
+
 class TestWorkingSet:
     """A sweep holds one step's work at a time."""
 
@@ -231,7 +308,7 @@ class TestWorkingSet:
         # without a barrier nothing can push, and no store is allocated
         assert sol.pushes is None
         assert sol.dK.shape == (sc.mc_paths, sc.grid.steps) and not np.any(sol.dK)
-        held = peak - sol.Y.nbytes - sol.Z.nbytes
+        held = peak - sol.Y.nbytes - sol.z_store.nbytes
         # a design of 9 columns; a sweep that builds each basis while it
         # still holds the last step's design and rows reads about 30 rows
         assert sol.meta.basis_size == 9
@@ -260,8 +337,37 @@ class TestWorkingSet:
         assert pushed < 0.05 * m * n
         assert sol.pushes.nbytes < 0.1 * m * n * 8
         row = m * 8
-        held = peak - sol.Y.nbytes - sol.Z.nbytes
+        held = peak - sol.Y.nbytes - sol.z_store.nbytes
         assert held < sol.pushes.nbytes + (sol.meta.basis_size + self.STEP_ROWS) * row
+
+    def test_sweep_holds_no_whole_z(self):
+        # 30 steps, so a stored (M, N, d) Z would take 30 rows of M numbers:
+        # the sweep keeps one row of Z and each step's B x d coefficients
+        sc = constant_g_scenario(paths=20_000, steps=30, beta=0.3)
+        p = generate_paths(sc)
+        grids = _checked_grid(sc, p)
+        tracemalloc.start()
+        try:
+            sol = solve_backward(sc, p, RegressionConfig(degree_w=4, include_dB=True), 2, grids)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        b, n = sol.meta.basis_size, sc.grid.steps
+        assert sol.z_store.nbytes == n * b * sc.dims.d * 8
+        assert peak - sol.Y.nbytes < (b + self.STEP_ROWS) * sc.mc_paths * 8
+
+    def test_a_read_of_z_holds_a_few_rows(self):
+        sc = constant_g_scenario(paths=20_000, steps=10, beta=0.3)
+        sol = solve_bdsde(sc, generate_paths(sc), RegressionConfig(degree_w=4, include_dB=True))
+        tracemalloc.start()
+        try:
+            for _ in sol.z_rows():
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # W's row, B_T - B_{t_i}, Z's row and one block's basis, not 9 rows
+        assert peak < 4 * sc.mc_paths * 8
 
     @pytest.mark.parametrize("driver, state_only", [
         (CoefficientSpec.linear(a_w=0.5, c=0.1), True),

@@ -474,7 +474,7 @@ class TestBarrierSets:
         grids, dt = sol.obstacle_grid, spec.scenario.grid.dt
         se = rbdsde.regression_se(sol)
         for side in grids.sides:
-            walk = reflect_two._walk_rows(sol.Y, sol.k(side), grids, side, 3.0 * se)
+            walk = reflect_two._walk_rows(sol.Y, sol.k_rows(side), grids, side, 3.0 * se)
             # the (M, N+1) formulas that the walk over time rows replaces
             k = sol.k(side)
             excess = grids.excess(side, sol.Y)
@@ -515,22 +515,23 @@ class TestBarrierSets:
             k = np.ascontiguousarray(k.T).T
             y = np.zeros_like(k)
             grid = rbdsde.ObstacleGrid(xi=y[:, -1], lower=np.full_like(k, -1.0))
-            assert reflect_two._walk_rows(y, k).k_nondecreasing_from_zero is verdict
-            assert reflect_two._walk_rows(y, k, grid).k_nondecreasing_from_zero is verdict
+            assert reflect_two._walk_rows(y, k.T).k_nondecreasing_from_zero is verdict
+            assert reflect_two._walk_rows(y, k.T, grid).k_nondecreasing_from_zero is verdict
 
     def test_k_check_reads_the_side_without_a_barrier(self, tmp_path, monkeypatch):
-        form = rbdsde.SolutionEnsemble.k
+        form = rbdsde.SolutionEnsemble.k_rows
 
         def falling_k_minus(sol, side):
-            k = form(sol, side)
-            if side == "upper":
-                k[0, 3] = 1.0  # K- rises at step 3 and falls back at step 4
-            return k
+            for j, row in enumerate(form(sol, side)):
+                if side == "upper" and j == 3:
+                    row = row.copy()
+                    row[0] = 1.0  # K- rises at step 3 and falls back at step 4
+                yield row
 
         path = _write(tmp_path, "c.json", _linear_config("lower"))
         verdict = {}
         for name, former in (("kept", form), ("corrupted", falling_k_minus)):
-            monkeypatch.setattr(rbdsde.SolutionEnsemble, "k", former)
+            monkeypatch.setattr(rbdsde.SolutionEnsemble, "k_rows", former)
             assert main(["run", path, "--out", str(tmp_path / name)]) == 0
             summary = json.loads((tmp_path / name / "summary.json").read_text())
             assert "skorohod_upper" not in summary["diagnostics"]
@@ -576,14 +577,14 @@ class TestBarrierSets:
         assert [(r["penetration_upper"], r["K_minus_T_mean"]) for r in upper] == \
             [(r["penetration_lower"], r["K_plus_T_mean"]) for r in lower]
 
-    def test_upper_only_oracle_check_is_unsupported(self, tmp_path, capsys):
+    def test_upper_only_oracle_check_is_supported(self, tmp_path):
+        # the lattice clamps at U: a barrier above the constant terminal 5 never binds
         cfg = _base_config(obstacle={"lower": "absent",
                                      "upper": {"kind": "constant", "params": {"value": 10.0}}})
         out = tmp_path / "o"
-        assert main(["oracle-check", _write(tmp_path, "c.json", cfg), "--out", str(out)]) == 4
-        assert ("oracle unsupported: the lattice oracle handles a lower obstacle only"
-                in capsys.readouterr().err)
-        assert json.loads((out / "oracle.json").read_text()) == {"status": "unsupported"}
+        assert main(["oracle-check", _write(tmp_path, "c.json", cfg), "--out", str(out)]) == 0
+        payload = json.loads((out / "oracle.json").read_text())
+        assert payload["dp_value"] == 5.0 and payload["relative_gap"] < 1e-10
 
 
 class TestOracleCheckCommand:
@@ -610,6 +611,33 @@ class TestOracleCheckCommand:
         assert main(["oracle-check", cfg_path, "--out", str(out)]) == 0
         payload = json.loads((out / "oracle.json").read_text())
         assert payload["relative_gap"] <= 0.02
+
+    @pytest.mark.parametrize("lower, upper", [(-1.0, 1.0), (-0.2, 0.6)])
+    def test_corridor_is_checked_against_the_lattice(self, tmp_path, lower, upper):
+        # g = 0 with both barriers: an exit 0 or 1 with a verdict, not 4
+        cfg = _base_config(
+            terminal={"kind": "clamp", "params": {"lo": lower, "hi": upper}},
+            driver={"kind": "constant", "params": {"value": 0.5}},
+            obstacle={"lower": {"kind": "constant", "params": {"value": lower}},
+                      "upper": {"kind": "constant", "params": {"value": upper}}},
+            regression={"degree_w": 3, "include_dB": False, "ridge": 1e-10},
+        )
+        out = tmp_path / "o"
+        code = main(["oracle-check", _write(tmp_path, "c.json", cfg), "--out", str(out)])
+        payload = json.loads((out / "oracle.json").read_text())
+        assert code == (0 if payload["pass"] else 1)
+        assert payload["pass"] == (payload["relative_gap"] <= 0.02)
+
+    def test_crossing_barriers_are_unsupported_exit_4(self, tmp_path, capsys):
+        # exp(W) reaches the upper barrier 3 at lattice nodes with W >= log 3
+        cfg = _base_config(
+            terminal={"kind": "constant", "params": {"value": 2.0}},
+            obstacle={"lower": {"kind": "exponential", "params": {"scale": 1.0}},
+                      "upper": {"kind": "constant", "params": {"value": 3.0}}})
+        out = tmp_path / "o"
+        assert main(["oracle-check", _write(tmp_path, "c.json", cfg), "--out", str(out)]) == 4
+        assert "barriers cross (L >= U) at lattice nodes" in capsys.readouterr().err
+        assert json.loads((out / "oracle.json").read_text()) == {"status": "unsupported"}
 
     def test_nonzero_g_unsupported_exit_4(self, tmp_path, capsys):
         cfg = _base_config()
@@ -903,3 +931,61 @@ def test_any_file_system_state_gives_a_contract_code(command, config_state, out_
             lines = err.splitlines()
             assert len(lines) == 1 and lines[0].startswith("validation: ")
             assert str(config) in lines[0] or str(out) in lines[0]
+
+
+class TestRowWiseReads:
+    """``run`` and ``compare`` read Z and K one time row at a time: with
+    every whole-array read made to raise they write what the whole-array
+    formulas give."""
+
+    @pytest.fixture
+    def no_whole_arrays(self, monkeypatch):
+        def whole(*_):
+            raise AssertionError("a whole Z, dK or K was formed")
+
+        for name in ("Z", "dK"):
+            monkeypatch.setattr(rbdsde.SolutionEnsemble, name, property(whole))
+        monkeypatch.setattr(rbdsde.SolutionEnsemble, "k", whole)
+        return monkeypatch
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_run(self, tmp_path, no_whole_arrays, d):
+        path = _write(tmp_path, "c.json", _corridor_config(paths=2000, steps=20,
+                                                           dims={"d": d, "l": 1}))
+        out = tmp_path / "o"
+        assert main(["run", path, "--out", str(out)]) == 0
+        no_whole_arrays.undo()
+        spec = load_config(path)
+        sol, _ = cli._solve_for_config(spec, cli._prepare(spec))
+        z, k = sol.Z, {side: sol.k(side) for side in ("lower", "upper")}
+        with (out / "timeseries.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        for i, row in enumerate(rows):
+            want = [cli._fmt(k[side][:, i].mean()) for side in ("lower", "upper")]
+            last = i == spec.scenario.grid.steps
+            want += [""] * d if last else [cli._fmt(z[:, i, c].mean()) for c in range(d)]
+            got = [row["K_plus_mean"], row["K_minus_mean"]] + [row[f"Z_mean_{c}"] for c in range(d)]
+            assert got == want, i
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["mean_K_plus_T"] == float(k["lower"][:, -1].mean()) > 0.0
+        assert summary["mean_K_minus_T"] == float(k["upper"][:, -1].mean()) > 0.0
+        assert (summary["diagnostics"]["skorohod"]["tolerance"]
+                == 5.0 * spec.scenario.grid.dt * float(k["lower"][:, -1].mean()))
+
+    def test_compare(self, tmp_path, no_whole_arrays):
+        low = _corridor_config(paths=2000, steps=20,
+                               driver={"kind": "constant", "params": {"value": 0.5}})
+        paths = [_write(tmp_path, "a.json", low),
+                 _write(tmp_path, "b.json", _corridor_config(paths=2000, steps=20))]
+        out = tmp_path / "o"
+        assert main(["compare", *paths, "--out", str(out)]) == 0
+        no_whole_arrays.undo()
+        payload = json.loads((out / "comparison.json").read_text())
+        sol_a, sol_b = (cli._solve_for_config(spec, cli._prepare(spec))[0]
+                        for spec in map(load_config, paths))
+        epsilon = payload["epsilon"]
+        for side, suffix in cli._SUFFIX.items():
+            dk_a, dk_b = (np.diff(sol.k(side), axis=1) for sol in (sol_a, sol_b))
+            wrong = dk_a < dk_b - epsilon if side == "lower" else dk_a > dk_b + epsilon
+            assert payload["dk_violation_fraction" + suffix] == float(np.mean(wrong))
+            assert np.any(dk_a) and np.any(dk_b)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rbdsde import Design, RegressionConfig, basis_labels, build_basis, condexp_fit_eval
+from rbdsde.condexp import path_blocks
 
 
 def _design(m=2000, d=1, l=1, seed=0):
@@ -99,6 +100,15 @@ class TestBuildBasis:
                 assert labels[j] == "*".join(mono + [f"bar{k}"])
                 j += 1
         assert j == basis.shape[1]
+
+    @pytest.mark.parametrize("m, b", [(100_000, 9), (5000, 9), (200, 9), (66, 22), (129, 65), (1, 1)])
+    def test_path_blocks_cover_the_paths_with_determined_blocks(self, m, b):
+        blocks = path_blocks(m, b)
+        assert blocks[0].start == 0 and blocks[-1].stop == m
+        assert all(a.stop == c.start for a, c in zip(blocks, blocks[1:]))
+        assert len(blocks) <= 16
+        assert all(block.start % 64 == 0 for block in blocks)
+        assert min(block.stop - block.start for block in blocks) >= b
 
     def test_underdetermined_raises(self):
         w, db = _design(m=4)

@@ -223,7 +223,8 @@ class TestSignedPushes:
         meta = SolveMeta(scheme="hand", seed=0, n_paths=m, basis_size=1, picard_iters=0,
                          regression=RegressionConfig(), residual_rms=np.zeros((n, 3)))
         pushes = SignedPushes.of(dk)
-        sol = SolutionEnsemble(Y=np.zeros((m, n + 1)), Z=np.zeros((m, n, 1)), pushes=pushes, meta=meta)
+        sol = SolutionEnsemble.from_dense(Y=np.zeros((m, n + 1)), Z=np.zeros((m, n, 1)),
+                                          pushes=pushes, meta=meta)
         # each nonzero push is held, with one contact bit per path and step;
         # a zero, +0.0 or -0.0, reads back as +0.0
         assert pushes.nbytes == np.count_nonzero(dk) * 8 + n * ((m + 7) // 8)
@@ -242,5 +243,5 @@ class TestSignedPushes:
         # more paths
         for dk in (np.zeros((9, 2)), np.zeros((16, 3))):
             with pytest.raises(ValueError, match="pushes shape inconsistent with Y"):
-                SolutionEnsemble(Y=np.zeros((9, 4)), Z=np.zeros((9, 3, 1)),
-                                 pushes=SignedPushes.of(dk), meta=meta)
+                SolutionEnsemble.from_dense(Y=np.zeros((9, 4)), Z=np.zeros((9, 3, 1)),
+                                            pushes=SignedPushes.of(dk), meta=meta)

@@ -11,20 +11,24 @@ from rbdsde import (
     FixedRule,
     HittingRule,
     ObstacleSpec,
+    PenaltySchedule,
+    RegressionConfig,
     closed_form_reference,
     dp_self_check,
     dp_stopping_value,
     generate_paths,
+    solve_double,
     solve_projected,
     stopping_rule_value,
 )
 from rbdsde.diagnostics import pooled_se
-from rbdsde.oracles import STOPPING_PUT_DP_VALUE
+from rbdsde.oracles import STOPPING_PUT_DP_VALUE, lattice_scope_problem
 from rbdsde.scenarios import (
     constant_g_scenario,
     constant_scenario,
     stopping_drift_scenario,
     stopping_put_scenario,
+    two_barrier_scenario,
 )
 
 
@@ -79,6 +83,55 @@ class TestDpStoppingValue:
         v_free = dp_stopping_value(stopping_put_scenario(paths=100), 1000)
         v_cost = dp_stopping_value(stopping_drift_scenario(paths=100), 1000)
         assert v_cost < v_free
+
+
+class TestCorridorLattice:
+    """min(U, max(L, .)) at each lattice node: the discrete Dynkin game,
+    whose value is the doubly reflected solution."""
+
+    # (drift, width): the corridor [-width, width] binds on both sides, and
+    # the lattice value at 2000 steps
+    CASES = {(0.3, 1.0): 0.29379, (0.6, 0.8): 0.56293, (-0.5, 0.6): -0.45825}
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    @pytest.mark.parametrize("drift, width", sorted(CASES))
+    def test_solver_is_within_one_percent_of_the_lattice(self, drift, width, seed):
+        sc = two_barrier_scenario(paths=30_000, steps=50, seed=seed, width=width, drift=drift)
+        assert lattice_scope_problem(sc) is None
+        lattice = dp_stopping_value(sc, 2000)
+        assert lattice == pytest.approx(self.CASES[drift, width], abs=5e-6)
+        sol, trace = solve_double(sc, generate_paths(sc), RegressionConfig(degree_w=5, include_dB=False),
+                                  schedule=PenaltySchedule.geometric(sc.grid.dt, penetration_tol=1e-6))
+        assert trace.converged
+        assert abs(sol.Y[:, 0].mean() - lattice) < 0.01 * abs(lattice)
+
+    def test_upper_barrier_alone_is_the_mirrored_lower_one(self):
+        # Y -> -Y: xi -> -xi, f -> -f, L -> -U, on a lattice symmetric in w
+        def neg_part(t, w, y=None, z=None):
+            return np.maximum(-w[:, 0], 0.0)
+
+        def neg_neg_part(t, w, y=None, z=None):
+            return -np.maximum(-w[:, 0], 0.0)
+
+        lower = dataclasses.replace(stopping_drift_scenario(paths=100),
+                                    terminal=CoefficientSpec.hook(neg_part),
+                                    obstacles=ObstacleSpec(lower=CoefficientSpec.hook(neg_part)))
+        upper = dataclasses.replace(lower, terminal=CoefficientSpec.hook(neg_neg_part),
+                                    driver=CoefficientSpec.constant(-lower.driver.param("value")),
+                                    obstacles=ObstacleSpec(upper=CoefficientSpec.hook(neg_neg_part)))
+        assert dp_stopping_value(upper, 500) == -dp_stopping_value(lower, 500)
+
+    def test_barriers_crossing_at_a_lattice_node_are_out_of_scope(self):
+        # exp(W) >= 3 once W >= log 3, which the 100-step lattice reaches
+        sc = dataclasses.replace(
+            two_barrier_scenario(paths=100),
+            obstacles=ObstacleSpec(lower=CoefficientSpec.exponential(1.0),
+                                   upper=CoefficientSpec.constant(3.0)))
+        assert lattice_scope_problem(sc, 100) == "the barriers cross (L >= U) at lattice nodes"
+        with pytest.raises(ValueError, match="barriers cross"):
+            dp_stopping_value(sc, 100)
+        # the 1-step lattice has the one node W_0 = 0, where 1 < 3
+        assert lattice_scope_problem(sc, 1) is None
 
 
 @pytest.fixture(scope="module")

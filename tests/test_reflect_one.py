@@ -31,6 +31,7 @@ from rbdsde import (
     solve_projected,
     solve_reflected,
 )
+from rbdsde.bdsde_solver import coefficient_steps
 from rbdsde.diagnostics import pooled_se
 from rbdsde.scenarios import constant_scenario, stopping_drift_scenario, two_barrier_scenario
 
@@ -303,7 +304,7 @@ def test_ladder_holds_one_ensemble_at_a_time():
     schedule = PenaltySchedule(levels=(1.0, 10.0, 100.0), penetration_tol=0.0)
     ladder_peak, (sol, trace) = _traced_peak(lambda: solve_reflected(sc, p, cfg, schedule=schedule))
     sweep_peak, _ = _traced_peak(lambda: solve_penalized(sc, p, cfg, level=1.0))
-    ensemble = sol.Y.nbytes + sol.Z.nbytes + sol.pushes.nbytes
+    ensemble = sol.Y.nbytes + sol.z_store.nbytes + sol.pushes.nbytes
     assert len(trace.levels) == 3
     assert ladder_peak <= sweep_peak + ensemble / 2
 
@@ -320,7 +321,8 @@ def _hand_ensemble(y, k_plus, k_minus=None):
         scheme="hand", seed=0, n_paths=1, basis_size=1, picard_iters=0,
         regression=RegressionConfig(), residual_rms=np.zeros((n, 3)),
     )
-    return SolutionEnsemble(Y=y, Z=np.zeros((1, n, 1)), pushes=SignedPushes.of(dk), meta=meta)
+    return SolutionEnsemble.from_dense(Y=y, Z=np.zeros((1, n, 1)), pushes=SignedPushes.of(dk),
+                                       meta=meta)
 
 
 class TestSkorohodResidual:
@@ -379,6 +381,26 @@ class TestSkorohodSupFormula:
         stored = sol.K_plus[:, -1][:, None] - sol.K_plus
         deviation = np.abs(tail - stored).mean() / sol.K_plus[:, -1].mean()
         assert deviation <= 0.10
+
+    def test_takes_z_dw_from_the_rows_it_reads(self, monkeypatch):
+        # d = l = 2: Z_j . dW_j sums over two components, row by row here
+        # and over the whole (M, N, d) Z in the formula it replaces
+        sc = dataclasses.replace(
+            stopping_drift_scenario(paths=3000, steps=12), dims=Dimensions(d=2, l=2),
+            driver=CoefficientSpec.linear(a_y=-0.2, a_z=(0.3, -0.1), c=0.6),
+            noise_coeff=CoefficientSpec.constant(0.2),
+            obstacles=ObstacleSpec(lower=CoefficientSpec.clamp(-2.0, -0.9)))
+        p = generate_paths(sc)
+        sol = solve_penalized(sc, p, RegressionConfig(degree_w=2), level=50.0)
+        whole = coefficient_steps(sol, sc, p, lag=1) - np.einsum("mnd,mnd->mn", sol.Z, p.dW)
+        rows = coefficient_steps(sol, sc, p, lag=1, martingale=True)
+        assert rows.tobytes() == whole.tobytes()
+
+        def whole_z(self):
+            raise AssertionError("the whole Z was formed")
+
+        monkeypatch.setattr(SolutionEnsemble, "Z", property(whole_z))
+        assert skorohod_sup_formula(sol, sc, p).shape == (sc.mc_paths, sc.grid.steps + 1)
 
 
 class TestPenetrationStatistic:

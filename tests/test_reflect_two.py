@@ -368,9 +368,10 @@ class TestSolveDouble:
         last = trace.levels[-1]
         assert last.mean_k_plus_T == float(sol.K_plus[:, -1].mean()) > 0.0
         assert last.mean_k_minus_T == float(sol.K_minus[:, -1].mean()) > 0.0
-        # beside Y and Z: the pushes' store, one design, a step's working rows and xi
+        # beside Y and Z's coefficients: the pushes' store, one design, a
+        # step's working rows and xi
         row = sc.mc_paths * 8
-        held = peak - sol.Y.nbytes - sol.Z.nbytes
+        held = peak - sol.Y.nbytes - sol.z_store.nbytes
         step_rows = test_bdsde_solver.TestWorkingSet.STEP_ROWS
         assert held < sol.pushes.nbytes + (sol.meta.basis_size + step_rows + 1) * row
 
