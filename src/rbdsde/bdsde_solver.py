@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .condexp import Design, RegressionConfig, build_basis, condexp_fit_eval, fitted_rows
-from .model import ObstacleSpec, Scenario, SolutionEnsemble, SolveMeta
+from .model import CoefficientSpec, ObstacleSpec, Scenario, SolutionEnsemble, SolveMeta
 from .paths import NoisePaths, ObstacleGrid, _WRows, obstacle_on_grid
 from .pushes import SignedPushes
 
@@ -191,17 +191,26 @@ class _BasisWalk:
 
 
 @dataclass(frozen=True, eq=False)
-class ZFits:
-    """The Z of a sweep, held as what forms it again: per step i the
-    z-fit's (B, d) coefficients beta_i, and the sweep's inputs to step i's
-    basis A_i, which it keeps alive: W's increments and marks, dB when the
-    basis has dB columns, the obstacle grid and its shaped sides.  Z_i is
-    the fitted value A_i beta_i / dt, formed by the sweep's product and
-    division, so each row has the sweep's bits."""
+class StepFits:
+    """The Y and Z of a sweep, held as what forms them again: per step i
+    the coefficients of its three fits, rough (B, 2), z (B, d) and
+    continuation (B,); what the Y step reads besides them, the driver, the
+    grid times, the reflection's rate and the Picard count; and the
+    sweep's inputs to step i's basis A_i, which the store keeps alive: W's
+    increments and marks, dB when the basis has dB columns, the obstacle
+    grid and its shaped sides.  The sweep solves each row of Y with
+    ``y_row`` and ``rows`` forms every row again the same way, so each row
+    of Y and Z has the sweep's bits."""
 
-    coefficients: list       # per step, (B, d)
-    cfg: RegressionConfig
+    rough: list              # per step, (B, 2)
+    z: list                  # per step, (B, d)
+    continuation: list       # per step, (B,)
+    driver: CoefficientSpec
+    times: np.ndarray        # t_0, ..., t_N
     dt: float
+    rate: float
+    picard: int
+    cfg: RegressionConfig
     w: _WRows
     db: np.ndarray | None    # (M, N, l), or None without dB columns
     grids: ObstacleGrid
@@ -217,53 +226,88 @@ class ZFits:
     def nbytes(self) -> int:
         """The bytes of the coefficients; the arrays the store keeps alive
         are the paths'."""
-        return sum(beta.nbytes for beta in self.coefficients)
+        return sum(beta.nbytes for fits in (self.rough, self.z, self.continuation)
+                   for beta in fits)
 
-    def rows(self):
-        """Z's (M, d) rows, from step N-1 back to step 0, as (i, row), each
-        in one buffer that the next row overwrites.  Each row rebuilds its
-        step's basis one block of paths at a time and forms the fitted
-        values as the sweep's fit did, through ``fitted_rows`` on the same
-        blocks, then divides by dt as the sweep did: each row has the
-        sweep's bits, and a read holds one block's basis."""
+    def y_row(self, i: int, y: np.ndarray, continuation: np.ndarray, drift: np.ndarray,
+              z: np.ndarray, w: np.ndarray, barriers: dict):
+        """Y's row at t_i, in place in ``y``, from step i's fitted
+        continuation and drift, Z_i and W_i: the continuation plus the
+        drift times dt, then the Picard passes with the driver at
+        (t_i, W_i, Y_i, Z_i), then the reflection on step i's ``barriers``
+        at the store's rate.  Returns the reflection's contact and pushes,
+        or None without a barrier."""
+        # y holds each product until the continuation is added; drift may be y
+        np.multiply(drift, self.dt, out=y)
+        np.add(continuation, y, out=y)
+        for _ in range(self.picard):
+            np.multiply(self.driver.evaluate(self.times[i], w, y, z), self.dt, out=y)
+            np.add(continuation, y, out=y)
+        if not barriers:
+            return None
+        # interior barriers were checked not to cross by _checked_grid
+        return _reflect(y, barriers.get("lower"), barriers.get("upper"), self.rate)
+
+    def rows(self, with_y: bool = True):
+        """Y's and Z's rows from the horizon back: (N, xi, None), then
+        (i, Y_i, Z_i) for i = N-1, ..., 0, Y_i an (M,) and Z_i an (M, d)
+        row, each in a buffer that the next row overwrites.  Each step
+        rebuilds its basis one block of paths at a time and forms the three
+        fits' values on each block through ``fitted_rows``, as the sweep's
+        fits did; Z_i is the z-fit divided by dt and Y_i comes from
+        ``y_row``, as in the sweep.  A read holds one block's basis and a
+        few rows, and evaluates the driver again at every step.  Without
+        ``with_y`` only Z is formed, from the z-fit alone: (i, None, Z_i)
+        for i = N-1, ..., 0."""
         m, n, d = self.shape
         walk = _BasisWalk(self.cfg, self.w, self.db, self.grids, self.shaped)
-        row = np.empty((m, d))
+        z = np.empty((m, d))
+        # the rough fit's rows land on the continuation's row, which its own
+        # fit, formed after it on each block, then writes, and on Y's row,
+        # where the drift is read from
+        fitted = np.empty((2, m)) if with_y else None
+        continuation, y_i = (None, None) if fitted is None else fitted
+        if with_y:
+            yield n, self.grids.xi, None
         for i in range(n - 1, -1, -1):
             barriers = walk.advance(i)
-            fitted_rows(self.coefficients[i], m, lambda paths: walk.basis(barriers, paths), out=row.T)
-            np.divide(row, self.dt, out=row)
+            betas, outs = [self.z[i]], [z.T]
+            if with_y:
+                betas += [self.rough[i], self.continuation[i].reshape(-1, 1)]
+                outs += [fitted, fitted[:1]]
+            fitted_rows(betas, m, lambda paths: walk.basis(barriers, paths), outs)
+            np.divide(z, self.dt, out=z)
+            if with_y:
+                self.y_row(i, y_i, continuation, y_i, z, walk.w, barriers)
             del barriers  # not held while the next row's walk advances
-            yield i, row
+            yield i, y_i, z
 
 
-def coefficient_steps(sol: SolutionEnsemble, s: Scenario, p: NoisePaths, lag: int,
+def coefficient_steps(rows, s: Scenario, p: NoisePaths, lag: int,
                       martingale: bool = False) -> np.ndarray:
     """F dt + G . dB_j for each path and step j, with the driver F and the
     noise coefficient G re-evaluated along the solution at grid index
     j + lag (0 or 1); Z after the last step is taken as zero.  With
-    ``martingale`` each step also has Z_j . dW_j subtracted.  Returns M x N,
-    a view of N contiguous step rows, filled from the last step back as Z's
-    rows are read, each row once."""
+    ``martingale`` each step also has Z_j . dW_j subtracted.  ``rows`` are
+    an ensemble's (i, Y_i, Z_i) from the horizon back, as
+    ``SolutionEnsemble.rows`` gives them, each read once.  Returns M x N, a
+    view of N contiguous step rows, filled from the last step back."""
     m, n, d = s.mc_paths, s.grid.steps, s.dims.d
     times = s.grid.times
     steps = np.empty((n, m))
-    w = np.empty((m, d))
 
-    def fill(j: int, z: np.ndarray) -> None:
-        k = j + lag
-        y, w_k = sol.Y[:, k], p.w_row(k, out=w)
-        # F and G are not bound to names, so neither is held while the
-        # next row of Z is formed
-        steps[j] = s.driver.evaluate(times[k], w_k, y, z) * s.grid.dt + np.einsum(
-            "ml,ml->m", _noise_matrix(s.noise_coeff, times[k], w_k, y, z, s.dims.l), p.dB[:, j, :])
+    def fill(i: int, y: np.ndarray, z: np.ndarray) -> None:
+        # W_i is formed here, and F and G are not bound to names, so none of
+        # them is held while the next row of Y and Z is formed
+        w_i, step = p.w_row(i), steps[i - lag]
+        np.multiply(s.driver.evaluate(times[i], w_i, y, z), s.grid.dt, out=step)
+        step += np.einsum("ml,ml->m", _noise_matrix(s.noise_coeff, times[i], w_i, y, z, s.dims.l),
+                          p.dB[:, i - lag, :])
 
-    if lag:
-        fill(n - 1, np.zeros((m, d)))
-    for i, z in sol.z_rows():
-        if i >= lag:
-            fill(i - lag, z)
-        if martingale:
+    for i, y, z in rows:
+        if 0 <= i - lag < n:
+            fill(i, y, np.zeros((m, d)) if z is None else z)
+        if martingale and i < n:
             steps[i] -= np.einsum("md,md->m", z, p.dW[:, i, :])
     return steps.T
 
@@ -285,17 +329,20 @@ def solve_backward(
     the design.  Each step forms each barrier's row once, for its basis,
     its reflection and the penetration.
 
-    The sweep stores Y time first, one contiguous row per grid time, and
-    returns it as an (M, N+1) view.  Of Z it holds one row, and stores each
-    step's z-fit coefficients in a ``ZFits``, from which the ensemble forms
-    Z where it is read; the ensemble keeps the W increments and marks
-    alive, and dB when the basis has dB columns.  The reflection of step i
-    returns the paths in contact and their signed pushes, dK+ - dK-, and
+    Of Y and of Z the sweep holds one row each: step i's targets read
+    Y_{i+1} and Z_{i+1} there, and the step then writes Y_i and Z_i over
+    them.  It stores each step's three fits' coefficients in a
+    ``StepFits``, with what else forms Y's and Z's rows again, and the
+    ensemble forms Y and Z from it where they are read; the ensemble keeps
+    the W increments and marks alive, and dB when the basis has dB
+    columns, and each read of Y evaluates the driver again, so a ``hook``
+    driver must be a pure function.  The reflection of step i returns the
+    paths in contact and their signed pushes, dK+ - dK-, and
     ``SignedPushes`` keeps them as step i's packed contact bits and the
     pushes in path order; dK, K+ and K- are formed from that store where
     they are read (see ``SolutionEnsemble``).  Without a barrier in
-    ``grids`` the sweep allocates no store.  Each
-    step's design is factored once and serves its three fits.  The
+    ``grids`` the sweep allocates no store.  Each step's design is
+    factored once and serves its three fits.  The
     penetration of each barrier, the mean over paths of the squared largest
     excess beyond it, is kept as a running per-path maximum and reported in
     ``meta``.
@@ -313,39 +360,40 @@ def solve_backward(
     if not rate >= 0:
         raise ValueError("the penalty rate must be >= 0")  # NaN fails too
 
-    y_all = np.empty((n + 1, m))
     residual_rms = np.zeros((n, 2 + d))
-
-    y_all[n] = grids.xi
     sides = grids.sides
     # W's row, B_T - B_{t_i} and each step's basis
     walk = _BasisWalk(cfg, p._w, p.dB if cfg.include_dB else None, grids,
                       s.obstacles.shaped_sides())
-    # one row of Z: Z_{i+1} on entry to step i, read by its targets, then
-    # Z_i; of Z the sweep keeps each step's z-fit coefficients
+    # each step's fits, and what forms Y's and Z's rows from them; a driver
+    # of the state alone gives every Picard iteration the same row
+    store = StepFits([None] * n, [None] * n, [None] * n, s.driver, times, dt, rate,
+                     min(picard_iters, 1) if s.driver.depends_on_state_only() else picard_iters,
+                     cfg, walk.w_rows, walk.db, grids, walk.shaped)
+    # one row of Y and one of Z: Y_{i+1} and Z_{i+1} on entry to step i,
+    # read by its targets only (Y_N is xi), then Y_i and Z_i
+    y_now = np.empty(m)
     z_row = np.zeros((m, d))
-    z_coefficients = [None] * n
     # each step's contact and pushes; with no barrier there is no store
     pushes = SignedPushes(m, n) if sides else None
     # per path and barrier, the largest (L - Y)^+ or (Y - U)^+ over the rows
     # solved so far; the horizon row adds nothing, as _checked_grid holds
     # L_T <= xi <= U_T
     excess = {side: np.zeros(m) for side in sides}
-    # a driver of the state alone gives every Picard iteration the same row
-    picard = min(picard_iters, 1) if s.driver.depends_on_state_only() else picard_iters
 
     previous = None  # the last step's design
 
     def step(i: int) -> None:
         """Solve row i of Y, Z's row at t_i and step i's pushes, from row
-        i + 1 of Y and Z.  The walk's row of W and ``z_row`` hold W_{i+1}
-        and Z_{i+1} on entry, which only the step's targets read, and W_i
-        and Z_i from then on.  The targets, fitted rows and residuals the
-        step forms are released on return, and its design, kept in
-        ``previous``, as soon as the next step has built its basis."""
+        i + 1 of Y and Z.  The walk's row of W, ``y_now`` and ``z_row``
+        hold W_{i+1}, Y_{i+1} and Z_{i+1} on entry, which only the step's
+        targets read, and W_i, Y_i and Z_i from then on.  The targets,
+        fitted rows and residuals the step forms are released on return,
+        and its design, kept in ``previous``, as soon as the next step has
+        built its basis."""
         nonlocal previous
         t_next = times[i + 1]
-        y_next = y_all[i + 1]
+        y_next = grids.xi if i == n - 1 else y_now
         w, z_next = walk.w, z_row
         d_w, d_b = p.dW[:, i, :], p.dB[:, i, :]
 
@@ -380,7 +428,6 @@ def solve_backward(
         z_targets = (continuation_target - rough[:, 0])[:, None] * d_w
         z_fitted, z_fit = condexp_fit_eval(z_targets, design)
         z_now = np.divide(z_fitted, dt, out=z_row)
-        z_coefficients[i] = z_fit.coefficients
 
         # Stage 3: final continuation with the martingale part Z.dW taken
         # out of the target (zero conditional mean, most of the variance),
@@ -389,19 +436,16 @@ def solve_backward(
                                  out=targets[1])
         continuation, cont_fit = condexp_fit_eval(controlled, design)
 
+        store.rough[i], store.z[i] = rough_fit.coefficients, z_fit.coefficients
+        store.continuation[i] = cont_fit.coefficients
         residual_rms[i, 0] = cont_fit.residual_norm[0] / np.sqrt(m)
         residual_rms[i, 1] = rough_fit.residual_norm[1] / np.sqrt(m)
         residual_rms[i, 2:] = z_fit.residual_norm / np.sqrt(m)
 
         # the drift refinement and the reflection write Y's row in place
-        y_now = y_all[i]
-        np.add(continuation, rough[:, 1] * dt, out=y_now)
-        for _ in range(picard):
-            np.add(continuation, s.driver.evaluate(times[i], w_now, y_now, z_now) * dt, out=y_now)
-
-        # interior barriers were checked not to cross by _checked_grid
+        reflected = store.y_row(i, y_now, continuation, rough[:, 1], z_now, w_now, barriers)
         if pushes is not None:
-            pushes.put(i, *_reflect(y_now, barriers.get("lower"), barriers.get("upper"), rate))
+            pushes.put(i, *reflected)
         if not np.all(np.isfinite(y_now)):
             raise NonFiniteError(f"solver produced non-finite values at step {i}")
         for side, sup in excess.items():
@@ -423,8 +467,7 @@ def solve_backward(
         residual_rms=residual_rms,
         **{f"penetration_{side}": float(np.mean(sup ** 2)) for side, sup in excess.items()},
     )
-    z = ZFits(z_coefficients, cfg, dt, walk.w_rows, walk.db, grids, walk.shaped)
-    return SolutionEnsemble(Y=y_all.T, z_store=z, pushes=pushes, meta=meta, obstacle_grid=grids)
+    return SolutionEnsemble(store=store, pushes=pushes, meta=meta, obstacle_grid=grids)
 
 
 def solve_bdsde(
@@ -435,7 +478,8 @@ def solve_bdsde(
 ) -> SolutionEnsemble:
     """Solve the unreflected terminal-value equation; obstacles, if any, are
     ignored and both reflection processes come back identically zero.  The
-    ensemble keeps the increments of ``p`` alive, to form Z where it is
-    read (``ZFits``)."""
+    ensemble keeps the increments of ``p`` alive, to form Y and Z where
+    they are read (``StepFits``); a ``hook`` driver must be a pure
+    function, because each read of Y evaluates it again."""
     s = replace(s, obstacles=ObstacleSpec())
     return solve_backward(s, p, cfg or RegressionConfig(), picard_iters, _checked_grid(s, p))

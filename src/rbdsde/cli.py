@@ -258,18 +258,16 @@ def _solve_for_config(spec: RunSpec, paths):
                         schedule=spec.schedule)
 
 
-def _write_timeseries(path: Path, sc: Scenario, sol, walks: dict) -> None:
-    """Per grid time: Y, Z and K means and each side's mean squared excess,
-    read off that side's row walk with K's means; a side without a barrier
-    writes 0.  Z's rows are read once, from the last step back."""
+def _write_timeseries(path: Path, sc: Scenario, y: np.ndarray, z_means: list, walks: dict) -> None:
+    """Per grid time: Y's mean and standard error from the whole ``y``,
+    Z's means as formatted in ``z_means`` (empty at the horizon), K's means
+    and each side's mean squared excess, read off that side's row walk; a
+    side without a barrier writes 0."""
     times = sc.grid.times
     m, n = sc.mc_paths, sc.grid.steps
     header = ["t", "Y_mean", "Y_se"]
     header += [f"Z_mean_{k}" for k in range(sc.dims.d)]
     header += ["K_plus_mean", "K_minus_mean", "penetration_lower", "penetration_upper"]
-    z_means = [[""] * sc.dims.d for _ in range(n + 1)]
-    for i, z in sol.z_rows():
-        z_means[i] = [_fmt(z[:, c].mean()) for c in range(sc.dims.d)]
     columns = [walks[side].mean_k for side in ("lower", "upper")]
     columns += [walks[side].mean_sq_excess for side in ("lower", "upper")]
 
@@ -277,7 +275,7 @@ def _write_timeseries(path: Path, sc: Scenario, sol, walks: dict) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         for i in range(n + 1):
-            y_i = sol.Y[:, i]
+            y_i = y[:, i]
             row = [_fmt(times[i]), _fmt(y_i.mean()), _fmt(y_i.std(ddof=1) / np.sqrt(m))]
             row += z_means[i]
             row += [_fmt(column[i]) for column in columns]
@@ -294,14 +292,23 @@ def cmd_run(config_path: str, out: Path) -> int:
     sol, trace = _solve_for_config(spec, _prepare(spec))
     grids = sol.obstacle_grid
     se = diagnostics.regression_se(sol)
+    # one walk of the solution forms Y whole, time first, and Z's means
+    d, n = sc.dims.d, sc.grid.steps
+    y_rows = np.empty((n + 1, sc.mc_paths))
+    z_means = [[""] * d for _ in range(n + 1)]
+    for i, y_i, z in sol.rows():
+        y_rows[i] = y_i
+        if z is not None:
+            z_means[i] = [_fmt(z[:, c].mean()) for c in range(d)]
+    y = y_rows.T
     # one walk over the time rows of Y and K per side, which serves every
     # reader of K below; a side without a barrier checks only its K
-    walks = {side: _walk_rows(sol.Y, sol.k_rows(side), grids if side in grids.sides else None,
+    walks = {side: _walk_rows(y, sol.k_rows(side), grids if side in grids.sides else None,
                               side, 3.0 * se) for side in ("lower", "upper")}
 
-    y0 = sol.Y[:, 0]
+    y0 = y[:, 0]
     verdicts = {
-        "terminal_exact": bool(np.array_equal(sol.Y[:, -1], grids.xi)),
+        "terminal_exact": bool(np.array_equal(y[:, -1], grids.xi)),
         "k_nondecreasing_from_zero": all(walk.k_nondecreasing_from_zero for walk in walks.values()),
     }
     for side in grids.sides:
@@ -313,7 +320,7 @@ def cmd_run(config_path: str, out: Path) -> int:
             "tolerance": tol,
             "passed": bool(mean_res <= max(tol, 1e-12)),
         }
-        domination = walk.above_slack / sol.Y.size
+        domination = walk.above_slack / y.size
         verdicts["obstacle_domination" + suffix] = {
             "violation_fraction": domination,
             "passed": bool(domination <= 0.01),
@@ -338,7 +345,7 @@ def cmd_run(config_path: str, out: Path) -> int:
         },
     }
     _write_json(out / "summary.json", summary)
-    _write_timeseries(out / "timeseries.csv", sc, sol, walks)
+    _write_timeseries(out / "timeseries.csv", sc, y, z_means, walks)
     return 0 if trace.converged else 3
 
 
@@ -397,7 +404,8 @@ def cmd_convergence(config_path: str, out: Path, grid_refinement: bool = False) 
         rows.append(["penalty", _fmt(stat.level), _fmt(stat.penetration_lower),
                      _fmt(stat.penetration_upper), "", _fmt(stat.mean_k_plus_T),
                      _fmt(stat.mean_k_minus_T), ""])
-    rows[-1][4] = _fmt(sol.Y[:, 0].mean())
+    y = sol.Y
+    rows[-1][4] = _fmt(y[:, 0].mean())
 
     if grid_refinement:
         # every grid sees the run's noise (its paths summed over k steps) and its ladder
@@ -405,8 +413,9 @@ def cmd_convergence(config_path: str, out: Path, grid_refinement: bool = False) 
             steps = sc.grid.steps // k
             coarse = replace(spec, scenario=replace(sc, grid=replace(sc.grid, steps=steps)))
             sub_sol = sol if k == 1 else _solve_for_config(coarse, coarsen(paths, k))[0]
-            max_step = np.max(np.abs(np.diff(sub_sol.Y, axis=1)), axis=1)
-            rows.append(["grid", str(steps), "", "", _fmt(sub_sol.Y[:, 0].mean()),
+            sub_y = y if k == 1 else sub_sol.Y
+            max_step = np.max(np.abs(np.diff(sub_y, axis=1)), axis=1)
+            rows.append(["grid", str(steps), "", "", _fmt(sub_y[:, 0].mean()),
                          _fmt(sub_sol.k_terminal("lower").mean()),
                          _fmt(sub_sol.k_terminal("upper").mean()),
                          _fmt(np.median(max_step))])

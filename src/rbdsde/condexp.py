@@ -11,6 +11,7 @@ for both the design and its labels.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import InitVar, dataclass, field
@@ -72,7 +73,11 @@ def _db_product_degree(cfg: RegressionConfig) -> int:
     return max(1, cfg.degree_w - 1) if cfg.degree_w else 0
 
 
-def _terms(cfg: RegressionConfig, d: int, l: int, n_barriers: int):
+# enumerated once per design shape: a read builds each step's basis in up to
+# 16 blocks of paths, and enumerating the terms took two thirds of the time
+# of building a 4-column block of 3776 paths
+@functools.lru_cache(maxsize=16)
+def _terms(cfg: RegressionConfig, d: int, l: int, n_barriers: int) -> tuple:
     """The design's columns in order, each a W exponent tuple times an
     optional factor, ``"db<c>"`` (a backward-increment component) or
     ``"bar<k>"`` (a barrier).  The W monomials come first (constant first),
@@ -86,7 +91,7 @@ def _terms(cfg: RegressionConfig, d: int, l: int, n_barriers: int):
                   for c in range(l)]
     terms += [(e, f"bar{k}") for k in range(n_barriers)
               for e in _monomial_exponents(d, OBSTACLE_BASIS_DEGREE)]
-    return terms
+    return tuple(terms)
 
 
 def _term_count(cfg: RegressionConfig, d: int, l: int, n_barriers: int) -> int:
@@ -248,19 +253,24 @@ def path_blocks(m: int, b: int) -> list[slice]:
     return [slice(start, stop) for start, stop in zip(starts, starts[1:] + [m])]
 
 
-def fitted_rows(beta: np.ndarray, m: int, basis, out: np.ndarray | None = None) -> np.ndarray:
-    """The fitted values of (B, k) coefficients on M paths, as a (k, M)
-    array, ``out`` if given.  ``basis(paths)`` returns the design matrix's
-    rows on a slice of ``path_blocks(m, B)``, and each block's product is
-    formed on its own.  Every fit forms its fitted values here, on its
-    design's rows, and so does every later read of a stored fit, on a basis
-    it builds for one block at a time: the same products on the same
-    blocks, so a read has the fit's bits and holds one block's basis."""
-    if out is None:
-        out = np.empty((beta.shape[1], m))
-    for paths in path_blocks(m, beta.shape[0]):
-        out[:, paths] = beta.T @ basis(paths).T
-    return out
+def fitted_rows(betas, m: int, basis, outs=None) -> list:
+    """The fitted values of each (B, k) array of coefficients in ``betas``
+    on M paths, each a (k, M) array, into ``outs`` if given.
+    ``basis(paths)`` returns the design matrix's rows on a slice of
+    ``path_blocks(m, B)``; it is called once per block, and each array's
+    product on that block is formed on its own.  Every fit forms its fitted
+    values here, on its design's rows, and so does every later read of
+    stored fits, on a basis it builds for one block at a time: the same
+    products on the same blocks, so a read has the fit's bits and holds one
+    block's basis."""
+    if outs is None:
+        outs = [np.empty((beta.shape[1], m)) for beta in betas]
+    for paths in path_blocks(m, betas[0].shape[0]):
+        block = basis(paths).T
+        for beta, out in zip(betas, outs):
+            out[:, paths] = beta.T @ block
+        del block  # not held while the next block's basis is built
+    return outs
 
 
 def condexp_fit_eval(targets: np.ndarray, design: Design) -> tuple[np.ndarray, RegressionFit]:
@@ -289,7 +299,7 @@ def condexp_fit_eval(targets: np.ndarray, design: Design) -> tuple[np.ndarray, R
     half = np.linalg.solve(design.factor, scale * products.T)
     beta = scale * np.linalg.solve(design.factor.T, half)
 
-    fitted = fitted_rows(beta, rows.shape[1], lambda paths: design.matrix[paths])
+    fitted, = fitted_rows([beta], rows.shape[1], lambda paths: design.matrix[paths])
     residual = rows - fitted
     residual_norm = np.sqrt(np.einsum("ji,ji->j", residual, residual))
     fitted = fitted.T

@@ -42,7 +42,7 @@ def z_se_per_step(sol: SolutionEnsemble, dt: float) -> np.ndarray:
 def _comparison_epsilon(sol_a: SolutionEnsemble, sol_b: SolutionEnsemble) -> float:
     """The tolerance of a comparison, 3 pooled standard errors; raises
     unless the two ensembles have one shape and one seed."""
-    if sol_a.Y.shape != sol_b.Y.shape:
+    if sol_a.shape != sol_b.shape:
         raise ValueError("mismatched shapes between the two ensembles")
     if sol_a.meta.seed != sol_b.meta.seed:
         raise ValueError("ensembles come from different seeds, not shared paths")
@@ -63,11 +63,15 @@ def check_comparison(
 ) -> ComparisonResult:
     """Fraction of grid points where the solution of the dominated data set
     exceeds the dominating one beyond epsilon, 3 pooled standard errors;
-    passes at <= 1%."""
+    passes at <= 1%.  Y is read one time row at a time, both ensembles'
+    rows side by side."""
     epsilon = _comparison_epsilon(sol_a, sol_b)
-    if sol_a.Y.shape[0] != shared_paths.n_paths:
+    m, n_plus_1 = sol_a.shape
+    if m != shared_paths.n_paths:
         raise ValueError("ensembles were not solved on the given paths")
-    fraction = float(np.mean(sol_a.Y > sol_b.Y + epsilon))
+    above = sum(np.count_nonzero(y_a > y_b + epsilon)
+                for (_, y_a, _), (_, y_b, _) in zip(sol_a.rows(), sol_b.rows()))
+    fraction = float(above / (m * n_plus_1))
     return ComparisonResult(violation_fraction=fraction, epsilon=epsilon, passed=fraction <= 0.01)
 
 
@@ -90,7 +94,7 @@ def check_dK_comparison(
         dk_a, dk_b = next_a - k_a, next_b - k_b
         wrong += np.count_nonzero(dk_a < dk_b - epsilon if side == "lower" else dk_a > dk_b + epsilon)
         k_a, k_b = next_a, next_b
-    m, n_plus_1 = sol_a.Y.shape
+    m, n_plus_1 = sol_a.shape
     fraction = float(wrong / (m * (n_plus_1 - 1)))
     return ComparisonResult(violation_fraction=fraction, epsilon=epsilon, passed=fraction <= 0.01)
 
@@ -110,23 +114,23 @@ def apriori_statistic(sol: SolutionEnsemble, s: Scenario) -> AprioriStatistic:
     with an unknown constant, so suites assert ratio stability, not a value.
     The terminal and barrier data are read from the solver's obstacle grid,
     and every barrier in it adds its term to the data energy.  Y, Z and
-    the barriers are read one time row at a time (Z from the last step
-    back), and of K only K_T is formed."""
+    the barriers are read one time row at a time, from the horizon back,
+    and of K only K_T is formed."""
     grids = sol.obstacle_grid
     if grids is None:
         raise ValueError("the a priori statistic needs a solver's obstacle grid")
     dt = s.grid.dt
     times = s.grid.times
-    m, n = s.mc_paths, s.grid.steps
+    m = s.mc_paths
 
     # per path: sup Y^2, sum |Z|^2 and, for each barrier, the sup of the
     # excess of the zero process beyond it, (L^+) below and (U^-) above
     sup_y_sq, z_sq = np.zeros(m), np.zeros(m)
     sup_excess = {side: np.zeros(m) for side in grids.sides}
-    for _, z in sol.z_rows():
-        z_sq += np.sum(np.square(z), axis=1)
-    for i in range(n + 1):
-        np.maximum(sup_y_sq, np.square(sol.Y[:, i]), out=sup_y_sq)
+    for i, y, z in sol.rows():
+        np.maximum(sup_y_sq, np.square(y), out=sup_y_sq)
+        if z is not None:
+            z_sq += np.sum(np.square(z), axis=1)
         for side, sup in sup_excess.items():
             np.maximum(sup, grids.excess(side, 0.0, i), out=sup)
 

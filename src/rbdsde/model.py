@@ -18,7 +18,7 @@ from .condexp import RegressionConfig
 from .pushes import SignedPushes
 
 if TYPE_CHECKING:
-    from .bdsde_solver import ZFits
+    from .bdsde_solver import StepFits
     from .paths import ObstacleGrid
 
 # Coefficient kinds loadable from CLI configs.  "hook" is library-only.
@@ -160,7 +160,9 @@ class CoefficientSpec:
     def hook(cls, fn: Callable[..., np.ndarray], lip_const: float = 0.0, alpha: float = 0.5) -> "CoefficientSpec":
         """Library-only escape hatch: fn(t, w, y, z) vectorised over paths.
         As a barrier it must be a pure function of (t, w), because the
-        barrier's rows are evaluated again wherever they are read."""
+        barrier's rows are evaluated again wherever they are read, and as a
+        driver a pure function of its arguments, because each read of a
+        solution's Y evaluates the driver again."""
         return cls(kind="hook", lip_const=lip_const, alpha=alpha, fn=fn)
 
     # -- evaluation ------------------------------------------------------------
@@ -292,84 +294,114 @@ class SolveMeta:
     penetration_upper: float = 0.0
 
 
-class _DenseZ:
-    """A Z held whole, (M, N, d), read by ``SolutionEnsemble`` like the
-    solver's ``ZFits``: for hand-built ensembles."""
+class _Dense:
+    """Y and Z held whole, (M, N+1) and (M, N, d), read by
+    ``SolutionEnsemble`` like the solver's ``StepFits``: for hand-built
+    ensembles."""
 
-    def __init__(self, z):
-        self.z = np.asarray(z, dtype=float)
+    def __init__(self, y, z):
+        self.y, self.z = np.asarray(y, dtype=float), np.asarray(z, dtype=float)
+        m, n_plus_1 = self.y.shape
+        if self.z.shape[:2] != (m, n_plus_1 - 1):
+            raise ValueError("Z shape inconsistent with Y")
         self.shape = self.z.shape
-        self.nbytes = self.z.nbytes
+        self.nbytes = self.y.nbytes + self.z.nbytes
 
-    def rows(self):
-        for i in range(self.shape[1] - 1, -1, -1):
-            yield i, self.z[:, i, :]
+    def rows(self, with_y: bool = True):
+        n = self.shape[1]
+        if with_y:
+            yield n, self.y[:, n], None
+        for i in range(n - 1, -1, -1):
+            yield i, self.y[:, i] if with_y else None, self.z[:, i, :]
 
 
 @dataclass(frozen=True, eq=False)
 class SolutionEnsemble:
-    """Per-path solution of a solve.  Y is stored, M x (N+1).  Z, M x N x d,
-    is held in ``z_store``: a solver's ``bdsde_solver.ZFits``, each step's
-    z-fit coefficients, from which each read of ``Z`` forms the whole array
-    and rebuilds each step's regression basis (``z_rows`` forms one row at
-    a time), and which keeps the paths' W increments and marks alive, and
-    dB when the basis has dB columns.  ``from_dense`` builds an ensemble on
-    a whole Z.  The signed reflection increments dK_j = dK+_j - dK-_j, the
-    push of step j, positive up from the lower barrier and negative down
-    from the upper one (at most one side pushes a path in a step), are held
-    in ``pushes``, a ``SignedPushes`` store of the paths each step pushed
-    and their pushes, or None where nothing can push, a solve without a
-    barrier.  A hand-built ensemble passes ``pushes=SignedPushes.of(dk)``.
-    A solver also returns the terminal values and barriers it solved
-    against.
+    """Per-path solution of a solve: Y, M x (N+1), Z, M x N x d, and the
+    reflection.  Y and Z are held in ``store``: a solver's
+    ``bdsde_solver.StepFits``, each step's fit coefficients and what else
+    its Y step reads, from which ``rows`` forms Y's and Z's rows one step
+    at a time, from the horizon back, by the sweep's own operations.  The
+    store keeps the paths' W increments and marks alive, and dB when the
+    basis has dB columns, and each read of Y evaluates the driver again, so
+    a ``hook`` driver must be a pure function.  ``from_dense`` builds an
+    ensemble on a whole Y and Z.  The signed reflection increments
+    dK_j = dK+_j - dK-_j, the push of step j, positive up from the lower
+    barrier and negative down from the upper one (at most one side pushes
+    a path in a step), are held in ``pushes``, a ``SignedPushes`` store of
+    the paths each step pushed and their pushes, or None where nothing can
+    push, a solve without a barrier.  A hand-built ensemble passes
+    ``pushes=SignedPushes.of(dk)``.  A solver also returns the terminal
+    values and barriers it solved against.
 
-    Nothing dense of Z or of the reflection is stored: each read of ``Z``
-    or ``dK`` forms the array, and each read of ``K_plus``, ``K_minus`` or
-    ``k`` forms the reflection process, M x (N+1) and nondecreasing from
-    zero, K_0 = 0 and K_{j+1} = K_j + max(+-dK_j, 0), one time row after
-    another (``k_rows``), adding only at the paths step j pushed.  Read
-    them once; ``k_terminal`` forms K_T alone.  The K of a side without a
+    Nothing dense is stored: each read of ``Y``, ``Z`` or ``dK`` forms the
+    whole array, and each read of ``K_plus``, ``K_minus`` or ``k`` forms
+    the reflection process, M x (N+1) and nondecreasing from zero,
+    K_0 = 0 and K_{j+1} = K_j + max(+-dK_j, 0), one time row after another
+    (``k_rows``), adding only at the paths step j pushed.  Read each once
+    per use, or walk ``rows``; ``shape`` gives Y's shape without forming
+    it, and ``k_terminal`` forms K_T alone.  The K of a side without a
     barrier in ``obstacle_grid`` is zero."""
 
-    Y: np.ndarray
-    z_store: ZFits | _DenseZ
+    store: StepFits | _Dense
     pushes: SignedPushes | None
     meta: SolveMeta
     obstacle_grid: ObstacleGrid | None = None
 
     def __post_init__(self):
-        m, n_plus_1 = self.Y.shape
-        if self.z_store.shape[:2] != (m, n_plus_1 - 1):
-            raise ValueError("Z shape inconsistent with Y")
-        if self.pushes is not None and (self.pushes.m, len(self.pushes.values)) != (m, n_plus_1 - 1):
+        m, n = self.store.shape[:2]
+        if self.pushes is not None and (self.pushes.m, len(self.pushes.values)) != (m, n):
             raise ValueError("pushes shape inconsistent with Y")
 
     @classmethod
     def from_dense(cls, Y, Z, pushes, meta, obstacle_grid=None) -> "SolutionEnsemble":
-        """An ensemble on a whole M x N x d Z, for hand-built ensembles."""
-        return cls(Y, _DenseZ(Z), pushes, meta, obstacle_grid)
+        """An ensemble on a whole M x (N+1) Y and M x N x d Z, for hand-built
+        ensembles."""
+        return cls(_Dense(Y, Z), pushes, meta, obstacle_grid)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(M, N+1), the shape of Y, read off the store."""
+        m, n = self.store.shape[:2]
+        return m, n + 1
+
+    def rows(self):
+        """Y's and Z's rows from the horizon back: (N, Y_N, None), then
+        (i, Y_i, Z_i) for i = N-1, ..., 0, Y_i an (M,) and Z_i an (M, d)
+        row; a row is valid until the next one is read."""
+        return self.store.rows()
+
+    def z_rows(self):
+        """Z's (M, d) rows alone, from step N-1 back to step 0, as (i, row),
+        formed without Y's; a row is valid until the next one is read."""
+        return ((i, z) for i, _, z in self.store.rows(with_y=False))
+
+    @property
+    def Y(self) -> np.ndarray:
+        """The M x (N+1) array, formed on each read by one walk of ``rows``
+        and held time first, so each ``[:, i]`` is a contiguous row."""
+        m, n_plus_1 = self.shape
+        y = np.empty((n_plus_1, m))
+        for i, row, _ in self.rows():
+            y[i] = row
+        return y.T
 
     @property
     def Z(self) -> np.ndarray:
-        """The M x N x d array, formed on each read, one basis per step;
-        ``[:, i, :]`` is a contiguous row."""
-        m, n, d = self.z_store.shape
+        """The M x N x d array, formed on each read by one walk of
+        ``z_rows``; ``[:, i, :]`` is a contiguous row."""
+        m, n, d = self.store.shape
         z = np.empty((n, m, d))
         for i, row in self.z_rows():
             z[i] = row
         return z.transpose(1, 0, 2)
-
-    def z_rows(self):
-        """Z's (M, d) rows from step N-1 back to step 0, as (i, row); a row
-        is valid until the next one is read."""
-        return self.z_store.rows()
 
     @property
     def dK(self) -> np.ndarray:
         """The M x N signed pushes, formed on each read; ``[:, j]`` is a
         contiguous row."""
         if self.pushes is None:
-            m, n_plus_1 = self.Y.shape
+            m, n_plus_1 = self.shape
             return np.zeros((n_plus_1 - 1, m)).T
         return self.pushes.dense()
 
@@ -381,7 +413,7 @@ class SolutionEnsemble:
         if self.pushes is None or (self.obstacle_grid is not None
                                    and side not in self.obstacle_grid.sides):
             return
-        buffer = np.empty(self.Y.shape[0])
+        buffer = np.empty(self.shape[0])
         for j, values in enumerate(self.pushes.values):
             push = buffer[:values.size]
             np.maximum(values if side == "lower" else np.negative(values, out=push), 0.0, out=push)
@@ -390,10 +422,11 @@ class SolutionEnsemble:
     def k_rows(self, side: str):
         """The reflection process of the barrier on ``side``, K_0 = 0 to
         K_N, one time row after another, each a new (M,) array."""
-        row = np.zeros(self.Y.shape[0])
+        m, n_plus_1 = self.shape
+        row = np.zeros(m)
         yield row
         steps = self._pushes(side)  # nothing for a side that never pushes
-        for _ in range(self.Y.shape[1] - 1):
+        for _ in range(n_plus_1 - 1):
             row = row.copy()
             for paths, push in itertools.islice(steps, 1):
                 np.add.at(row, paths, push)
@@ -403,7 +436,7 @@ class SolutionEnsemble:
         """The reflection process of the barrier on ``side``, formed on each
         call: K+ pushes up from the lower barrier, K- down from the upper
         one.  Held time first, so each ``[:, i]`` is a contiguous row."""
-        m, n_plus_1 = self.Y.shape
+        m, n_plus_1 = self.shape
         k = np.empty((n_plus_1, m))
         for j, row in enumerate(self.k_rows(side)):
             k[j] = row
@@ -412,7 +445,7 @@ class SolutionEnsemble:
     def k_terminal(self, side: str) -> np.ndarray:
         """K_T of ``side`` per path, ``k(side)[:, -1]`` made by the same adds
         into one M vector."""
-        total = np.zeros(self.Y.shape[0])
+        total = np.zeros(self.shape[0])
         for paths, push in self._pushes(side):
             np.add.at(total, paths, push)
         return total

@@ -133,16 +133,24 @@ def stopping_rule_value(
     fixed = isinstance(rule, FixedRule)
     if fixed and not 0 <= rule.index <= n:
         raise ValueError(f"fixed stopping index must be in [0, {n}]")
-    nu = np.full(m, rule.index if fixed else n)
+    nu = np.full(m, rule.index if fixed else n, dtype=np.min_scalar_type(n))
     payoff = (grids.row("lower", rule.index) if fixed and rule.index < n else grids.xi).astype(float)
 
-    steps = coefficient_steps(sol, s, p, lag=0)
+    def hitting(rows):
+        """The rows, each hit recorded as they pass: they come from the
+        horizon back, so a path keeps its first hit, and a path never hit
+        stops at the horizon."""
+        for i, y, z in rows:
+            if i < n:
+                lower = grids.row("lower", i)
+                hit = y <= lower + rule.epsilon
+                nu[hit], payoff[hit] = i, lower[hit]
+                del lower, hit  # not held while the next rows are formed
+            yield i, y, z
+
+    steps = coefficient_steps(sol.rows() if fixed else hitting(sol.rows()), s, p, lag=0)
     running = np.zeros(m)
     for i in range(n):
-        if not fixed:  # a hitting path stops at its first hit, the others at the horizon
-            lower = grids.row("lower", i)
-            hit = (nu == n) & (sol.Y[:, i] <= lower + rule.epsilon)
-            nu[hit], payoff[hit] = i, lower[hit]
         running = running + np.where(i < nu, steps[:, i], 0.0)
     value = payoff + running
 

@@ -129,7 +129,7 @@ class NoisePaths:
     of B is summed only when read, because the solver reads B through its
     increments.  Both arrays are read-only views: W's kept rows are summed
     from ``dW`` once, and a solution ensemble keeps the increments alive to
-    form Z again, so neither may change after the paths are made."""
+    form Y and Z again, so neither may change after the paths are made."""
 
     dW: np.ndarray       # (M, N, d)
     dB: np.ndarray       # (M, N, l)

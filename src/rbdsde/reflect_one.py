@@ -45,8 +45,9 @@ def solve_penalized(
 ) -> SolutionEnsemble:
     """One backward sweep penalizing every declared barrier at the fixed
     rate ``level``; the per-step correction uses n_dt = level * dt.  The
-    ensemble keeps the increments of ``p`` alive, to form Z where it is
-    read."""
+    ensemble keeps the increments of ``p`` alive, to form Y and Z where
+    they are read, and each read of Y evaluates the driver again: a
+    ``hook`` driver must be a pure function."""
     return solve_backward(s, p, cfg or RegressionConfig(), picard_iters, _checked_grid(s, p), level)
 
 
@@ -58,16 +59,20 @@ def solve_projected(
 ) -> SolutionEnsemble:
     """Infinite-penalty limit: per step Y_i = min(U_i, max(a, L_i)) over the
     declared barriers, and dK+ = (L_i - a)^+, dK- = (a - U_i)^+.  The
-    ensemble keeps the increments of ``p`` alive, to form Z where it is
-    read."""
+    ensemble keeps the increments of ``p`` alive, to form Y and Z where
+    they are read, and each read of Y evaluates the driver again: a
+    ``hook`` driver must be a pure function."""
     return solve_backward(s, p, cfg or RegressionConfig(), picard_iters, _checked_grid(s, p))
 
 
 def penetration_statistic(sol: SolutionEnsemble, lower: np.ndarray) -> float:
     """Mean over paths of sup_i ((Y - S)^-)^2, the obstacle-violation measure
-    driven to zero by the schedule.  Reads Y and the barrier, not K."""
-    grid = ObstacleGrid(xi=sol.Y[:, -1], lower=lower)
-    return float(np.mean(_walk_rows(sol.Y, None, grid).sup_excess ** 2))
+    driven to zero by the schedule.  Reads Y one time row at a time, from
+    the horizon back, and the barrier, not K."""
+    sup = np.zeros(sol.shape[0])
+    for i, y, _ in sol.rows():
+        np.maximum(sup, lower[:, i] - y, out=sup)
+    return float(np.mean(sup ** 2))
 
 
 def solve_reflected(
@@ -79,17 +84,19 @@ def solve_reflected(
 ) -> tuple[SolutionEnsemble, PenalizationTrace]:
     """Run the penalty ladder until the penetration statistic reaches the
     schedule tolerance; never aborts on exhaustion, it flags instead.  The
-    ensemble keeps the increments of ``p`` alive, to form Z where it is
-    read.  The same call as ``reflect_two.solve_double``, kept under its
-    own name."""
+    ensemble keeps the increments of ``p`` alive, to form Y and Z where
+    they are read, and each read of Y evaluates the driver again: a
+    ``hook`` driver must be a pure function.  The same call as
+    ``reflect_two.solve_double``, kept under its own name."""
     return _run_ladder(s, p, cfg, picard_iters, schedule)
 
 
 def skorohod_residual(sol: SolutionEnsemble, obstacle: np.ndarray) -> np.ndarray:
     """Per-path sum of (Y_i - S_i) * (K_{i+1} - K_i): the flat-off-the-barrier
     condition, zero up to the penalty slack once converged."""
-    grid = ObstacleGrid(xi=sol.Y[:, -1], lower=obstacle)
-    return _walk_rows(sol.Y, sol.k_rows("lower"), grid).flat_off
+    y = sol.Y
+    grid = ObstacleGrid(xi=y[:, -1], lower=obstacle)
+    return _walk_rows(y, sol.k_rows("lower"), grid).flat_off
 
 
 def skorohod_sup_formula(sol: SolutionEnsemble, s: Scenario, p: NoisePaths) -> np.ndarray:
@@ -105,7 +112,7 @@ def skorohod_sup_formula(sol: SolutionEnsemble, s: Scenario, p: NoisePaths) -> n
                              "the sup formula ignores K- of an upper obstacle")
 
     # step_j = F_{j+1} dt + G_{j+1} . dB_j - Z_j . dW_j, pathwise
-    steps = coefficient_steps(sol, s, p, lag=1, martingale=True)
+    steps = coefficient_steps(sol.rows(), s, p, lag=1, martingale=True)
 
     tails = np.zeros((m, n + 1))
     tails[:, :n] = np.cumsum(steps[:, ::-1], axis=1)[:, ::-1]

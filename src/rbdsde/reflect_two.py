@@ -105,9 +105,10 @@ def solve_double(
     """Solve with every barrier the scenario declares, none, one on either
     side or both: level k of one penalty ladder penalizes each of them at
     the same rate.  Without a barrier this is ``solve_bdsde`` with an empty
-    trace.  The ensemble keeps the increments of ``p`` alive, to form Z
-    where it is read.  The same call as ``solve_reflected``, kept under its
-    own name."""
+    trace.  The ensemble keeps the increments of ``p`` alive, to form Y
+    and Z where they are read, and each read of Y evaluates the driver
+    again: a ``hook`` driver must be a pure function.  The same call as
+    ``solve_reflected``, kept under its own name."""
     return _run_ladder(s, p, cfg, picard_iters, schedule)
 
 
@@ -123,25 +124,21 @@ def _walk_rows(y, k_rows, grid: ObstacleGrid | None = None, side: str = "lower",
     sum_i -excess_i * dK_i and the largest positive excess; per grid time,
     the mean squared positive excess and K's mean; the count of excesses
     above ``slack``; and whether K starts at zero and never falls, the one
-    check made without a barrier.  With ``k_rows`` None the K-only
-    results, the flat-off sum, the K check and K's means, are None and
-    nothing of K is read.  Sums run row after row, as numpy sums the time
-    axis of the solver's time-major arrays."""
+    check made without a barrier.  Sums run row after row, as numpy sums
+    the time axis of the solver's time-major arrays."""
     y_rows = y.T
     rows, m = y_rows.shape
-    flat, sup, mean_sq, above = np.zeros(m), np.zeros(m), np.zeros(rows), 0
-    k_rows = None if k_rows is None else iter(k_rows)
-    k_now = None if k_rows is None else next(k_rows)
-    mean_k = None if k_rows is None else np.zeros(rows)
-    monotone = k_rows is not None and bool(np.all(k_now == 0.0))
+    flat, sup, mean_sq, mean_k, above = np.zeros(m), np.zeros(m), np.zeros(rows), np.zeros(rows), 0
+    k_rows = iter(k_rows)
+    k_now = next(k_rows)
+    monotone = bool(np.all(k_now == 0.0))
     for i in range(rows):
         dk = None
-        if k_rows is not None:
-            mean_k[i] = k_now.mean()
-            if i + 1 < rows:
-                k_next = next(k_rows)
-                dk = k_next - k_now
-                k_now = k_next
+        mean_k[i] = k_now.mean()
+        if i + 1 < rows:
+            k_next = next(k_rows)
+            dk = k_next - k_now
+            k_now = k_next
         monotone = monotone and (dk is None or bool(np.all(dk >= 0)))
         if grid is None:
             continue
@@ -152,8 +149,6 @@ def _walk_rows(y, k_rows, grid: ObstacleGrid | None = None, side: str = "lower",
         positive = np.maximum(excess, 0.0, out=excess)
         np.maximum(sup, positive, out=sup)
         mean_sq[i] = np.mean(np.square(positive, out=positive))
-    if k_rows is None:
-        return _RowWalk(None, sup, mean_sq, above, None, None)
     return _RowWalk(np.negative(flat, out=flat), sup, mean_sq, above, monotone, mean_k)
 
 
@@ -162,6 +157,7 @@ def double_skorohod_residuals(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-path flat-off-the-barrier sums for both reflection processes:
     sum (Y - L) dK_plus and sum (U - Y) dK_minus."""
-    grid = ObstacleGrid(xi=sol.Y[:, -1], lower=lower, upper=upper)
-    return tuple(_walk_rows(sol.Y, sol.k_rows(side), grid, side).flat_off
+    y = sol.Y
+    grid = ObstacleGrid(xi=y[:, -1], lower=lower, upper=upper)
+    return tuple(_walk_rows(y, sol.k_rows(side), grid, side).flat_off
                  for side in ("lower", "upper"))

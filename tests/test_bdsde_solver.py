@@ -261,7 +261,7 @@ class TestZStore:
         sc, cfg, level = _z_corridor()
         p = generate_paths(sc)
         sol = solve_backward(sc, p, cfg, 2, _checked_grid(sc, p), level)
-        for kept in (p.dW, p.dB, sol.z_store.w.increments, sol.z_store.db):
+        for kept in (p.dW, p.dB, sol.store.w.increments, sol.store.db):
             with pytest.raises(ValueError, match="read-only"):
                 kept[0, 0, 0] = 1.0
 
@@ -269,22 +269,74 @@ class TestZStore:
         sc, cfg, level = _z_corridor()
         p = generate_paths(sc)
         sol = solve_backward(sc, p, cfg, 2, _checked_grid(sc, p), level)
-        store = sol.z_store
-        assert len(store.coefficients) == sc.grid.steps
-        assert all(beta.shape == (sol.meta.basis_size, sc.dims.d) for beta in store.coefficients)
+        store, b = sol.store, sol.meta.basis_size
+        for fits, shape in ((store.rough, (b, 2)), (store.z, (b, sc.dims.d)),
+                            (store.continuation, (b,))):
+            assert len(fits) == sc.grid.steps and all(beta.shape == shape for beta in fits)
         assert store.w is p._w and store.db is p.dB and store.shaped == ("lower",)
+        # and what the Y step reads besides the fits
+        assert store.driver is sc.driver and store.rate == level * sc.grid.dt and store.picard == 2
+        assert store.times.tobytes() == sc.grid.times.tobytes() and store.dt == sc.grid.dt
         # without dB columns the store does not keep dB alive
         plain = solve_bdsde(sc, p, RegressionConfig(degree_w=2, include_dB=False))
-        assert plain.z_store.db is None and plain.z_store.shaped == ()
+        assert plain.store.db is None and plain.store.shaped == ()
 
     def test_hand_built_dense_z_reads_back(self):
         sc = constant_g_scenario(paths=200, steps=4)
         sol = solve_bdsde(sc, generate_paths(sc))
         dense = rbdsde.SolutionEnsemble.from_dense(sol.Y, sol.Z, sol.pushes, sol.meta)
         assert dense.Z.tobytes() == sol.Z.tobytes()
-        assert dense.z_store.nbytes == sol.Z.nbytes
+        assert dense.Y.tobytes() == sol.Y.tobytes() and dense.shape == sol.shape
+        assert dense.store.nbytes == sol.Y.nbytes + sol.Z.nbytes
         with pytest.raises(ValueError, match="Z shape inconsistent with Y"):
             rbdsde.SolutionEnsemble.from_dense(sol.Y, sol.Z[:, 1:], sol.pushes, sol.meta)
+
+
+class TestYStore:
+    """Y is held as each step's fit coefficients and formed where it is
+    read, by the sweep's basis walk, fitted-rows products, Picard passes
+    and reflection."""
+
+    @pytest.mark.parametrize("case", ["ladder_level", "corridor", "no_picard"])
+    def test_every_read_has_the_sweep_bits(self, monkeypatch, case):
+        if case == "ladder_level":
+            # one level of a lower-barrier ladder, which factors its designs
+            sc, picard = stopping_drift_scenario(paths=5000, steps=6), 2
+            cfg = RegressionConfig(degree_w=3, include_dB=False)
+            schedule = rbdsde.PenaltySchedule(levels=(50.0,), penetration_tol=0.0)
+        else:
+            # a driver of Y and Z, so the Picard passes read both rows
+            sc, cfg, level = _z_corridor()
+            picard = 2 if case == "corridor" else 0
+        p = generate_paths(sc)
+        swept = []
+        reflect = bdsde_solver._reflect
+
+        def recording(y, *args):
+            result = reflect(y, *args)
+            swept.append(y.tobytes())
+            return result
+
+        monkeypatch.setattr(bdsde_solver, "_reflect", recording)
+        if case == "ladder_level":
+            sol, _ = solve_reflected(sc, p, cfg, picard, schedule)
+        else:
+            sol = solve_backward(sc, p, cfg, picard, _checked_grid(sc, p), level)
+        monkeypatch.undo()
+        n = sc.grid.steps
+        # each step reflects the row it solved, from the last step back
+        assert len(swept) == n
+        y, z = sol.Y, sol.Z
+        assert y.shape == sol.shape == (sc.mc_paths, n + 1)
+        assert y[:, n].tobytes() == sol.obstacle_grid.xi.tobytes()
+        read = []
+        for i, y_i, z_i in sol.rows():
+            if i == n:
+                assert y_i.tobytes() == y[:, n].tobytes() and z_i is None
+            elif y_i.tobytes() == swept[n - 1 - i] == y[:, i].tobytes():
+                read.append(i)
+                assert z_i.tobytes() == z[:, i, :].tobytes()
+        assert read == list(range(n - 1, -1, -1))
 
 
 class TestWorkingSet:
@@ -308,7 +360,7 @@ class TestWorkingSet:
         # without a barrier nothing can push, and no store is allocated
         assert sol.pushes is None
         assert sol.dK.shape == (sc.mc_paths, sc.grid.steps) and not np.any(sol.dK)
-        held = peak - sol.Y.nbytes - sol.z_store.nbytes
+        held = peak - sol.store.nbytes
         # a design of 9 columns; a sweep that builds each basis while it
         # still holds the last step's design and rows reads about 30 rows
         assert sol.meta.basis_size == 9
@@ -337,7 +389,7 @@ class TestWorkingSet:
         assert pushed < 0.05 * m * n
         assert sol.pushes.nbytes < 0.1 * m * n * 8
         row = m * 8
-        held = peak - sol.Y.nbytes - sol.z_store.nbytes
+        held = peak - sol.store.nbytes
         assert held < sol.pushes.nbytes + (sol.meta.basis_size + self.STEP_ROWS) * row
 
     def test_sweep_holds_no_whole_z(self):
@@ -353,8 +405,40 @@ class TestWorkingSet:
         finally:
             tracemalloc.stop()
         b, n = sol.meta.basis_size, sc.grid.steps
-        assert sol.z_store.nbytes == n * b * sc.dims.d * 8
-        assert peak - sol.Y.nbytes < (b + self.STEP_ROWS) * sc.mc_paths * 8
+        assert sol.store.nbytes == n * b * (2 + sc.dims.d + 1) * 8
+        assert peak - sol.store.nbytes < (b + self.STEP_ROWS) * sc.mc_paths * 8
+
+    def test_sweep_holds_no_whole_y(self):
+        # 30 steps, so a stored (M, N+1) Y would take 31 rows of M numbers:
+        # a reflected sweep keeps one row of Y, each step's fit coefficients
+        # and the pushes
+        sc = stopping_drift_scenario(paths=20_000, steps=30)
+        p = generate_paths(sc)
+        grids = _checked_grid(sc, p)
+        tracemalloc.start()
+        try:
+            sol = solve_backward(sc, p, RegressionConfig(degree_w=4, include_dB=False), 2, grids, 50.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.any(sol.dK > 0.0)
+        stores = sol.store.nbytes + sol.pushes.nbytes
+        assert peak - stores < (sol.meta.basis_size + self.STEP_ROWS) * sc.mc_paths * 8
+
+    def test_a_read_of_y_holds_y_and_a_few_rows(self):
+        sc = two_barrier_scenario(paths=20_000, steps=10, width=0.8, drift=0.6)
+        p = generate_paths(sc)
+        sol = solve_backward(sc, p, RegressionConfig(degree_w=1, include_dB=True), 2,
+                             _checked_grid(sc, p), 50.0)
+        tracemalloc.start()
+        try:
+            y = sol.Y
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # W's row, B_T - B_{t_i}, Z's, Y's and the continuation's rows, the
+        # step's barrier rows, one block's basis and the reflection's rows
+        assert peak - y.nbytes < 8 * sc.mc_paths * 8
 
     def test_a_read_of_z_holds_a_few_rows(self):
         sc = constant_g_scenario(paths=20_000, steps=10, beta=0.3)

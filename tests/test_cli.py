@@ -934,16 +934,16 @@ def test_any_file_system_state_gives_a_contract_code(command, config_state, out_
 
 
 class TestRowWiseReads:
-    """``run`` and ``compare`` read Z and K one time row at a time: with
+    """``run`` and ``compare`` read Y, Z and K one time row at a time: with
     every whole-array read made to raise they write what the whole-array
     formulas give."""
 
     @pytest.fixture
     def no_whole_arrays(self, monkeypatch):
         def whole(*_):
-            raise AssertionError("a whole Z, dK or K was formed")
+            raise AssertionError("a whole Y, Z, dK or K was formed")
 
-        for name in ("Z", "dK"):
+        for name in ("Y", "Z", "dK"):
             monkeypatch.setattr(rbdsde.SolutionEnsemble, name, property(whole))
         monkeypatch.setattr(rbdsde.SolutionEnsemble, "k", whole)
         return monkeypatch
@@ -989,3 +989,33 @@ class TestRowWiseReads:
             wrong = dk_a < dk_b - epsilon if side == "lower" else dk_a > dk_b + epsilon
             assert payload["dk_violation_fraction" + suffix] == float(np.mean(wrong))
             assert np.any(dk_a) and np.any(dk_b)
+
+    def test_each_reader_walks_the_store_once(self, tmp_path, monkeypatch):
+        # Y and Z are formed from the fits' store by a walk of its rows: a
+        # reader walks it once, and the reflection's readers never
+        walks = []
+        rows = bdsde_solver.StepFits.rows
+
+        def counted(store, with_y=True):
+            walks.append(with_y)
+            return rows(store, with_y)
+
+        monkeypatch.setattr(bdsde_solver.StepFits, "rows", counted)
+        path = _write(tmp_path, "c.json", _corridor_config(paths=2000, steps=20))
+        assert main(["run", path, "--out", str(tmp_path / "o")]) == 0
+        assert walks == [True]
+        spec = load_config(path)
+        sc, p = spec.scenario, cli._prepare(spec)
+        sol, _ = cli._solve_for_config(spec, p)
+        grids = sol.obstacle_grid
+        for read in (lambda: rbdsde.apriori_statistic(sol, sc),
+                     lambda: bdsde_solver.coefficient_steps(sol.rows(), sc, p, lag=1),
+                     lambda: reflect_two.double_skorohod_residuals(sol, grids.lower, grids.upper)):
+            walks.clear()
+            read()
+            assert walks == [True]
+        walks.clear()
+        for side in ("lower", "upper"):
+            list(sol.k_rows(side))
+            sol.k_terminal(side)
+        assert sol.dK.shape == sol.shape[:1] + (sc.grid.steps,) and walks == []

@@ -267,7 +267,7 @@ class TestStoredArrays:
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        results = sol.Y.nbytes + sol.z_store.nbytes + sol.pushes.nbytes
+        results = sol.store.nbytes + sol.pushes.nbytes
         row = sc.mc_paths * 8
         # beside the results, a solve holds one design, its step's working
         # rows, xi, the step's barrier row and the running penetration

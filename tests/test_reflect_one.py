@@ -304,7 +304,7 @@ def test_ladder_holds_one_ensemble_at_a_time():
     schedule = PenaltySchedule(levels=(1.0, 10.0, 100.0), penetration_tol=0.0)
     ladder_peak, (sol, trace) = _traced_peak(lambda: solve_reflected(sc, p, cfg, schedule=schedule))
     sweep_peak, _ = _traced_peak(lambda: solve_penalized(sc, p, cfg, level=1.0))
-    ensemble = sol.Y.nbytes + sol.z_store.nbytes + sol.pushes.nbytes
+    ensemble = sol.store.nbytes + sol.pushes.nbytes
     assert len(trace.levels) == 3
     assert ladder_peak <= sweep_peak + ensemble / 2
 
@@ -392,8 +392,8 @@ class TestSkorohodSupFormula:
             obstacles=ObstacleSpec(lower=CoefficientSpec.clamp(-2.0, -0.9)))
         p = generate_paths(sc)
         sol = solve_penalized(sc, p, RegressionConfig(degree_w=2), level=50.0)
-        whole = coefficient_steps(sol, sc, p, lag=1) - np.einsum("mnd,mnd->mn", sol.Z, p.dW)
-        rows = coefficient_steps(sol, sc, p, lag=1, martingale=True)
+        whole = coefficient_steps(sol.rows(), sc, p, lag=1) - np.einsum("mnd,mnd->mn", sol.Z, p.dW)
+        rows = coefficient_steps(sol.rows(), sc, p, lag=1, martingale=True)
         assert rows.tobytes() == whole.tobytes()
 
         def whole_z(self):

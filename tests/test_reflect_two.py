@@ -368,12 +368,12 @@ class TestSolveDouble:
         last = trace.levels[-1]
         assert last.mean_k_plus_T == float(sol.K_plus[:, -1].mean()) > 0.0
         assert last.mean_k_minus_T == float(sol.K_minus[:, -1].mean()) > 0.0
-        # beside Y and Z's coefficients: the pushes' store, one design, a
-        # step's working rows and xi
+        # beside the fits' coefficients: the pushes' store, one design, a
+        # step's working rows, xi and the sweep's row of Y
         row = sc.mc_paths * 8
-        held = peak - sol.Y.nbytes - sol.z_store.nbytes
+        held = peak - sol.store.nbytes
         step_rows = test_bdsde_solver.TestWorkingSet.STEP_ROWS
-        assert held < sol.pushes.nbytes + (sol.meta.basis_size + step_rows + 1) * row
+        assert held < sol.pushes.nbytes + (sol.meta.basis_size + step_rows + 2) * row
 
     def test_lower_only_is_the_one_barrier_ladder(self, fast_cfg):
         sc = stopping_drift_scenario(paths=1000, steps=8)
