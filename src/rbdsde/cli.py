@@ -258,13 +258,14 @@ def _solve_for_config(spec: RunSpec, paths):
                         schedule=spec.schedule)
 
 
-def _write_timeseries(path: Path, sc: Scenario, y: np.ndarray, z_means: list, walks: dict) -> None:
-    """Per grid time: Y's mean and standard error from the whole ``y``,
+def _write_timeseries(path: Path, sc: Scenario, y_stats: np.ndarray, z_means: list,
+                      walks: dict) -> None:
+    """Per grid time: Y's mean and standard error, the rows of ``y_stats``,
     Z's means as formatted in ``z_means`` (empty at the horizon), K's means
     and each side's mean squared excess, read off that side's row walk; a
     side without a barrier writes 0."""
     times = sc.grid.times
-    m, n = sc.mc_paths, sc.grid.steps
+    n = sc.grid.steps
     header = ["t", "Y_mean", "Y_se"]
     header += [f"Z_mean_{k}" for k in range(sc.dims.d)]
     header += ["K_plus_mean", "K_minus_mean", "penetration_lower", "penetration_upper"]
@@ -275,8 +276,7 @@ def _write_timeseries(path: Path, sc: Scenario, y: np.ndarray, z_means: list, wa
         writer = csv.writer(fh)
         writer.writerow(header)
         for i in range(n + 1):
-            y_i = y[:, i]
-            row = [_fmt(times[i]), _fmt(y_i.mean()), _fmt(y_i.std(ddof=1) / np.sqrt(m))]
+            row = [_fmt(times[i]), _fmt(y_stats[i, 0]), _fmt(y_stats[i, 1])]
             row += z_means[i]
             row += [_fmt(column[i]) for column in columns]
             writer.writerow(row)
@@ -292,25 +292,27 @@ def cmd_run(config_path: str, out: Path) -> int:
     sol, trace = _solve_for_config(spec, _prepare(spec))
     grids = sol.obstacle_grid
     se = diagnostics.regression_se(sol)
-    # one walk of the solution forms Y whole, time first, and Z's means
-    d, n = sc.dims.d, sc.grid.steps
-    y_rows = np.empty((n + 1, sc.mc_paths))
+    d, n, m = sc.dims.d, sc.grid.steps, sc.mc_paths
+    # per grid time, Y's mean and standard error, and Z's means, taken from
+    # each row as the walk below forms it; no whole Y is held
+    y_stats = np.empty((n + 1, 2))
     z_means = [[""] * d for _ in range(n + 1)]
-    for i, y_i, z in sol.rows():
-        y_rows[i] = y_i
-        if z is not None:
-            z_means[i] = [_fmt(z[:, c].mean()) for c in range(d)]
-    y = y_rows.T
-    # one walk over the time rows of Y and K per side, which serves every
-    # reader of K below; a side without a barrier checks only its K
-    walks = {side: _walk_rows(y, sol.k_rows(side), grids if side in grids.sides else None,
-                              side, 3.0 * se) for side in ("lower", "upper")}
+    verdicts = {}
 
-    y0 = y[:, 0]
-    verdicts = {
-        "terminal_exact": bool(np.array_equal(y[:, -1], grids.xi)),
-        "k_nondecreasing_from_zero": all(walk.k_nondecreasing_from_zero for walk in walks.values()),
-    }
+    def read_row(i, y_i, z):
+        y_stats[i] = y_i.mean(), y_i.std(ddof=1) / np.sqrt(m)
+        if z is None:
+            verdicts["terminal_exact"] = bool(np.array_equal(y_i, grids.xi))
+        else:
+            z_means[i] = [_fmt(z[:, c].mean()) for c in range(d)]
+
+    # one walk of Y's rows, from the horizon back, serves every reader of Y
+    # and each side's barrier checks; one walk of each side's K rows serves
+    # every reader of K.  A side without a barrier checks only its K
+    walks = _walk_rows(sol, grids, ("lower", "upper"), 3.0 * se, read_row)
+
+    verdicts["k_nondecreasing_from_zero"] = all(walk.k_nondecreasing_from_zero
+                                                for walk in walks.values())
     for side in grids.sides:
         walk, suffix = walks[side], _SUFFIX[side]
         mean_res = float(np.abs(walk.flat_off).mean())
@@ -320,7 +322,7 @@ def cmd_run(config_path: str, out: Path) -> int:
             "tolerance": tol,
             "passed": bool(mean_res <= max(tol, 1e-12)),
         }
-        domination = walk.above_slack / y.size
+        domination = walk.above_slack / (m * (n + 1))
         verdicts["obstacle_domination" + suffix] = {
             "violation_fraction": domination,
             "passed": bool(domination <= 0.01),
@@ -329,8 +331,8 @@ def cmd_run(config_path: str, out: Path) -> int:
     summary = {
         "status": "ok" if trace.converged else "not_converged",
         "converged": trace.converged,
-        "Y0_mean": float(y0.mean()),
-        "Y0_se": float(y0.std(ddof=1) / np.sqrt(sc.mc_paths)),
+        "Y0_mean": float(y_stats[0, 0]),
+        "Y0_se": float(y_stats[0, 1]),
         "mean_K_plus_T": float(walks["lower"].mean_k[-1]),
         "mean_K_minus_T": float(walks["upper"].mean_k[-1]),
         "penetration_trace": [asdict(stat) for stat in trace.levels],
@@ -345,7 +347,7 @@ def cmd_run(config_path: str, out: Path) -> int:
         },
     }
     _write_json(out / "summary.json", summary)
-    _write_timeseries(out / "timeseries.csv", sc, y, z_means, walks)
+    _write_timeseries(out / "timeseries.csv", sc, y_stats, z_means, walks)
     return 0 if trace.converged else 3
 
 
@@ -389,6 +391,19 @@ def cmd_compare(config_a: str, config_b: str, out: Path) -> int:
     return 0 if overall else 1
 
 
+def _y0_mean_and_max_step(sol) -> tuple[float, np.ndarray]:
+    """Y0's mean and, per path, the largest |Y_{i+1} - Y_i| over the grid,
+    from one walk of Y's rows; no whole Y is held."""
+    m = sol.shape[0]
+    max_step, later, step = np.zeros(m), np.empty(m), np.empty(m)
+    for i, y, _ in sol.rows():
+        if i < sol.shape[1] - 1:
+            np.abs(np.subtract(later, y, out=step), out=step)
+            np.maximum(max_step, step, out=max_step)
+        np.copyto(later, y)  # the walk's next row overwrites y
+    return later.mean(), max_step
+
+
 def cmd_convergence(config_path: str, out: Path, grid_refinement: bool = False) -> int:
     spec = load_config(config_path)
     sc = spec.scenario
@@ -404,8 +419,8 @@ def cmd_convergence(config_path: str, out: Path, grid_refinement: bool = False) 
         rows.append(["penalty", _fmt(stat.level), _fmt(stat.penetration_lower),
                      _fmt(stat.penetration_upper), "", _fmt(stat.mean_k_plus_T),
                      _fmt(stat.mean_k_minus_T), ""])
-    y = sol.Y
-    rows[-1][4] = _fmt(y[:, 0].mean())
+    y0_mean, max_step = _y0_mean_and_max_step(sol)
+    rows[-1][4] = _fmt(y0_mean)
 
     if grid_refinement:
         # every grid sees the run's noise (its paths summed over k steps) and its ladder
@@ -413,12 +428,12 @@ def cmd_convergence(config_path: str, out: Path, grid_refinement: bool = False) 
             steps = sc.grid.steps // k
             coarse = replace(spec, scenario=replace(sc, grid=replace(sc.grid, steps=steps)))
             sub_sol = sol if k == 1 else _solve_for_config(coarse, coarsen(paths, k))[0]
-            sub_y = y if k == 1 else sub_sol.Y
-            max_step = np.max(np.abs(np.diff(sub_y, axis=1)), axis=1)
-            rows.append(["grid", str(steps), "", "", _fmt(sub_y[:, 0].mean()),
+            sub_y0_mean, sub_max_step = ((y0_mean, max_step) if k == 1
+                                         else _y0_mean_and_max_step(sub_sol))
+            rows.append(["grid", str(steps), "", "", _fmt(sub_y0_mean),
                          _fmt(sub_sol.k_terminal("lower").mean()),
                          _fmt(sub_sol.k_terminal("upper").mean()),
-                         _fmt(np.median(max_step))])
+                         _fmt(np.median(sub_max_step))])
 
     with (out / "convergence.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -438,7 +453,7 @@ def cmd_oracle_check(config_path: str, out: Path) -> int:
         _write_json(out / "oracle.json", {"status": "unsupported"})
         return 4
     sol, trace = _solve_for_config(spec, _prepare(spec))
-    solver_value = float(sol.Y[:, 0].mean())
+    solver_value = float(_y0_mean_and_max_step(sol)[0])
     dp_value = dp_stopping_value(sc, lattice_steps=2000)
     rel_gap = abs(solver_value - dp_value) / max(abs(dp_value), 1e-12)
     passed = rel_gap <= 0.02

@@ -165,8 +165,11 @@ def stability_statistic(
     """E[sup_i (Y_i - Y'_i)^2] between the base scenario and its terminal
     perturbation xi + delta, each solved on the same noise by
     ``solve_projected``, which reflects on every barrier the scenario
-    declares; raises if either data set fails a per-path condition."""
+    declares; raises if either data set fails a per-path condition.  Y is
+    read one time row at a time, both ensembles' rows side by side."""
     base_sol, pert_sol = (solve_projected(sc, shared_paths, cfg, picard_iters)
                           for sc in (s, shift_terminal(s, delta)))
-    diff = pert_sol.Y - base_sol.Y
-    return float(np.mean(np.max(diff**2, axis=1)))
+    sup = np.zeros(base_sol.shape[0])
+    for (_, y_base, _), (_, y_pert, _) in zip(base_sol.rows(), pert_sol.rows()):
+        np.maximum(sup, np.square(y_pert - y_base), out=sup)
+    return float(np.mean(sup))

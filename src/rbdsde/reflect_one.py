@@ -93,10 +93,11 @@ def solve_reflected(
 
 def skorohod_residual(sol: SolutionEnsemble, obstacle: np.ndarray) -> np.ndarray:
     """Per-path sum of (Y_i - S_i) * (K_{i+1} - K_i): the flat-off-the-barrier
-    condition, zero up to the penalty slack once converged."""
-    y = sol.Y
-    grid = ObstacleGrid(xi=y[:, -1], lower=obstacle)
-    return _walk_rows(y, sol.k_rows("lower"), grid).flat_off
+    condition, zero up to the penalty slack once converged.  Reads Y one
+    time row at a time."""
+    # the walk reads the barrier alone, not the terminal values
+    grid = ObstacleGrid(xi=None, lower=obstacle)
+    return _walk_rows(sol, grid, ("lower",))["lower"].flat_off
 
 
 def skorohod_sup_formula(sol: SolutionEnsemble, s: Scenario, p: NoisePaths) -> np.ndarray:

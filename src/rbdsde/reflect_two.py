@@ -116,48 +116,74 @@ _RowWalk = namedtuple("_RowWalk", "flat_off sup_excess mean_sq_excess above_slac
                                    "k_nondecreasing_from_zero mean_k")
 
 
-def _walk_rows(y, k_rows, grid: ObstacleGrid | None = None, side: str = "lower",
-               slack: float = np.inf) -> _RowWalk:
-    """Walk the rows of Y, one side's K and that side's barrier in ``grid``
-    once; ``k_rows`` gives K's time rows in order, as
-    ``SolutionEnsemble.k_rows`` does.  Returns, per path, the flat-off sum
-    sum_i -excess_i * dK_i and the largest positive excess; per grid time,
-    the mean squared positive excess and K's mean; the count of excesses
-    above ``slack``; and whether K starts at zero and never falls, the one
-    check made without a barrier.  Sums run row after row, as numpy sums
-    the time axis of the solver's time-major arrays."""
-    y_rows = y.T
-    rows, m = y_rows.shape
-    flat, sup, mean_sq, mean_k, above = np.zeros(m), np.zeros(m), np.zeros(rows), np.zeros(rows), 0
-    k_rows = iter(k_rows)
-    k_now = next(k_rows)
-    monotone = bool(np.all(k_now == 0.0))
-    for i in range(rows):
-        dk = None
-        mean_k[i] = k_now.mean()
-        if i + 1 < rows:
+def _walk_rows(sol: SolutionEnsemble, grid: ObstacleGrid | None = None,
+               sides: tuple[str, ...] = ("lower", "upper"), slack: float = np.inf,
+               on_row=None) -> dict[str, _RowWalk]:
+    """Check each of ``sides``: K, and the barrier on that side in ``grid``
+    if it has one, along ``sol``.  Per side, returns per path the flat-off
+    sum sum_i -excess_i * dK_i and the largest positive excess; per grid
+    time the mean squared positive excess and K's mean; the count of
+    excesses above ``slack``; and whether K starts at zero and never falls,
+    the one check made without a barrier.
+
+    Two passes, neither of which holds a whole Y.  The backward pass walks
+    ``sol.rows()`` once, from the horizon back, and hands each (i, Y_i, Z_i)
+    to ``on_row``, if given; it runs only for a barrier or a hook.  Of step
+    i's excess it keeps the paths the store says step i pushed.  The
+    forward pass walks each side's ``k_rows`` and adds
+    excess_i * (K_{i+1} - K_i) at those paths, row after row, as numpy sums
+    the time axis of a time-major array: off them ``k_rows`` adds nothing,
+    so the dense product there is +-0.0 and the sums keep their bits."""
+    m, n_plus_1 = sol.shape
+    checked = [side for side in sides if grid is not None and side in grid.sides]
+    sup = {side: np.zeros(m) for side in sides}
+    mean_sq = {side: np.zeros(n_plus_1) for side in sides}
+    above = dict.fromkeys(sides, 0)
+    # per step i: the paths it pushed, and each checked side's excess there
+    pushed = [np.empty(0, dtype=np.intp)] * (n_plus_1 - 1)
+    kept = {side: [np.empty(0)] * (n_plus_1 - 1) for side in checked}
+    if checked or on_row is not None:
+        for i, y, z in sol.rows():
+            if on_row is not None:
+                on_row(i, y, z)
+            if i < n_plus_1 - 1 and checked and sol.pushes is not None:
+                pushed[i] = sol.pushes.paths(i)
+            for side in checked:
+                excess = grid.excess(side, y, i)
+                if i < n_plus_1 - 1:
+                    kept[side][i] = excess[pushed[i]]
+                above[side] += np.count_nonzero(excess > slack)
+                positive = np.maximum(excess, 0.0, out=excess)
+                np.maximum(sup[side], positive, out=sup[side])
+                mean_sq[side][i] = np.mean(np.square(positive, out=positive))
+
+    walks = {}
+    for side in sides:
+        flat, mean_k = np.zeros(m), np.zeros(n_plus_1)
+        k_rows = sol.k_rows(side)
+        k_now = next(k_rows)
+        monotone = bool(np.all(k_now == 0.0))
+        for i in range(n_plus_1 - 1):
+            mean_k[i] = k_now.mean()
             k_next = next(k_rows)
             dk = k_next - k_now
             k_now = k_next
-        monotone = monotone and (dk is None or bool(np.all(dk >= 0)))
-        if grid is None:
-            continue
-        excess = grid.excess(side, y_rows[i], i)
-        if dk is not None:
-            flat += excess * dk
-        above += np.count_nonzero(excess > slack)
-        positive = np.maximum(excess, 0.0, out=excess)
-        np.maximum(sup, positive, out=sup)
-        mean_sq[i] = np.mean(np.square(positive, out=positive))
-    return _RowWalk(np.negative(flat, out=flat), sup, mean_sq, above, monotone, mean_k)
+            monotone = monotone and bool(np.all(dk >= 0))
+            if side in kept:
+                paths = pushed[i]
+                flat[paths] += kept[side][i] * dk[paths]
+        mean_k[-1] = k_now.mean()
+        walks[side] = _RowWalk(np.negative(flat, out=flat), sup[side], mean_sq[side], above[side],
+                               monotone, mean_k)
+    return walks
 
 
 def double_skorohod_residuals(
     sol: SolutionEnsemble, lower: np.ndarray, upper: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-path flat-off-the-barrier sums for both reflection processes:
-    sum (Y - L) dK_plus and sum (U - Y) dK_minus."""
-    y = sol.Y
-    grid = ObstacleGrid(xi=y[:, -1], lower=lower, upper=upper)
-    return tuple(_walk_rows(y, sol.k_rows(side), grid, side).flat_off
-                 for side in ("lower", "upper"))
+    sum (Y - L) dK_plus and sum (U - Y) dK_minus, from one walk of the
+    rows of Y."""
+    # the walk reads the barriers alone, not the terminal values
+    walks = _walk_rows(sol, ObstacleGrid(xi=None, lower=lower, upper=upper))
+    return walks["lower"].flat_off, walks["upper"].flat_off

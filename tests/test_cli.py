@@ -2,6 +2,7 @@
 import contextlib
 import copy
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -473,8 +474,9 @@ class TestBarrierSets:
             rows = list(csv.DictReader(fh))
         grids, dt = sol.obstacle_grid, spec.scenario.grid.dt
         se = rbdsde.regression_se(sol)
+        walks = reflect_two._walk_rows(sol, grids, grids.sides, 3.0 * se)
         for side in grids.sides:
-            walk = reflect_two._walk_rows(sol.Y, sol.k_rows(side), grids, side, 3.0 * se)
+            walk = walks[side]
             # the (M, N+1) formulas that the walk over time rows replaces
             k = sol.k(side)
             excess = grids.excess(side, sol.Y)
@@ -495,7 +497,7 @@ class TestBarrierSets:
             assert ([float(row["penetration_" + side]) for row in rows]
                     == np.mean(np.square(positive), axis=0).tolist())
 
-    def test_row_wise_k_check_equals_the_whole_array_formula(self):
+    def test_row_wise_k_check_equals_the_whole_array_formula(self, monkeypatch):
         def whole(k):
             return bool(np.all(k[:, 0] == 0.0) and np.all(np.diff(k, axis=1) >= 0))
 
@@ -510,13 +512,20 @@ class TestBarrierSets:
             cases.append(k)
         verdicts = [whole(k) for k in cases]
         assert True in verdicts and False in verdicts
+        meta = rbdsde.SolveMeta(scheme="hand", seed=0, n_paths=6, basis_size=1, picard_iters=0,
+                                regression=rbdsde.RegressionConfig(),
+                                residual_rms=np.zeros((7, 3)))
         for k, verdict in zip(cases, verdicts):
             # the time-major layout of the solver's K, with and without a barrier
             k = np.ascontiguousarray(k.T).T
             y = np.zeros_like(k)
+            sol = rbdsde.SolutionEnsemble.from_dense(y, np.zeros((6, 7, 1)), None, meta)
+            monkeypatch.setattr(rbdsde.SolutionEnsemble, "k_rows", lambda sol, side: iter(k.T))
             grid = rbdsde.ObstacleGrid(xi=y[:, -1], lower=np.full_like(k, -1.0))
-            assert reflect_two._walk_rows(y, k.T).k_nondecreasing_from_zero is verdict
-            assert reflect_two._walk_rows(y, k.T, grid).k_nondecreasing_from_zero is verdict
+            walk = reflect_two._walk_rows(sol, sides=("lower",))["lower"]
+            assert walk.k_nondecreasing_from_zero is verdict
+            walk = reflect_two._walk_rows(sol, grid, ("lower",))["lower"]
+            assert walk.k_nondecreasing_from_zero is verdict
 
     def test_k_check_reads_the_side_without_a_barrier(self, tmp_path, monkeypatch):
         form = rbdsde.SolutionEnsemble.k_rows
@@ -934,9 +943,9 @@ def test_any_file_system_state_gives_a_contract_code(command, config_state, out_
 
 
 class TestRowWiseReads:
-    """``run`` and ``compare`` read Y, Z and K one time row at a time: with
-    every whole-array read made to raise they write what the whole-array
-    formulas give."""
+    """``run``, ``compare``, ``convergence`` and ``oracle-check`` read Y, Z
+    and K one time row at a time: with every whole-array read made to raise
+    they write what the whole-array formulas give."""
 
     @pytest.fixture
     def no_whole_arrays(self, monkeypatch):
@@ -990,6 +999,40 @@ class TestRowWiseReads:
             assert payload["dk_violation_fraction" + suffix] == float(np.mean(wrong))
             assert np.any(dk_a) and np.any(dk_b)
 
+    def test_convergence_with_grid_refinement(self, tmp_path, no_whole_arrays):
+        path = _write(tmp_path, "c.json", _corridor_config(paths=2000, steps=20))
+        out = tmp_path / "o"
+        assert main(["convergence", path, "--out", str(out), "--grid-refinement"]) == 0
+        no_whole_arrays.undo()
+        with (out / "convergence.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        spec = load_config(path)
+        sc, p = spec.scenario, cli._prepare(spec)
+        grid_rows = [row for row in rows if row["phase"] == "grid"]
+        assert [row["level_or_steps"] for row in grid_rows] == ["5", "10", "20"]
+        for k, row in zip((4, 2, 1), grid_rows):
+            coarse = dataclasses.replace(spec, scenario=dataclasses.replace(
+                sc, grid=dataclasses.replace(sc.grid, steps=sc.grid.steps // k)))
+            y = cli._solve_for_config(coarse, paths_module.coarsen(p, k))[0].Y
+            # the (M, N+1) formulas that the walk over Y's rows replaces
+            max_step = np.max(np.abs(np.diff(y, axis=1)), axis=1)
+            assert row["Y0_mean"] == cli._fmt(y[:, 0].mean())
+            assert row["median_max_step"] == cli._fmt(np.median(max_step))
+        assert [row["Y0_mean"] for row in rows if row["Y0_mean"]][0] == grid_rows[-1]["Y0_mean"]
+
+    def test_oracle_check(self, tmp_path, no_whole_arrays):
+        # g = 0 on the corridor, so the lattice gives a value
+        cfg = _corridor_config(paths=2000, steps=20, noise={"kind": "zero", "params": {}},
+                               regression={"degree_w": 1, "include_dB": False, "ridge": 1e-10})
+        path = _write(tmp_path, "c.json", cfg)
+        out = tmp_path / "o"
+        assert main(["oracle-check", path, "--out", str(out)]) in (0, 1)
+        no_whole_arrays.undo()
+        spec = load_config(path)
+        sol, _ = cli._solve_for_config(spec, cli._prepare(spec))
+        payload = json.loads((out / "oracle.json").read_text())
+        assert payload["solver_Y0"] == float(sol.Y[:, 0].mean())
+
     def test_each_reader_walks_the_store_once(self, tmp_path, monkeypatch):
         # Y and Z are formed from the fits' store by a walk of its rows: a
         # reader walks it once, and the reflection's readers never
@@ -1010,7 +1053,8 @@ class TestRowWiseReads:
         grids = sol.obstacle_grid
         for read in (lambda: rbdsde.apriori_statistic(sol, sc),
                      lambda: bdsde_solver.coefficient_steps(sol.rows(), sc, p, lag=1),
-                     lambda: reflect_two.double_skorohod_residuals(sol, grids.lower, grids.upper)):
+                     lambda: reflect_two.double_skorohod_residuals(sol, grids.lower, grids.upper),
+                     lambda: reflect_one.skorohod_residual(sol, grids.lower)):
             walks.clear()
             read()
             assert walks == [True]
@@ -1019,3 +1063,31 @@ class TestRowWiseReads:
             list(sol.k_rows(side))
             sol.k_terminal(side)
         assert sol.dK.shape == sol.shape[:1] + (sc.grid.steps,) and walks == []
+
+
+class TestRunWorkingSet:
+    """``run`` reads its solution one time row at a time."""
+
+    def test_run_holds_a_few_rows_beyond_the_solve(self, tmp_path, monkeypatch):
+        # 30 steps, so a whole Y would take 31 rows of M numbers: after the
+        # solve, run holds the ensemble, a row walk's few rows, the excess
+        # at the pushed paths and per-time statistics, less than the sweep
+        # held at its own peak
+        path = _write(tmp_path, "c.json", _corridor_config(paths=20_000, steps=30))
+        solve, peaks = cli.solve_double, []
+
+        def traced_solve(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            return result
+
+        monkeypatch.setattr(cli, "solve_double", traced_solve)
+        tracemalloc.start()
+        try:
+            assert main(["run", path, "--out", str(tmp_path / "o")]) == 0
+            _, after = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        solve_peak, = peaks
+        assert after < solve_peak + 4 * 20_000 * 8

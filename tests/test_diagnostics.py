@@ -9,6 +9,7 @@ from rbdsde import (
     CoefficientSpec,
     Dimensions,
     ObstacleSpec,
+    SolutionEnsemble,
     check_comparison,
     check_dK_comparison,
     generate_paths,
@@ -200,6 +201,19 @@ class TestStabilityStatistic:
         s04 = stability_statistic(sc, 0.4, p, fast_cfg)
         s02 = stability_statistic(sc, 0.2, p, fast_cfg)
         assert 2.5 <= s04 / s02 <= 6.0
+
+    def test_reads_rows_and_keeps_the_whole_array_bits(self, binding_problem, fast_cfg,
+                                                        monkeypatch):
+        sc, p = binding_problem
+        # the whole-array formula that the walk of both ensembles' rows replaces
+        base, pert = (solve_projected(s, p, fast_cfg) for s in (sc, shift_terminal(sc, 0.2)))
+        want = float(np.mean(np.max((pert.Y - base.Y) ** 2, axis=1)))
+
+        def whole(*_):
+            raise AssertionError("a whole Y was formed")
+
+        monkeypatch.setattr(SolutionEnsemble, "Y", property(whole))
+        assert stability_statistic(sc, 0.2, p, fast_cfg) == want > 0.0
 
     def test_corridor_shift_is_checked_against_the_upper_barrier(self, fast_cfg):
         # xi + 3 leaves the corridor [-2, 2]: a one-barrier solve would not notice

@@ -12,12 +12,15 @@ from hypothesis.extra import numpy as hnp
 from rbdsde import (
     CoefficientSpec,
     Dimensions,
+    ObstacleGrid,
     ObstacleSpec,
     PenalizationTrace,
     PenaltySchedule,
     RegressionConfig,
     Scenario,
+    SignedPushes,
     SolutionEnsemble,
+    SolveMeta,
     TimeGrid,
     double_skorohod_residuals,
     generate_paths,
@@ -31,7 +34,7 @@ from rbdsde import (
 from rbdsde.bdsde_solver import _reflect
 from rbdsde.diagnostics import pooled_se
 from rbdsde.reflect_one import penetration_statistic
-from rbdsde.reflect_two import LevelStat
+from rbdsde.reflect_two import LevelStat, _walk_rows
 from rbdsde.scenarios import constant_g_scenario, stopping_drift_scenario, two_barrier_scenario
 from tests import test_bdsde_solver
 from tests.test_reflect_one import _hand_ensemble
@@ -501,6 +504,83 @@ class TestDoubleSkorohodResiduals:
         lres, ures = double_skorohod_residuals(sol, grids.lower, grids.upper)
         assert abs(lres.mean()) <= max(5.0 * sc.grid.dt * sol.K_plus[:, -1].mean(), 1e-10)
         assert abs(ures.mean()) <= max(5.0 * sc.grid.dt * sol.K_minus[:, -1].mean(), 1e-10)
+
+
+def _time_major(a):
+    """``a`` laid out as the solver lays out its arrays, each time column
+    contiguous."""
+    return np.ascontiguousarray(a.T).T
+
+
+class TestWalkRows:
+    """The walk's backward pass over Y's rows and forward pass over K's rows
+    give the bits of the whole-array formulas on time-major arrays."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 6), n=st.integers(1, 9),
+           sides=st.sampled_from([("lower",), ("upper",), ("lower", "upper")]))
+    def test_walk_equals_the_whole_array_formulas(self, seed, m, n, sides):
+        rng = np.random.default_rng(seed)
+        barriers = {"lower": rng.normal(-1.0, 0.3, (m, n + 1)),
+                    "upper": rng.normal(1.0, 0.3, (m, n + 1))}
+        y = rng.normal(0.0, 1.0, (m, n + 1))
+        # some paths sit exactly on a barrier
+        on = rng.random((m, n + 1)) < 0.3
+        y[on] = np.where(rng.random((m, n + 1)) < 0.5, barriers["lower"], barriers["upper"])[on]
+        y = _time_major(y)
+        # per step, the paths in contact and their signed pushes: pushes of
+        # either sign, so one side reads paths only the other side pushed,
+        # and +0.0, a push that rounded to zero, held at a contact path
+        pushes = SignedPushes(m, n)
+        for j in range(n):
+            contact = rng.random(m) < 0.5
+            signs = rng.choice([-1.0, 0.0, 1.0], np.count_nonzero(contact))
+            pushes.put(j, contact, signs * rng.exponential(0.1, signs.size) + 0.0)
+        # a side missing from the grid is absent: its K is zero and only K is checked
+        grid = ObstacleGrid(xi=y[:, -1].copy(), **{side: _time_major(barriers[side])
+                                                    for side in sides})
+        meta = SolveMeta(scheme="hand", seed=0, n_paths=m, basis_size=1, picard_iters=0,
+                         regression=RegressionConfig(), residual_rms=np.zeros((n, 3)))
+        sol = SolutionEnsemble.from_dense(y, np.zeros((m, n, 1)), pushes, meta, grid)
+        slack = 0.2
+        walks = _walk_rows(sol, grid, ("lower", "upper"), slack)
+
+        for side, walk in walks.items():
+            k = sol.k(side)
+            dk = np.diff(k, axis=1)
+            if side in sides:
+                excess = grid.excess(side, sol.Y)
+                positive = np.maximum(excess, 0.0)
+                want = (-np.sum(excess[:, :-1] * dk, axis=1), np.max(positive, axis=1),
+                        np.mean(np.square(positive), axis=0), np.count_nonzero(excess > slack))
+            else:
+                assert not np.any(k)
+                want = (np.negative(np.zeros(m)), np.zeros(m), np.zeros(n + 1), 0)
+            flat, sup, mean_sq, above = want
+            assert walk.flat_off.tobytes() == flat.tobytes()
+            assert walk.sup_excess.tobytes() == sup.tobytes()
+            assert walk.mean_sq_excess.tobytes() == mean_sq.tobytes()
+            assert walk.above_slack == above
+            assert walk.mean_k.tobytes() == k.mean(axis=0).tobytes()
+            assert walk.k_nondecreasing_from_zero is bool(np.all(k[:, 0] == 0.0)
+                                                          and np.all(dk >= 0.0))
+
+    def test_a_push_of_plus_zero_off_the_barrier_adds_nothing(self):
+        # a path in contact whose push rounded to +0.0 while Y lies above L:
+        # the dense product there is (L - Y) * 0.0 = -0.0, and the sum stays +0.0
+        meta = SolveMeta(scheme="hand", seed=0, n_paths=2, basis_size=1, picard_iters=0,
+                         regression=RegressionConfig(), residual_rms=np.zeros((2, 3)))
+        y = _time_major(np.array([[1.0, 2.0, 3.0], [0.5, 0.0, 1.0]]))
+        pushes = SignedPushes(2, 2)
+        pushes.put(0, np.array([True, True]), np.array([0.0, -1.0]))
+        pushes.put(1, np.array([True, False]), np.array([0.0]))
+        grid = ObstacleGrid(xi=y[:, -1].copy(), lower=_time_major(np.zeros((2, 3))))
+        sol = SolutionEnsemble.from_dense(y, np.zeros((2, 2, 1)), pushes, meta, grid)
+        walks = _walk_rows(sol, grid)
+        assert walks["lower"].flat_off.tobytes() == np.negative(np.zeros(2)).tobytes()
+        # the upper side has no barrier, so path 1's push of -1 is no K-
+        assert not np.any(walks["upper"].mean_k)
+        assert walks["upper"].flat_off.tobytes() == np.negative(np.zeros(2)).tobytes()
 
 
 def _negated(spec):
