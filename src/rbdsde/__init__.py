@@ -25,6 +25,7 @@ from .model import (
     ObstacleSpec,
     PenaltySchedule,
     Scenario,
+    SignedPushes,
     SolutionEnsemble,
     SolveMeta,
     TimeGrid,
@@ -40,7 +41,6 @@ from .oracles import (
     stopping_rule_value,
 )
 from .paths import NoisePaths, ObstacleGrid, generate_paths, obstacle_on_grid
-from .pushes import SignedPushes
 from .reflect_one import (
     implicit_penalty_step,
     penetration_statistic,

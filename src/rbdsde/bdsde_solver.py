@@ -37,9 +37,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .condexp import Design, RegressionConfig, build_basis, condexp_fit_eval, fitted_rows
-from .model import CoefficientSpec, ObstacleSpec, Scenario, SolutionEnsemble, SolveMeta
+from .model import (CoefficientSpec, ObstacleSpec, Scenario, SignedPushes, SolutionEnsemble,
+                    SolveMeta)
 from .paths import NoisePaths, ObstacleGrid, _WRows, obstacle_on_grid
-from .pushes import SignedPushes
 
 
 class NonFiniteError(ValueError, RuntimeError):

@@ -16,7 +16,8 @@ except for one timestamp field inside summary metadata.
 Exit codes: 0 success / comparison pass, 1 comparison or oracle mismatch,
 2 validation or config failure (a per-path barrier condition that fails on
 the drawn paths, a solver overflow to non-finite values, arrays that cannot
-be allocated, ``convergence --grid-refinement`` on a step count not
+be allocated, a time step T / N that rounds to zero or N + 1 grid times
+that no array can hold, ``convergence --grid-refinement`` on a step count not
 divisible by 4, an OS error on a path: a config that is a directory, an
 ``--out`` that is a file), 3 schedule exhausted without convergence, 4
 oracle unsupported for the given scenario.  Every exit-2 case prints one
@@ -213,9 +214,8 @@ def load_config(path: str | Path) -> RunSpec:
         _require_keys(geo, {"base", "count"}, {"base", "count"}, "config.penalty.geometric")
         base = _number(geo["base"], "config.penalty", "base")
         count = _integer(geo["count"], "config.penalty", "count")
-        # grid.dt overflows too, for a step count beyond the float range
-        schedule = _build("config.penalty", lambda: PenaltySchedule.geometric(
-            grid.dt, base=base, count=count, penetration_tol=tol))
+        schedule = _build("config.penalty", PenaltySchedule.geometric, grid.dt, base=base,
+                          count=count, penetration_tol=tol)
 
     reg_node = tree["regression"]
     _require_keys(reg_node, set(_REGRESSION_KEYS), set(), "config.regression")

@@ -15,7 +15,6 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .condexp import RegressionConfig
-from .pushes import SignedPushes
 
 if TYPE_CHECKING:
     from .bdsde_solver import StepFits
@@ -65,6 +64,12 @@ class TimeGrid:
             raise ValueError("horizon must be a positive finite real")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        # the N+1 times are one float64 array, of at most intp-max bytes
+        limit = np.iinfo(np.intp).max // 8
+        if self.steps >= limit:
+            raise ValueError(f"steps must be < {limit}, got {self.steps}")
+        if not self.horizon / self.steps > 0:
+            raise ValueError(f"horizon / steps must be > 0, got {self.horizon!r} / {self.steps}")
 
     @property
     def dt(self) -> float:
@@ -272,6 +277,8 @@ class PenaltySchedule:
     def geometric(cls, dt: float, base: float = 4.0, count: int = 7,
                   penetration_tol: float = 1e-4) -> "PenaltySchedule":
         """Default ladder: rates base^k / dt for k = 0..count-1."""
+        if not dt > 0:
+            raise ValueError(f"dt must be > 0, got {dt!r}")
         levels = tuple(base**k / dt for k in range(count))
         return cls(levels=levels, penetration_tol=penetration_tol)
 
@@ -294,25 +301,49 @@ class SolveMeta:
     penetration_upper: float = 0.0
 
 
-class _Dense:
-    """Y and Z held whole, (M, N+1) and (M, N, d), read by
-    ``SolutionEnsemble`` like the solver's ``StepFits``: for hand-built
-    ensembles."""
+class SignedPushes:
+    """The signed reflection pushes of a solve, dK_j = dK+_j - dK-_j per
+    path and step j, held only where a barrier pushed.  By the Skorohod
+    condition a barrier pushes a path only while Y sits on it, so most
+    pushes are zero: on a corridor a few percent of the path-steps are
+    pushed.  Per step: one ``np.packbits`` row of the contact mask (M/8
+    bytes) and the pushes of the paths in contact, in path order.  ``put``
+    holds one step: the sweep puts each step's contact and pushes as its
+    reflection returns them (a path beyond a barrier whose push rounded to
+    zero is held as +0.0).  A path not in contact reads back as +0.0.  A
+    store is filled once, then only read, by ``SolutionEnsemble``."""
 
-    def __init__(self, y, z):
-        self.y, self.z = np.asarray(y, dtype=float), np.asarray(z, dtype=float)
-        m, n_plus_1 = self.y.shape
-        if self.z.shape[:2] != (m, n_plus_1 - 1):
-            raise ValueError("Z shape inconsistent with Y")
-        self.shape = self.z.shape
-        self.nbytes = self.y.nbytes + self.z.nbytes
+    def __init__(self, m: int, n: int):
+        self.m = m
+        self.contact = np.zeros((n, -(-m // 8)), dtype=np.uint8)
+        self.values = [np.empty(0)] * n
 
-    def rows(self, with_y: bool = True):
-        n = self.shape[1]
-        if with_y:
-            yield n, self.y[:, n], None
-        for i in range(n - 1, -1, -1):
-            yield i, self.y[:, i] if with_y else None, self.z[:, i, :]
+    def put(self, j: int, contact: np.ndarray, values: np.ndarray) -> None:
+        """Hold step j: ``contact`` is the boolean M-mask of the paths in
+        contact and ``values`` their pushes in path order, kept as given."""
+        self.contact[j] = np.packbits(contact)
+        self.values[j] = values
+
+    def paths(self, j: int) -> np.ndarray:
+        """The paths pushed at step j, in order: the nonzero bits of its
+        contact row."""
+        if not self.values[j].size:
+            return np.empty(0, dtype=np.intp)
+        return np.flatnonzero(np.unpackbits(self.contact[j], count=self.m).view(bool))
+
+    @property
+    def nbytes(self) -> int:
+        """The bytes held: the contact rows and the pushes."""
+        return self.contact.nbytes + sum(v.nbytes for v in self.values)
+
+    def dense(self) -> np.ndarray:
+        """The (M, N) array of pushes, held time first, so each ``[:, j]``
+        is a contiguous row."""
+        n = len(self.values)
+        dk = np.zeros((n, self.m))
+        for j, values in enumerate(self.values):
+            dk[j, self.paths(j)] = values
+        return dk.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,15 +355,16 @@ class SolutionEnsemble:
     at a time, from the horizon back, by the sweep's own operations.  The
     store keeps the paths' W increments and marks alive, and dB when the
     basis has dB columns, and each read of Y evaluates the driver again, so
-    a ``hook`` driver must be a pure function.  ``from_dense`` builds an
-    ensemble on a whole Y and Z.  The signed reflection increments
-    dK_j = dK+_j - dK-_j, the push of step j, positive up from the lower
-    barrier and negative down from the upper one (at most one side pushes
-    a path in a step), are held in ``pushes``, a ``SignedPushes`` store of
-    the paths each step pushed and their pushes, or None where nothing can
-    push, a solve without a barrier.  A hand-built ensemble passes
-    ``pushes=SignedPushes.of(dk)``.  A solver also returns the terminal
-    values and barriers it solved against.
+    a ``hook`` driver must be a pure function.  Any other store gives the
+    same two reads: ``shape``, (M, N, d), and ``rows(with_y)``, which
+    yields (N, Y_N, None) and then (i, Y_i, Z_i) for i = N-1, ..., 0, with
+    None for each Y row when ``with_y`` is false.  The signed reflection
+    increments dK_j = dK+_j - dK-_j, the push of step j, positive up from
+    the lower barrier and negative down from the upper one (at most one
+    side pushes a path in a step), are held in ``pushes``, a
+    ``SignedPushes`` store of the paths each step pushed and their pushes,
+    or None where nothing can push, a solve without a barrier.  A solver
+    also returns the terminal values and barriers it solved against.
 
     Nothing dense is stored: each read of ``Y``, ``Z`` or ``dK`` forms the
     whole array, and each read of ``K_plus``, ``K_minus`` or ``k`` forms
@@ -343,7 +375,7 @@ class SolutionEnsemble:
     it, and ``k_terminal`` forms K_T alone.  The K of a side without a
     barrier in ``obstacle_grid`` is zero."""
 
-    store: StepFits | _Dense
+    store: StepFits
     pushes: SignedPushes | None
     meta: SolveMeta
     obstacle_grid: ObstacleGrid | None = None
@@ -352,12 +384,6 @@ class SolutionEnsemble:
         m, n = self.store.shape[:2]
         if self.pushes is not None and (self.pushes.m, len(self.pushes.values)) != (m, n):
             raise ValueError("pushes shape inconsistent with Y")
-
-    @classmethod
-    def from_dense(cls, Y, Z, pushes, meta, obstacle_grid=None) -> "SolutionEnsemble":
-        """An ensemble on a whole M x (N+1) Y and M x N x d Z, for hand-built
-        ensembles."""
-        return cls(_Dense(Y, Z), pushes, meta, obstacle_grid)
 
     @property
     def shape(self) -> tuple[int, int]:

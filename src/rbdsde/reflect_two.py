@@ -116,7 +116,7 @@ _RowWalk = namedtuple("_RowWalk", "flat_off sup_excess mean_sq_excess above_slac
                                    "k_nondecreasing_from_zero mean_k")
 
 
-def _walk_rows(sol: SolutionEnsemble, grid: ObstacleGrid | None = None,
+def _walk_rows(sol: SolutionEnsemble, grid: ObstacleGrid,
                sides: tuple[str, ...] = ("lower", "upper"), slack: float = np.inf,
                on_row=None) -> dict[str, _RowWalk]:
     """Check each of ``sides``: K, and the barrier on that side in ``grid``
@@ -135,7 +135,7 @@ def _walk_rows(sol: SolutionEnsemble, grid: ObstacleGrid | None = None,
     the time axis of a time-major array: off them ``k_rows`` adds nothing,
     so the dense product there is +-0.0 and the sums keep their bits."""
     m, n_plus_1 = sol.shape
-    checked = [side for side in sides if grid is not None and side in grid.sides]
+    checked = [side for side in sides if side in grid.sides]
     sup = {side: np.zeros(m) for side in sides}
     mean_sq = {side: np.zeros(n_plus_1) for side in sides}
     above = dict.fromkeys(sides, 0)

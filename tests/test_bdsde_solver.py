@@ -33,6 +33,7 @@ from rbdsde.scenarios import (
     stopping_drift_scenario,
     two_barrier_scenario,
 )
+from tests.hand_built import from_dense
 
 
 class TestConstantPropagation:
@@ -284,12 +285,12 @@ class TestZStore:
     def test_hand_built_dense_z_reads_back(self):
         sc = constant_g_scenario(paths=200, steps=4)
         sol = solve_bdsde(sc, generate_paths(sc))
-        dense = rbdsde.SolutionEnsemble.from_dense(sol.Y, sol.Z, sol.pushes, sol.meta)
+        dense = from_dense(sol.Y, sol.Z, sol.pushes, sol.meta)
         assert dense.Z.tobytes() == sol.Z.tobytes()
         assert dense.Y.tobytes() == sol.Y.tobytes() and dense.shape == sol.shape
         assert dense.store.nbytes == sol.Y.nbytes + sol.Z.nbytes
         with pytest.raises(ValueError, match="Z shape inconsistent with Y"):
-            rbdsde.SolutionEnsemble.from_dense(sol.Y, sol.Z[:, 1:], sol.pushes, sol.meta)
+            from_dense(sol.Y, sol.Z[:, 1:], sol.pushes, sol.meta)
 
 
 class TestYStore:
@@ -538,6 +539,24 @@ class TestFailureModes:
         p = generate_paths(sc)
         with pytest.raises(RuntimeError, match=r"non-finite values at step \d"):
             solve_bdsde(sc, p)
+
+    @pytest.mark.parametrize("call, message", [
+        # G of l + 1 components for l = 1
+        (lambda sc, p: solve_bdsde(dataclasses.replace(sc, noise_coeff=CoefficientSpec.hook(
+            lambda t, w, y, z: np.zeros((w.shape[0], 2)))), p),
+         "noise coefficient returned 2 components, expected 1"),
+        (lambda sc, p: solve_backward(sc, p, RegressionConfig(), 0, _checked_grid(sc, p), np.nan),
+         "penalty rate must be >= 0"),
+        # paths drawn with l = 2 for a scenario with l = 1: dW fits, dB does not
+        (lambda sc, p: obstacle_on_grid(sc, generate_paths(dataclasses.replace(
+            sc, dims=Dimensions(d=1, l=2)))), "dimension mismatch"),
+        (lambda sc, p: rbdsde.dp_stopping_value(sc, lattice_steps=0),
+         "lattice_steps must be >= 1"),
+    ], ids=["noise_columns", "nan_level", "db_columns", "no_lattice_steps"])
+    def test_argument_outside_its_domain_raises(self, call, message):
+        sc = constant_scenario(paths=100, steps=4)
+        with pytest.raises(ValueError, match=message):
+            call(sc, generate_paths(sc))
 
     def test_meta_records_setup(self):
         sc = constant_scenario(paths=1000, steps=8, seed=9)

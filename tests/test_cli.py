@@ -27,6 +27,7 @@ from rbdsde import cli
 from rbdsde import paths as paths_module
 from rbdsde.cli import ConfigError, load_config, main
 from rbdsde.model import CATALOG_KINDS
+from tests.hand_built import from_dense
 
 
 def _base_config(**overrides):
@@ -519,10 +520,11 @@ class TestBarrierSets:
             # the time-major layout of the solver's K, with and without a barrier
             k = np.ascontiguousarray(k.T).T
             y = np.zeros_like(k)
-            sol = rbdsde.SolutionEnsemble.from_dense(y, np.zeros((6, 7, 1)), None, meta)
+            sol = from_dense(y, np.zeros((6, 7, 1)), None, meta)
             monkeypatch.setattr(rbdsde.SolutionEnsemble, "k_rows", lambda sol, side: iter(k.T))
             grid = rbdsde.ObstacleGrid(xi=y[:, -1], lower=np.full_like(k, -1.0))
-            walk = reflect_two._walk_rows(sol, sides=("lower",))["lower"]
+            no_barrier = rbdsde.ObstacleGrid(xi=y[:, -1])
+            walk = reflect_two._walk_rows(sol, no_barrier, ("lower",))["lower"]
             assert walk.k_nondecreasing_from_zero is verdict
             walk = reflect_two._walk_rows(sol, grid, ("lower",))["lower"]
             assert walk.k_nondecreasing_from_zero is verdict
@@ -668,6 +670,11 @@ _PER_PATH_FAILURE = {
 
 _INVALID = ("summary.json", {"status": "validation_failed"})
 
+# N + 1 grid times that no float64 array can hold, and a step of T / N that
+# rounds to zero
+_HUGE_STEPS = {"steps": 9223372036854775807}
+_TINY_HORIZON = {"horizon": 5e-324, "steps": 2}
+
 
 @pytest.mark.parametrize("command, overrides, code, written, stderr", [
     ("compare", _PER_PATH_FAILURE, 2, None, "S_T <= xi violated"),
@@ -715,6 +722,25 @@ _INVALID = ("summary.json", {"status": "validation_failed"})
     ("run", {"penalty": {"geometric": {"base": math.nan, "count": 7}, "tol": 1e-4}}, 2, _INVALID,
      "validation: config.penalty: base must be a number, got nan"),
     ("run", {"regression": {"ridge": math.inf}}, 2, _INVALID, "ridge must be"),
+    ("run", _HUGE_STEPS, 2, _INVALID, "validation: config: steps must be < 1152921504606846975"),
+    ("compare", _HUGE_STEPS, 2, None, "validation: config: steps must be < 1152921504606846975"),
+    ("convergence", _HUGE_STEPS, 2, None,
+     "validation: config: steps must be < 1152921504606846975"),
+    ("oracle-check", _HUGE_STEPS, 2, None,
+     "validation: config: steps must be < 1152921504606846975"),
+    ("run", _TINY_HORIZON, 2, _INVALID, "validation: config: horizon / steps must be > 0"),
+    ("compare", _TINY_HORIZON, 2, None, "validation: config: horizon / steps must be > 0"),
+    ("convergence", _TINY_HORIZON, 2, None, "validation: config: horizon / steps must be > 0"),
+    ("oracle-check", _TINY_HORIZON, 2, None, "validation: config: horizon / steps must be > 0"),
+    ("run", {"horizon": 10**400}, 2, _INVALID,
+     "validation: config: int too large to convert to float"),
+    ("run", {"picard_iters": -1}, 2, _INVALID, "validation: config: picard_iters must be >= 0"),
+    ("run", {"regression": {"degree_w": -1}}, 2, _INVALID,
+     "validation: config: degree_w must be >= 0"),
+    ("run", {"driver": {"kind": "linear", "params": {"a_z": [1.0, 1.0]}}}, 2, _INVALID,
+     "validation: driver a_z has 2 entries but d=1"),
+    ("run", {"driver": {"kind": "zero", "params": {}, "lip_const": -1.0}}, 2, _INVALID,
+     "validation: driver declares a negative lip_const"),
 ])
 def test_failures_exit_with_contract_code(tmp_path, capsys, command, overrides, code, written, stderr):
     cfg_path = _write(tmp_path, "c.json", _base_config(**overrides))

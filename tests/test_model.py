@@ -13,13 +13,12 @@ from rbdsde import (
     ObstacleSpec,
     PenaltySchedule,
     RegressionConfig,
-    SignedPushes,
-    SolutionEnsemble,
     SolveMeta,
     TimeGrid,
     validate_scenario,
 )
 from rbdsde.scenarios import constant_scenario, two_barrier_scenario
+from tests.hand_built import from_dense, pushes_of
 
 
 class TestTimeGrid:
@@ -37,6 +36,21 @@ class TestTimeGrid:
             TimeGrid(horizon=0.0, steps=10)
         with pytest.raises(ValueError):
             TimeGrid(horizon=1.0, steps=0)
+
+    @pytest.mark.parametrize("horizon, steps, message", [
+        # T / N rounds to zero
+        (5e-324, 2, "horizon / steps must be > 0"),
+        (1e-310, 10**14, "horizon / steps must be > 0"),
+        # 8 (N + 1) bytes of times exceed the largest array
+        (1.0, np.iinfo(np.intp).max // 8, "steps must be < "),
+        (1.0, np.iinfo(np.int64).max, "steps must be < "),
+    ])
+    def test_step_that_is_zero_or_times_that_fit_no_array_raise(self, horizon, steps, message):
+        with pytest.raises(ValueError, match=message):
+            TimeGrid(horizon=horizon, steps=steps)
+        # the grids just inside both bounds are built; their times are not formed
+        assert TimeGrid(horizon=5e-324, steps=1).dt == 5e-324
+        assert TimeGrid(horizon=1.0, steps=np.iinfo(np.intp).max // 8 - 1).dt > 0
 
     def test_immutable(self):
         g = TimeGrid(horizon=1.0, steps=2)
@@ -123,6 +137,11 @@ class TestPenaltySchedule:
         assert len(sched.levels) == 7
         assert sched.levels[0] == pytest.approx(1 / 0.02)
         assert sched.levels[1] / sched.levels[0] == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.02, float("nan")])
+    def test_geometric_needs_a_positive_dt(self, dt):
+        with pytest.raises(ValueError, match="dt must be > 0"):
+            PenaltySchedule.geometric(dt=dt)
 
     def test_monotone_required(self):
         with pytest.raises(ValueError):
@@ -222,9 +241,8 @@ class TestSignedPushes:
         m, n = dk.shape
         meta = SolveMeta(scheme="hand", seed=0, n_paths=m, basis_size=1, picard_iters=0,
                          regression=RegressionConfig(), residual_rms=np.zeros((n, 3)))
-        pushes = SignedPushes.of(dk)
-        sol = SolutionEnsemble.from_dense(Y=np.zeros((m, n + 1)), Z=np.zeros((m, n, 1)),
-                                          pushes=pushes, meta=meta)
+        pushes = pushes_of(dk)
+        sol = from_dense(Y=np.zeros((m, n + 1)), Z=np.zeros((m, n, 1)), pushes=pushes, meta=meta)
         # each nonzero push is held, with one contact bit per path and step;
         # a zero, +0.0 or -0.0, reads back as +0.0
         assert pushes.nbytes == np.count_nonzero(dk) * 8 + n * ((m + 7) // 8)
@@ -243,5 +261,5 @@ class TestSignedPushes:
         # more paths
         for dk in (np.zeros((9, 2)), np.zeros((16, 3))):
             with pytest.raises(ValueError, match="pushes shape inconsistent with Y"):
-                SolutionEnsemble.from_dense(Y=np.zeros((9, 4)), Z=np.zeros((9, 3, 1)),
-                                            pushes=SignedPushes.of(dk), meta=meta)
+                from_dense(Y=np.zeros((9, 4)), Z=np.zeros((9, 3, 1)), pushes=pushes_of(dk),
+                           meta=meta)

@@ -12,7 +12,6 @@ from rbdsde import (
     Dimensions,
     ObstacleSpec,
     PenaltySchedule,
-    SignedPushes,
     SolutionEnsemble,
     SolveMeta,
     RegressionConfig,
@@ -34,6 +33,7 @@ from rbdsde import (
 from rbdsde.bdsde_solver import coefficient_steps
 from rbdsde.diagnostics import pooled_se
 from rbdsde.scenarios import constant_scenario, stopping_drift_scenario, two_barrier_scenario
+from tests.hand_built import from_dense, pushes_of
 
 
 def _bisect_penalty(a, s, n_dt):
@@ -311,7 +311,7 @@ def test_ladder_holds_one_ensemble_at_a_time():
 
 def _hand_ensemble(y, k_plus, k_minus=None):
     """One path with the given Y, K+ and K- (zero unless given), stored as
-    the signed increments dK+ - dK-, compacted by the store's constructor."""
+    the signed increments dK+ - dK-, compacted into the store of pushes."""
     y = np.asarray(y, dtype=float)[None, :]
     dk = np.diff(np.asarray(k_plus, dtype=float)[None, :], axis=1)
     if k_minus is not None:
@@ -321,8 +321,7 @@ def _hand_ensemble(y, k_plus, k_minus=None):
         scheme="hand", seed=0, n_paths=1, basis_size=1, picard_iters=0,
         regression=RegressionConfig(), residual_rms=np.zeros((n, 3)),
     )
-    return SolutionEnsemble.from_dense(Y=y, Z=np.zeros((1, n, 1)), pushes=SignedPushes.of(dk),
-                                       meta=meta)
+    return from_dense(Y=y, Z=np.zeros((1, n, 1)), pushes=pushes_of(dk), meta=meta)
 
 
 class TestSkorohodResidual:

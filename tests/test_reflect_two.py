@@ -37,6 +37,7 @@ from rbdsde.reflect_one import penetration_statistic
 from rbdsde.reflect_two import LevelStat, _walk_rows
 from rbdsde.scenarios import constant_g_scenario, stopping_drift_scenario, two_barrier_scenario
 from tests import test_bdsde_solver
+from tests.hand_built import from_dense
 from tests.test_reflect_one import _hand_ensemble
 
 
@@ -183,12 +184,13 @@ class TestSweepKernel:
 
     @settings(max_examples=300, deadline=None)
     @given(a=_values, l=_values, gap=_gaps, ties=hnp.arrays(np.int8, _N, elements=st.integers(0, 2)),
-           rate=st.one_of(_rate, st.just(np.inf)), sides=st.sampled_from(["both", "lower", "upper"]))
+           rate=st.one_of(_rate, st.just(np.inf)),
+           sides=st.sampled_from(["both", "lower", "upper", "none"]))
     def test_public_step_is_the_sweep_kernel(self, a, l, gap, ties, rate, sides):
         u = l + gap
         a = np.select([ties == 1, ties == 2], [l, u], a)  # ties a == L and a == U
-        lower = None if sides == "upper" else l
-        upper = None if sides == "lower" else u
+        lower = None if sides in ("upper", "none") else l
+        upper = None if sides in ("lower", "none") else u
         public = implicit_double_step(a, -np.inf if lower is None else lower,
                                       np.inf if upper is None else upper, rate)
         # the sweep's call: the candidate row is solved in place and the
@@ -541,7 +543,7 @@ class TestWalkRows:
                                                     for side in sides})
         meta = SolveMeta(scheme="hand", seed=0, n_paths=m, basis_size=1, picard_iters=0,
                          regression=RegressionConfig(), residual_rms=np.zeros((n, 3)))
-        sol = SolutionEnsemble.from_dense(y, np.zeros((m, n, 1)), pushes, meta, grid)
+        sol = from_dense(y, np.zeros((m, n, 1)), pushes, meta, grid)
         slack = 0.2
         walks = _walk_rows(sol, grid, ("lower", "upper"), slack)
 
@@ -575,7 +577,7 @@ class TestWalkRows:
         pushes.put(0, np.array([True, True]), np.array([0.0, -1.0]))
         pushes.put(1, np.array([True, False]), np.array([0.0]))
         grid = ObstacleGrid(xi=y[:, -1].copy(), lower=_time_major(np.zeros((2, 3))))
-        sol = SolutionEnsemble.from_dense(y, np.zeros((2, 2, 1)), pushes, meta, grid)
+        sol = from_dense(y, np.zeros((2, 2, 1)), pushes, meta, grid)
         walks = _walk_rows(sol, grid)
         assert walks["lower"].flat_off.tobytes() == np.negative(np.zeros(2)).tobytes()
         # the upper side has no barrier, so path 1's push of -1 is no K-
