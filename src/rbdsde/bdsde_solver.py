@@ -161,33 +161,34 @@ def _noise_matrix(spec, t, w, y, z, l: int) -> np.ndarray:
 
 class _BasisWalk:
     """The regression state of the backward sweep, walked from the horizon
-    down.  ``advance(i)``, called for i = N-1, ..., 0 in turn, forms W's
-    row at t_i over the one (M, d) row ``w`` (which holds W_{i+1} until
-    then), adds dB_i to B_T - B_{t_i} (with ``cfg.include_dB``) and returns
-    each barrier's row; ``basis`` then builds step i's basis, the shaped
-    sides' rows among its columns, for all paths or a block of them.  The
-    sweep and every later read of Z walk this way, so both build each basis
-    from the same inputs by the same operations."""
+    down over the basis inputs its ``StepFits`` store keeps.  ``advance(i)``,
+    called for i = N-1, ..., 0 in turn, forms W's row at t_i over the one
+    (M, d) row ``w`` (which holds W_{i+1} until then), adds dB_i to
+    B_T - B_{t_i} (with ``cfg.include_dB``) and returns each barrier's row;
+    ``basis`` then builds step i's basis, the shaped sides' rows among its
+    columns, for all paths or a block of them.  The sweep and every later
+    read of Z walk this way, so both build each basis from the same inputs
+    by the same operations."""
 
-    def __init__(self, cfg: RegressionConfig, w: _WRows, db: np.ndarray | None,
-                 grids: ObstacleGrid, shaped: tuple[str, ...]):
-        m, n_plus_1 = w.shape
-        self.cfg, self.w_rows, self.db, self.grids, self.shaped = cfg, w, db, grids, shaped
-        self.w = w.row(n_plus_1 - 1, out=np.empty((m, w.increments.shape[2])))
-        self.remaining_db = np.zeros((m, db.shape[2])) if cfg.include_dB else None
+    def __init__(self, store: StepFits):
+        m, n, d = store.shape
+        self.store = store
+        self.w = store.w.row(n, out=np.empty((m, d)))
+        self.remaining_db = np.zeros((m, store.db.shape[2])) if store.cfg.include_dB else None
 
     def advance(self, i: int) -> dict:
         """Step to grid time i; returns the barrier rows there, by side."""
-        w_now = self.w_rows.row(i, out=self.w)
+        store = self.store
+        w_now = store.w.row(i, out=self.w)
         if self.remaining_db is not None:
-            np.add(self.remaining_db, self.db[:, i, :], out=self.remaining_db)
-        return {side: self.grids.row(side, i, w_now) for side in self.grids.sides}
+            np.add(self.remaining_db, store.db[:, i, :], out=self.remaining_db)
+        return {side: store.grids.row(side, i, w_now) for side in store.grids.sides}
 
     def basis(self, barriers: dict, paths: slice = slice(None)) -> np.ndarray:
         """The basis of the step last advanced to, on ``paths``."""
         db = None if self.remaining_db is None else self.remaining_db[paths]
-        return build_basis(self.cfg, self.w[paths], db,
-                           [barriers[side][paths] for side in self.shaped])
+        return build_basis(self.store.cfg, self.w[paths], db,
+                           [barriers[side][paths] for side in self.store.shaped])
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,7 +261,7 @@ class StepFits:
         ``with_y`` only Z is formed, from the z-fit alone: (i, None, Z_i)
         for i = N-1, ..., 0."""
         m, n, d = self.shape
-        walk = _BasisWalk(self.cfg, self.w, self.db, self.grids, self.shaped)
+        walk = _BasisWalk(self)
         z = np.empty((m, d))
         # the rough fit's rows land on the continuation's row, which its own
         # fit, formed after it on each block, then writes, and on Y's row,
@@ -362,14 +363,14 @@ def solve_backward(
 
     residual_rms = np.zeros((n, 2 + d))
     sides = grids.sides
-    # W's row, B_T - B_{t_i} and each step's basis
-    walk = _BasisWalk(cfg, p._w, p.dB if cfg.include_dB else None, grids,
-                      s.obstacles.shaped_sides())
     # each step's fits, and what forms Y's and Z's rows from them; a driver
     # of the state alone gives every Picard iteration the same row
     store = StepFits([None] * n, [None] * n, [None] * n, s.driver, times, dt, rate,
                      min(picard_iters, 1) if s.driver.depends_on_state_only() else picard_iters,
-                     cfg, walk.w_rows, walk.db, grids, walk.shaped)
+                     cfg, p._w, p.dB if cfg.include_dB else None, grids,
+                     s.obstacles.shaped_sides())
+    # W's row, B_T - B_{t_i} and each step's basis
+    walk = _BasisWalk(store)
     # one row of Y and one of Z: Y_{i+1} and Z_{i+1} on entry to step i,
     # read by its targets only (Y_N is xi), then Y_i and Z_i
     y_now = np.empty(m)

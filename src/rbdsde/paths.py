@@ -12,8 +12,10 @@ import logging
 import math
 import os
 import queue
+from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -229,95 +231,75 @@ def coarsen(p: NoisePaths, k: int) -> NoisePaths:
     return _noise_paths(dW, dB, p.seed)
 
 
-@dataclass(frozen=True, eq=False)
-class _ShapedRows:
-    """A barrier that is not constant, held as what evaluates it along the
-    paths: its spec, the grid times and what forms W's rows, the W
-    increments and marks of ``_WRows`` (not the paths, so a grid does not
-    keep dB alive).  A row is evaluated each time it is read, so the spec
-    must be a pure function of (t, W_t)."""
-
-    spec: CoefficientSpec
-    times: np.ndarray
-    w: _WRows
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.w.shape
-
-    def row(self, i: int, w: np.ndarray | None = None) -> np.ndarray:
-        """The (M,) values at grid time i; ``w``, if given, is W's row
-        there, which is then not formed again."""
-        return self.spec.evaluate(self.times[i], self.w.row(i) if w is None else w)
-
-    def whole(self) -> np.ndarray:
-        """The (M, N+1) values, filled one contiguous time row at a time
-        from W's forward running sum, formed once in one row buffer."""
-        m, n_plus_1 = self.shape
-        out = np.empty((n_plus_1, m))
-        w = np.zeros((m, self.w.increments.shape[2]))
-        for i in range(n_plus_1):
-            if i:
-                _advance(w, self.w.increments, i - 1, i, w)
-            out[i] = self.row(i, w)
-        return out.T
-
-
-class _Barrier:
-    """A barrier field of ObstacleGrid.  It is set to None (no barrier), to
-    an (M, N+1) array or to the ``_ShapedRows`` of a barrier that is not
-    constant, and it reads as None or as the whole (M, N+1) array, which a
-    shaped barrier forms anew on every read.  A descriptor rather than a
-    property, so ``lower`` and ``upper`` stay fields: a grid is built from
-    arrays by keyword, and ``dataclasses.fields`` lists them."""
-
-    def __set_name__(self, owner, name):
-        self.held = "_" + name
-
-    def __get__(self, grid, owner=None):
-        if grid is None:
-            return None  # the field's default: no barrier
-        held = getattr(grid, self.held)
-        return held.whole() if isinstance(held, _ShapedRows) else held
-
-    def __set__(self, grid, value):
-        grid.__dict__[self.held] = value
-
-
 # per barrier side, its symbol in the per-path conditions
 _SYMBOL = {"lower": "L", "upper": "U"}
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class ObstacleGrid:
     """Terminal and barrier values along the generated paths; the per-path
-    conditions that validation cannot decide are read from them.  A constant
-    barrier is a read-only view of one value, and a barrier that is not
-    constant is evaluated one time row where it is read, from W's row
-    there: ``row(side, i)`` forms one row, from the row of W it is handed
-    or else from W's nearest mark below, and ``lower`` and ``upper`` form
-    the whole (M, N+1) array on every read.  A grid holds W's increments
-    and marks only while it holds such a barrier, and is for reading only."""
+    conditions that validation cannot decide are read from them.  ``held``
+    maps each present side, ``"lower"`` then ``"upper"``, to an (M, N+1)
+    array, a constant barrier being a read-only view of one value, or to
+    the spec of a barrier that is not constant, which is evaluated one time
+    row where it is read, at the grid ``times`` and W's row there:
+    ``row(side, i)`` forms one row, from the row of W it is handed or else
+    from W's nearest mark below, and ``lower`` and ``upper`` stack those
+    rows into a whole (M, N+1) array on every read.  A grid holds the times
+    and W's increments and marks only while it holds a spec, and is for
+    reading only.  A spec must be a pure function of (t, W_t)."""
 
-    xi: np.ndarray                          # (M,)
-    lower: np.ndarray | None = _Barrier()   # (M, N+1)
-    upper: np.ndarray | None = _Barrier()   # (M, N+1)
+    xi: np.ndarray                              # (M,)
+    held: Mapping[str, np.ndarray | CoefficientSpec]
+    times: np.ndarray | None                    # (N+1,)
+    w: _WRows | None
 
-    def _held(self, side: str):
-        """What the grid holds for ``side``: None, an array or shaped rows."""
-        return getattr(self, "_" + side)
+    def __init__(self, xi, lower=None, upper=None, times=None, w=None):
+        held = {side: value for side, value in (("lower", lower), ("upper", upper))
+                if value is not None}
+        if not any(isinstance(value, CoefficientSpec) for value in held.values()):
+            times = w = None
+        elif times is None or w is None:
+            raise ValueError("a barrier held as a spec needs the grid times and W's rows")
+        for name, value in (("xi", xi), ("held", MappingProxyType(held)),
+                            ("times", times), ("w", w)):
+            object.__setattr__(self, name, value)
 
     @property
     def sides(self) -> tuple[str, ...]:
         """The sides, ``"lower"`` then ``"upper"``, whose barrier is present."""
-        return tuple(side for side in ("lower", "upper") if self._held(side) is not None)
+        return tuple(self.held)
 
     def row(self, side: str, i: int, w: np.ndarray | None = None) -> np.ndarray:
         """The (M,) barrier values on ``side`` at grid time i.  ``w``, if
-        given, is W's (M, d) row at time i, which a barrier that is not
-        constant then evaluates without forming it."""
-        held = self._held(side)
-        return held.row(i, w) if isinstance(held, _ShapedRows) else held[:, i]
+        given, is W's (M, d) row at time i, which a barrier held as a spec
+        then evaluates without forming it."""
+        held = self.held[side]
+        if isinstance(held, CoefficientSpec):
+            return held.evaluate(self.times[i], self.w.row(i) if w is None else w)
+        return held[:, i]
+
+    @property
+    def lower(self) -> np.ndarray | None:
+        """The (M, N+1) lower barrier, or None without one."""
+        return self._whole("lower")
+
+    @property
+    def upper(self) -> np.ndarray | None:
+        """The (M, N+1) upper barrier, or None without one."""
+        return self._whole("upper")
+
+    def _whole(self, side: str) -> np.ndarray | None:
+        """A held array as it is, or a held spec's rows, from ``row``, in
+        one time-major array formed anew."""
+        held = self.held.get(side)
+        if not isinstance(held, CoefficientSpec):
+            return held
+        m, n_plus_1 = self.w.shape
+        out = np.empty((n_plus_1, m))
+        for i in range(n_plus_1):
+            out[i] = self.row(side, i)
+        return out.T
 
     def excess(self, side: str, y, i: int | None = None) -> np.ndarray:
         """How far the process y lies beyond the barrier on ``side``: L - y
@@ -335,7 +317,8 @@ class ObstacleGrid:
         nonfinite = {side: np.zeros(self.xi.shape, dtype=bool) for side in sides}
         crossed = False
         rows = {}
-        n_rows = self._held(sides[0]).shape[1] if sides else 0
+        n_rows = (len(self.times) if self.times is not None
+                  else self.held[sides[0]].shape[1] if sides else 0)
         for i in range(n_rows):
             rows = {side: self.row(side, i) for side in sides}
             for side, row in rows.items():
@@ -362,30 +345,27 @@ class ObstacleGrid:
             raise ConfigError(*msgs)
 
 
-def _eval_on_grid(spec, times: np.ndarray, w: _WRows) -> np.ndarray | _ShapedRows:
+def _eval_on_grid(spec, times: np.ndarray, w: _WRows) -> np.ndarray | CoefficientSpec:
     """A barrier along the paths, as ObstacleGrid holds it.  A constant-like
     spec is evaluated at one state and returned as a read-only (M, N+1)
-    view of that value; any other spec is returned as the ``_ShapedRows``
-    that evaluate its time rows where they are read."""
-    m, n_plus_1 = w.shape
+    view of that value; any other spec is returned itself, for the grid to
+    evaluate its time rows where they are read."""
     if spec.kind in CONSTANT_KINDS:
         value = spec.evaluate(times[0], np.zeros((1, w.increments.shape[2])))  # at W_0 = 0, shape (1,)
-        return np.broadcast_to(value[:, None], (m, n_plus_1))
-    return _ShapedRows(spec, times, w)
+        return np.broadcast_to(value[:, None], w.shape)
+    return spec
 
 
 def obstacle_on_grid(s: Scenario, p: NoisePaths) -> ObstacleGrid:
     """The terminal values along the paths and each declared barrier,
-    constant ones as one value and the others as what evaluates their rows."""
+    constant ones as one value and the others as their specs."""
     if p.dW.shape != (s.mc_paths, s.grid.steps, s.dims.d):
         raise ValueError("dimension mismatch between scenario and paths")
     if p.dB.shape != (s.mc_paths, s.grid.steps, s.dims.l):
         raise ValueError("dimension mismatch between scenario and paths")
 
     times = s.grid.times
-    n = s.grid.steps
-    xi = s.terminal.evaluate(s.grid.horizon, p.w_row(n))
-
+    xi = s.terminal.evaluate(s.grid.horizon, p.w_row(s.grid.steps))
     barriers = {side: _eval_on_grid(getattr(s.obstacles, side), times, p._w)
                 for side in s.obstacles.sides}
-    return ObstacleGrid(xi=xi, lower=barriers.get("lower"), upper=barriers.get("upper"))
+    return ObstacleGrid(xi=xi, times=times, w=p._w, **barriers)

@@ -112,7 +112,7 @@ def solve_double(
     return _run_ladder(s, p, cfg, picard_iters, schedule)
 
 
-_RowWalk = namedtuple("_RowWalk", "flat_off sup_excess mean_sq_excess above_slack "
+_RowWalk = namedtuple("_RowWalk", "flat_off mean_sq_excess above_slack "
                                    "k_nondecreasing_from_zero mean_k")
 
 
@@ -121,10 +121,9 @@ def _walk_rows(sol: SolutionEnsemble, grid: ObstacleGrid,
                on_row=None) -> dict[str, _RowWalk]:
     """Check each of ``sides``: K, and the barrier on that side in ``grid``
     if it has one, along ``sol``.  Per side, returns per path the flat-off
-    sum sum_i -excess_i * dK_i and the largest positive excess; per grid
-    time the mean squared positive excess and K's mean; the count of
-    excesses above ``slack``; and whether K starts at zero and never falls,
-    the one check made without a barrier.
+    sum sum_i -excess_i * dK_i; per grid time the mean squared positive
+    excess and K's mean; the count of excesses above ``slack``; and whether
+    K starts at zero and never falls, the one check made without a barrier.
 
     Two passes, neither of which holds a whole Y.  The backward pass walks
     ``sol.rows()`` once, from the horizon back, and hands each (i, Y_i, Z_i)
@@ -136,7 +135,6 @@ def _walk_rows(sol: SolutionEnsemble, grid: ObstacleGrid,
     so the dense product there is +-0.0 and the sums keep their bits."""
     m, n_plus_1 = sol.shape
     checked = [side for side in sides if side in grid.sides]
-    sup = {side: np.zeros(m) for side in sides}
     mean_sq = {side: np.zeros(n_plus_1) for side in sides}
     above = dict.fromkeys(sides, 0)
     # per step i: the paths it pushed, and each checked side's excess there
@@ -154,7 +152,6 @@ def _walk_rows(sol: SolutionEnsemble, grid: ObstacleGrid,
                     kept[side][i] = excess[pushed[i]]
                 above[side] += np.count_nonzero(excess > slack)
                 positive = np.maximum(excess, 0.0, out=excess)
-                np.maximum(sup[side], positive, out=sup[side])
                 mean_sq[side][i] = np.mean(np.square(positive, out=positive))
 
     walks = {}
@@ -173,7 +170,7 @@ def _walk_rows(sol: SolutionEnsemble, grid: ObstacleGrid,
                 paths = pushed[i]
                 flat[paths] += kept[side][i] * dk[paths]
         mean_k[-1] = k_now.mean()
-        walks[side] = _RowWalk(np.negative(flat, out=flat), sup[side], mean_sq[side], above[side],
+        walks[side] = _RowWalk(np.negative(flat, out=flat), mean_sq[side], above[side],
                                monotone, mean_k)
     return walks
 

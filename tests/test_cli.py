@@ -484,7 +484,6 @@ class TestBarrierSets:
             flat = -np.sum(excess[:, :-1] * np.diff(k, axis=1), axis=1)
             positive = np.maximum(excess, 0.0)
             assert walk.flat_off.tobytes() == flat.tobytes()
-            assert walk.sup_excess.tobytes() == np.max(positive, axis=1).tobytes()
             assert walk.above_slack == np.count_nonzero(excess > 3.0 * se)
             assert walk.mean_sq_excess.tobytes() == np.mean(np.square(positive), axis=0).tobytes()
             assert walk.mean_sq_excess.max() > 0.0
@@ -741,6 +740,10 @@ _TINY_HORIZON = {"horizon": 5e-324, "steps": 2}
      "validation: driver a_z has 2 entries but d=1"),
     ("run", {"driver": {"kind": "zero", "params": {}, "lip_const": -1.0}}, 2, _INVALID,
      "validation: driver declares a negative lip_const"),
+    ("run", {"terminal": {"kind": "clamp", "params": {"lo": 1.0, "hi": 1.0}}}, 2, _INVALID,
+     "validation: config.terminal.params: clamp needs lo < hi"),
+    ("run", {"penalty": {"levels": [], "tol": 1e-4}}, 2, _INVALID,
+     "validation: config.penalty: schedule needs at least one level"),
 ])
 def test_failures_exit_with_contract_code(tmp_path, capsys, command, overrides, code, written, stderr):
     cfg_path = _write(tmp_path, "c.json", _base_config(**overrides))

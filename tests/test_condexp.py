@@ -160,6 +160,16 @@ class TestBuildBasis:
         finally:
             gc.enable()
 
+    def test_inputs_of_the_wrong_shape_are_rejected(self):
+        w, db = _design(m=10)
+        cfg = RegressionConfig(degree_w=1, include_dB=True)
+        with pytest.raises(ValueError, match="w_state must be M x d"):
+            build_basis(cfg, w[:, 0], db)
+        with pytest.raises(ValueError, match="dB_i must be M x l with the same M"):
+            build_basis(cfg, w, db[:9])
+        with pytest.raises(ValueError, match="each barrier must be an M vector"):
+            build_basis(cfg, w, db, barriers=[w])
+
 
 class TestFitEval:
 

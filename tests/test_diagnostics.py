@@ -66,6 +66,13 @@ class TestCheckComparison:
         with pytest.raises(ValueError, match="mismatched shapes"):
             check_comparison(sol, other, p)
 
+    def test_paths_of_another_size_rejected(self, binding_problem, fast_cfg):
+        sc, p = binding_problem
+        sol = solve_projected(sc, p, fast_cfg)
+        p_small = generate_paths(constant_scenario(paths=500, steps=10))
+        with pytest.raises(ValueError, match="ensembles were not solved on the given paths"):
+            check_comparison(sol, sol, p_small)
+
 
 class TestCheckDkComparison:
 

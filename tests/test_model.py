@@ -17,7 +17,7 @@ from rbdsde import (
     TimeGrid,
     validate_scenario,
 )
-from rbdsde.scenarios import constant_scenario, two_barrier_scenario
+from rbdsde.scenarios import constant_scenario, shift_lower_obstacle, two_barrier_scenario
 from tests.hand_built import from_dense, pushes_of
 
 
@@ -98,6 +98,12 @@ class TestCoefficientCatalog:
         with pytest.raises(ValueError):
             CoefficientSpec(kind="mystery")
 
+    def test_unknown_param(self):
+        spec = CoefficientSpec.payoff_put(1.0)
+        assert spec.param("strike") == 1.0
+        with pytest.raises(KeyError, match="payoff_put coefficient has no parameter 'scale'"):
+            spec.param("scale")
+
     # declared squared-Lipschitz bound on a sampled (y, z) grid
     @pytest.mark.parametrize("a_y,a_z", [(0.5, (0.0,)), (2.0, (1.5,)), (0.0, (3.0,)), (-1.0, (0.25,))])
     def test_linear_lipschitz_bound(self, a_y, a_z):
@@ -128,6 +134,12 @@ class TestScenario:
         sc = constant_scenario()
         with pytest.raises(ValueError):
             dataclasses.replace(sc, seed="42")
+
+    def test_no_lower_obstacle_to_shift(self):
+        sc = two_barrier_scenario()
+        upper_only = dataclasses.replace(sc, obstacles=ObstacleSpec(upper=sc.obstacles.upper))
+        with pytest.raises(ValueError, match="no lower obstacle to shift"):
+            shift_lower_obstacle(upper_only, -0.5)
 
 
 class TestPenaltySchedule:

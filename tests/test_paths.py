@@ -430,6 +430,16 @@ class TestBarrierRows:
         with pytest.raises(dataclasses.FrozenInstanceError):
             grids.lower = filled
 
+    def test_a_spec_needs_the_grid_times_and_w(self):
+        spec = CoefficientSpec.payoff_put(0.3)
+        with pytest.raises(ValueError, match="needs the grid times and W's rows"):
+            ObstacleGrid(xi=np.zeros(3), lower=spec)
+        # a grid of arrays keeps neither, and its barriers cannot be swapped
+        grid = ObstacleGrid(xi=np.zeros(3), upper=np.ones((3, 2)), times=np.arange(2.0))
+        assert grid.sides == ("upper",) and grid.times is None and grid.w is None
+        with pytest.raises(TypeError):
+            grid.held["lower"] = np.zeros((3, 2))
+
     def test_whole_barrier_is_formed_on_every_read(self):
         sc = stopping_drift_scenario(paths=200, steps=4)
         grids = obstacle_on_grid(sc, generate_paths(sc))
