@@ -95,37 +95,27 @@ def implicit_double_step(a, l_val, u_val, n_dt):
 
     a and the barriers are scalars or broadcasting arrays; the rate n_dt is
     one number >= 0 for both barriers, and +inf projects onto them.  An
-    absent barrier is the scalar -inf (lower) or +inf (upper); no
-    arithmetic is done for its side.  The sweep runs the same in-place
-    step, ``_reflect``, without the checks made here, and stores the signed
-    pushes of the paths in contact, with their contact mask, in its
-    ``SignedPushes``; a push that would round past the candidate is zero.
+    absent barrier is -inf (lower) or +inf (upper), which no candidate
+    crosses, so it never pushes; a lower barrier at +inf with the upper at
+    +inf, or an upper at -inf with the lower at -inf, is a crossing.  The
+    sweep runs the same in-place step, ``_reflect``, on the broadcast rows
+    without the checks made here, and stores the signed pushes of the paths
+    in contact, with their contact mask, in its ``SignedPushes``; a push
+    that would round past the candidate is zero.
     """
     if np.ndim(n_dt) != 0 or not n_dt >= 0:  # NaN fails too
         raise ValueError(f"the penalty rate must be one number >= 0, got {n_dt!r}")
-    a = np.asarray(a, dtype=float)
-    l_arr = np.asarray(l_val, dtype=float)
-    u_arr = np.asarray(u_val, dtype=float)
-    has_lower = not (l_arr.ndim == 0 and l_arr == -np.inf)
-    has_upper = not (u_arr.ndim == 0 and u_arr == np.inf)
-    # an absent side cannot cross, so only two barriers are tested
-    if has_lower and has_upper and np.any(l_arr >= u_arr):
+    a, lower, upper = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (a, l_val, u_val)))
+    if np.any(lower >= upper):
         raise ValueError("barrier crossing: l_val >= u_val")
-
-    shape = np.broadcast_shapes(a.shape, l_arr.shape, u_arr.shape)
-
-    def row(x):
-        return np.broadcast_to(x, shape).ravel()
-
-    y = row(a).copy()
-    contact, push = _reflect(y, row(l_arr) if has_lower else None,
-                             row(u_arr) if has_upper else None, float(n_dt))
+    y = a.flatten()
+    contact, push = _reflect(y, lower.ravel(), upper.ravel(), float(n_dt))
     dk = np.zeros(y.size)
     dk[contact] = push
     dk_plus, dk_minus = np.maximum(dk, 0.0), np.maximum(-dk, 0.0)
-    if not shape:
+    if not a.shape:
         return float(y[0]), float(dk_plus[0]), float(dk_minus[0])
-    return y.reshape(shape), dk_plus.reshape(shape), dk_minus.reshape(shape)
+    return y.reshape(a.shape), dk_plus.reshape(a.shape), dk_minus.reshape(a.shape)
 
 
 def _checked_grid(s: Scenario, p: NoisePaths) -> ObstacleGrid:

@@ -86,14 +86,15 @@ def check_dK_comparison(
     of steps, with epsilon 3 pooled standard errors.  The ensembles must
     come from the same seed.  K is read one time row at a time."""
     epsilon = _comparison_epsilon(sol_a, sol_b)
-    # the pushes of step j as K_{j+1} - K_j, from K's rows read in turn
+    # the pushes of step j as K_{j+1} - K_j, from K's rows read in turn;
+    # each next row overwrites the one before, so that is kept as a copy
     rows = zip(sol_a.k_rows(side), sol_b.k_rows(side))
-    k_a, k_b = next(rows)
+    k_a, k_b = (row.copy() for row in next(rows))
     wrong = 0
     for next_a, next_b in rows:
         dk_a, dk_b = next_a - k_a, next_b - k_b
         wrong += np.count_nonzero(dk_a < dk_b - epsilon if side == "lower" else dk_a > dk_b + epsilon)
-        k_a, k_b = next_a, next_b
+        k_a[...], k_b[...] = next_a, next_b
     m, n_plus_1 = sol_a.shape
     fraction = float(wrong / (m * (n_plus_1 - 1)))
     return ComparisonResult(violation_fraction=fraction, epsilon=epsilon, passed=fraction <= 0.01)

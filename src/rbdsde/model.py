@@ -7,7 +7,6 @@ after construction and safe to share across threads.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
@@ -311,7 +310,8 @@ class SignedPushes:
     holds one step: the sweep puts each step's contact and pushes as its
     reflection returns them (a path beyond a barrier whose push rounded to
     zero is held as +0.0).  A path not in contact reads back as +0.0.  A
-    store is filled once, then only read, by ``SolutionEnsemble``."""
+    store is filled once, then only read, by ``SolutionEnsemble``, which
+    forms dK and K from ``paths`` and ``values``."""
 
     def __init__(self, m: int, n: int):
         self.m = m
@@ -336,15 +336,6 @@ class SignedPushes:
         """The bytes held: the contact rows and the pushes."""
         return self.contact.nbytes + sum(v.nbytes for v in self.values)
 
-    def dense(self) -> np.ndarray:
-        """The (M, N) array of pushes, held time first, so each ``[:, j]``
-        is a contiguous row."""
-        n = len(self.values)
-        dk = np.zeros((n, self.m))
-        for j, values in enumerate(self.values):
-            dk[j, self.paths(j)] = values
-        return dk.T
-
 
 @dataclass(frozen=True, eq=False)
 class SolutionEnsemble:
@@ -367,13 +358,14 @@ class SolutionEnsemble:
     also returns the terminal values and barriers it solved against.
 
     Nothing dense is stored: each read of ``Y``, ``Z`` or ``dK`` forms the
-    whole array, and each read of ``K_plus``, ``K_minus`` or ``k`` forms
-    the reflection process, M x (N+1) and nondecreasing from zero,
-    K_0 = 0 and K_{j+1} = K_j + max(+-dK_j, 0), one time row after another
-    (``k_rows``), adding only at the paths step j pushed.  Read each once
-    per use, or walk ``rows``; ``shape`` gives Y's shape without forming
-    it, and ``k_terminal`` forms K_T alone.  The K of a side without a
-    barrier in ``obstacle_grid`` is zero."""
+    whole array.  The reflection process, M x (N+1) and nondecreasing from
+    zero, K_0 = 0 and K_{j+1} = K_j + max(+-dK_j, 0), is formed by
+    ``k_rows`` alone, one time row after another in one (M,) buffer, adding
+    only at the paths step j pushed: ``K_plus``, ``K_minus`` and ``k``
+    copy its rows, and ``k_terminal`` is its last row.  Read each once per
+    use, or walk ``rows`` and ``k_rows``; ``shape`` gives Y's shape without
+    forming it.  The K of a side without a barrier in ``obstacle_grid`` is
+    zero."""
 
     store: StepFits
     pushes: SignedPushes | None
@@ -426,36 +418,32 @@ class SolutionEnsemble:
     def dK(self) -> np.ndarray:
         """The M x N signed pushes, formed on each read; ``[:, j]`` is a
         contiguous row."""
-        if self.pushes is None:
-            m, n_plus_1 = self.shape
-            return np.zeros((n_plus_1 - 1, m)).T
-        return self.pushes.dense()
-
-    def _pushes(self, side: str):
-        """Per step j, the paths a barrier pushed and the push of ``side``
-        there, max(dK_j, 0) below and max(-dK_j, 0) above, in one buffer
-        overwritten by the next step's.  A side without a barrier in
-        ``obstacle_grid`` has none."""
-        if self.pushes is None or (self.obstacle_grid is not None
-                                   and side not in self.obstacle_grid.sides):
-            return
-        buffer = np.empty(self.shape[0])
-        for j, values in enumerate(self.pushes.values):
-            push = buffer[:values.size]
-            np.maximum(values if side == "lower" else np.negative(values, out=push), 0.0, out=push)
-            yield self.pushes.paths(j), push
+        m, n_plus_1 = self.shape
+        dk = np.zeros((n_plus_1 - 1, m))
+        if self.pushes is not None:
+            for j, values in enumerate(self.pushes.values):
+                dk[j, self.pushes.paths(j)] = values
+        return dk.T
 
     def k_rows(self, side: str):
         """The reflection process of the barrier on ``side``, K_0 = 0 to
-        K_N, one time row after another, each a new (M,) array."""
+        K_N, one time row after another in one (M,) buffer, which step j's
+        adds of max(dK_j, 0) below or max(-dK_j, 0) above overwrite: a row
+        is valid until the next one is read."""
         m, n_plus_1 = self.shape
         row = np.zeros(m)
         yield row
-        steps = self._pushes(side)  # nothing for a side that never pushes
-        for _ in range(n_plus_1 - 1):
-            row = row.copy()
-            for paths, push in itertools.islice(steps, 1):
-                np.add.at(row, paths, push)
+        store = self.pushes
+        if self.obstacle_grid is not None and side not in self.obstacle_grid.sides:
+            store = None  # a side without a barrier never pushes
+        push = np.empty(m)
+        for j in range(n_plus_1 - 1):
+            if store is not None:
+                values = store.values[j]
+                out = push[:values.size]
+                np.maximum(values if side == "lower" else np.negative(values, out=out), 0.0,
+                           out=out)
+                np.add.at(row, store.paths(j), out)
             yield row
 
     def k(self, side: str) -> np.ndarray:
@@ -469,12 +457,10 @@ class SolutionEnsemble:
         return k.T
 
     def k_terminal(self, side: str) -> np.ndarray:
-        """K_T of ``side`` per path, ``k(side)[:, -1]`` made by the same adds
-        into one M vector."""
-        total = np.zeros(self.shape[0])
-        for paths, push in self._pushes(side):
-            np.add.at(total, paths, push)
-        return total
+        """K_T of ``side`` per path: the last row of ``k_rows``."""
+        for row in self.k_rows(side):
+            pass
+        return row
 
     @property
     def K_plus(self) -> np.ndarray:
@@ -513,8 +499,11 @@ def validate_scenario(s: Scenario) -> ValidationReport:
     """Check the structural conditions of a scenario; never raises.  Any
     barrier set is accepted, and each declared barrier is probed on a few
     states by its own rule (S_T <= xi below, xi <= U_T above, L < U at
-    interior times when both are present).  The per-path versions of these
-    conditions are checked by the solvers on the grid they evaluate, with
+    interior times when both are present).  The terminal, the driver and
+    each barrier give one value per path and the noise 1 or l: a
+    list-valued constant of another length is a violation, and is not
+    probed.  The per-path versions of these conditions are checked by the
+    solvers on the grid they evaluate, with
     :meth:`rbdsde.paths.ObstacleGrid.check_flags`.
     """
     violations: list[str] = []
@@ -532,17 +521,30 @@ def validate_scenario(s: Scenario) -> ValidationReport:
         a_z = s.driver.param("a_z")
         if a_z and len(a_z) != s.dims.d:
             violations.append(f"driver a_z has {len(a_z)} entries but d={s.dims.d}")
+    listed = set()  # the coefficients whose list is not probed
+    for name, spec in (("terminal", s.terminal), ("driver", s.driver), ("noise", s.noise_coeff),
+                       ("lower obstacle", s.obstacles.lower), ("upper obstacle", s.obstacles.upper)):
+        if spec is None or spec.kind != "constant" or np.ndim(spec.param("value")) == 0:
+            continue
+        count = len(spec.param("value"))
+        if name != "noise":
+            listed.add(name)
+            violations.append(f"{name} gives one value per path, got a list of {count}")
+        elif count != s.dims.l:
+            violations.append(f"noise gives 1 or l={s.dims.l} values per path, got a list of {count}")
 
     w_probe = _probe_states(s.grid, s.dims)
     t_interior = [0.0, s.grid.horizon / 3.0, 2.0 * s.grid.horizon / 3.0,
                   s.grid.times[s.grid.steps - 1] if s.grid.steps > 1 else 0.0]
 
-    lower, upper = s.obstacles.lower, s.obstacles.upper
-    xi_probe = s.terminal.evaluate(s.grid.horizon, w_probe)
-    if lower is not None and np.any(lower.evaluate(s.grid.horizon, w_probe) > xi_probe):
-        violations.append("S_T <= xi violated on the static probe grid")
-    if upper is not None and np.any(xi_probe > upper.evaluate(s.grid.horizon, w_probe)):
-        violations.append("xi <= U_T violated on the static probe grid")
+    lower, upper = (None if f"{side} obstacle" in listed else getattr(s.obstacles, side)
+                    for side in ("lower", "upper"))
+    if "terminal" not in listed:
+        xi_probe = s.terminal.evaluate(s.grid.horizon, w_probe)
+        if lower is not None and np.any(lower.evaluate(s.grid.horizon, w_probe) > xi_probe):
+            violations.append("S_T <= xi violated on the static probe grid")
+        if upper is not None and np.any(xi_probe > upper.evaluate(s.grid.horizon, w_probe)):
+            violations.append("xi <= U_T violated on the static probe grid")
     if lower is not None and upper is not None and any(
             np.any(lower.evaluate(t, w_probe) >= upper.evaluate(t, w_probe)) for t in t_interior):
         violations.append("L<U violated on the static probe grid")

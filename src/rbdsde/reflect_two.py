@@ -158,13 +158,13 @@ def _walk_rows(sol: SolutionEnsemble, grid: ObstacleGrid,
     for side in sides:
         flat, mean_k = np.zeros(m), np.zeros(n_plus_1)
         k_rows = sol.k_rows(side)
-        k_now = next(k_rows)
+        k_now = next(k_rows).copy()  # the next row overwrites the one yielded
         monotone = bool(np.all(k_now == 0.0))
         for i in range(n_plus_1 - 1):
             mean_k[i] = k_now.mean()
             k_next = next(k_rows)
             dk = k_next - k_now
-            k_now = k_next
+            k_now[...] = k_next
             monotone = monotone and bool(np.all(dk >= 0))
             if side in kept:
                 paths = pushed[i]

@@ -208,6 +208,10 @@ class TestLayout:
             assert k.tobytes() == whole.tobytes(), side
             assert all(k[:, i].flags.c_contiguous for i in range(9))
             assert sol.k_terminal(side).tobytes() == whole[:, -1].tobytes(), side
+            # one buffer, which each step's adds overwrite, ending at K_T
+            rows = list(sol.k_rows(side))
+            assert len(rows) == 9 and all(row is rows[0] for row in rows), side
+            assert rows[-1].tobytes() == sol.k_terminal(side).tobytes(), side
         assert sol.K_plus.tobytes() == sol.k("lower").tobytes()
         assert sol.K_minus.tobytes() == sol.k("upper").tobytes()
 

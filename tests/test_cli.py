@@ -669,6 +669,20 @@ _PER_PATH_FAILURE = {
 
 _INVALID = ("summary.json", {"status": "validation_failed"})
 
+# A list-valued constant where a coefficient gives one value per path, or a
+# noise list of other than l values; each names the coefficient.
+_LISTED = [
+    ({"terminal": {"kind": "constant", "params": {"value": [5.0, 6.0]}}},
+     "validation: terminal gives one value per path, got a list of 2\n"),
+    ({"obstacle": {"lower": {"kind": "constant", "params": {"value": [-10.0, -9.0]}},
+                   "upper": "absent"}},
+     "validation: lower obstacle gives one value per path, got a list of 2\n"),
+    ({"driver": {"kind": "constant", "params": {"value": [0.0, 1.0]}}},
+     "validation: driver gives one value per path, got a list of 2\n"),
+    ({"noise": {"kind": "constant", "params": {"value": [0.1, 0.2]}}},
+     "validation: noise gives 1 or l=1 values per path, got a list of 2\n"),
+]
+
 # N + 1 grid times that no float64 array can hold, and a step of T / N that
 # rounds to zero
 _HUGE_STEPS = {"steps": 9223372036854775807}
@@ -744,6 +758,7 @@ _TINY_HORIZON = {"horizon": 5e-324, "steps": 2}
      "validation: config.terminal.params: clamp needs lo < hi"),
     ("run", {"penalty": {"levels": [], "tol": 1e-4}}, 2, _INVALID,
      "validation: config.penalty: schedule needs at least one level"),
+    *(("run", overrides, 2, _INVALID, line) for overrides, line in _LISTED),
 ])
 def test_failures_exit_with_contract_code(tmp_path, capsys, command, overrides, code, written, stderr):
     cfg_path = _write(tmp_path, "c.json", _base_config(**overrides))
@@ -781,6 +796,17 @@ def test_underdetermined_basis_exits_before_drawing_paths(tmp_path, capsys, monk
     assert main(["run", _write(tmp_path, "c.json", cfg), "--out", str(tmp_path / "o")]) == 2
     assert (f"validation: underdetermined basis: {columns} columns but only {paths} samples"
             in capsys.readouterr().err)
+    assert draws == []
+
+
+@pytest.mark.parametrize("overrides, line", _LISTED)
+def test_list_valued_coefficient_exits_before_drawing_paths(tmp_path, capsys, monkeypatch,
+                                                            overrides, line):
+    draws = []
+    monkeypatch.setattr(cli, "generate_paths", lambda *args: draws.append(args))
+    cfg = _base_config(paths=300, **overrides)
+    assert main(["run", _write(tmp_path, "c.json", cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == line
     assert draws == []
 
 

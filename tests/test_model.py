@@ -229,6 +229,32 @@ class TestValidateScenario:
         sc = two_barrier_scenario()
         assert validate_scenario(sc) == validate_scenario(sc)
 
+    @pytest.mark.parametrize("field, name, message", [
+        ("terminal", "terminal", "terminal gives one value per path, got a list of 2"),
+        ("driver", "driver", "driver gives one value per path, got a list of 2"),
+        ("lower", "lower obstacle", "lower obstacle gives one value per path, got a list of 2"),
+        ("upper", "upper obstacle", "upper obstacle gives one value per path, got a list of 2"),
+        ("noise_coeff", "noise", "noise gives 1 or l=1 values per path, got a list of 2"),
+    ])
+    def test_list_valued_constant_is_one_violation(self, field, name, message):
+        # the corridor's probes compare the terminal with both barriers
+        sc = two_barrier_scenario()
+        listed = CoefficientSpec.constant([-0.5, 0.5])
+        if field in ("lower", "upper"):
+            sc = dataclasses.replace(sc, obstacles=dataclasses.replace(sc.obstacles,
+                                                                       **{field: listed}))
+        else:
+            sc = dataclasses.replace(sc, **{field: listed})
+        assert validate_scenario(sc).violations == (message,)
+
+    def test_noise_list_of_l_values_accepted(self):
+        sc = dataclasses.replace(two_barrier_scenario(), dims=Dimensions(d=2, l=2),
+                                 noise_coeff=CoefficientSpec.constant([0.1, 0.2]))
+        assert validate_scenario(sc).ok
+        bad = dataclasses.replace(sc, noise_coeff=CoefficientSpec.constant([0.1]))
+        assert validate_scenario(bad).violations == (
+            "noise gives 1 or l=2 values per path, got a list of 1",)
+
 
 _ZEROS = st.sampled_from([0.0, -0.0])
 _NONZERO = st.floats(-1e6, 1e6, allow_nan=False).filter(bool)

@@ -74,6 +74,14 @@ class TestImplicitDoubleStep:
         with pytest.raises(ValueError, match="barrier crossing"):
             implicit_double_step(0.0, 1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("infinity", [np.inf, -np.inf])
+    @pytest.mark.parametrize("rate", [0.0, 2.0, np.inf])
+    def test_both_barriers_at_one_infinity_cross(self, infinity, rate):
+        # an absent side is the infinity given, so a lower barrier at +inf
+        # meets the absent upper one, and an upper at -inf the absent lower
+        with pytest.raises(ValueError, match="barrier crossing"):
+            implicit_double_step(np.zeros(3), infinity, infinity, rate)
+
     @pytest.mark.parametrize("rate", [np.array([1.0, 2.0]), np.array([1.0]), -0.5, -np.inf,
                                       np.nan, np.float64(np.nan)])
     def test_rate_that_is_not_one_number_at_least_zero_rejected(self, rate):
