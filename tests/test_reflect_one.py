@@ -176,7 +176,8 @@ class TestSolveReflected:
 
     def test_penetration_strictly_decreasing(self, binding_problem, fast_cfg):
         sc, p = binding_problem
-        sched = PenaltySchedule.geometric(sc.grid.dt, penetration_tol=1e-9)
+        # a tolerance of 0 runs every level
+        sched = PenaltySchedule.geometric(sc.grid.dt, count=4, penetration_tol=0.0)
         sol, trace = solve_reflected(sc, p, fast_cfg, schedule=sched)
         pens = [s.penetration_lower for s in trace.levels]
         assert len(pens) >= 3

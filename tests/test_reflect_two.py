@@ -2,6 +2,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -34,8 +35,14 @@ from rbdsde import (
 from rbdsde.bdsde_solver import _reflect
 from rbdsde.diagnostics import pooled_se
 from rbdsde.reflect_one import penetration_statistic
-from rbdsde.reflect_two import LevelStat, _walk_rows
-from rbdsde.scenarios import constant_g_scenario, stopping_drift_scenario, two_barrier_scenario
+from rbdsde.reflect_two import _LAW_SLACK, LevelStat, _next_level, _walk_rows
+from rbdsde.scenarios import (
+    constant_g_scenario,
+    constant_scenario,
+    stopping_drift_scenario,
+    stopping_put_scenario,
+    two_barrier_scenario,
+)
 from tests import test_bdsde_solver
 from tests.hand_built import from_dense
 from tests.test_reflect_one import _hand_ensemble
@@ -329,6 +336,89 @@ class TestLadderSharing:
                     one_level)
 
 
+_WALKED = {
+    "stopping_drift": lambda: stopping_drift_scenario(paths=2000, steps=12, seed=5),
+    "two_barrier": lambda: two_barrier_scenario(paths=2000, steps=12, drift=2.0),
+    "stopping_put": lambda: stopping_put_scenario(paths=2000, steps=12),
+    "constant": lambda: constant_scenario(paths=500, steps=12),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(_WALKED))
+def level_walk(request, fast_cfg):
+    """A scenario, its paths and one independent ``solve_penalized`` sweep
+    at each level of its default ladder, in order."""
+    sc = _WALKED[request.param]()
+    p = generate_paths(sc)
+    levels = PenaltySchedule.geometric(sc.grid.dt).levels
+    return sc, p, {level: solve_penalized(sc, p, fast_cfg, level=level) for level in levels}
+
+
+def _meets(sol, tol):
+    return sol.meta.penetration_lower <= tol and sol.meta.penetration_upper <= tol
+
+
+class TestLadderSkipsLevels:
+    """The ladder runs only the levels the decay law of the implicit step
+    says can converge, and returns the sweep of the level it stops at, bit
+    for bit: never an earlier level than a level-by-level walk would."""
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 0.0])
+    def test_stops_at_the_walks_first_converged_level_or_later(self, level_walk, fast_cfg, tol):
+        sc, p, walk = level_walk
+        levels = tuple(walk)
+        first = next((level for level in levels if _meets(walk[level], tol)), None)
+        sol, trace = solve_double(sc, p, fast_cfg,
+                                  schedule=PenaltySchedule(levels, penetration_tol=tol))
+        run = [stat.level for stat in trace.levels]
+        assert run[0] == levels[0]
+        assert all(a < b for a, b in zip(run, run[1:])) and set(run) <= set(levels)
+        assert trace.converged == (first is not None)
+        assert run[-1] == levels[-1] if first is None else run[-1] >= first
+        if tol == 0.0:
+            # every level runs, up to the first that converges
+            assert run == list(levels[:len(run)])
+            assert first is None or run[-1] == first
+        for stat in trace.levels:
+            own = walk[stat.level]
+            assert repr(stat) == repr(LevelStat(
+                level=stat.level, penetration_lower=own.meta.penetration_lower,
+                penetration_upper=own.meta.penetration_upper,
+                mean_k_plus_T=float(own.k_terminal("lower").mean()),
+                mean_k_minus_T=float(own.k_terminal("upper").mean())))
+        last = walk[run[-1]]
+        for name in ("Y", "Z", "K_plus", "K_minus"):
+            assert _bit_equal(getattr(sol, name), getattr(last, name)), name
+
+    def test_law_can_skip_the_first_level_that_converges(self, fast_cfg):
+        # at rates level * dt well below 1 the pushes raise the candidates
+        # with the level much faster than the law allows: from r = 0.03 it
+        # over-estimates the penetration at r = 1 by more than C
+        sc = stopping_drift_scenario(paths=2000, steps=12, seed=5)
+        p = generate_paths(sc)
+        rates = (0.03, 1.0, 3.0)
+        levels = tuple(r / sc.grid.dt for r in rates)
+        tol = 1e-2
+        walk = [solve_penalized(sc, p, fast_cfg, level=level) for level in levels]
+        assert [_meets(sol, tol) for sol in walk] == [False, True, True]
+        start = walk[0].meta.penetration_lower
+        assert start * ((1 + rates[0]) / (1 + rates[1])) ** 2 > _LAW_SLACK * tol
+
+        sol, trace = solve_double(sc, p, fast_cfg,
+                                  schedule=PenaltySchedule(levels, penetration_tol=tol))
+        assert [stat.level for stat in trace.levels] == [levels[0], levels[2]]
+        assert trace.converged
+        for name in ("Y", "Z", "K_plus", "K_minus"):
+            assert _bit_equal(getattr(sol, name), getattr(walk[2], name)), name
+
+    def test_zero_tolerance_predicts_no_level(self):
+        # the infinite level, the projection, has a predicted penetration of
+        # 0, which meets a tolerance of 0: still the next level runs
+        levels = (1.0, 10.0, np.inf)
+        assert _next_level(levels, 0, (0.5, 0.0), 0.0, 0.1) == 1
+        assert _next_level(levels, 0, (0.5, 0.0), 1e-9, 0.1) == 2
+
+
 class TestSweepPenetration:
 
     def test_one_barrier_sweep_reports_the_statistic(self, fast_cfg):
@@ -504,6 +594,21 @@ class TestDoubleSkorohodResiduals:
         upper = np.array([[2.0, 1.0, 1.0]])
         lres, ures = double_skorohod_residuals(sol, lower, upper)
         assert ures[0] == 0.0
+
+    def test_a_barrier_given_as_infinity_sums_to_zero(self, fast_cfg):
+        # the lower barrier of an upper-only corridor passed as -inf: its
+        # excess is -inf at every path the upper barrier pushed
+        sc = two_barrier_scenario(paths=3000, steps=12, drift=2.0)
+        upper_only = dataclasses.replace(sc, obstacles=ObstacleSpec(upper=sc.obstacles.upper))
+        p = generate_paths(upper_only)
+        sol, _ = solve_double(upper_only, p, fast_cfg)
+        upper = obstacle_on_grid(upper_only, p).upper
+        assert np.any(sol.K_minus[:, -1] > 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lres, ures = double_skorohod_residuals(sol, np.full(sol.shape, -np.inf), upper)
+        assert np.all(lres == 0.0)
+        assert np.all(np.isfinite(ures))
 
     def test_converged_residuals_within_tolerance(self, fast_cfg):
         sc = two_barrier_scenario(paths=5000, steps=25, drift=2.0)
