@@ -149,6 +149,18 @@ def _noise_matrix(spec, t, w, y, z, l: int) -> np.ndarray:
     return out
 
 
+def _noise_increments(s: Scenario, t: float, w, y, z, p: NoisePaths, j: int):
+    """G . dB_j per path, (M,), with G evaluated at (t, w, y, z): the
+    backward term of step j.  For the ``zero`` G it is the number 0.0 and
+    no dB is read, so B is not drawn.  Adding it keeps every bit: the
+    einsum of a zero row is +0.0, and adding 0.0 maps -0.0 to +0.0 as
+    adding that row does."""
+    if s.noise_coeff.kind == "zero":
+        return 0.0
+    return np.einsum("ml,ml->m", _noise_matrix(s.noise_coeff, t, w, y, z, s.dims.l),
+                     p.dB[:, j, :])
+
+
 class _BasisWalk:
     """The regression state of the backward sweep, walked from the horizon
     down over the basis inputs its ``StepFits`` store keeps.  ``advance(i)``,
@@ -292,8 +304,7 @@ def coefficient_steps(rows, s: Scenario, p: NoisePaths, lag: int,
         # them is held while the next row of Y and Z is formed
         w_i, step = p.w_row(i), steps[i - lag]
         np.multiply(s.driver.evaluate(times[i], w_i, y, z), s.grid.dt, out=step)
-        step += np.einsum("ml,ml->m", _noise_matrix(s.noise_coeff, times[i], w_i, y, z, s.dims.l),
-                          p.dB[:, i - lag, :])
+        step += _noise_increments(s, times[i], w_i, y, z, p, i - lag)
 
     for i, y, z in rows:
         if 0 <= i - lag < n:
@@ -344,7 +355,7 @@ def solve_backward(
     valid only for sweeps on the same paths, barriers and ``cfg``, whose
     basis matrices are bit-identical."""
     m, n = s.mc_paths, s.grid.steps
-    d, l = s.dims.d, s.dims.l
+    d = s.dims.d
     dt = s.grid.dt
     times = s.grid.times
     rate = level * dt
@@ -386,14 +397,13 @@ def solve_backward(
         t_next = times[i + 1]
         y_next = grids.xi if i == n - 1 else y_now
         w, z_next = walk.w, z_row
-        d_w, d_b = p.dW[:, i, :], p.dB[:, i, :]
+        d_w = p.dW[:, i, :]
 
         # Stage 1's two targets, the continuation target and the drift at
         # t_{i+1}, as the rows of one array, the layout the fit multiplies in
         targets = np.empty((2, m))
-        continuation_target = np.add(y_next, np.einsum(
-            "ml,ml->m", _noise_matrix(s.noise_coeff, t_next, w, y_next, z_next, l), d_b),
-            out=targets[0])
+        continuation_target = np.add(
+            y_next, _noise_increments(s, t_next, w, y_next, z_next, p, i), out=targets[0])
         targets[1] = s.driver.evaluate(t_next, w, y_next, z_next)
 
         barriers = walk.advance(i)

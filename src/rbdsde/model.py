@@ -425,11 +425,13 @@ class SolutionEnsemble:
                 dk[j, self.pushes.paths(j)] = values
         return dk.T
 
-    def k_rows(self, side: str):
+    def k_rows(self, side: str, pushed: list | None = None):
         """The reflection process of the barrier on ``side``, K_0 = 0 to
         K_N, one time row after another in one (M,) buffer, which step j's
         adds of max(dK_j, 0) below or max(-dK_j, 0) above overwrite: a row
-        is valid until the next one is read."""
+        is valid until the next one is read.  ``pushed``, if given, holds
+        per step j the paths it pushed, ``pushes.paths(j)``, which a caller
+        that holds them hands over so they are not unpacked again."""
         m, n_plus_1 = self.shape
         row = np.zeros(m)
         yield row
@@ -443,7 +445,7 @@ class SolutionEnsemble:
                 out = push[:values.size]
                 np.maximum(values if side == "lower" else np.negative(values, out=out), 0.0,
                            out=out)
-                np.add.at(row, store.paths(j), out)
+                np.add.at(row, store.paths(j) if pushed is None else pushed[j], out)
             yield row
 
     def k(self, side: str) -> np.ndarray:

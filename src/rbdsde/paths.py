@@ -12,7 +12,7 @@ import logging
 import math
 import os
 import queue
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -118,7 +118,16 @@ class _WRows:
         return _advance(base, self.increments, start, i, out)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
+class _Undrawn:
+    """Increments not drawn yet: ``make()`` draws them, as a time-major
+    (N, M, k) array; ``shape`` is the (M, N, k) shape ``NoisePaths`` shows."""
+
+    shape: tuple[int, int, int]
+    make: Callable[[], np.ndarray]
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class NoisePaths:
     """Increment arrays of both Brownian motions.
 
@@ -131,18 +140,36 @@ class NoisePaths:
     of B is summed only when read, because the solver reads B through its
     increments.  Both arrays are read-only views: W's kept rows are summed
     from ``dW`` once, and a solution ensemble keeps the increments alive to
-    form Y and Z again, so neither may change after the paths are made."""
+    form Y and Z again, so neither may change after the paths are made.
+
+    ``dB`` is given as its array or as a draw not yet made (``_Undrawn``),
+    which the first read of ``dB`` or ``B_state`` makes and keeps: the
+    paths ``generate_paths`` draws for a zero noise coefficient hold no B
+    until something reads it.  ``dB_shape`` is B's shape, read without
+    drawing it."""
 
     dW: np.ndarray       # (M, N, d)
-    dB: np.ndarray       # (M, N, l)
+    dB: np.ndarray       # (M, N, l), held as ``_b`` and read by the property below
     seed: int
 
-    def __post_init__(self):
-        for name in ("dW", "dB"):
-            view = getattr(self, name).view()
-            view.flags.writeable = False
-            object.__setattr__(self, name, view)
+    def __init__(self, dW: np.ndarray, dB: np.ndarray | _Undrawn, seed: int):
+        object.__setattr__(self, "dW", _read_only(dW))
+        object.__setattr__(self, "_b", dB if isinstance(dB, _Undrawn) else _read_only(dB))
+        object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "_w", _WRows.of(_path_major(self.dW)))
+
+    @property
+    def dB(self) -> np.ndarray:
+        """(M, N, l), B's increments, drawn on the first read if they were
+        not drawn when the paths were made."""
+        if isinstance(self._b, _Undrawn):
+            object.__setattr__(self, "_b", _read_only(_path_major(self._b.make())))
+        return self._b
+
+    @property
+    def dB_shape(self) -> tuple[int, int, int]:
+        """(M, N, l), the shape of ``dB``, read without drawing B."""
+        return self._b.shape
 
     @property
     def n_paths(self) -> int:
@@ -174,61 +201,101 @@ def _path_major(time_major: np.ndarray) -> np.ndarray:
     return time_major.transpose(1, 0, 2)
 
 
-def _noise_paths(dW: np.ndarray, dB: np.ndarray, seed: int) -> NoisePaths:
-    """Paths over time-major (N, M, k) increments."""
-    return NoisePaths(dW=_path_major(dW), dB=_path_major(dB), seed=seed)
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A view of ``array`` that cannot be written through."""
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
+def _noise_paths(dW: np.ndarray, dB: np.ndarray | _Undrawn, seed: int) -> NoisePaths:
+    """Paths over time-major (N, M, k) increments, B's perhaps not drawn yet."""
+    return NoisePaths(dW=_path_major(dW), dB=dB if isinstance(dB, _Undrawn) else _path_major(dB),
+                      seed=seed)
+
+
+def _fill_block(key: np.uint64, stream: int, sqrt_dt: float, out: np.ndarray, start: int,
+                draws: np.ndarray) -> None:
+    """Draw the paths of one block, from ``start`` on, in path-major order
+    into ``draws``, (paths, N, k), from jumped sub-stream ``stream`` of the
+    Philox generator keyed by ``key``, and write their slice of every time
+    row of the time-major ``out``, scaled by sqrt(dt)."""
+    np.random.Generator(np.random.Philox(key=key).jumped(stream)).standard_normal(out=draws)
+    np.multiply(_path_major(draws), sqrt_dt, out=out[:, start:start + len(draws)])
+
+
+def _draw(seed: int, dt: float, n: int, m: int, widths: dict[int, int]) -> list[np.ndarray]:
+    """The time-major (N, M, k) increments of each Brownian motion in
+    ``widths``, which maps the motion, 0 for W and 1 for B, to its k: block
+    b of 4096 paths draws from jumped sub-stream 2b + motion of one Philox
+    generator keyed by ``seed``.  Bit-reproducible for fixed (seed, M, N, k)
+    regardless of the worker count, and whether or not the other motion
+    is drawn in the same call."""
+    outs = [(motion, np.empty((n, m, k))) for motion, k in widths.items()]
+    key = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    sqrt_dt = np.sqrt(dt)
+    blocks = range((m + _BLOCK - 1) // _BLOCK)
+    workers = min(worker_count(), len(blocks))
+    # one draw buffer per concurrent fill, allocated here once and handed
+    # from fill to fill; a fill draws each motion in turn into its buffer
+    buffers = queue.SimpleQueue()
+    for _ in range(workers):
+        buffers.put(np.empty(min(_BLOCK, m) * n * max(widths.values())))
+
+    def fill(block: int) -> None:
+        start = block * _BLOCK
+        size = min(_BLOCK, m - start)
+        buffer = buffers.get()
+        for motion, out in outs:
+            _fill_block(key, 2 * block + motion, sqrt_dt, out, start,
+                        buffer[:size * n * out.shape[2]].reshape(size, n, -1))
+        buffers.put(buffer)
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(fill, blocks))
+    return [out for _, out in outs]
 
 
 def generate_paths(s: Scenario) -> NoisePaths:
     """Draw the M x N x d and M x N x l Gaussian increment ensembles.
 
-    Bit-reproducible for fixed (seed, M, N, d, l) regardless of the worker
-    count: block b of 4096 paths uses jumped sub-streams 2b (for W) and
-    2b + 1 (for B) of one Philox generator keyed by the scenario seed.
+    W is drawn here.  B is drawn here too, in the same block fills, unless
+    the noise coefficient G is the ``zero`` spec: a solve then reads B only
+    through the basis's dB columns, and B is drawn on the first read of
+    ``dB`` (``NoisePaths``).  Either way its bits are the same, because
+    each motion draws from streams of its own: bit-reproducible for fixed
+    (seed, M, N, d, l) regardless of the worker count, block b of 4096
+    paths uses jumped sub-streams 2b (for W) and 2b + 1 (for B) of one
+    Philox generator keyed by the scenario seed.
     """
-    m, n = s.mc_paths, s.grid.steps
+    seed, dt, n, m = s.seed, s.grid.dt, s.grid.steps, s.mc_paths
     d, l = s.dims.d, s.dims.l
-    sqrt_dt = np.sqrt(s.grid.dt)
-    key = np.uint64(s.seed & 0xFFFFFFFFFFFFFFFF)
-
-    dW = np.empty((n, m, d))
-    dB = np.empty((n, m, l))
-    blocks = range((m + _BLOCK - 1) // _BLOCK)
-    workers = min(worker_count(), len(blocks))
-    # one draw buffer per concurrent fill, allocated here once and handed
-    # from fill to fill; a fill draws W and then B into its buffer
-    buffers = queue.SimpleQueue()
-    for _ in range(workers):
-        buffers.put(np.empty(min(_BLOCK, m) * n * max(d, l)))
-
-    def fill(block: int) -> None:
-        # a block draws its paths in path-major order and writes their
-        # slice of every time row
-        start = block * _BLOCK
-        stop = min(start + _BLOCK, m)
-        buffer = buffers.get()
-        for stream, out in ((2 * block, dW), (2 * block + 1, dB)):
-            draws = buffer[:(stop - start) * n * out.shape[2]].reshape(stop - start, n, -1)
-            np.random.Generator(np.random.Philox(key=key).jumped(stream)).standard_normal(out=draws)
-            np.multiply(_path_major(draws), sqrt_dt, out=out[:, start:stop])
-        buffers.put(buffer)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(fill, blocks))
-
-    buffers = None  # the draw buffers go before W's marks are summed
-    return _noise_paths(dW, dB, s.seed)
+    if s.noise_coeff.kind == "zero":
+        (dW,) = _draw(seed, dt, n, m, {0: d})
+        dB = _Undrawn((m, n, l), lambda: _draw(seed, dt, n, m, {1: l})[0])
+    else:
+        dW, dB = _draw(seed, dt, n, m, {0: d, 1: l})
+    return _noise_paths(dW, dB, seed)
 
 
 def coarsen(p: NoisePaths, k: int) -> NoisePaths:
     """The same Brownian paths on a grid k times coarser: each block of k
-    consecutive increments is summed, which is exact for Brownian motion."""
+    consecutive increments is summed, which is exact for Brownian motion.
+    A B not drawn yet stays so: the coarse one draws and sums the fine one
+    on its first read."""
     m, n, _ = p.dW.shape
     if k < 1 or n % k:
         raise ValueError(f"coarsening factor {k} does not divide {n} steps")
-    dW, dB = (_path_major(increments).reshape(n // k, k, m, -1).sum(axis=1)
-              for increments in (p.dW, p.dB))
-    return _noise_paths(dW, dB, p.seed)
+
+    def summed(increments: np.ndarray) -> np.ndarray:
+        return increments.reshape(n // k, k, m, -1).sum(axis=1)
+
+    fine_b = p._b
+    if isinstance(fine_b, _Undrawn):
+        dB = _Undrawn((m, n // k, fine_b.shape[2]), lambda: summed(fine_b.make()))
+    else:
+        dB = summed(_path_major(fine_b))
+    return _noise_paths(summed(_path_major(p.dW)), dB, p.seed)
 
 
 # per barrier side, its symbol in the per-path conditions
@@ -291,14 +358,19 @@ class ObstacleGrid:
 
     def _whole(self, side: str) -> np.ndarray | None:
         """A held array as it is, or a held spec's rows, from ``row``, in
-        one time-major array formed anew."""
+        one time-major array formed anew.  W's rows are formed forward in
+        one buffer, each from the last by one add of the running sum, so
+        they have the bits of ``w.row``."""
         held = self.held.get(side)
         if not isinstance(held, CoefficientSpec):
             return held
         m, n_plus_1 = self.w.shape
         out = np.empty((n_plus_1, m))
+        w = np.zeros((m, self.w.increments.shape[2]))  # W_0
         for i in range(n_plus_1):
-            out[i] = self.row(side, i)
+            if i:
+                _advance(w, self.w.increments, i - 1, i, w)
+            out[i] = self.row(side, i, w)
         return out.T
 
     def excess(self, side: str, y, i: int | None = None) -> np.ndarray:
@@ -361,7 +433,7 @@ def obstacle_on_grid(s: Scenario, p: NoisePaths) -> ObstacleGrid:
     constant ones as one value and the others as their specs."""
     if p.dW.shape != (s.mc_paths, s.grid.steps, s.dims.d):
         raise ValueError("dimension mismatch between scenario and paths")
-    if p.dB.shape != (s.mc_paths, s.grid.steps, s.dims.l):
+    if p.dB_shape != (s.mc_paths, s.grid.steps, s.dims.l):
         raise ValueError("dimension mismatch between scenario and paths")
 
     times = s.grid.times

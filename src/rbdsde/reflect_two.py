@@ -163,11 +163,12 @@ def _walk_rows(sol: SolutionEnsemble, grid: ObstacleGrid,
     excess and K's mean; the count of excesses above ``slack``; and whether
     K starts at zero and never falls, the one check made without a barrier.
 
-    Two passes, neither of which holds a whole Y.  The backward pass walks
-    ``sol.rows()`` once, from the horizon back, and hands each (i, Y_i, Z_i)
-    to ``on_row``, if given; it runs only for a barrier or a hook.  Of step
-    i's excess it keeps the paths the store says step i pushed.  The
-    forward pass walks each side's ``k_rows`` and adds
+    Two passes, neither of which holds a whole Y.  Each step's pushed
+    paths are unpacked from the store once, for both.  The backward pass
+    walks ``sol.rows()`` once, from the horizon back, and hands each
+    (i, Y_i, Z_i) to ``on_row``, if given; it runs only for a barrier or a
+    hook.  Of step i's excess it keeps the paths step i pushed.  The
+    forward pass walks each side's ``k_rows`` over those paths and adds
     excess_i * (K_{i+1} - K_i) at those of the paths where that side's K
     moved, row after row, as numpy sums the time axis of a time-major array.
     Elsewhere the dense product is +-0.0, which leaves a sum that starts at
@@ -178,14 +179,13 @@ def _walk_rows(sol: SolutionEnsemble, grid: ObstacleGrid,
     mean_sq = {side: np.zeros(n_plus_1) for side in sides}
     above = dict.fromkeys(sides, 0)
     # per step i: the paths it pushed, and each checked side's excess there
-    pushed = [np.empty(0, dtype=np.intp)] * (n_plus_1 - 1)
+    pushed = ([sol.pushes.paths(i) for i in range(n_plus_1 - 1)] if sol.pushes is not None
+              else [np.empty(0, dtype=np.intp)] * (n_plus_1 - 1))
     kept = {side: [np.empty(0)] * (n_plus_1 - 1) for side in checked}
     if checked or on_row is not None:
         for i, y, z in sol.rows():
             if on_row is not None:
                 on_row(i, y, z)
-            if i < n_plus_1 - 1 and checked and sol.pushes is not None:
-                pushed[i] = sol.pushes.paths(i)
             for side in checked:
                 excess = grid.excess(side, y, i)
                 if i < n_plus_1 - 1:
@@ -197,7 +197,7 @@ def _walk_rows(sol: SolutionEnsemble, grid: ObstacleGrid,
     walks = {}
     for side in sides:
         flat, mean_k = np.zeros(m), np.zeros(n_plus_1)
-        k_rows = sol.k_rows(side)
+        k_rows = sol.k_rows(side, pushed)
         k_now = next(k_rows).copy()  # the next row overwrites the one yielded
         monotone = bool(np.all(k_now == 0.0))
         for i in range(n_plus_1 - 1):

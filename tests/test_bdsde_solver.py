@@ -138,6 +138,81 @@ class TestMultiDimensional:
             assert np.shares_memory(matrix, g) and not matrix.flags.writeable
 
 
+# -0.5 max(x, 0): -0.0 wherever x <= 0
+_NEGATED_CALL = CoefficientSpec.hook(lambda t, w, y, z: -0.5 * np.maximum(w[:, 0], 0.0))
+_NEGATED_Y_CALL = CoefficientSpec.hook(lambda t, w, y, z: -0.5 * np.maximum(y, 0.0))
+
+
+class TestZeroNoise:
+    """For the zero G the backward term G . dB is the number 0.0: no dB is
+    read, so B is not drawn, and every bit of the einsum path is kept."""
+
+    def test_zero_term_has_the_einsum_bits(self):
+        # rows holding -0.0 beside negative dB, where 0.0 * dB is -0.0
+        y = np.array([-0.0, -0.0, 0.0, -0.0, 1.5, -2.0])
+        m = y.size
+        sc = constant_scenario(paths=m, steps=1)
+        p = rbdsde.NoisePaths(dW=np.zeros((m, 1, 1)), seed=0,
+                              dB=np.array([-0.3, -1e-300, -0.2, 0.4, -0.5, 0.1]).reshape(m, 1, 1))
+        w, z = np.zeros((m, 1)), np.zeros((m, 1))
+        term = bdsde_solver._noise_increments(sc, 0.0, w, y, z, p, 0)
+        einsum = np.einsum("ml,ml->m", _noise_matrix(sc.noise_coeff, 0.0, w, y, z, 1), p.dB[:, 0, :])
+        assert term == 0.0 and not np.signbit(term)
+        # the sweep's continuation target
+        assert (np.add(y, term, out=np.empty(m)).tobytes()
+                == np.add(y, einsum, out=np.empty(m)).tobytes())
+        # a row of coefficient_steps
+        by_term, by_einsum = y.copy(), y.copy()
+        by_term += term
+        by_einsum += einsum
+        assert by_term.tobytes() == by_einsum.tobytes()
+
+    def test_sweep_and_coefficient_steps_keep_the_einsum_bits(self, block_fills):
+        # xi and the driver hold -0.0 on about half the paths; a hook G of
+        # zeros takes the einsum path, and draws B with W
+        sc = dataclasses.replace(stopping_drift_scenario(paths=3000, steps=8),
+                                 terminal=_NEGATED_CALL, driver=_NEGATED_Y_CALL,
+                                 obstacles=ObstacleSpec())
+        by_einsum = dataclasses.replace(
+            sc, noise_coeff=CoefficientSpec.hook(lambda t, w, y, z: np.zeros(len(w))))
+        cfg = RegressionConfig(degree_w=2, include_dB=False)
+        eager = generate_paths(by_einsum)
+        assert np.any(eager.dB < 0.0)
+        block_fills.clear()
+        lazy = generate_paths(sc)
+        sols = {"zero": solve_bdsde(sc, lazy, cfg), "einsum": solve_bdsde(by_einsum, eager, cfg)}
+        assert np.any(np.signbit(sols["zero"].obstacle_grid.xi) & (sols["zero"].obstacle_grid.xi == 0))
+        for name in ("Y", "Z"):
+            assert getattr(sols["zero"], name).tobytes() == getattr(sols["einsum"], name).tobytes()
+        for lag, martingale in ((0, False), (1, False), (1, True)):
+            steps = [bdsde_solver.coefficient_steps(sol.rows(), scenario, paths, lag, martingale)
+                     for sol, scenario, paths in ((sols["zero"], sc, lazy),
+                                                  (sols["einsum"], by_einsum, eager))]
+            assert steps[0].tobytes() == steps[1].tobytes(), (lag, martingale)
+        assert block_fills == [0]
+
+    def test_db_columns_draw_b_in_the_solve(self, block_fills):
+        sc = two_barrier_scenario(paths=5000, steps=8, width=0.8, drift=0.6)
+        cfg = RegressionConfig(degree_w=1, include_dB=True)
+        drawn = generate_paths(sc)
+        drawn.dB
+        lazy = generate_paths(sc)
+        block_fills.clear()
+        sol = solve_bdsde(sc, lazy, cfg)
+        assert block_fills == [1, 1] and sol.store.db is lazy.dB
+        assert lazy.dB.tobytes() == drawn.dB.tobytes()
+        assert sol.Y.tobytes() == solve_bdsde(sc, drawn, cfg).Y.tobytes()
+
+    def test_a_noise_coefficient_reads_the_b_drawn_with_w(self, block_fills):
+        sc = constant_g_scenario(paths=5000, steps=8)
+        p = generate_paths(sc)
+        assert sorted(block_fills) == [0, 0, 1, 1]
+        sol = solve_bdsde(sc, p, RegressionConfig(include_dB=True))
+        # the sweep reads the B drawn with W, and draws no other
+        assert len(block_fills) == 4 and sol.store.db is p.dB
+        assert np.corrcoef(sol.Y[:, 0], p.B_state[:, -1, 0])[0, 1] >= 0.99
+
+
 class TestComparisonInvariant:
 
     def test_shifted_terminal_dominates(self, fast_cfg):
@@ -377,6 +452,7 @@ class TestWorkingSet:
         # contact bit per path and step, but no running sum or dense dK
         sc = two_barrier_scenario(paths=20_000, steps=20, width=0.8, drift=0.6)
         p = generate_paths(sc)
+        p.dB  # G is zero, so B is drawn on its first read: here, not in the sweep's peak
         grids = _checked_grid(sc, p)
         tracemalloc.start()
         try:

@@ -520,7 +520,7 @@ class TestBarrierSets:
             k = np.ascontiguousarray(k.T).T
             y = np.zeros_like(k)
             sol = from_dense(y, np.zeros((6, 7, 1)), None, meta)
-            monkeypatch.setattr(rbdsde.SolutionEnsemble, "k_rows", lambda sol, side: iter(k.T))
+            monkeypatch.setattr(rbdsde.SolutionEnsemble, "k_rows", lambda sol, side, pushed=None: iter(k.T))
             grid = rbdsde.ObstacleGrid(xi=y[:, -1], lower=np.full_like(k, -1.0))
             no_barrier = rbdsde.ObstacleGrid(xi=y[:, -1])
             walk = reflect_two._walk_rows(sol, no_barrier, ("lower",))["lower"]
@@ -531,8 +531,8 @@ class TestBarrierSets:
     def test_k_check_reads_the_side_without_a_barrier(self, tmp_path, monkeypatch):
         form = rbdsde.SolutionEnsemble.k_rows
 
-        def falling_k_minus(sol, side):
-            for j, row in enumerate(form(sol, side)):
+        def falling_k_minus(sol, side, pushed=None):
+            for j, row in enumerate(form(sol, side, pushed)):
                 if side == "upper" and j == 3:
                     row = row.copy()
                     row[0] = 1.0  # K- rises at step 3 and falls back at step 4

@@ -446,6 +446,17 @@ class TestBarrierRows:
         first, second = grids.lower, grids.lower
         assert first is not second and first.tobytes() == second.tobytes()
 
+    @pytest.mark.parametrize("steps", [50, 1])  # one step keeps a single mark of W
+    def test_whole_barrier_equals_its_stacked_rows(self, steps):
+        sc = stopping_drift_scenario(paths=300, steps=steps)
+        p = generate_paths(sc)
+        assert len(p._w.marks) == (8 if steps == 50 else 1)
+        grid = ObstacleGrid(xi=np.zeros(300), lower=CoefficientSpec.payoff_put(0.3),
+                            upper=CoefficientSpec.clamp(-0.5, 0.5), times=sc.grid.times, w=p._w)
+        for side in ("lower", "upper"):
+            rows = np.stack([grid.row(side, i) for i in range(steps + 1)], axis=1)
+            assert getattr(grid, side).tobytes() == rows.tobytes(), side
+
     @pytest.mark.parametrize("case", sorted(_FLAG_CASES))
     def test_row_wise_flags_equal_the_whole_array_formulas(self, case):
         lower, upper, expected = _FLAG_CASES[case]
@@ -672,3 +683,75 @@ class TestNoWholeW:
         assert cli.main(["compare", str(a), str(b), "--out", str(tmp_path / "compare")]) == 0
         assert cli.main(["convergence", str(a), "--grid-refinement",
                          "--out", str(tmp_path / "convergence")]) == 0
+
+
+def _g0_corridor_config() -> dict:
+    return {
+        "horizon": 1.0, "steps": 10, "paths": 5000, "seed": 42, "dims": {"d": 1, "l": 1},
+        "terminal": {"kind": "clamp", "params": {"lo": -1.0, "hi": 1.0}},
+        "driver": {"kind": "constant", "params": {"value": 1.0}},
+        "noise": {"kind": "zero", "params": {}},
+        "obstacle": {"lower": {"kind": "constant", "params": {"value": -1.0}},
+                     "upper": {"kind": "constant", "params": {"value": 1.0}}},
+        "penalty": {"geometric": {"base": 4.0, "count": 7}, "tol": 1e-4},
+        "regression": {"degree_w": 1, "include_dB": False, "ridge": 1e-10},
+        "picard_iters": 2,
+    }
+
+
+class TestBDrawnOnRead:
+    """With the zero G, the paths hold B as a draw not yet made: nothing
+    but a read of dB draws it, and that read has an eager draw's bits."""
+
+    def test_solves_without_noise_or_db_columns_draw_no_b(self, tmp_path, block_fills):
+        cfg = RegressionConfig(degree_w=2, include_dB=False)
+        sc = stopping_drift_scenario(paths=5000, steps=8)
+        corridor = two_barrier_scenario(paths=5000, steps=8, width=0.8, drift=0.6)
+        for scenario, solve in ((sc, solve_reflected), (corridor, solve_double)):
+            p = generate_paths(scenario)
+            sol, _ = solve(scenario, p, cfg)
+            assert sol.Y.shape == (5000, 9) and p.dB_shape == (5000, 8, 1)
+            assert isinstance(p._b, paths_module._Undrawn)
+        config = tmp_path / "g0.json"
+        config.write_text(json.dumps(_g0_corridor_config()))
+        assert cli.main(["run", str(config), "--out", str(tmp_path / "run")]) == 0
+        # two blocks of W per solve and none of B
+        assert block_fills == [0] * 6
+
+    @pytest.mark.parametrize("threads", ["1", "2", "4"])
+    def test_first_read_equals_an_eager_draw(self, monkeypatch, threads, block_fills):
+        sc = dataclasses.replace(stopping_drift_scenario(paths=8197, steps=4, seed=9),
+                                 dims=Dimensions(l=2))
+        monkeypatch.setenv("RBDSDE_THREADS", "1")
+        eager = generate_paths(dataclasses.replace(sc, noise_coeff=CoefficientSpec.constant(0.2)))
+        monkeypatch.setenv("RBDSDE_THREADS", threads)
+        reads = {"dB": lambda p: p.dB, "B_state": lambda p: p.B_state,
+                 "coarse dB": lambda p: coarsen(p, 2).dB}
+        for name, read in reads.items():
+            block_fills.clear()
+            lazy = generate_paths(sc)
+            assert lazy.dW.tobytes() == eager.dW.tobytes() and block_fills == [0, 0, 0]
+            first = read(lazy)
+            assert first.tobytes() == read(eager).tobytes(), name
+            # three blocks of B, drawn once: a second read of the paths draws
+            # nothing, and a second coarsening draws the fine B again
+            assert block_fills == [0, 0, 0, 1, 1, 1], name
+            assert read(lazy).tobytes() == first.tobytes(), name
+            assert block_fills == [0, 0, 0, 1, 1, 1] + [1, 1, 1] * (name == "coarse dB"), name
+        # the drawn B keeps the layout and is read-only
+        lazy = generate_paths(sc)
+        assert lazy.dB.strides == eager.dB.strides and not lazy.dB.flags.writeable
+
+    def test_coarsening_leaves_b_undrawn(self, block_fills):
+        fine = generate_paths(stopping_drift_scenario(paths=300, steps=12, seed=3))
+        eager = coarsen(coarsen(generate_paths(constant_g_scenario(paths=300, steps=12, seed=3)), 2), 3)
+        block_fills.clear()
+        coarse = coarsen(coarsen(fine, 2), 3)
+        assert coarse.dB_shape == (300, 2, 1) and block_fills == []
+        assert coarse.dB.tobytes() == eager.dB.tobytes() and block_fills == [1]
+        assert isinstance(fine._b, paths_module._Undrawn)
+        assert coarse.dB.strides == eager.dB.strides and not coarse.dB.flags.writeable
+
+    def test_a_noise_coefficient_draws_b_with_w(self, block_fills):
+        p = generate_paths(constant_g_scenario(paths=5000, steps=4))
+        assert sorted(block_fills) == [0, 0, 1, 1] and isinstance(p._b, np.ndarray)

@@ -451,6 +451,7 @@ class TestSolveDouble:
         # every level runs; each reads only K_T of its sweep
         sc = two_barrier_scenario(paths=20_000, steps=20, width=0.8, drift=0.6)
         p = generate_paths(sc)
+        p.dB  # G is zero, so B is drawn on its first read: here, not in the ladder's peak
         cfg = RegressionConfig(degree_w=1, include_dB=True)
         schedule = PenaltySchedule(levels=(1.0, 10.0, 100.0), penetration_tol=0.0)
         formed = []
@@ -695,6 +696,26 @@ class TestWalkRows:
         # the upper side has no barrier, so path 1's push of -1 is no K-
         assert not np.any(walks["upper"].mean_k)
         assert walks["upper"].flat_off.tobytes() == np.negative(np.zeros(2)).tobytes()
+
+    def test_each_step_is_unpacked_once(self, monkeypatch):
+        # both passes read each step's pushed paths, unpacked from its
+        # contact bits once: the forward pass hands them to each side's k_rows
+        sc = two_barrier_scenario(paths=3000, steps=12, width=0.8, drift=0.6)
+        sol, _ = solve_double(sc, generate_paths(sc), RegressionConfig(degree_w=1))
+        unpacked = []
+        paths = SignedPushes.paths
+
+        def counted(store, j):
+            unpacked.append(j)
+            return paths(store, j)
+
+        monkeypatch.setattr(SignedPushes, "paths", counted)
+        walks = _walk_rows(sol, sol.obstacle_grid, ("lower", "upper"), on_row=lambda *row: None)
+        assert sorted(unpacked) == list(range(sc.grid.steps))
+        monkeypatch.undo()
+        for side, walk in walks.items():
+            assert walk.mean_k.tobytes() == sol.k(side).mean(axis=0).tobytes(), side
+            assert np.any(walk.mean_k), side
 
 
 def _negated(spec):
