@@ -134,6 +134,18 @@ def _lower_only_grid(sol: SolutionEnsemble, no_lower: str, upper: str) -> Obstac
     return sol.obstacle_grid
 
 
+def _check_solved_on(sol: SolutionEnsemble, p: NoisePaths, s: Scenario | None = None) -> None:
+    """Raises ValueError unless ``sol`` was solved on the paths ``p``, their
+    seed and (M, N), and on the (M, N) of the scenario ``s``, if given."""
+    solved = (sol.shape[0], sol.shape[1] - 1)
+    if p.seed != sol.meta.seed or p.dW.shape[:2] != solved:
+        raise ValueError(f"ensembles were not solved on the given paths: seed {p.seed}, (M, N) = "
+                         f"{p.dW.shape[:2]}, against seed {sol.meta.seed}, {solved}")
+    if s is not None and (s.mc_paths, s.grid.steps) != solved:
+        raise ValueError(f"the ensemble was not solved on the given scenario: (M, N) = "
+                         f"{(s.mc_paths, s.grid.steps)}, against {solved}")
+
+
 def _noise_matrix(spec, t, w, y, z, l: int) -> np.ndarray:
     """G at one grid time as an M x l matrix.  A coefficient given as one M
     vector is shared by the l components: with l = 1 it is a read-only
@@ -286,31 +298,28 @@ class StepFits:
             yield i, y_i, z
 
 
-def coefficient_steps(rows, s: Scenario, p: NoisePaths, lag: int,
-                      martingale: bool = False) -> np.ndarray:
-    """F dt + G . dB_j for each path and step j, with the driver F and the
-    noise coefficient G re-evaluated along the solution at grid index
-    j + lag (0 or 1); Z after the last step is taken as zero.  With
-    ``martingale`` each step also has Z_j . dW_j subtracted.  ``rows`` are
-    an ensemble's (i, Y_i, Z_i) from the horizon back, as
-    ``SolutionEnsemble.rows`` gives them, each read once.  Returns M x N, a
-    view of N contiguous step rows, filled from the last step back."""
+def coefficient_steps(rows, s: Scenario, p: NoisePaths, martingale: bool = False) -> np.ndarray:
+    """Each path's step j as the sweep takes it, F dt + G . dB_j: F at
+    (t_j, W_j, Y_j, Z_j), where the Picard passes of ``StepFits.y_row``
+    evaluate it, and G at the step's right end (t_{j+1}, W_{j+1}, Y_{j+1},
+    Z_{j+1}), as in the backward Ito sum, by the sweep's own
+    ``_noise_increments`` call, with Z_N = 0.  With ``martingale`` each step
+    also has Z_j . dW_j subtracted.  ``rows`` are an ensemble's (i, Y_i, Z_i)
+    from the horizon back, as ``SolutionEnsemble.rows`` gives them, each
+    read once.  Returns M x N, a view of N contiguous step rows."""
     m, n, d = s.mc_paths, s.grid.steps, s.dims.d
     times = s.grid.times
     steps = np.empty((n, m))
-
-    def fill(i: int, y: np.ndarray, z: np.ndarray) -> None:
-        # W_i is formed here, and F and G are not bound to names, so none of
-        # them is held while the next row of Y and Z is formed
-        w_i, step = p.w_row(i), steps[i - lag]
-        np.multiply(s.driver.evaluate(times[i], w_i, y, z), s.grid.dt, out=step)
-        step += _noise_increments(s, times[i], w_i, y, z, p, i - lag)
-
+    w = np.empty((m, d))  # W_i, one reused row
     for i, y, z in rows:
-        if 0 <= i - lag < n:
-            fill(i, y, np.zeros((m, d)) if z is None else z)
-        if martingale and i < n:
-            steps[i] -= np.einsum("md,md->m", z, p.dW[:, i, :])
+        p.w_row(i, out=w)
+        if i > 0:  # step i - 1's backward term, at its right end
+            steps[i - 1] = _noise_increments(s, times[i], w, y,
+                                             np.zeros((m, d)) if z is None else z, p, i - 1)
+        if i < n:
+            steps[i] += s.driver.evaluate(times[i], w, y, z) * s.grid.dt
+            if martingale:
+                steps[i] -= np.einsum("md,md->m", z, p.dW[:, i, :])
     return steps.T
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bdsde_solver import _noise_matrix
+from .bdsde_solver import _check_solved_on, _noise_matrix
 from .condexp import RegressionConfig
 from .model import Scenario, SolutionEnsemble
 from .paths import NoisePaths
@@ -64,11 +64,10 @@ def check_comparison(
     """Fraction of grid points where the solution of the dominated data set
     exceeds the dominating one beyond epsilon, 3 pooled standard errors;
     passes at <= 1%.  Y is read one time row at a time, both ensembles'
-    rows side by side."""
+    rows side by side.  Both must have been solved on ``shared_paths``."""
     epsilon = _comparison_epsilon(sol_a, sol_b)
+    _check_solved_on(sol_a, shared_paths)
     m, n_plus_1 = sol_a.shape
-    if m != shared_paths.n_paths:
-        raise ValueError("ensembles were not solved on the given paths")
     above = sum(np.count_nonzero(y_a > y_b + epsilon)
                 for (_, y_a, _), (_, y_b, _) in zip(sol_a.rows(), sol_b.rows()))
     fraction = float(above / (m * n_plus_1))

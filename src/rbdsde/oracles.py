@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bdsde_solver import _lower_only_grid, coefficient_steps
+from .bdsde_solver import _check_solved_on, _lower_only_grid, coefficient_steps
 from .model import Scenario, SolutionEnsemble
 from .paths import NoisePaths
 
@@ -122,10 +122,11 @@ def stopping_rule_value(
     p: NoisePaths,
     rule: HittingRule | FixedRule,
 ) -> RuleValue:
-    """Monte Carlo value of one admissible stopping rule applied to a solved
-    ensemble: accumulated drift (and backward-noise) up to the stopping index
-    plus the obstacle there, or the terminal value if never stopped.  The
-    obstacle and terminal values are those of the solver's obstacle grid."""
+    """Monte Carlo value of one admissible stopping rule applied to an
+    ensemble solved on ``p`` and ``s``: the sweep's steps
+    (``coefficient_steps``) summed up to the stopping index plus the obstacle
+    there, or xi if never stopped, both from the solver's obstacle grid."""
+    _check_solved_on(sol, p, s)
     m, n = s.mc_paths, s.grid.steps
     grids = _lower_only_grid(sol, "stopping rules need a lower obstacle",
                              "stopping rules ignore K- of an upper obstacle")
@@ -148,7 +149,7 @@ def stopping_rule_value(
                 del lower, hit  # not held while the next rows are formed
             yield i, y, z
 
-    steps = coefficient_steps(sol.rows() if fixed else hitting(sol.rows()), s, p, lag=0)
+    steps = coefficient_steps(sol.rows() if fixed else hitting(sol.rows()), s, p)
     running = np.zeros(m)
     for i in range(n):
         running = running + np.where(i < nu, steps[:, i], 0.0)

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bdsde_solver import (_checked_grid, _lower_only_grid, coefficient_steps, implicit_double_step,
-                           solve_backward)
+from .bdsde_solver import (_check_solved_on, _checked_grid, _lower_only_grid, coefficient_steps,
+                           implicit_double_step, solve_backward)
 from .condexp import RegressionConfig
 from .model import PenaltySchedule, Scenario, SolutionEnsemble
 from .paths import NoisePaths, ObstacleGrid
@@ -103,17 +103,18 @@ def skorohod_residual(sol: SolutionEnsemble, obstacle: np.ndarray) -> np.ndarray
 def skorohod_sup_formula(sol: SolutionEnsemble, s: Scenario, p: NoisePaths) -> np.ndarray:
     """Reconstruct K_T - K_{t_i} from the running-supremum representation.
 
-    Re-evaluates the driver and noise coefficient along the stored solution,
-    forms the reflection-free tail x_u = xi + sum_{j>=u} (F dt + G.dB - Z.dW)
-    and returns max_{v>=u} (x_v - S_v)^- for each path and grid index.  The
-    terminal values and the barrier are those of the solver's obstacle grid.
+    Forms the reflection-free tail x_u = xi + sum_{j>=u} (F dt + G.dB - Z.dW)
+    from the sweep's steps (``coefficient_steps``) along an ensemble solved
+    on ``p`` and ``s``, and returns max_{v>=u} (x_v - S_v)^- per path and
+    grid index, with xi and the barrier from the solver's obstacle grid.
     """
+    _check_solved_on(sol, p, s)
     m, n = s.mc_paths, s.grid.steps
     grids = _lower_only_grid(sol, "the ensemble's obstacle grid has no lower obstacle",
                              "the sup formula ignores K- of an upper obstacle")
 
-    # step_j = F_{j+1} dt + G_{j+1} . dB_j - Z_j . dW_j, pathwise
-    steps = coefficient_steps(sol.rows(), s, p, lag=1, martingale=True)
+    # step_j = F_j dt + G_{j+1} . dB_j - Z_j . dW_j, pathwise
+    steps = coefficient_steps(sol.rows(), s, p, martingale=True)
 
     tails = np.zeros((m, n + 1))
     tails[:, :n] = np.cumsum(steps[:, ::-1], axis=1)[:, ::-1]

@@ -184,11 +184,11 @@ class TestZeroNoise:
         assert np.any(np.signbit(sols["zero"].obstacle_grid.xi) & (sols["zero"].obstacle_grid.xi == 0))
         for name in ("Y", "Z"):
             assert getattr(sols["zero"], name).tobytes() == getattr(sols["einsum"], name).tobytes()
-        for lag, martingale in ((0, False), (1, False), (1, True)):
-            steps = [bdsde_solver.coefficient_steps(sol.rows(), scenario, paths, lag, martingale)
+        for martingale in (False, True):
+            steps = [bdsde_solver.coefficient_steps(sol.rows(), scenario, paths, martingale)
                      for sol, scenario, paths in ((sols["zero"], sc, lazy),
                                                   (sols["einsum"], by_einsum, eager))]
-            assert steps[0].tobytes() == steps[1].tobytes(), (lag, martingale)
+            assert steps[0].tobytes() == steps[1].tobytes(), martingale
         assert block_fills == [0]
 
     def test_db_columns_draw_b_in_the_solve(self, block_fills):
@@ -211,6 +211,32 @@ class TestZeroNoise:
         # the sweep reads the B drawn with W, and draws no other
         assert len(block_fills) == 4 and sol.store.db is p.dB
         assert np.corrcoef(sol.Y[:, 0], p.B_state[:, -1, 0])[0, 1] >= 0.99
+
+
+class TestCoefficientSteps:
+
+    @pytest.mark.parametrize("martingale", [False, True])
+    def test_each_step_is_the_sweeps(self, martingale):
+        # f and both components of g depend on (y, z): F at t_j and G at
+        # t_{j+1}, Z_N = 0, each step written out on its own
+        sc = dataclasses.replace(
+            constant_g_scenario(paths=3000, steps=9), dims=Dimensions(d=2, l=2),
+            terminal=CoefficientSpec.linear(a_w=0.5, c=1.0),
+            driver=CoefficientSpec.linear(a_y=-0.4, a_z=(0.3, -0.2), c=0.1),
+            noise_coeff=CoefficientSpec.hook(lambda t, w, y, z: np.stack(
+                [0.2 * y + 0.1 * z[:, 0], 0.3 - 0.1 * y * z[:, 1]], axis=1)))
+        p = generate_paths(sc)
+        sol = solve_bdsde(sc, p, RegressionConfig(degree_w=2))
+        steps = bdsde_solver.coefficient_steps(sol.rows(), sc, p, martingale)
+        y, z, w, times, n = sol.Y, sol.Z, p.W_state, sc.grid.times, sc.grid.steps
+        z_after = np.concatenate([z[:, 1:], np.zeros((sc.mc_paths, 1, 2))], axis=1)
+        for j in range(n):
+            g = sc.noise_coeff.evaluate(times[j + 1], w[:, j + 1], y[:, j + 1], z_after[:, j])
+            step = (sc.driver.evaluate(times[j], w[:, j], y[:, j], z[:, j]) * sc.grid.dt
+                    + np.einsum("ml,ml->m", g, p.dB[:, j]))
+            if martingale:
+                step = step - np.einsum("md,md->m", z[:, j], p.dW[:, j])
+            assert steps[:, j].tobytes() == step.tobytes(), j
 
 
 class TestComparisonInvariant:

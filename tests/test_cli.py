@@ -1107,7 +1107,7 @@ class TestRowWiseReads:
         sol, _ = cli._solve_for_config(spec, p)
         grids = sol.obstacle_grid
         for read in (lambda: rbdsde.apriori_statistic(sol, sc),
-                     lambda: bdsde_solver.coefficient_steps(sol.rows(), sc, p, lag=1),
+                     lambda: bdsde_solver.coefficient_steps(sol.rows(), sc, p),
                      lambda: reflect_two.double_skorohod_residuals(sol, grids.lower, grids.upper),
                      lambda: reflect_one.skorohod_residual(sol, grids.lower)):
             walks.clear()

@@ -8,18 +8,22 @@ import pytest
 from rbdsde import (
     CoefficientSpec,
     Dimensions,
+    FixedRule,
     ObstacleSpec,
     SolutionEnsemble,
     check_comparison,
     check_dK_comparison,
     generate_paths,
+    skorohod_sup_formula,
     solve_bdsde,
     solve_double,
     solve_projected,
     stability_statistic,
+    stopping_rule_value,
 )
 from rbdsde.diagnostics import apriori_statistic, pooled_se, regression_se
 from rbdsde.model import ConfigError
+from rbdsde.paths import coarsen
 from rbdsde.scenarios import (
     constant_g_scenario,
     constant_scenario,
@@ -242,3 +246,23 @@ class TestPooledSe:
         sc, p = binding_problem
         sol = solve_projected(sc, p, fast_cfg)
         assert pooled_se(sol, sol) == pytest.approx(np.sqrt(2.0) * pooled_se(sol))
+
+
+@pytest.mark.parametrize("read, takes_scenario", [
+    (lambda sol, sc, p: skorohod_sup_formula(sol, sc, p), True),
+    (lambda sol, sc, p: stopping_rule_value(sol, sc, p, FixedRule(index=0)), True),
+    (lambda sol, sc, p: check_comparison(sol, sol, p), False),
+], ids=["sup_formula", "stopping_rule", "comparison"])
+def test_readers_refuse_inputs_the_ensemble_was_not_solved_on(read, takes_scenario, fast_cfg):
+    sc = stopping_drift_scenario(paths=2000, steps=10)
+    p = generate_paths(sc)
+    sol = solve_projected(sc, p, fast_cfg)
+    read(sol, sc, p)
+    longer = stopping_drift_scenario(paths=2000, steps=20)
+    for other in (generate_paths(stopping_drift_scenario(paths=2000, steps=10, seed=7)),
+                  coarsen(p, 2), generate_paths(longer)):
+        with pytest.raises(ValueError, match="not solved on the given paths"):
+            read(sol, sc, other)
+    if takes_scenario:
+        with pytest.raises(ValueError, match="not solved on the given scenario"):
+            read(sol, longer, p)

@@ -191,6 +191,19 @@ class TestStoppingRules:
         with pytest.raises(ValueError):
             stopping_rule_value(sol, sc, p, FixedRule(index=99))
 
+    @pytest.mark.parametrize("seed", [3, 7])
+    def test_never_stop_rule_takes_g_at_the_step_end(self, seed):
+        # g = y/2 varies along the paths; the backward Ito sum, like the
+        # sweep, evaluates it at the right end of each step.  At the left
+        # end the rule read 1.25 against a mean Y0 of 1.00, 65 se high
+        sc = dataclasses.replace(constant_scenario(paths=20_000, steps=50, seed=seed),
+                                 terminal=CoefficientSpec.constant(1.0),
+                                 noise_coeff=CoefficientSpec.linear(a_y=0.5))
+        p = generate_paths(sc)
+        sol = solve_projected(sc, p, RegressionConfig(degree_w=2, include_dB=True))
+        rv = stopping_rule_value(sol, sc, p, FixedRule(index=sc.grid.steps))
+        assert abs(rv.mean - sol.Y[:, 0].mean()) <= 3.0 * rv.se
+
     def test_backward_noise_enters_the_estimate(self, fast_cfg):
         # g != 0: the accumulated g.dB term must appear in the rule value
         sc = dataclasses.replace(

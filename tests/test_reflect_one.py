@@ -392,8 +392,8 @@ class TestSkorohodSupFormula:
             obstacles=ObstacleSpec(lower=CoefficientSpec.clamp(-2.0, -0.9)))
         p = generate_paths(sc)
         sol = solve_penalized(sc, p, RegressionConfig(degree_w=2), level=50.0)
-        whole = coefficient_steps(sol.rows(), sc, p, lag=1) - np.einsum("mnd,mnd->mn", sol.Z, p.dW)
-        rows = coefficient_steps(sol.rows(), sc, p, lag=1, martingale=True)
+        whole = coefficient_steps(sol.rows(), sc, p) - np.einsum("mnd,mnd->mn", sol.Z, p.dW)
+        rows = coefficient_steps(sol.rows(), sc, p, martingale=True)
         assert rows.tobytes() == whole.tobytes()
 
         def whole_z(self):
