@@ -181,8 +181,8 @@ class _BasisWalk:
     B_T - B_{t_i} (with ``cfg.include_dB``) and returns each barrier's row;
     ``basis`` then builds step i's basis, the shaped sides' rows among its
     columns, for all paths or a block of them.  The sweep and every later
-    read of Z walk this way, so both build each basis from the same inputs
-    by the same operations."""
+    read of Y and Z (``StepFits.rows``) walk this way, so both build each
+    basis from the same inputs by the same operations."""
 
     def __init__(self, store: StepFits):
         m, n, d = store.shape
@@ -263,37 +263,31 @@ class StepFits:
         # interior barriers were checked not to cross by _checked_grid
         return _reflect(y, barriers.get("lower"), barriers.get("upper"), self.rate)
 
-    def rows(self, with_y: bool = True):
+    def rows(self):
         """Y's and Z's rows from the horizon back: (N, xi, None), then
         (i, Y_i, Z_i) for i = N-1, ..., 0, Y_i an (M,) and Z_i an (M, d)
-        row, each in a buffer that the next row overwrites.  Each step
-        rebuilds its basis one block of paths at a time and forms the three
-        fits' values on each block through ``fitted_rows``, as the sweep's
-        fits did; Z_i is the z-fit divided by dt and Y_i comes from
+        row, each in a buffer that the next row overwrites.  This walk is
+        the one read of the store: ``Y`` and ``Z`` stack its rows.  Each
+        step rebuilds its basis one block of paths at a time and forms the
+        three fits' values on each block through ``fitted_rows``, as the
+        sweep's fits did; Z_i is the z-fit divided by dt and Y_i comes from
         ``y_row``, as in the sweep.  A read holds one block's basis and a
-        few rows, and evaluates the driver again at every step.  Without
-        ``with_y`` only Z is formed, from the z-fit alone: (i, None, Z_i)
-        for i = N-1, ..., 0."""
+        few rows, and evaluates the driver again at every step."""
         m, n, d = self.shape
         walk = _BasisWalk(self)
         z = np.empty((m, d))
         # the rough fit's rows land on the continuation's row, which its own
         # fit, formed after it on each block, then writes, and on Y's row,
         # where the drift is read from
-        fitted = np.empty((2, m)) if with_y else None
-        continuation, y_i = (None, None) if fitted is None else fitted
-        if with_y:
-            yield n, self.grids.xi, None
+        fitted = np.empty((2, m))
+        continuation, y_i = fitted
+        yield n, self.grids.xi, None
         for i in range(n - 1, -1, -1):
             barriers = walk.advance(i)
-            betas, outs = [self.z[i]], [z.T]
-            if with_y:
-                betas += [self.rough[i], self.continuation[i].reshape(-1, 1)]
-                outs += [fitted, fitted[:1]]
-            fitted_rows(betas, m, lambda paths: walk.basis(barriers, paths), outs)
+            fitted_rows([self.z[i], self.rough[i], self.continuation[i].reshape(-1, 1)], m,
+                        lambda paths: walk.basis(barriers, paths), [z.T, fitted, fitted[:1]])
             np.divide(z, self.dt, out=z)
-            if with_y:
-                self.y_row(i, y_i, continuation, y_i, z, walk.w, barriers)
+            self.y_row(i, y_i, continuation, y_i, z, walk.w, barriers)
             del barriers  # not held while the next row's walk advances
             yield i, y_i, z
 
@@ -356,7 +350,7 @@ def solve_backward(
     factored once and serves its three fits.  The
     penetration of each barrier, the mean over paths of the squared largest
     excess beyond it, is kept as a running per-path maximum and reported in
-    ``meta``.
+    ``meta``; a penetration that overflows raises ``NonFiniteError``.
 
     ``factors`` is for sweeps that share their designs, the levels of one
     ladder: it maps a step index to that step's design factorization, which
@@ -466,6 +460,11 @@ def solve_backward(
     for i in range(n - 1, -1, -1):
         step(i)
 
+    with np.errstate(over="ignore"):  # a square that overflows is raised on below
+        penetration = {side: float(np.mean(sup ** 2)) for side, sup in excess.items()}
+    for side, value in penetration.items():
+        if not np.isfinite(value):
+            raise NonFiniteError(f"solver produced a non-finite {side} penetration")
     one_barrier = "projected" if np.isinf(level) else "penalized"
     meta = SolveMeta(
         scheme=("plain", one_barrier, "double")[len(sides)],
@@ -475,7 +474,7 @@ def solve_backward(
         picard_iters=picard_iters,
         regression=cfg,
         residual_rms=residual_rms,
-        **{f"penetration_{side}": float(np.mean(sup ** 2)) for side, sup in excess.items()},
+        **{f"penetration_{side}": value for side, value in penetration.items()},
     )
     return SolutionEnsemble(store=store, pushes=pushes, meta=meta, obstacle_grid=grids)
 

@@ -347,9 +347,9 @@ class SolutionEnsemble:
     store keeps the paths' W increments and marks alive, and dB when the
     basis has dB columns, and each read of Y evaluates the driver again, so
     a ``hook`` driver must be a pure function.  Any other store gives the
-    same two reads: ``shape``, (M, N, d), and ``rows(with_y)``, which
-    yields (N, Y_N, None) and then (i, Y_i, Z_i) for i = N-1, ..., 0, with
-    None for each Y row when ``with_y`` is false.  The signed reflection
+    same two reads: ``shape``, (M, N, d), and ``rows()``, which yields
+    (N, Y_N, None) and then (i, Y_i, Z_i) for i = N-1, ..., 0; ``Y`` and
+    ``Z`` stack the rows of one such walk.  The signed reflection
     increments dK_j = dK+_j - dK-_j, the push of step j, positive up from
     the lower barrier and negative down from the upper one (at most one
     side pushes a path in a step), are held in ``pushes``, a
@@ -389,11 +389,6 @@ class SolutionEnsemble:
         row; a row is valid until the next one is read."""
         return self.store.rows()
 
-    def z_rows(self):
-        """Z's (M, d) rows alone, from step N-1 back to step 0, as (i, row),
-        formed without Y's; a row is valid until the next one is read."""
-        return ((i, z) for i, _, z in self.store.rows(with_y=False))
-
     @property
     def Y(self) -> np.ndarray:
         """The M x (N+1) array, formed on each read by one walk of ``rows``
@@ -407,11 +402,13 @@ class SolutionEnsemble:
     @property
     def Z(self) -> np.ndarray:
         """The M x N x d array, formed on each read by one walk of
-        ``z_rows``; ``[:, i, :]`` is a contiguous row."""
+        ``rows``, which forms Y's rows as well, so a read of Z costs what a
+        read of Y costs; ``[:, i, :]`` is a contiguous row."""
         m, n, d = self.store.shape
         z = np.empty((n, m, d))
-        for i, row in self.z_rows():
-            z[i] = row
+        for i, _, row in self.rows():
+            if i < n:  # the horizon row has no Z
+                z[i] = row
         return z.transpose(1, 0, 2)
 
     @property

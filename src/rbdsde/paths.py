@@ -171,10 +171,6 @@ class NoisePaths:
         """(M, N, l), the shape of ``dB``, read without drawing B."""
         return self._b.shape
 
-    @property
-    def n_paths(self) -> int:
-        return self.dW.shape[0]
-
     def w_row(self, i: int, out: np.ndarray | None = None) -> np.ndarray:
         """(M, d), W at grid time i, bit-identical to ``W_state[:, i]``, in
         fewer than isqrt(N+1) row adds.  Written into ``out`` if given, so a
@@ -357,20 +353,16 @@ class ObstacleGrid:
         return self._whole("upper")
 
     def _whole(self, side: str) -> np.ndarray | None:
-        """A held array as it is, or a held spec's rows, from ``row``, in
-        one time-major array formed anew.  W's rows are formed forward in
-        one buffer, each from the last by one add of the running sum, so
-        they have the bits of ``w.row``."""
+        """A held array as it is, or a held spec's rows, each formed by
+        ``row`` as every row reader forms it, stacked in one time-major
+        array formed anew."""
         held = self.held.get(side)
         if not isinstance(held, CoefficientSpec):
             return held
         m, n_plus_1 = self.w.shape
         out = np.empty((n_plus_1, m))
-        w = np.zeros((m, self.w.increments.shape[2]))  # W_0
         for i in range(n_plus_1):
-            if i:
-                _advance(w, self.w.increments, i - 1, i, w)
-            out[i] = self.row(side, i, w)
+            out[i] = self.row(side, i)
         return out.T
 
     def excess(self, side: str, y, i: int | None = None) -> np.ndarray:

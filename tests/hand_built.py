@@ -4,7 +4,7 @@ A solver's ensemble holds Y and Z as each step's fit coefficients and its
 reflection as a ``SignedPushes`` store.  Tests that need an ensemble with
 chosen values build one here instead: ``from_dense`` holds a whole Y and Z
 in a store with the two reads ``SolutionEnsemble`` makes of its store,
-``shape`` and ``rows(with_y)``, and ``pushes_of`` compacts a dense (M, N)
+``shape`` and ``rows()``, and ``pushes_of`` compacts a dense (M, N)
 array of signed pushes into the store the sweep fills.
 """
 from __future__ import annotations
@@ -26,12 +26,11 @@ class _Dense:
         self.shape = self.z.shape
         self.nbytes = self.y.nbytes + self.z.nbytes
 
-    def rows(self, with_y: bool = True):
+    def rows(self):
         n = self.shape[1]
-        if with_y:
-            yield n, self.y[:, n], None
+        yield n, self.y[:, n], None
         for i in range(n - 1, -1, -1):
-            yield i, self.y[:, i] if with_y else None, self.z[:, i, :]
+            yield i, self.y[:, i], self.z[:, i, :]
 
 
 def from_dense(Y, Z, pushes, meta, obstacle_grid=None) -> SolutionEnsemble:

@@ -359,8 +359,8 @@ class TestZStore:
         swept = {n - 1 - k: np.divide(z, dt) for k, z in enumerate(fitted[1::3])}
         z = sol.Z
         assert z.shape == (sc.mc_paths, n, sc.dims.d)
-        read = [i for i, row in sol.z_rows()
-                if row.tobytes() == swept[i].tobytes() == z[:, i, :].tobytes()]
+        read = [i for i, _, row in sol.rows()
+                if i < n and row.tobytes() == swept[i].tobytes() == z[:, i, :].tobytes()]
         assert read == list(range(n - 1, -1, -1))
 
     def test_the_paths_a_store_keeps_are_read_only(self):
@@ -552,13 +552,14 @@ class TestWorkingSet:
         sol = solve_bdsde(sc, generate_paths(sc), RegressionConfig(degree_w=4, include_dB=True))
         tracemalloc.start()
         try:
-            for _ in sol.z_rows():
-                pass
+            z = sol.Z
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # W's row, B_T - B_{t_i}, Z's row and one block's basis, not 9 rows
-        assert peak < 4 * sc.mc_paths * 8
+        # Z is stacked from the walk that forms Y: the read holds what a
+        # read of Y holds beside the array, and one block's 9-column basis,
+        # not 9 rows
+        assert peak - z.nbytes < 8 * sc.mc_paths * 8
 
     @pytest.mark.parametrize("driver, state_only", [
         (CoefficientSpec.linear(a_w=0.5, c=0.1), True),
@@ -645,6 +646,20 @@ class TestFailureModes:
         p = generate_paths(sc)
         with pytest.raises(RuntimeError, match=r"non-finite values at step \d"):
             solve_bdsde(sc, p)
+
+    @pytest.mark.parametrize("solve", [
+        lambda sc, p, cfg: rbdsde.solve_penalized(sc, p, cfg, level=20.0),
+        lambda sc, p, cfg: rbdsde.solve_double(sc, p, cfg)[0],
+    ], ids=["penalized", "ladder"])
+    def test_a_penetration_that_overflows_aborts(self, solve):
+        # backward noise 1e200 on the corridor [-1, 1]: every row of Y is
+        # finite, but a penalized row lies some 1e199 beyond a barrier, and
+        # its square overflows; the projection's rows lie on the corridor
+        sc = dataclasses.replace(two_barrier_scenario(paths=2000, steps=20, width=1.0, drift=1.0),
+                                 noise_coeff=CoefficientSpec.constant(1e200))
+        cfg = RegressionConfig(degree_w=1, include_dB=True, ridge=1e-10)
+        with pytest.raises(bdsde_solver.NonFiniteError, match="non-finite lower penetration"):
+            solve(sc, generate_paths(sc), cfg)
 
     @pytest.mark.parametrize("call, message", [
         # G of l + 1 components for l = 1

@@ -759,6 +759,9 @@ _TINY_HORIZON = {"horizon": 5e-324, "steps": 2}
     ("run", {"penalty": {"levels": [], "tol": 1e-4}}, 2, _INVALID,
      "validation: config.penalty: schedule needs at least one level"),
     *(("run", overrides, 2, _INVALID, line) for overrides, line in _LISTED),
+    # Y is finite, but the square of its excess beyond the barrier overflows
+    ("run", {"noise": {"kind": "constant", "params": {"value": 1e200}}}, 2, _INVALID,
+     "validation: solver produced a non-finite lower penetration"),
 ])
 def test_failures_exit_with_contract_code(tmp_path, capsys, command, overrides, code, written, stderr):
     cfg_path = _write(tmp_path, "c.json", _base_config(**overrides))
@@ -1094,25 +1097,25 @@ class TestRowWiseReads:
         walks = []
         rows = bdsde_solver.StepFits.rows
 
-        def counted(store, with_y=True):
-            walks.append(with_y)
-            return rows(store, with_y)
+        def counted(store):
+            walks.append(store)
+            return rows(store)
 
         monkeypatch.setattr(bdsde_solver.StepFits, "rows", counted)
         path = _write(tmp_path, "c.json", _corridor_config(paths=2000, steps=20))
         assert main(["run", path, "--out", str(tmp_path / "o")]) == 0
-        assert walks == [True]
+        assert len(walks) == 1
         spec = load_config(path)
         sc, p = spec.scenario, cli._prepare(spec)
         sol, _ = cli._solve_for_config(spec, p)
         grids = sol.obstacle_grid
-        for read in (lambda: rbdsde.apriori_statistic(sol, sc),
+        for read in (lambda: sol.Y, lambda: sol.Z, lambda: rbdsde.apriori_statistic(sol, sc),
                      lambda: bdsde_solver.coefficient_steps(sol.rows(), sc, p),
                      lambda: reflect_two.double_skorohod_residuals(sol, grids.lower, grids.upper),
                      lambda: reflect_one.skorohod_residual(sol, grids.lower)):
             walks.clear()
             read()
-            assert walks == [True]
+            assert walks == [sol.store]
         walks.clear()
         for side in ("lower", "upper"):
             list(sol.k_rows(side))
